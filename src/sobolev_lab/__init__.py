@@ -1,8 +1,8 @@
 """Extremal Sobolev functions, sharp constants, and reverse Holder verification."""
 
-from .core import (AdmissibilityError, CrossingError, DomainSpec, Exponents,
-                   GridError, SolverError, VerificationError, admissible,
-                   alpha, profile_integral, unit_ball_volume)
+from .core import (AdmissibilityError, CrossingError, DomainSpec, GridError,
+                   SolverError, VerificationError, admissible, alpha,
+                   check_exponents, profile_integral, unit_ball_volume)
 from .radial import (RadialProfile, RawShot, VolumeProfile, cp_ball,
                      cp_unit_ball, normalize_to_unit_ball, shoot,
                      unit_ball_profile, verify_integro_differential,
@@ -22,9 +22,10 @@ from .chiti import (ComparisonBall, CrossingAnalysis, ReverseHolderReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityError", "CrossingError", "DomainSpec", "Exponents",
+    "AdmissibilityError", "CrossingError", "DomainSpec",
     "GridError", "SolverError", "VerificationError",
-    "admissible", "alpha", "profile_integral", "unit_ball_volume",
+    "admissible", "check_exponents", "alpha", "profile_integral",
+    "unit_ball_volume",
     "RawShot", "RadialProfile", "VolumeProfile",
     "shoot", "normalize_to_unit_ball", "cp_unit_ball", "cp_ball",
     "unit_ball_profile", "volume_profile", "verify_integro_differential",

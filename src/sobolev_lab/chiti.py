@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CrossingError, VerificationError, alpha, unit_ball_volume
+from .core import (AdmissibilityError, CrossingError, VerificationError, alpha,
+                   check_exponents, unit_ball_volume)
 from .elliptic import SobolevResult
-from .radial import (DEFAULT_GRID, QUAD_GRID, RadialProfile, VolumeProfile,
-                     unit_ball_profile, volume_profile)
+from .radial import RadialProfile, VolumeProfile, unit_ball_profile, volume_profile
 from .rearrange import _cumulative_on, decreasing_rearrangement
 
 __all__ = [
@@ -38,14 +38,6 @@ TWO_PATH_RTOL = 1e-8
 FK_TOL = 0.05          # slack on |B*| <= |Omega| for rasterization error
 MARGIN_TOL = 1e-3      # relative slack on reported margins
 DOMINANCE_FACTOR = 5.0 # tau_I = 5 h, calibrated on the disk self-test
-
-
-def _lp_norm_ball(profile: RadialProfile, q: float) -> float:
-    """||phi||_Lq on the unit ball by fine radial quadrature."""
-    n = profile.n
-    r = np.linspace(0.0, 1.0, QUAD_GRID)
-    integrand = np.clip(profile.phi(r), 0.0, None) ** q * r ** (n - 1)
-    return float(n * unit_ball_volume(n) * np.trapezoid(integrand, r)) ** (1.0 / q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,27 +65,25 @@ class CrossingAnalysis:
     identical: bool = False
 
 
-def comparison_ball(cp_omega: float, n: int, p: float, total_volume: float,
-                    fk_tol: float = FK_TOL, tol: float = 1e-12,
-                    num: int = DEFAULT_GRID) -> ComparisonBall:
+def comparison_ball(cp_omega: float, n: int, p: float, total_volume: float) -> ComparisonBall:
     """Build B* with C_p(B*) = cp_omega via the dilation law rho = (cp/cp_B)^(1/alpha).
 
     The profile phi* is extended by zero up to total_volume.  |B*| may not
-    exceed the domain volume beyond rasterization slack (fk_tol), since a
+    exceed the domain volume beyond rasterization slack (FK_TOL), since a
     larger comparison ball would contradict the isoperimetric ordering of
     the constants.
     """
     if cp_omega <= 0 or total_volume <= 0:
         raise ValueError("cp_omega and total_volume must be positive")
-    prof = unit_ball_profile(n, p, tol=tol)
+    prof = unit_ball_profile(n, p)
     rho = (cp_omega / prof.cp_ball) ** (1.0 / alpha(n, p))
     bvol = unit_ball_volume(n) * rho**n
-    if bvol > total_volume * (1.0 + fk_tol):
+    if bvol > total_volume * (1.0 + FK_TOL):
         raise VerificationError(
             f"comparison ball volume {bvol:.6g} exceeds the domain volume "
             f"{total_volume:.6g}: the constant is below the ball value, which "
             f"violates the isoperimetric ordering", stage="comparison_ball")
-    vp = volume_profile(prof, radius=rho, num=num)
+    vp = volume_profile(prof, radius=rho)
     if bvol < total_volume:
         s = np.append(vp.s, total_volume)
         vals = np.append(vp.values, 0.0)
@@ -196,29 +186,27 @@ def dominance_check(u_star: VolumeProfile, ball: ComparisonBall, p: float,
     return float(np.min(I))
 
 
-def constant_K(n: int, p: float, q: float, cp_omega: float,
-               tol: float = 1e-12, rtol: float = TWO_PATH_RTOL) -> float:
+def constant_K(n: int, p: float, q: float, cp_omega: float, tol: float = 1e-12) -> float:
     """Sharp constant K(n, p, q, cp) with ||u||_p >= K ||u||_q.
 
     Computed two ways: directly as ||phi||_p / ||phi||_q on the comparison
     ball of constant cp_omega, and as khat(n, p, q) * cp^((n/alpha)(1/p - 1/q)).
-    The two must agree to rtol or the computation aborts.
+    The two must agree to TWO_PATH_RTOL or the computation aborts.
     """
-    if q < p:
-        raise ValueError(f"q = {q} must be >= p = {p}")
+    check_exponents(n, p, [q])
     if cp_omega <= 0:
         raise ValueError("cp_omega must be positive")
     prof = unit_ball_profile(n, p, tol=tol)
     a = alpha(n, p)
     expo = (n / a) * (1.0 / p - 1.0 / q)
     rho = (cp_omega / prof.cp_ball) ** (1.0 / a)
-    norm_p = _lp_norm_ball(prof, p)
-    norm_q = _lp_norm_ball(prof, q)
+    norm_p = prof.lp_norm(p)
+    norm_q = prof.lp_norm(q)
     # ||phi_rho||_q = rho^(n/q - n/p) ||phi||_q on the unit ball
     direct = rho ** (n * (1.0 / p - 1.0 / q)) * norm_p / norm_q
     k_hat = prof.cp_ball ** (-expo) * norm_p / norm_q
     via_power = k_hat * cp_omega**expo
-    if abs(direct - via_power) > rtol * abs(direct):
+    if abs(direct - via_power) > TWO_PATH_RTOL * abs(direct):
         raise VerificationError(
             f"two-path constant mismatch: {direct!r} vs {via_power!r}", stage="constant")
     return direct
@@ -226,11 +214,10 @@ def constant_K(n: int, p: float, q: float, cp_omega: float,
 
 def khat(n: int, p: float, q: float, tol: float = 1e-12) -> float:
     """Domain-independent factor: K = khat(n, p, q) * cp^((n/alpha)(1/p - 1/q))."""
-    if q < p:
-        raise ValueError(f"q = {q} must be >= p = {p}")
+    check_exponents(n, p, [q])
     prof = unit_ball_profile(n, p, tol=tol)
     expo = (n / alpha(n, p)) * (1.0 / p - 1.0 / q)
-    return prof.cp_ball ** (-expo) * _lp_norm_ball(prof, p) / _lp_norm_ball(prof, q)
+    return prof.cp_ball ** (-expo) * prof.lp_norm(p) / prof.lp_norm(q)
 
 
 def torsion_form(n: int, q: float, cp1_omega: float, tol: float = 1e-12) -> float:
@@ -241,8 +228,7 @@ def torsion_form(n: int, q: float, cp1_omega: float, tol: float = 1e-12) -> floa
     constant_K is asserted.  Note alpha(n, 1) = -(n+2), so the P form is
     the dilation law in disguise.
     """
-    if q < 1.0:
-        raise ValueError(f"q = {q} must be >= 1")
+    check_exponents(n, 1.0, [q])
     P = 4.0 / cp1_omega
     expo = (n / (n + 2.0)) * (1.0 - 1.0 / q)
     khat_p_form = khat(n, 1.0, q, tol=tol) * 4.0 ** (-expo)
@@ -290,9 +276,8 @@ class ReverseHolderReport:
         return margins_ok and (self.equality_case or self.crossing.crossing_count == 1)
 
 
-def verify_reverse_holder(result: SobolevResult, q_list, band: float | None = None,
-                          tau_margin: float = MARGIN_TOL,
-                          fk_tol: float = FK_TOL) -> ReverseHolderReport:
+def verify_reverse_holder(result: SobolevResult, q_list,
+                          band: float | None = None) -> ReverseHolderReport:
     """Run the full comparison pipeline on a solved extremal.
 
     Stages: rearrange the field, build the comparison ball from the
@@ -301,21 +286,15 @@ def verify_reverse_holder(result: SobolevResult, q_list, band: float | None = No
     Stage failures surface as VerificationError with the stage tag.
     """
     p = result.p
-    if not (1.0 <= p <= 2.0):
-        raise VerificationError(
-            f"the reverse Holder inequality requires 1 <= p <= 2, got p = {p}",
-            stage="preconditions")
     qs = sorted(set(float(q) for q in q_list))
-    if not qs:
-        raise VerificationError("need at least one exponent q", stage="preconditions")
-    if qs[0] < p:
-        raise VerificationError(f"every q must be >= p = {p}; got q = {qs[0]}",
-                                stage="preconditions")
+    try:
+        check_exponents(2, p, qs)
+    except AdmissibilityError as exc:
+        raise VerificationError(str(exc), stage="preconditions") from exc
     fld = result.field
     h = fld.h
     u_star = decreasing_rearrangement(fld)
-    ball = comparison_ball(result.cp, 2, p, total_volume=u_star.total_volume,
-                           fk_tol=fk_tol)
+    ball = comparison_ball(result.cp, 2, p, total_volume=u_star.total_volume)
     crossing = crossing_analysis(u_star, ball, band=band)
     tau_I = DOMINANCE_FACTOR * h
     # the mass gate tracks the stage budget: a truncated ball profile
@@ -335,5 +314,5 @@ def verify_reverse_holder(result: SobolevResult, q_list, band: float | None = No
         domain=fld.spec.to_json() if fld.spec is not None else None,
         n=2, p=p, h=h, cp=result.cp, rho=ball.rho,
         omega_volume=u_star.total_volume, bstar_volume=ball.bstar_volume,
-        crossing=crossing, dominance_min=dom_min, tau_margin=tau_margin,
+        crossing=crossing, dominance_min=dom_min, tau_margin=MARGIN_TOL,
         tau_dominance=tau_I, rows=rows, equality_case=crossing.identical)

@@ -22,7 +22,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .chiti import khat, verify_reverse_holder
-from .core import AdmissibilityError, DomainSpec, GridError, SolverError, VerificationError
+from .core import (AdmissibilityError, DomainSpec, GridError, SolverError,
+                   VerificationError, check_exponents)
 from .elliptic import build_grid, minimize_quotient
 from .formats import (FORMAT_VERSION, canonical_json, read_field,
                       report_to_json, report_to_table, write_field,
@@ -78,6 +79,8 @@ def _run_config(args: argparse.Namespace, command: str) -> dict:
 # ---------------------------------------------------------------- ball
 
 def cmd_ball(args: argparse.Namespace) -> int:
+    check_exponents(args.n, args.p, args.q or None,
+                    allow_supercritical=args.experimental_supercritical)
     prof = unit_ball_profile(args.n, args.p, tol=args.tol,
                              allow_supercritical=args.experimental_supercritical)
     print(f"C_p(B) = {prof.cp_ball!r}   (n={args.n}, p={_fmt(args.p)})")
@@ -94,8 +97,6 @@ def cmd_ball(args: argparse.Namespace) -> int:
                                  "version": FORMAT_VERSION, "config": cfg}),
                  "q,khat"]
         for q in sorted(set(args.q)):
-            if q < args.p:
-                raise AdmissibilityError(f"q = {_fmt(q)} is below p = {_fmt(args.p)}")
             lines.append(f"{q!r},{khat(args.n, args.p, q, tol=args.tol)!r}")
         with open(kpath, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -131,14 +132,7 @@ def cmd_domain(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------- verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not (1.0 <= args.p <= 2.0):
-        raise AdmissibilityError(
-            f"the reverse Holder theorem requires 1 <= p <= 2, got p = {_fmt(args.p)}")
-    if not args.q:
-        raise AdmissibilityError("verify needs at least one -q exponent")
-    if min(args.q) < args.p:
-        raise AdmissibilityError(
-            f"every q must be >= p = {_fmt(args.p)}, got q = {_fmt(min(args.q))}")
+    check_exponents(2, args.p, args.q)
     spec = _spec_from_arg(args.spec)
     res = _solve_domain(spec, args.p, args.h, args.tol, args.max_iter, False)
     report = verify_reverse_holder(res, args.q, band=args.band)
@@ -183,7 +177,8 @@ def _table_group(task: dict) -> list[dict]:
                             task["max_iter"], False)
         report = verify_reverse_holder(res, [q for q in task["qs"] if q >= task["p"]])
         by_q = {row.q: row for row in report.rows}
-    except Exception as exc:  # per-row failure contract: record, continue
+    except (AdmissibilityError, GridError, SolverError, VerificationError) as exc:
+        # per-row failure contract: record, continue
         for q in task["qs"]:
             rows.append({**base, "q": q, "error": f"{type(exc).__name__}: {exc}"})
         return rows
@@ -232,28 +227,31 @@ def cmd_table(args: argparse.Namespace) -> int:
     tasks.sort(key=lambda t: (t["label"], t["p"]))
 
     results: dict[int, list[dict]] = {}
-    pending: list[tuple[int, dict]] = []
+    pending: list[tuple[int, dict, str | None]] = []
     for i, task in enumerate(tasks):
-        key = _row_key({**task, "version": FORMAT_VERSION})
-        cpath = _cache_path(key)
-        if cpath and os.path.exists(cpath):
-            with open(cpath, encoding="utf-8") as fh:
-                results[i] = json.load(fh)
-        else:
-            pending.append((i, task))
+        cpath = _cache_path(_row_key({**task, "version": FORMAT_VERSION}))
+        if cpath:
+            try:
+                with open(cpath, encoding="utf-8") as fh:
+                    results[i] = json.load(fh)
+                continue
+            except (FileNotFoundError, ValueError):  # absent or truncated: a miss
+                pass
+        pending.append((i, task, cpath))
 
     if pending:
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                fresh = list(pool.map(_table_group, [t for _, t in pending]))
+                fresh = list(pool.map(_table_group, [t for _, t, _ in pending]))
         else:
-            fresh = [_table_group(t) for _, t in pending]
-        for (i, task), rows in zip(pending, fresh):
+            fresh = [_table_group(t) for _, t, _ in pending]
+        for (i, _, cpath), rows in zip(pending, fresh):
             results[i] = rows
-            cpath = _cache_path(_row_key({**task, "version": FORMAT_VERSION}))
-            if cpath:
-                with open(cpath, "w", encoding="utf-8") as fh:
+            if cpath:  # write then rename, so a killed run leaves no partial entry
+                tmp = f"{cpath}.{os.getpid()}.tmp"
+                with open(tmp, "w", encoding="utf-8") as fh:
                     json.dump(rows, fh, sort_keys=True)
+                os.replace(tmp, cpath)
 
     flat = [row for i in range(len(tasks)) for row in results[i]]
     flat.sort(key=lambda r: (r["domain"], r["p"], r["q"]))
@@ -368,10 +366,7 @@ def main(argv=None) -> int:
         args.tol = getattr(args, "tol_default", 1e-12)
     try:
         return args.func(args)
-    except (AdmissibilityError, GridError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # AdmissibilityError, GridError, bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -1,4 +1,4 @@
-"""Shared primitives: exponent bookkeeping, planar domain specs, quadrature."""
+"""Shared primitives: the exponent gate, planar domain specs, quadrature."""
 
 from __future__ import annotations
 
@@ -14,10 +14,10 @@ __all__ = [
     "SolverError",
     "VerificationError",
     "CrossingError",
-    "Exponents",
     "DomainSpec",
     "unit_ball_volume",
     "admissible",
+    "check_exponents",
     "alpha",
     "profile_integral",
 ]
@@ -84,34 +84,35 @@ def admissible(n: int, p: float) -> bool:
     return n > 2 and p < 2.0 * n / (n - 2.0)
 
 
+def check_exponents(n: int, p: float, qs=None, allow_supercritical: bool = False):
+    """The one admissibility gate for exponents; raises AdmissibilityError.
+
+    Checks that (n, p) is admissible, that p <= 2 unless
+    allow_supercritical lifts the experimental gate, and, when qs is
+    given, that it is non-empty with every q >= p.
+    """
+    if not admissible(n, p):
+        bound = "any p >= 1" if n == 2 else f"1 <= p < 2n/(n-2) = {2.0 * n / (n - 2.0):g}"
+        raise AdmissibilityError(f"(n, p) = ({n}, {p}) is not admissible; need {bound}")
+    if p > 2.0 and not allow_supercritical:
+        raise AdmissibilityError(
+            f"p = {p:g} lies outside 1 <= p <= 2 and is gated as experimental; "
+            f"pass allow_supercritical=True to lift")
+    if qs is not None:
+        if len(qs) == 0:
+            raise AdmissibilityError("need at least one exponent q")
+        if min(qs) < p:
+            raise AdmissibilityError(
+                f"every q must be >= p = {p:g}; q = {min(qs):g} is below p")
+
+
 def alpha(n: int, p: float) -> float:
     """Dilation exponent of the constant: C_p(r * Omega) = r^alpha * C_p(Omega).
 
     alpha = n - 2 - 2n/p, strictly negative on the admissible range.
     """
-    if not admissible(n, p):
-        bound = "any p >= 1" if n == 2 else f"1 <= p < 2n/(n-2) = {2.0 * n / (n - 2.0):g}"
-        raise AdmissibilityError(f"(n, p) = ({n}, {p}) is not admissible; need {bound}")
+    check_exponents(n, p, allow_supercritical=True)
     return n - 2.0 - 2.0 * n / p
-
-
-@dataclass(frozen=True)
-class Exponents:
-    """Validated (n, p, q) triple with q >= p."""
-
-    n: int
-    p: float
-    q: float | None = None
-
-    def __post_init__(self):
-        if not admissible(self.n, self.p):
-            raise AdmissibilityError(f"(n, p) = ({self.n}, {self.p}) is not admissible")
-        if self.q is not None and self.q < self.p:
-            raise ValueError(f"q = {self.q} must be >= p = {self.p}")
-
-    @property
-    def alpha(self) -> float:
-        return alpha(self.n, self.p)
 
 
 def profile_integral(s, values, power: float = 1.0) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg
 
-from .core import AdmissibilityError, DomainSpec, GridError, SolverError
+from .core import DomainSpec, GridError, SolverError, check_exponents
 
 __all__ = [
     "GriddedField",
@@ -29,6 +29,7 @@ __all__ = [
 
 NODE_BUDGET = 4_000_000
 CG_RTOL = 1e-10
+CG_MAXITER = 50_000
 
 
 @dataclass(eq=False)
@@ -62,11 +63,6 @@ class GriddedField:
 
     def lp_norm(self, p: float) -> float:
         return float(np.sum(np.abs(self.values[self.mask]) ** p) * self.h**2) ** (1.0 / p)
-
-    def with_values(self, values: np.ndarray) -> "GriddedField":
-        vals = np.zeros((self.ny, self.nx))
-        vals[self.mask] = np.asarray(values, dtype=float)[self.mask] if values.shape == vals.shape else values
-        return GriddedField(self.nx, self.ny, self.h, self.origin, self.mask, vals, self.spec)
 
 
 @dataclass(eq=False)
@@ -127,22 +123,25 @@ def _laplacian(grid: GriddedField):
     return A, index
 
 
-def poisson_solve(grid: GriddedField, rhs, rtol: float = CG_RTOL,
-                  maxiter: int = 50_000, x0: np.ndarray | None = None,
-                  _assembled=None) -> GriddedField:
+def _cg(A, b, x0):
+    """Conjugate gradients to CG_RTOL; the one linear-solver call."""
+    x, info = cg(A, b, x0=x0, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER)
+    if info != 0:
+        res = float(np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1e-300))
+        raise SolverError(
+            f"conjugate gradients did not reach rtol={CG_RTOL:g} in {CG_MAXITER} "
+            f"iterations (relative residual {res:.3e})", trajectory=[res])
+    return x
+
+
+def poisson_solve(grid: GriddedField, rhs, x0: np.ndarray | None = None) -> GriddedField:
     """Solve -Delta_h v = rhs with zero Dirichlet data, by conjugate gradients."""
     if isinstance(rhs, GriddedField):
         b = rhs.values[grid.mask]
     else:
         rhs = np.asarray(rhs, dtype=float)
         b = rhs[grid.mask] if rhs.shape == grid.mask.shape else rhs
-    A = _assembled[0] if _assembled is not None else _laplacian(grid)[0]
-    x, info = cg(A, b, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter)
-    if info != 0:
-        res = float(np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1e-300))
-        raise SolverError(
-            f"conjugate gradients did not reach rtol={rtol:g} in {maxiter} iterations "
-            f"(relative residual {res:.3e})", trajectory=[res])
+    x = _cg(_laplacian(grid)[0], b, x0)
     out = np.zeros_like(grid.values)
     out[grid.mask] = x
     return GriddedField(grid.nx, grid.ny, grid.h, grid.origin, grid.mask, out, grid.spec)
@@ -164,19 +163,14 @@ def quotient(fld: GriddedField, p: float) -> float:
 
 
 def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
-                      max_iter: int = 300, cg_rtol: float = CG_RTOL,
-                      allow_supercritical: bool = False) -> SobolevResult:
+                      max_iter: int = 300, allow_supercritical: bool = False) -> SobolevResult:
     """Drive the quotient to its minimum over the masked grid.
 
     Stops when the relative change of the quotient between sweeps falls
     below tol.  At p = 1 the right-hand side is constant, so the iteration
     lands after a single solve; at p = 2 this is inverse power iteration.
     """
-    if p < 1.0:
-        raise AdmissibilityError(f"p must be >= 1, got {p}")
-    if p > 2.0 and not allow_supercritical:
-        raise AdmissibilityError(
-            f"p = {p} > 2 is gated as experimental; pass allow_supercritical=True")
+    check_exponents(2, p, allow_supercritical=allow_supercritical)
     A, _ = _laplacian(grid)
     mask = grid.mask
     h2 = grid.h**2
@@ -188,10 +182,11 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     x_prev = None
     for it in range(1, max_iter + 1):
         rhs_vec = np.maximum(u, 0.0) ** (p - 1.0)
-        x, info = cg(A, rhs_vec, x0=x_prev, rtol=cg_rtol, atol=0.0, maxiter=50_000)
-        if info != 0:
-            raise SolverError(f"inner CG solve failed to converge at sweep {it}",
-                              trajectory=trajectory)
+        try:
+            x = _cg(A, rhs_vec, x_prev)
+        except SolverError as exc:
+            raise SolverError(f"inner CG solve failed to converge at sweep {it}: {exc}",
+                              trajectory=trajectory) from exc
         x_prev = x
         u = x / (np.sum(np.maximum(x, 0.0) ** p) * h2) ** (1.0 / p)
         field = np.zeros_like(grid.values)

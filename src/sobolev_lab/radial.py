@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from .core import AdmissibilityError, SolverError, admissible, unit_ball_volume
+from .core import SolverError, check_exponents, unit_ball_volume
 
 __all__ = [
     "RawShot",
@@ -33,16 +33,7 @@ SERIES_RADIUS = 1e-6   # series start; avoids the (n-1)/r singularity at r = 0
 ZERO_TOL = 1e-12       # bisection width for the first zero
 DEFAULT_GRID = 2049    # stored profile samples
 QUAD_GRID = 65537      # dense-output grid for normalization quadrature
-
-
-def _check_exponents(n: int, p: float, allow_supercritical: bool):
-    if not admissible(n, p):
-        bound = "any p >= 1" if n == 2 else f"1 <= p < 2n/(n-2) = {2.0 * n / (n - 2.0):g}"
-        raise AdmissibilityError(f"(n, p) = ({n}, {p}) is not admissible; need {bound}")
-    if p > 2.0 and not allow_supercritical:
-        raise AdmissibilityError(
-            f"p = {p} > 2 is gated as experimental; pass allow_supercritical=True to lift"
-        )
+R_MAX = 100.0          # end of the shooting interval
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,10 +47,7 @@ class RawShot:
     n: int
     p: float
     R0: float
-    r_samples: np.ndarray
-    y_samples: np.ndarray
     dense: Callable[[np.ndarray], np.ndarray]
-    dense_derivative: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +61,21 @@ class RadialProfile:
     Lambda: float
     cp_ball: float
     phi: Callable[[np.ndarray], np.ndarray]
+
+    @functools.cached_property
+    def _quad_samples(self) -> np.ndarray:
+        r = np.linspace(0.0, self.r[-1], QUAD_GRID)
+        return np.clip(self.phi(r), 0.0, None)
+
+    def lp_norm(self, q: float) -> float:
+        """||phi||_Lq on the profile's ball by fine radial quadrature.
+
+        phi is sampled once per profile; every further q costs one trapezoid.
+        """
+        n = self.n
+        r = np.linspace(0.0, self.r[-1], QUAD_GRID)
+        integrand = self._quad_samples ** q * r ** (n - 1)
+        return float(n * unit_ball_volume(n) * np.trapezoid(integrand, r)) ** (1.0 / q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,14 +143,13 @@ class VolumeProfile:
         return np.interp(np.asarray(s_query, dtype=float), nodes, cum)
 
 
-def shoot(n: int, p: float, tol: float = 1e-12, allow_supercritical: bool = False,
-          r_max: float = 100.0) -> RawShot:
+def shoot(n: int, p: float, tol: float = 1e-12, allow_supercritical: bool = False) -> RawShot:
     """Integrate the radial ODE from a series start until y first hits zero.
 
     The zero R0 is bracketed by the final accepted step and polished by
     bisection on the dense output to ZERO_TOL.
     """
-    _check_exponents(n, p, allow_supercritical)
+    check_exponents(n, p, allow_supercritical=allow_supercritical)
     if not (0 < tol <= 1e-6):
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
     eps = SERIES_RADIUS
@@ -164,10 +166,10 @@ def shoot(n: int, p: float, tol: float = 1e-12, allow_supercritical: bool = Fals
     hit_zero.direction = -1
 
     y0 = (1.0 - eps**2 / (2.0 * n), -eps / n)
-    sol = solve_ivp(rhs, (eps, r_max), y0, method="DOP853", rtol=tol,
+    sol = solve_ivp(rhs, (eps, R_MAX), y0, method="DOP853", rtol=tol,
                     atol=tol * 1e-2, dense_output=True, events=[hit_zero])
     if sol.t_events[0].size == 0:
-        raise SolverError(f"no zero found on ({eps:g}, {r_max:g}) for (n, p) = ({n}, {p})")
+        raise SolverError(f"no zero found on ({eps:g}, {R_MAX:g}) for (n, p) = ({n}, {p})")
 
     def y_of(r):
         r = np.asarray(r, dtype=float)
@@ -176,15 +178,6 @@ def shoot(n: int, p: float, tol: float = 1e-12, allow_supercritical: bool = Fals
         out[small] = 1.0 - r[small] ** 2 / (2.0 * n)
         if np.any(~small):
             out[~small] = sol.sol(r[~small])[0]
-        return out
-
-    def dy_of(r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        small = r < eps
-        out[small] = -r[small] / n
-        if np.any(~small):
-            out[~small] = sol.sol(r[~small])[1]
         return out
 
     # bisection on the bracketing step
@@ -198,11 +191,7 @@ def shoot(n: int, p: float, tol: float = 1e-12, allow_supercritical: bool = Fals
             lo = mid
         else:
             hi = mid
-    R0 = 0.5 * (lo + hi)
-
-    r_grid = np.linspace(0.0, R0, DEFAULT_GRID)
-    return RawShot(n=n, p=p, R0=R0, r_samples=r_grid, y_samples=y_of(r_grid),
-                   dense=y_of, dense_derivative=dy_of)
+    return RawShot(n=n, p=p, R0=0.5 * (lo + hi), dense=y_of)
 
 
 def _norm_integral(shot: RawShot, power: float) -> float:
@@ -245,7 +234,7 @@ def _cached_unit_profile(n: int, p: float, tol: float) -> RadialProfile:
 def unit_ball_profile(n: int, p: float, tol: float = 1e-12,
                       allow_supercritical: bool = False) -> RadialProfile:
     """Normalized unit-ball extremal; memoized on (n, p, tol)."""
-    _check_exponents(n, p, allow_supercritical)
+    check_exponents(n, p, allow_supercritical=allow_supercritical)
     return _cached_unit_profile(int(n), float(p), float(tol))
 
 
@@ -258,8 +247,7 @@ def cp_unit_ball(n: int, p: float, tol: float = 1e-12,
 def cp_ball(n: int, p: float, radius: float = 1.0, tol: float = 1e-12,
             allow_supercritical: bool = False) -> float:
     """C_p of the radius-r ball, by forcing the shot's zero at r via rescaling."""
-    _check_exponents(n, p, allow_supercritical)
-    shot = shoot(n, p, tol=tol, allow_supercritical=True)
+    shot = shoot(n, p, tol=tol, allow_supercritical=allow_supercritical)
     return normalize_to_unit_ball(shot, radius=radius).Lambda
 
 

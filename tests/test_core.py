@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from sobolev_lab import AdmissibilityError, DomainSpec, admissible, alpha, unit_ball_volume
-from sobolev_lab.core import Exponents, profile_integral
+from sobolev_lab.core import profile_integral
 
 
 class TestUnitBallVolume:
@@ -61,11 +61,6 @@ class TestAdmissibility:
             alpha(3, 6.0)
         assert "2n/(n-2)" in str(err.value)
         assert "6" in str(err.value)
-
-    def test_exponents_frozen(self):
-        e = Exponents(n=2, p=1.5)
-        with pytest.raises(AttributeError):
-            e.p = 2.0
 
 
 class TestProfileIntegral:

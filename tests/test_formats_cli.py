@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from sobolev_lab import cli
 from sobolev_lab.chiti import verify_reverse_holder
 from sobolev_lab.cli import main
 from sobolev_lab.core import DomainSpec
@@ -315,6 +316,31 @@ class TestCliTable:
         assert self.read_sweep(out1) == self.read_sweep(out2)
         for e in entries:  # second run read the cache, never rewrote it
             assert e.stat().st_mtime_ns == stamps[e]
+
+    def test_truncated_cache_entry_is_recomputed(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(cache))
+        clean, again = str(tmp_path / "clean"), str(tmp_path / "again")
+        assert run(*self.ARGS, "--out", clean) == 0
+        entry = sorted(cache.glob("*.json"))[0]
+        whole = entry.read_text(encoding="utf-8")
+        entry.write_text(whole[: len(whole) // 2], encoding="utf-8")
+        assert run(*self.ARGS, "--out", again) == 0
+        capsys.readouterr()
+        assert self.read_sweep(again) == self.read_sweep(clean)
+        assert json.loads(entry.read_text(encoding="utf-8")) == json.loads(whole)
+        assert len(list(cache.iterdir())) == 2  # no temp file left behind
+
+    def test_programming_errors_propagate(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SOBOLEV_LAB_CACHE", raising=False)
+
+        def broken(*args, **kwargs):
+            raise TypeError("broken verifier")
+
+        monkeypatch.setattr(cli, "verify_reverse_holder", broken)
+        with pytest.raises(TypeError, match="broken verifier"):
+            run(*self.ARGS, "--jobs", "1", "--out", str(tmp_path))
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_parallel_matches_serial(self, tmp_path, capsys):
         out1, out2 = str(tmp_path / "s"), str(tmp_path / "p")

@@ -62,6 +62,10 @@ class TestUnitBallProfile:
             integrand = prof.phi(r) ** p * r ** (n - 1)
             norm_p = n * unit_ball_volume(n) * np.trapezoid(integrand, r)
             assert norm_p == pytest.approx(1.0, rel=1e-8)
+            for q in (p, 2.0 * p, 4.0):
+                integrand = prof.phi(r) ** q * r ** (n - 1)
+                norm_q = (n * unit_ball_volume(n) * np.trapezoid(integrand, r)) ** (1.0 / q)
+                assert prof.lp_norm(q) == pytest.approx(norm_q, rel=1e-8)
 
     def test_rk_tolerance_refinement(self):
         for tol in (1e-8, 1e-10):

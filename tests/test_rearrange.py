@@ -1,5 +1,6 @@
 """Distribution functions, rearrangements, and the comparison lemmas."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -63,7 +64,7 @@ class TestDecreasingRearrangement:
         inside = fld.values[fld.mask]
         shuffled = fld.values.copy()
         shuffled[fld.mask] = rng.permutation(inside)
-        twin = fld.with_values(shuffled)
+        twin = dataclasses.replace(fld, values=shuffled)
         a = decreasing_rearrangement(fld)
         b = decreasing_rearrangement(twin)
         np.testing.assert_array_equal(a.values, b.values)
