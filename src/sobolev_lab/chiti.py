@@ -186,7 +186,7 @@ def dominance_check(u_star: VolumeProfile, ball: ComparisonBall, p: float,
     return float(np.min(I))
 
 
-def constant_K(n: int, p: float, q: float, cp_omega: float, tol: float = 1e-12) -> float:
+def constant_K(n: int, p: float, q: float, cp_omega: float) -> float:
     """Sharp constant K(n, p, q, cp) with ||u||_p >= K ||u||_q.
 
     Computed two ways: directly as ||phi||_p / ||phi||_q on the comparison
@@ -196,7 +196,7 @@ def constant_K(n: int, p: float, q: float, cp_omega: float, tol: float = 1e-12) 
     check_exponents(n, p, [q])
     if cp_omega <= 0:
         raise ValueError("cp_omega must be positive")
-    prof = unit_ball_profile(n, p, tol=tol)
+    prof = unit_ball_profile(n, p)
     a = alpha(n, p)
     expo = (n / a) * (1.0 / p - 1.0 / q)
     rho = (cp_omega / prof.cp_ball) ** (1.0 / a)
@@ -220,7 +220,7 @@ def khat(n: int, p: float, q: float, tol: float = 1e-12) -> float:
     return prof.cp_ball ** (-expo) * prof.lp_norm(p) / prof.lp_norm(q)
 
 
-def torsion_form(n: int, q: float, cp1_omega: float, tol: float = 1e-12) -> float:
+def torsion_form(n: int, q: float, cp1_omega: float) -> float:
     """The p = 1 constant expressed through torsional rigidity P = 4 / C_1.
 
     K(n, 1, q, cp) = khat_P(n, q) * P^((n/(n+2))(1 - 1/q)) with the factor
@@ -231,9 +231,9 @@ def torsion_form(n: int, q: float, cp1_omega: float, tol: float = 1e-12) -> floa
     check_exponents(n, 1.0, [q])
     P = 4.0 / cp1_omega
     expo = (n / (n + 2.0)) * (1.0 - 1.0 / q)
-    khat_p_form = khat(n, 1.0, q, tol=tol) * 4.0 ** (-expo)
+    khat_p_form = khat(n, 1.0, q) * 4.0 ** (-expo)
     value = khat_p_form * P**expo
-    ref = constant_K(n, 1.0, q, cp1_omega, tol=tol)
+    ref = constant_K(n, 1.0, q, cp1_omega)
     if not math.isclose(value, ref, rel_tol=1e-10):
         raise VerificationError(
             f"torsion form {value!r} disagrees with the dilation form {ref!r}",

@@ -70,7 +70,7 @@ def _h_slug(h: float) -> str:
 def _run_config(args: argparse.Namespace, command: str) -> dict:
     cfg = {"command": command, "format_version": FORMAT_VERSION}
     for key, val in sorted(vars(args).items()):
-        if key in ("func", "out", "tol_default") or val is None:
+        if key in ("func", "out") or val is None:
             continue
         cfg[key] = val
     return cfg
@@ -303,10 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "reverse Holder verification on balls and planar domains.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_grid=True):
+    def common(sp, tol, with_grid=True):
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="solver tolerance (module default if omitted)")
+        sp.add_argument("--tol", type=float, default=tol,
+                        help="solver tolerance (default %(default)g)")
         if with_grid:
             sp.add_argument("--h", type=float, default=1.0 / 128,
                             help="grid spacing (default 1/128)")
@@ -318,16 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("-q", type=float, action="append", default=[],
                    help="also tabulate khat(n,p,q); repeatable")
     b.add_argument("--experimental-supercritical", action="store_true")
-    common(b, with_grid=False)
-    b.set_defaults(func=cmd_ball, tol_default=1e-12)
+    common(b, 1e-12, with_grid=False)
+    b.set_defaults(func=cmd_ball)
 
     d = sub.add_parser("domain", help="extremal on a planar domain")
     d.add_argument("--spec", required=True,
                    help="domain spec: JSON file path or inline JSON")
     d.add_argument("-p", type=float, required=True)
     d.add_argument("--experimental-supercritical", action="store_true")
-    common(d)
-    d.set_defaults(func=cmd_domain, tol_default=1e-8)
+    common(d, 1e-8)
+    d.set_defaults(func=cmd_domain)
 
     v = sub.add_parser("verify", help="reverse Holder verification report")
     v.add_argument("--spec", required=True)
@@ -337,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--band", type=float, default=None,
                    help="crossing suppression band (default: auto)")
     v.add_argument("--format", choices=("table", "json"), default="table")
-    common(v)
-    v.set_defaults(func=cmd_verify, tol_default=1e-8)
+    common(v, 1e-8)
+    v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("table", help="sweep domains x p x q to CSV")
     t.add_argument("--spec", action="append", required=True,
@@ -347,13 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("-q", type=float, action="append", required=True)
     t.add_argument("--jobs", type=int, default=1)
     t.add_argument("--max-rows", type=int, default=1000)
-    common(t)
-    t.set_defaults(func=cmd_table, tol_default=1e-8)
-    t.set_defaults(out=None)
+    common(t, 1e-8)
+    t.set_defaults(func=cmd_table, out=None)
 
     r = sub.add_parser("rearrange", help="decreasing rearrangement of a field file")
     r.add_argument("--field", required=True, help="field file to rearrange")
-    common(r, with_grid=False)
+    common(r, 1e-12, with_grid=False)
     r.set_defaults(func=cmd_rearrange)
 
     return ap
@@ -362,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "tol", None) is None:
-        args.tol = getattr(args, "tol_default", 1e-12)
     try:
         return args.func(args)
     except (FileNotFoundError, ValueError) as exc:  # AdmissibilityError, GridError, bad JSON

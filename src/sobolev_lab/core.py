@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -136,7 +138,20 @@ def profile_integral(s, values, power: float = 1.0) -> float:
     return float(np.trapezoid(values**power, s))
 
 
-_SHAPES = ("disk", "rectangle", "ellipse", "l-shape", "polygon")
+def _real(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
+
+
+def _positive(what: str, val) -> None:
+    if not (_real(val) and val > 0):
+        raise ValueError(f"{what} must be a finite positive number, got {val!r}")
+
+
+def _vertex_list(what: str, val) -> None:
+    if not (isinstance(val, (list, tuple)) and len(val) >= 3 and all(
+            isinstance(v, (list, tuple)) and len(v) == 2 and _real(v[0]) and _real(v[1])
+            for v in val)):
+        raise ValueError(f"{what} must be at least 3 [x, y] pairs of finite numbers, got {val!r}")
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -149,6 +164,108 @@ def _segments_properly_intersect(p1, p2, p3, p4):
     d3 = _orient(*p1, *p2, *p3)
     d4 = _orient(*p1, *p2, *p4)
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
+
+
+def _polygon_area(p) -> float:
+    x, y = np.array(p["vertices"], dtype=float).T
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def _polygon_box(p):
+    xs, ys = zip(*p["vertices"])
+    return (min(xs), min(ys)), (max(xs), max(ys))
+
+
+def _polygon_contains(p, x, y):
+    """Even-odd crossing test, minus the points that lie exactly on an edge."""
+    verts = p["vertices"]
+    vx, vy = np.array(verts, dtype=float).T
+    inside = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+    on_edge = np.zeros_like(inside)
+    j = len(verts) - 1
+    for i in range(len(verts)):
+        crosses = (vy[i] > y) != (vy[j] > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xcross = (vx[j] - vx[i]) * (y - vy[i]) / (vy[j] - vy[i]) + vx[i]
+        inside ^= crosses & (x < xcross)
+        on_edge |= (((x - vx[i]) * (vy[j] - vy[i]) == (y - vy[i]) * (vx[j] - vx[i]))
+                    & (min(vx[i], vx[j]) <= x) & (x <= max(vx[i], vx[j]))
+                    & (min(vy[i], vy[j]) <= y) & (y <= max(vy[i], vy[j])))
+        j = i
+    return inside & ~on_edge
+
+
+def _polygon_problem(p) -> str | None:
+    pts = [(float(x), float(y)) for x, y in p["vertices"]]
+    k = len(pts)
+    for i in range(k):
+        if pts[i] == pts[(i + 1) % k]:
+            return "polygon has repeated consecutive vertices"
+    # simple closed curve: no two non-adjacent edges may cross
+    for i in range(k):
+        a1, a2 = pts[i], pts[(i + 1) % k]
+        for j in range(i + 1, k):
+            if (j + 1) % k == i or (i + 1) % k == j:
+                continue
+            b1, b2 = pts[j], pts[(j + 1) % k]
+            if _segments_properly_intersect(a1, a2, b1, b2):
+                return "polygon edges intersect; vertices must trace a simple closed curve"
+    return "polygon encloses no area" if _polygon_area(p) <= 0 else None
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """One planar shape: its required keys, a check for each of their values,
+    and area, box, strict-interior contains and label on the unscaled params.
+    check runs after the value checks and returns what is wrong, or None."""
+
+    keys: tuple[str, ...]
+    area: Callable[[dict], float]
+    box: Callable[[dict], tuple]
+    contains: Callable[[dict, np.ndarray, np.ndarray], np.ndarray]
+    label: Callable[[dict], str]
+    check: Callable[[dict], str | None] = lambda p: None
+    check_value: Callable[[str, object], None] = _positive
+
+
+_SHAPES: dict[str, _Shape] = {
+    "disk": _Shape(
+        keys=("radius",),
+        area=lambda p: math.pi * p["radius"] ** 2,
+        box=lambda p: ((-p["radius"], -p["radius"]), (p["radius"], p["radius"])),
+        contains=lambda p, x, y: x * x + y * y < p["radius"] ** 2,
+        label=lambda p: f"disk(r={p['radius']:g})"),
+    "rectangle": _Shape(
+        keys=("width", "height"),
+        area=lambda p: p["width"] * p["height"],
+        box=lambda p: ((0.0, 0.0), (p["width"], p["height"])),
+        contains=lambda p, x, y: (x > 0) & (x < p["width"]) & (y > 0) & (y < p["height"]),
+        label=lambda p: f"rectangle({p['width']:g}x{p['height']:g})"),
+    "ellipse": _Shape(
+        keys=("a", "b"),
+        area=lambda p: math.pi * p["a"] * p["b"],
+        box=lambda p: ((-p["a"], -p["b"]), (p["a"], p["b"])),
+        contains=lambda p, x, y: (x / p["a"]) ** 2 + (y / p["b"]) ** 2 < 1.0,
+        label=lambda p: f"ellipse(a={p['a']:g},b={p['b']:g})"),
+    "l-shape": _Shape(
+        keys=("side", "notch"),
+        area=lambda p: p["side"] ** 2 * (1.0 - p["notch"] ** 2),
+        box=lambda p: ((0.0, 0.0), (p["side"], p["side"])),
+        contains=lambda p, x, y: ((x > 0) & (x < p["side"]) & (y > 0) & (y < p["side"])
+                                  & ~((x >= p["side"] * (1.0 - p["notch"]))
+                                      & (y >= p["side"] * (1.0 - p["notch"])))),
+        label=lambda p: f"l-shape(side={p['side']:g},notch={p['notch']:g})",
+        check=lambda p: (None if p["notch"] < 1 else
+                         f"l-shape notch fraction must lie in (0, 1), got {p['notch']!r}")),
+    "polygon": _Shape(
+        keys=("vertices",),
+        area=_polygon_area,
+        box=_polygon_box,
+        contains=_polygon_contains,
+        label=lambda p: f"polygon({len(p['vertices'])} vertices)",
+        check=_polygon_problem,
+        check_value=_vertex_list),
+}
 
 
 @dataclass(frozen=True)
@@ -165,7 +282,8 @@ class DomainSpec:
 
     The l-shape is the open square (0, side)^2 with the closed square of
     side notch*side removed from the top-right corner.  Lipschitz corners
-    are accepted; boundary smoothness is not required.
+    are accepted; boundary smoothness is not required.  Specs with missing
+    or unknown keys, or with non-numeric values, are rejected.
     """
 
     shape: str
@@ -173,11 +291,17 @@ class DomainSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.shape not in _SHAPES:
-            raise ValueError(f"unknown shape {self.shape!r}; expected one of {_SHAPES}")
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        getattr(self, "_validate_" + self.shape.replace("-", "_"))()
+        if not isinstance(self.shape, str) or self.shape not in _SHAPES:
+            raise ValueError(f"unknown shape {self.shape!r}; expected one of {tuple(_SHAPES)}")
+        rec = _SHAPES[self.shape]
+        _positive("scale", self.scale)
+        if set(self.params) != set(rec.keys):
+            raise ValueError(f"{self.shape} takes exactly the keys {rec.keys}, "
+                             f"got {sorted(self.params)}")
+        for key in rec.keys:
+            rec.check_value(f"{self.shape} {key}", self.params[key])
+        if problem := rec.check(self.params):
+            raise ValueError(problem)
 
     # -- constructors ------------------------------------------------------
 
@@ -211,99 +335,21 @@ class DomainSpec:
             raise ValueError("domain spec must be an object with a 'shape' key")
         data = dict(obj)
         shape = data.pop("shape")
-        scale = float(data.pop("scale", 1.0))
-        return cls(shape, data, scale)
+        scale = data.pop("scale", 1.0)  # stored as a float; the gate judges the rest
+        return cls(shape, data, float(scale) if _real(scale) else scale)
 
     def to_json(self) -> dict:
-        out = {"shape": self.shape}
-        out.update(self.params)
-        out["scale"] = self.scale
-        return out
-
-    # -- validation --------------------------------------------------------
-
-    def _positive(self, *keys):
-        for key in keys:
-            val = self.params.get(key)
-            if val is None or not np.isfinite(val) or val <= 0:
-                raise ValueError(f"{self.shape} requires {key} > 0, got {val!r}")
-
-    def _validate_disk(self):
-        self._positive("radius")
-
-    def _validate_rectangle(self):
-        self._positive("width", "height")
-
-    def _validate_ellipse(self):
-        self._positive("a", "b")
-
-    def _validate_l_shape(self):
-        self._positive("side")
-        notch = self.params.get("notch")
-        if notch is None or not 0 < notch < 1:
-            raise ValueError(f"l-shape notch fraction must lie in (0, 1), got {notch!r}")
-
-    def _validate_polygon(self):
-        verts = self.params.get("vertices")
-        if not verts or len(verts) < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        pts = [(float(x), float(y)) for x, y in verts]
-        k = len(pts)
-        for i in range(k):
-            if pts[i] == pts[(i + 1) % k]:
-                raise ValueError("polygon has repeated consecutive vertices")
-        # simple closed curve: no two non-adjacent edges may cross
-        for i in range(k):
-            a1, a2 = pts[i], pts[(i + 1) % k]
-            for j in range(i + 1, k):
-                if j == i or (j + 1) % k == i or (i + 1) % k == j:
-                    continue
-                b1, b2 = pts[j], pts[(j + 1) % k]
-                if _segments_properly_intersect(a1, a2, b1, b2):
-                    raise ValueError("polygon edges intersect; vertices must trace a simple closed curve")
-        if self._polygon_area() <= 0:
-            raise ValueError("polygon encloses no area")
-
-    def _polygon_area(self) -> float:
-        pts = self.params["vertices"]
-        x = np.array([v[0] for v in pts])
-        y = np.array([v[1] for v in pts])
-        return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+        return {"shape": self.shape, **self.params, "scale": self.scale}
 
     # -- geometry ----------------------------------------------------------
 
     def area(self) -> float:
         """Exact area, scaled."""
-        p = self.params
-        if self.shape == "disk":
-            base = math.pi * p["radius"] ** 2
-        elif self.shape == "rectangle":
-            base = p["width"] * p["height"]
-        elif self.shape == "ellipse":
-            base = math.pi * p["a"] * p["b"]
-        elif self.shape == "l-shape":
-            base = p["side"] ** 2 * (1.0 - p["notch"] ** 2)
-        else:
-            base = self._polygon_area()
-        return base * self.scale**2
+        return _SHAPES[self.shape].area(self.params) * self.scale**2
 
     def bounding_box(self):
         """((x0, y0), (x1, y1)) enclosing the scaled domain."""
-        p = self.params
-        if self.shape == "disk":
-            r = p["radius"]
-            box = (-r, -r), (r, r)
-        elif self.shape == "rectangle":
-            box = (0.0, 0.0), (p["width"], p["height"])
-        elif self.shape == "ellipse":
-            box = (-p["a"], -p["b"]), (p["a"], p["b"])
-        elif self.shape == "l-shape":
-            box = (0.0, 0.0), (p["side"], p["side"])
-        else:
-            xs = [v[0] for v in p["vertices"]]
-            ys = [v[1] for v in p["vertices"]]
-            box = (min(xs), min(ys)), (max(xs), max(ys))
-        (x0, y0), (x1, y1) = box
+        (x0, y0), (x1, y1) = _SHAPES[self.shape].box(self.params)
         s = self.scale
         return (x0 * s, y0 * s), (x1 * s, y1 * s)
 
@@ -311,47 +357,11 @@ class DomainSpec:
         """Vectorized strict-interior test on scaled coordinates."""
         x = np.asarray(x, dtype=float) / self.scale
         y = np.asarray(y, dtype=float) / self.scale
-        p = self.params
-        if self.shape == "disk":
-            return x * x + y * y < p["radius"] ** 2
-        if self.shape == "rectangle":
-            return (x > 0) & (x < p["width"]) & (y > 0) & (y < p["height"])
-        if self.shape == "ellipse":
-            return (x / p["a"]) ** 2 + (y / p["b"]) ** 2 < 1.0
-        if self.shape == "l-shape":
-            side, notch = p["side"], p["notch"]
-            cut = side * (1.0 - notch)
-            outer = (x > 0) & (x < side) & (y > 0) & (y < side)
-            return outer & ~((x >= cut) & (y >= cut))
-        return self._polygon_contains(x, y)
-
-    def _polygon_contains(self, x, y):
-        verts = self.params["vertices"]
-        vx = np.array([v[0] for v in verts])
-        vy = np.array([v[1] for v in verts])
-        inside = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-        j = len(verts) - 1
-        for i in range(len(verts)):
-            crosses = (vy[i] > y) != (vy[j] > y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xcross = (vx[j] - vx[i]) * (y - vy[i]) / (vy[j] - vy[i]) + vx[i]
-            inside ^= crosses & (x < xcross)
-            j = i
-        return inside
+        return _SHAPES[self.shape].contains(self.params, x, y)
 
     def describe(self) -> str:
         """Short human-readable label used in tables and reports."""
-        p = self.params
-        if self.shape == "disk":
-            body = f"disk(r={p['radius']:g})"
-        elif self.shape == "rectangle":
-            body = f"rectangle({p['width']:g}x{p['height']:g})"
-        elif self.shape == "ellipse":
-            body = f"ellipse(a={p['a']:g},b={p['b']:g})"
-        elif self.shape == "l-shape":
-            body = f"l-shape(side={p['side']:g},notch={p['notch']:g})"
-        else:
-            body = f"polygon({len(p['vertices'])} vertices)"
+        body = _SHAPES[self.shape].label(self.params)
         if self.scale != 1.0:
             body += f"@{self.scale:g}"
         return body

@@ -36,6 +36,11 @@ QUAD_GRID = 65537      # dense-output grid for normalization quadrature
 R_MAX = 100.0          # end of the shooting interval
 
 
+def _ball_integral(n: int, r: np.ndarray, y: np.ndarray, power: float) -> float:
+    """n * omega_n * int y^power r^(n-1) dr for a radial profile y sampled on r."""
+    return n * unit_ball_volume(n) * float(np.trapezoid(y**power * r ** (n - 1), r))
+
+
 @dataclass(frozen=True, eq=False)
 class RawShot:
     """Un-normalized shot: y(0) = 1, y'(0) = 0, first zero at R0.
@@ -72,10 +77,8 @@ class RadialProfile:
 
         phi is sampled once per profile; every further q costs one trapezoid.
         """
-        n = self.n
         r = np.linspace(0.0, self.r[-1], QUAD_GRID)
-        integrand = self._quad_samples ** q * r ** (n - 1)
-        return float(n * unit_ball_volume(n) * np.trapezoid(integrand, r)) ** (1.0 / q)
+        return _ball_integral(self.n, r, self._quad_samples, q) ** (1.0 / q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,14 +197,6 @@ def shoot(n: int, p: float, tol: float = 1e-12, allow_supercritical: bool = Fals
     return RawShot(n=n, p=p, R0=0.5 * (lo + hi), dense=y_of)
 
 
-def _norm_integral(shot: RawShot, power: float) -> float:
-    """n * omega_n * int_0^R0 y^power r^(n-1) dr on the fine dense grid."""
-    n = shot.n
-    t = np.linspace(0.0, shot.R0, QUAD_GRID)
-    y = np.clip(shot.dense(t), 0.0, None)
-    return n * unit_ball_volume(n) * float(np.trapezoid(y**power * t ** (n - 1), t))
-
-
 def normalize_to_unit_ball(shot: RawShot, radius: float = 1.0) -> RadialProfile:
     """Rescale a shot to the ball of the given radius and normalize ||phi||_Lp = 1.
 
@@ -212,7 +207,8 @@ def normalize_to_unit_ball(shot: RawShot, radius: float = 1.0) -> RadialProfile:
     if not (radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
     n, p, R0 = shot.n, shot.p, shot.R0
-    I1 = _norm_integral(shot, p)
+    t = np.linspace(0.0, R0, QUAD_GRID)
+    I1 = _ball_integral(n, t, np.clip(shot.dense(t), 0.0, None), p)
     I_r = (radius / R0) ** n * I1
     A = float(I_r ** (-1.0 / p))
     Lambda = float((R0 / radius) ** 2 * A ** (2.0 - p))
@@ -244,10 +240,10 @@ def cp_unit_ball(n: int, p: float, tol: float = 1e-12,
     return unit_ball_profile(n, p, tol, allow_supercritical).cp_ball
 
 
-def cp_ball(n: int, p: float, radius: float = 1.0, tol: float = 1e-12,
+def cp_ball(n: int, p: float, radius: float = 1.0,
             allow_supercritical: bool = False) -> float:
     """C_p of the radius-r ball, by forcing the shot's zero at r via rescaling."""
-    shot = shoot(n, p, tol=tol, allow_supercritical=allow_supercritical)
+    shot = shoot(n, p, allow_supercritical=allow_supercritical)
     return normalize_to_unit_ball(shot, radius=radius).Lambda
 
 

@@ -22,6 +22,8 @@ __all__ = [
     "hlp_conclusion_check",
 ]
 
+HLP_RTOL = 1e-12  # relative rounding slack of the dominance comparisons
+
 
 @dataclass(frozen=True, eq=False)
 class DistributionFunction:
@@ -134,14 +136,6 @@ def verify_talenti(u_star: VolumeProfile, cp: float, n: int, p: float,
     return float(np.max(violation[keep]))
 
 
-def _as_step_pair(f: VolumeProfile, g: VolumeProfile):
-    """Evaluate both profiles at the union of breakpoints, step semantics."""
-    total = max(f.total_volume, g.total_volume)
-    nodes = np.union1d(f.s, g.s)
-    nodes = np.union1d(nodes, [0.0, total])
-    return nodes, total
-
-
 def _cumulative_on(f: VolumeProfile, nodes: np.ndarray, power: float) -> np.ndarray:
     """Cumulative power integral of f at given nodes, zero beyond its support."""
     own, cum = f.cumulative_power(power)
@@ -149,22 +143,20 @@ def _cumulative_on(f: VolumeProfile, nodes: np.ndarray, power: float) -> np.ndar
     out[nodes > own[-1]] = cum[-1]
     return out
 
-def hlp_dominates(f: VolumeProfile, g: VolumeProfile, q1: float,
-                  rel_tol: float = 1e-12) -> bool:
+def hlp_dominates(f: VolumeProfile, g: VolumeProfile, q1: float) -> bool:
     """Whether int_0^s f^q1 <= int_0^s g^q1 for every s (within rounding).
 
     Both cumulative integrals are piecewise linear, so checking the union
     of breakpoints is exact.  Raises if either profile increases.
     """
-    nodes, _ = _as_step_pair(f, g)
+    nodes = np.union1d(np.union1d(f.s, g.s), [0.0, max(f.total_volume, g.total_volume)])
     F = _cumulative_on(f, nodes, q1)
     G = _cumulative_on(g, nodes, q1)
     scale = max(float(F[-1]), float(G[-1]), 1e-300)
-    return bool(np.all(F <= G + rel_tol * scale))
+    return bool(np.all(F <= G + HLP_RTOL * scale))
 
 
-def hlp_conclusion_check(f: VolumeProfile, g: VolumeProfile, q1: float, q2: float,
-                         rel_tol: float = 1e-12) -> bool:
+def hlp_conclusion_check(f: VolumeProfile, g: VolumeProfile, q1: float, q2: float) -> bool:
     """Given cumulative dominance at exponent q1, check the conclusion
     int f^q2 <= int g^q2 for q2 >= q1.
 
@@ -172,8 +164,8 @@ def hlp_conclusion_check(f: VolumeProfile, g: VolumeProfile, q1: float, q2: floa
     """
     if q2 < q1:
         raise ValueError(f"q2 = {q2} must be >= q1 = {q1}")
-    if not hlp_dominates(f, g, q1, rel_tol):
+    if not hlp_dominates(f, g, q1):
         raise ValueError("dominance precondition fails at exponent q1")
     lhs = f.power_integral(q2)
     rhs = g.power_integral(q2)
-    return bool(lhs <= rhs + rel_tol * max(lhs, rhs, 1e-300))
+    return bool(lhs <= rhs + HLP_RTOL * max(lhs, rhs, 1e-300))

@@ -8,7 +8,9 @@ import pytest
 
 import oracles
 from sobolev_lab import AdmissibilityError, DomainSpec, admissible, alpha, unit_ball_volume
+from sobolev_lab.cli import _spec_slug
 from sobolev_lab.core import profile_integral
+from sobolev_lab.elliptic import build_grid
 
 
 class TestUnitBallVolume:
@@ -153,6 +155,73 @@ class TestDomainSpec:
             DomainSpec.polygon([(0, 0), (1, 1), (1, 0), (0, 1)])
         with pytest.raises(ValueError):
             DomainSpec("hexagon", {}, 1.0)
+        # JSON specs the gate must reject: each raises ValueError, never TypeError
+        rejected = [
+            '{"shape": "disk", "radius": "1"}',                   # string value
+            '{"shape": "disk", "radius": true}',                  # bool value
+            '{"shape": "disk", "radius": 1, "radus": 2}',         # unknown key
+            '{"shape": "rectangle", "width": 1}',                 # missing key
+            '{"shape": "disk", "radius": 1, "scale": "2"}',       # string scale
+            '{"shape": "disk", "radius": 1, "scale": false}',     # bool scale
+            '{"shape": "disk", "radius": NaN}',                   # non-finite
+            '{"shape": "disk", "radius": [[0, 0], [1, 0], [0, 1]]}',
+            '{"shape": "l-shape", "side": 1, "notch": "0.5"}',
+            '{"shape": "polygon", "vertices": 3}',
+            '{"shape": "polygon", "vertices": [[0, 0], [1, 0], [0, "1"]]}',
+            '{"shape": "polygon", "vertices": [[0, 0], [1, 0], [0, true]]}',
+            '{"shape": ["disk"], "radius": 1}',
+        ]
+        for text in rejected:
+            with pytest.raises(ValueError):
+                DomainSpec.from_json(text)
+
+    def test_polygon_masks_match_axis_aligned_shapes(self):
+        # strict interior: nodes on a polygon edge are Dirichlet nodes
+        square = DomainSpec.polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        ell = DomainSpec.polygon([(0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)])
+        for h in (1 / 8, 1 / 16, 1 / 32):
+            for poly, ref in ((square, DomainSpec.rectangle(1.0, 1.0)),
+                              (ell, DomainSpec.l_shape(1.0, 0.5))):
+                np.testing.assert_array_equal(build_grid(poly, h).mask,
+                                              build_grid(ref, h).mask)
+
+    def test_pinned_labels(self):
+        # describe(), the CLI file slug and to_json() name files and cache keys
+        tri = [(0, 0), (1, 0), (0.5, 1)]
+        cases = [
+            (DomainSpec.disk(0.75), "disk(r=0.75)", "disk_radius0.75",
+             '{"shape": "disk", "radius": 0.75, "scale": 1.0}'),
+            (DomainSpec.disk(0.75, scale=2.5), "disk(r=0.75)@2.5", "disk_radius0.75_scale2.5",
+             '{"shape": "disk", "radius": 0.75, "scale": 2.5}'),
+            (DomainSpec.rectangle(1, 0.5), "rectangle(1x0.5)", "rectangle_height0.5_width1",
+             '{"shape": "rectangle", "width": 1.0, "height": 0.5, "scale": 1.0}'),
+            (DomainSpec.rectangle(1, 0.5, scale=0.25), "rectangle(1x0.5)@0.25",
+             "rectangle_height0.5_width1_scale0.25",
+             '{"shape": "rectangle", "width": 1.0, "height": 0.5, "scale": 0.25}'),
+            (DomainSpec.ellipse(1, 0.5), "ellipse(a=1,b=0.5)", "ellipse_a1_b0.5",
+             '{"shape": "ellipse", "a": 1.0, "b": 0.5, "scale": 1.0}'),
+            (DomainSpec.ellipse(1, 0.5, scale=3), "ellipse(a=1,b=0.5)@3", "ellipse_a1_b0.5_scale3",
+             '{"shape": "ellipse", "a": 1.0, "b": 0.5, "scale": 3}'),
+            (DomainSpec.l_shape(2, 0.25), "l-shape(side=2,notch=0.25)", "lshape_notch0.25_side2",
+             '{"shape": "l-shape", "side": 2.0, "notch": 0.25, "scale": 1.0}'),
+            (DomainSpec.l_shape(2, 0.25, scale=1.5), "l-shape(side=2,notch=0.25)@1.5",
+             "lshape_notch0.25_side2_scale1.5",
+             '{"shape": "l-shape", "side": 2.0, "notch": 0.25, "scale": 1.5}'),
+            (DomainSpec.polygon(tri), "polygon(3 vertices)", "polygon_vertices3",
+             '{"shape": "polygon", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]], '
+             '"scale": 1.0}'),
+            (DomainSpec.polygon(tri, scale=0.5), "polygon(3 vertices)@0.5",
+             "polygon_vertices3_scale0.5",
+             '{"shape": "polygon", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]], '
+             '"scale": 0.5}'),
+            (DomainSpec.from_json('{"shape": "disk", "radius": 1, "scale": 2}'),
+             "disk(r=1)@2", "disk_radius1_scale2",
+             '{"shape": "disk", "radius": 1, "scale": 2.0}'),
+        ]
+        for spec, label, slug, text in cases:
+            assert spec.describe() == label
+            assert _spec_slug(spec) == slug
+            assert json.dumps(spec.to_json()) == text
 
     def test_describe(self):
         assert "disk" in DomainSpec.disk(1.0).describe()

@@ -203,6 +203,14 @@ class TestCliDomain:
                    "--out", str(tmp_path)) == 2
         capsys.readouterr()
 
+    def test_non_numeric_spec_value(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("domain", "--spec", '{"shape":"disk","radius":"1"}', "-p", "1",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         assert run("domain", "--spec", SQUARE, "-p", "1.5", "--h", str(1 / 16),
                    "--tol", "1e-15", "--max-iter", "1",
