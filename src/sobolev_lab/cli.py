@@ -51,8 +51,9 @@ def _spec_slug(spec: DomainSpec) -> str:
     parts = [spec.shape.replace("-", "")]
     for key in sorted(spec.params):
         val = spec.params[key]
-        if isinstance(val, list):
-            parts.append(f"{key}{len(val)}")
+        if isinstance(val, list):  # vertex count plus a digest, so polygons differ
+            canon = json.dumps([[float(x), float(y)] for x, y in val])
+            parts.append(f"{key}{len(val)}-{hashlib.sha256(canon.encode()).hexdigest()[:8]}")
         else:
             parts.append(f"{key}{val:g}")
     if spec.scale != 1.0:

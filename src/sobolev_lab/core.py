@@ -138,6 +138,14 @@ def profile_integral(s, values, power: float = 1.0) -> float:
     return float(np.trapezoid(values**power, s))
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0.
+
+    Bit-identical to scipy.integrate.cumulative_trapezoid(y, x, initial=0.0).
+    """
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def _real(val) -> bool:
     return isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
 

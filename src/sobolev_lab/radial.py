@@ -8,13 +8,13 @@ sharp constant C_p(B) under that normalization.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from .core import SolverError, check_exponents, unit_ball_volume
+from .core import SolverError, alpha, check_exponents, cumulative_trapezoid, unit_ball_volume
 
 __all__ = [
     "RawShot",
@@ -46,7 +46,8 @@ class RawShot:
     """Un-normalized shot: y(0) = 1, y'(0) = 0, first zero at R0.
 
     y is strictly decreasing on [0, R0]; `dense` evaluates y anywhere on
-    that interval (series below SERIES_RADIUS, ODE dense output above).
+    that interval (series below SERIES_RADIUS, the stepper's quintic
+    Hermite interpolant above).
     """
 
     n: int
@@ -72,13 +73,19 @@ class RadialProfile:
         r = np.linspace(0.0, self.r[-1], QUAD_GRID)
         return np.clip(self.phi(r), 0.0, None)
 
+    @functools.cached_property
+    def _lp_norms(self) -> dict[float, float]:
+        return {}
+
     def lp_norm(self, q: float) -> float:
         """||phi||_Lq on the profile's ball by fine radial quadrature.
 
-        phi is sampled once per profile; every further q costs one trapezoid.
+        phi is sampled once per profile and each q's norm is computed once.
         """
-        r = np.linspace(0.0, self.r[-1], QUAD_GRID)
-        return _ball_integral(self.n, r, self._quad_samples, q) ** (1.0 / q)
+        if q not in self._lp_norms:
+            r = np.linspace(0.0, self.r[-1], QUAD_GRID)
+            self._lp_norms[q] = _ball_integral(self.n, r, self._quad_samples, q) ** (1.0 / q)
+        return self._lp_norms[q]
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +145,7 @@ class VolumeProfile:
         if self.step:
             cum = np.concatenate(([0.0], np.cumsum(np.diff(self.s) * self.values**power)))
             return self.s, cum
-        cum = cumulative_trapezoid(self.values**power, self.s, initial=0.0)
+        cum = cumulative_trapezoid(self.values**power, self.s)
         return self.s, cum
 
     def cumulative_at(self, s_query, power: float = 1.0):
@@ -146,48 +153,111 @@ class VolumeProfile:
         return np.interp(np.asarray(s_query, dtype=float), nodes, cum)
 
 
+# Dormand & Prince (1980) 5(4) pair: stage nodes and rows, the 5th-order
+# weights, and the error weights (5th minus embedded 4th order, FSAL stage last)
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = ((1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+
+
+def _dopri5(accel, r, y, v, rtol, atol):
+    """Adaptive Dormand-Prince steps of y'' = accel(r, y, y') until y <= 0.
+
+    Works on floats (the state is (y, y')).  Returns the accepted nodes
+    r, y, y', y'' as arrays; the last node is the first with y <= 0.
+    The error norm and step rule follow scipy's RK45: RMS of
+    err / (atol + rtol max(|y|, |y_new|)), step factor 0.9 err^(-1/5)
+    clamped to [0.2, 10].
+    """
+    a = accel(r, y, v)
+    nodes = [(r, y, v, a)]
+    h = r  # a first step as long as the start radius; the error control grows it
+    while r < R_MAX:
+        h = min(h, R_MAX - r)
+        ky, kv = [v], [a]
+        for c, row in zip(_DP_C, _DP_A):
+            yi = y + h * sum(w * k for w, k in zip(row, ky))
+            vi = v + h * sum(w * k for w, k in zip(row, kv))
+            ky.append(vi)
+            kv.append(accel(r + c * h, yi, vi))
+        y1 = y + h * sum(w * k for w, k in zip(_DP_B, ky))
+        v1 = v + h * sum(w * k for w, k in zip(_DP_B, kv))
+        a1 = accel(r + h, y1, v1)
+        ky.append(v1)
+        kv.append(a1)
+        ey = h * sum(w * k for w, k in zip(_DP_E, ky)) / (atol + rtol * max(abs(y), abs(y1)))
+        ev = h * sum(w * k for w, k in zip(_DP_E, kv)) / (atol + rtol * max(abs(v), abs(v1)))
+        err = math.sqrt(0.5 * (ey * ey + ev * ev))
+        if err < 1.0:
+            r, y, v, a = r + h, y1, v1, a1
+            nodes.append((r, y, v, a))
+            if y <= 0.0:
+                return tuple(np.array(col) for col in zip(*nodes))
+        h *= min(10.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))  # err may be exactly 0
+        if not h > 1e-14 * r:
+            raise SolverError(f"step size underflow at r = {r:g}")
+    raise SolverError(f"no zero found before r = {R_MAX:g}")
+
+
+def _quintic_hermite(r, y, dy, d2y):
+    """Piecewise quintic through (y, y', y'') at the nodes r, vectorised.
+
+    Queries outside [r[0], r[-1]] extend the end pieces.
+    """
+    h = np.diff(r)
+    d = np.diff(y)
+    hv0, hv1 = h * dy[:-1], h * dy[1:]
+    ha0, ha1 = h * h * d2y[:-1], h * h * d2y[1:]
+    coef = np.array([y[:-1], hv0, 0.5 * ha0,
+                     10.0 * d - 6.0 * hv0 - 4.0 * hv1 - 1.5 * ha0 + 0.5 * ha1,
+                     -15.0 * d + 8.0 * hv0 + 7.0 * hv1 + 1.5 * ha0 - ha1,
+                     6.0 * d - 3.0 * hv0 - 3.0 * hv1 - 0.5 * ha0 + 0.5 * ha1])
+
+    def evaluate(x):
+        i = np.clip(np.searchsorted(r, x, side="right") - 1, 0, h.size - 1)
+        t = (x - r[i]) / h[i]
+        out = coef[5, i]
+        for k in (4, 3, 2, 1, 0):
+            out = out * t + coef[k, i]
+        return out
+
+    return evaluate
+
+
 def shoot(n: int, p: float, tol: float = 1e-12, allow_supercritical: bool = False) -> RawShot:
     """Integrate the radial ODE from a series start until y first hits zero.
 
-    The zero R0 is bracketed by the final accepted step and polished by
-    bisection on the dense output to ZERO_TOL.
+    The zero R0 is bracketed by the last two accepted steps and polished
+    by bisection on the dense output to ZERO_TOL.
     """
     check_exponents(n, p, allow_supercritical=allow_supercritical)
     if not (0 < tol <= 1e-6):
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
     eps = SERIES_RADIUS
+    bend, power = n - 1.0, p - 1.0
 
-    def rhs(r, y):
+    def accel(r, y, v):
         # max(., 0) keeps fractional powers real if a trial step undershoots
-        head = max(y[0], 0.0) ** (p - 1.0)
-        return (y[1], -(n - 1.0) / r * y[1] - head)
+        return -bend / r * v - max(y, 0.0) ** power
 
-    def hit_zero(r, y):
-        return y[0]
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
-    y0 = (1.0 - eps**2 / (2.0 * n), -eps / n)
-    sol = solve_ivp(rhs, (eps, R_MAX), y0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-2, dense_output=True, events=[hit_zero])
-    if sol.t_events[0].size == 0:
-        raise SolverError(f"no zero found on ({eps:g}, {R_MAX:g}) for (n, p) = ({n}, {p})")
+    try:
+        rs, ys, dys, d2ys = _dopri5(accel, eps, 1.0 - eps**2 / (2.0 * n), -eps / n,
+                                    tol, tol * 1e-2)
+    except SolverError as exc:
+        raise SolverError(f"{exc} for (n, p) = ({n}, {p})") from None
+    hermite = _quintic_hermite(rs, ys, dys, d2ys)
 
     def y_of(r):
         r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        small = r < eps
-        out[small] = 1.0 - r[small] ** 2 / (2.0 * n)
-        if np.any(~small):
-            out[~small] = sol.sol(r[~small])[0]
-        return out
+        return np.where(r < eps, 1.0 - r**2 / (2.0 * n), hermite(r))
 
     # bisection on the bracketing step
-    lo = sol.t[-2] if sol.t.size >= 2 else eps
-    hi = float(sol.t_events[0][0])
-    if y_of(np.array([hi]))[0] > 0.0:
-        hi = hi + max(1e-9 * hi, 1e-12)
+    lo, hi = float(rs[-2]), float(rs[-1])
     while hi - lo > ZERO_TOL:
         mid = 0.5 * (lo + hi)
         if y_of(np.array([mid]))[0] > 0.0:
@@ -242,9 +312,11 @@ def cp_unit_ball(n: int, p: float, tol: float = 1e-12,
 
 def cp_ball(n: int, p: float, radius: float = 1.0,
             allow_supercritical: bool = False) -> float:
-    """C_p of the radius-r ball, by forcing the shot's zero at r via rescaling."""
-    shot = shoot(n, p, allow_supercritical=allow_supercritical)
-    return normalize_to_unit_ball(shot, radius=radius).Lambda
+    """C_p of the radius-r ball by the dilation law C_p(rB) = r^alpha C_p(B)."""
+    if not (radius > 0):
+        raise ValueError(f"radius must be positive, got {radius}")
+    unit = unit_ball_profile(n, p, allow_supercritical=allow_supercritical)
+    return unit.cp_ball * radius ** alpha(n, p)
 
 
 def volume_profile(profile: RadialProfile, radius: float = 1.0,
@@ -294,7 +366,7 @@ def verify_integro_differential(vp: VolumeProfile, cp: float, n: int, p: float,
         return 0.0
     omega = unit_ball_volume(n)
     lhs = np.diff(v) / np.diff(s)
-    cum = cumulative_trapezoid(v ** (p - 1.0), s, initial=0.0)
+    cum = cumulative_trapezoid(v ** (p - 1.0), s)
     mid = s[1:]
     rhs = -cp * n**-2.0 * omega ** (-2.0 / n) * mid ** (-2.0 + 2.0 / n) * cum[1:]
     keep = mid >= s_min

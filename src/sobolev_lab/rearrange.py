@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .core import unit_ball_volume
+from .core import cumulative_trapezoid, unit_ball_volume
 from .elliptic import GriddedField
 from .radial import VolumeProfile
 
@@ -127,7 +126,7 @@ def verify_talenti(u_star: VolumeProfile, cp: float, n: int, p: float,
     omega = unit_ball_volume(n)
     cum = u_star.cumulative_at(mids, power=p - 1.0)
     rhs = cp * n**-2.0 * omega ** (-2.0 / n) * mids ** (-2.0 + 2.0 / n) * cum
-    rhs_cum = cumulative_trapezoid(rhs, mids, initial=0.0)
+    rhs_cum = cumulative_trapezoid(rhs, mids)
     lhs = vals - vals[-1]
     violation = lhs - (rhs_cum[-1] - rhs_cum)
     keep = mids >= s_min

@@ -1,10 +1,11 @@
 """Independent oracles for the test suite.
 
 Every expected value used by the tests is computed here without touching
-the package under test: closed forms via math/scipy.special, plus an
-independent Bessel-zero root finder.  Run as a script to print the
-frozen constants; the test modules hard-code these literals and assert
-agreement with both this module and the package.
+the package under test: closed forms via math/scipy.special, an
+independent Bessel-zero root finder, and scipy's DOP853 for the ball
+shot.  Run as a script to print the frozen constants; the test modules
+hard-code these literals and assert agreement with both this module and
+the package.
 """
 
 import math
@@ -66,6 +67,36 @@ def disk_p1_volume_profile(s):
     """
     s = np.asarray(s, dtype=float)
     return (2.0 / math.pi) * np.clip(1.0 - s / math.pi, 0.0, None)
+
+
+def dop853_ball_shot(n: int, p: float):
+    """First zero R0 and dense y of y'' + (n-1)/r y' + y^(p-1) = 0, by DOP853.
+
+    scipy's solve_ivp at rtol 1e-12 from the series start
+    y = 1 - r^2/(2n) at r = start, stopped by a terminal zero event.
+    Returns (R0, y_of) with y_of taking arrays (the series below start).
+    """
+    from scipy.integrate import solve_ivp  # the package itself must not need it
+
+    start = 1e-6
+
+    def rhs(r, y):
+        return (y[1], -(n - 1.0) / r * y[1] - max(y[0], 0.0) ** (p - 1.0))
+
+    def hit_zero(r, y):
+        return y[0]
+
+    hit_zero.terminal = True
+    hit_zero.direction = -1
+    sol = solve_ivp(rhs, (start, 100.0), (1.0 - start**2 / (2.0 * n), -start / n),
+                    method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True,
+                    events=[hit_zero])
+
+    def y_of(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r < start, 1.0 - r**2 / (2.0 * n), sol.sol(np.maximum(r, start))[0])
+
+    return float(sol.t_events[0][0]), y_of
 
 
 def k_constant_25(factor: float) -> float:

@@ -207,11 +207,11 @@ class TestDomainSpec:
             (DomainSpec.l_shape(2, 0.25, scale=1.5), "l-shape(side=2,notch=0.25)@1.5",
              "lshape_notch0.25_side2_scale1.5",
              '{"shape": "l-shape", "side": 2.0, "notch": 0.25, "scale": 1.5}'),
-            (DomainSpec.polygon(tri), "polygon(3 vertices)", "polygon_vertices3",
+            (DomainSpec.polygon(tri), "polygon(3 vertices)", "polygon_vertices3-4803f091",
              '{"shape": "polygon", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]], '
              '"scale": 1.0}'),
             (DomainSpec.polygon(tri, scale=0.5), "polygon(3 vertices)@0.5",
-             "polygon_vertices3_scale0.5",
+             "polygon_vertices3-4803f091_scale0.5",
              '{"shape": "polygon", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]], '
              '"scale": 0.5}'),
             (DomainSpec.from_json('{"shape": "disk", "radius": 1, "scale": 2}'),

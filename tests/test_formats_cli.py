@@ -365,6 +365,18 @@ class TestCliTable:
                    "--max-rows", "0", "--out", str(tmp_path)) == 2
         assert "exceeds --max-rows" in capsys.readouterr().err
 
+    def test_distinct_polygons_get_distinct_labels(self, tmp_path, capsys):
+        small = '{"shape": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}'
+        large = '{"shape": "polygon", "vertices": [[0, 0], [2, 0], [0, 2]]}'
+        slugs = {cli._spec_slug(DomainSpec.from_json(t)) for t in (small, large)}
+        assert len(slugs) == 2
+        out = str(tmp_path / "t")
+        assert run("table", "--spec", small, "--spec", large, "-p", "1", "-q", "1",
+                   "--h", str(1 / 16), "--out", out) == 0
+        capsys.readouterr()
+        rows = self.read_sweep(out).decode().splitlines()[2:]
+        assert {row.split(",")[0] for row in rows} == slugs
+
     def test_stdout_when_no_out(self, capsys):
         assert run("table", "--spec", SQUARE, "-p", "1", "-q", "1",
                    "--h", str(1 / 16)) == 0

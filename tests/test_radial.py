@@ -1,16 +1,23 @@
 """Radial shooting, normalization, volume profiles, and the profile identity."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
-from sobolev_lab import AdmissibilityError, cp_ball, cp_unit_ball
-from sobolev_lab.core import SolverError, alpha, unit_ball_volume
-from sobolev_lab.radial import (DEFAULT_GRID, VolumeProfile, shoot,
+from sobolev_lab import AdmissibilityError, cp_ball, cp_unit_ball, radial
+from sobolev_lab.core import SolverError, alpha, cumulative_trapezoid, unit_ball_volume
+from sobolev_lab.radial import (DEFAULT_GRID, RawShot, VolumeProfile,
+                                normalize_to_unit_ball, shoot,
                                 unit_ball_profile, verify_integro_differential,
                                 volume_profile)
+
+# (n, p) pairs the stepper is checked on; (3, 4) needs the supercritical flag
+SHOOT_CASES = [(2, 1.0), (2, 1.3), (2, 1.5), (2, 1.8), (2, 2.0),
+               (3, 1.5), (3, 2.0), (3, 4.0)]
 
 
 class TestShoot:
@@ -39,6 +46,41 @@ class TestShoot:
         # 2 < p < 2n/(n-2) is admissible once the gate is lifted
         shot = shoot(3, 4.0, allow_supercritical=True)
         assert shot.R0 > 0
+
+    @pytest.mark.parametrize("n,p", SHOOT_CASES)
+    def test_matches_scipy_dop853(self, n, p):
+        shot = shoot(n, p, allow_supercritical=True)
+        R0, y_of = oracles.dop853_ball_shot(n, p)
+        assert shot.R0 == pytest.approx(R0, rel=1e-10)
+        ref = normalize_to_unit_ball(RawShot(n=n, p=p, R0=R0, dense=y_of))
+        assert normalize_to_unit_ball(shot).Lambda == pytest.approx(ref.Lambda, rel=1e-10)
+
+    def test_dense_interpolates_between_steps(self):
+        shot = shoot(3, 1.5)
+        R0, y_of = oracles.dop853_ball_shot(3, 1.5)
+        r = np.linspace(0.0, min(shot.R0, R0), 10007)
+        assert np.max(np.abs(shot.dense(r) - y_of(r))) < 1e-10
+
+    def test_no_zero_before_r_max(self, monkeypatch):
+        monkeypatch.setattr(radial, "R_MAX", 1.0)
+        with pytest.raises(SolverError, match="no zero"):
+            shoot(2, 2.0)
+
+    def test_import_leaves_scipy_integrate_out(self):
+        code = "import sys, sobolev_lab.cli; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_cumulative_trapezoid_matches_scipy(self):
+        from scipy.integrate import cumulative_trapezoid as scipy_cumtrapz
+
+        rng = np.random.default_rng(7)
+        for size in (2, 3, 17, 1000):
+            x = np.sort(rng.uniform(-3.0, 5.0, size))
+            y = rng.normal(size=size)
+            np.testing.assert_array_equal(cumulative_trapezoid(y, x),
+                                          scipy_cumtrapz(y, x, initial=0.0))
 
 
 class TestUnitBallProfile:
@@ -76,6 +118,16 @@ class TestUnitBallProfile:
     def test_memoized(self):
         assert unit_ball_profile(2, 2.0) is unit_ball_profile(2, 2.0)
 
+    def test_lp_norm_computed_once_per_q(self, monkeypatch):
+        prof = normalize_to_unit_ball(shoot(2, 1.5))
+        calls = []
+        quadrature = radial._ball_integral
+        monkeypatch.setattr(radial, "_ball_integral",
+                            lambda *args: calls.append(args) or quadrature(*args))
+        first = [prof.lp_norm(q) for q in (1.5, 3.0, 4.0)]
+        assert [prof.lp_norm(q) for q in (4.0, 3.0, 1.5)] == first[::-1]
+        assert len(calls) == 3
+
 
 class TestScalingLaw:
     @pytest.mark.parametrize("r", [0.5, 2.0, 3.0])
@@ -83,6 +135,12 @@ class TestScalingLaw:
         for n, p in [(2, 1.0), (2, 2.0), (3, 1.5)]:
             expected = r ** alpha(n, p) * cp_unit_ball(n, p)
             assert cp_ball(n, p, radius=r) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("n,p,r", [(2, 1.0, 0.7), (2, 1.5, 0.7), (2, 2.0, 1.9),
+                                       (3, 1.5, 2.5)])
+    def test_dilation_matches_rescaled_shot(self, n, p, r):
+        direct = normalize_to_unit_ball(shoot(n, p), radius=r).Lambda
+        assert cp_ball(n, p, radius=r) == pytest.approx(direct, rel=1e-12)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
