@@ -270,10 +270,18 @@ class ReverseHolderReport:
     rows: list
     equality_case: bool
 
+    def failed_gates(self) -> list:
+        """The gates this run fails, by name: margins, crossing, dominance."""
+        gates = {
+            "margins": all(row.margin >= -self.tau_margin * max(row.lhs, 1e-300)
+                           for row in self.rows),
+            "crossing": self.equality_case or self.crossing.crossing_count == 1,
+            "dominance": self.dominance_min >= -self.tau_dominance,
+        }
+        return [name for name, ok in gates.items() if not ok]
+
     def passed(self) -> bool:
-        margins_ok = all(row.margin >= -self.tau_margin * max(row.lhs, 1e-300)
-                         for row in self.rows)
-        return margins_ok and (self.equality_case or self.crossing.crossing_count == 1)
+        return not self.failed_gates()
 
 
 def verify_reverse_holder(result: SobolevResult, q_list,

@@ -6,7 +6,10 @@ int |grad u|^2 / (int |u|^p)^(2/p) is driven down by the fixed-point
 iteration u <- normalize_p(laplace_solve(u^(p-1))), which is inverse power
 iteration at p = 2 and a single linear solve at p = 1.  Each linear solve
 is conjugate gradients preconditioned by a geometric multigrid V-cycle,
-built once per grid.
+built once per grid.  Both work matrix-free on full (ny, nx) arrays that
+are zero outside the mask, with numpy alone: every inner product is a
+pairwise np.sum, never a BLAS call, so results do not depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .core import DomainSpec, GridError, SolverError, check_exponents
 
@@ -37,7 +38,6 @@ CG_MAXITER = 50_000
 MG_COARSE_SIZE = 2_000
 MG_OMEGA = 0.8
 MG_SMOOTH = 2
-
 
 @dataclass(eq=False)
 class GriddedField:
@@ -106,128 +106,399 @@ def build_grid(spec: DomainSpec, h: float) -> GriddedField:
                         values=np.zeros((ny, nx)), spec=spec)
 
 
-def _laplacian(grid: GriddedField):
-    """5-point Dirichlet Laplacian restricted to mask nodes (SPD, CSR).
+class _Level:
+    """One grid of the multigrid hierarchy, with its operator and work arrays.
 
-    Assembled row by row with int32 indices; each row's columns are in
-    stencil order (down, left, self, right, up), which is ascending in the
-    row-major node numbering.  Outside neighbors carry u = 0 and drop out.
+    The finest level applies the 5-point Dirichlet Laplacian (stencil None);
+    a coarser level applies its Galerkin operator, a symmetric 9-point
+    stencil held as flat coefficient arrays that vanish outside the mask.
+    Either way A x is zero outside the mask, and neighbors outside it carry
+    u = 0.
+    Neighbors are flat offsets dy * nx + dx into the row-major arrays; an
+    offset that wraps around a row end meets a zero coefficient, or on the
+    finest level is undone.
     """
-    mask = grid.mask
-    n = int(np.count_nonzero(mask))
-    index = np.full(mask.shape, -1, dtype=np.int32)
-    index[mask] = np.arange(n, dtype=np.int32)
-    pad = np.pad(index, 1, constant_values=-1)
-    cols = np.stack([pad[:-2, 1:-1][mask], pad[1:-1, :-2][mask], index[mask],
-                     pad[1:-1, 2:][mask], pad[2:, 1:-1][mask]], axis=1)
-    present = cols >= 0
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
-    h2 = grid.h**2
-    data = np.full(int(indptr[-1]), -1.0 / h2)
-    # the diagonal sits after the row's present down and left neighbors
-    data[indptr[:-1] + present[:, :2].sum(axis=1, dtype=np.int32)] = 4.0 / h2
-    return sp.csr_matrix((data, cols[present], indptr), shape=(n, n))
+
+    def __init__(self, mask: np.ndarray, stencil: np.ndarray | None = None,
+                 h: float | None = None):
+        self.mask = mask
+        self.size = int(np.count_nonzero(mask))
+        # the operator is symmetric, so the centre and the four neighbors at
+        # positive flat offsets (0, 1), (1, -1), (1, 0), (1, 1) hold it all
+        self.stencil = None if stencil is None else stencil[4:].copy()
+        ny, nx = mask.shape
+        if stencil is None:
+            self.scale = mask / h**2
+            diag = 4.0 * self.scale
+            # damped Jacobi in closed form:
+            # x <- (1 - omega) x + dinv b + (omega / 4) * sum of neighbors
+            self.weight = mask * (MG_OMEGA / 4.0)
+            # a flat +-1 shift wraps around row ends; that reads zeros unless
+            # the first or last column holds mask nodes
+            self.wraps = bool(mask[:, 0].any() or mask[:, -1].any())
+        else:
+            diag = self.stencil[0].reshape(mask.shape)
+            n = mask.size
+            self.neighbors = [(k, slice(0, n - off), slice(off, n))
+                              for k, off in enumerate((1, nx - 1, nx, nx + 1), start=1)]
+        self.dinv = np.divide(MG_OMEGA, diag, out=np.zeros(mask.shape), where=mask)
+        # work arrays: the iterate, two temporaries, and on the finest level
+        # dinv b, on a coarser one its restricted right-hand side b
+        self.x, self.t, self.w = (np.zeros(mask.shape) for _ in range(3))
+        if stencil is None:
+            self.c = np.zeros(mask.shape)
+        else:
+            self.b = np.zeros(mask.shape)
+
+    def neighbor_sum(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = sum of the four 5-point neighbors of x (finest level)."""
+        n = x.shape[1]
+        xf, of = x.ravel(), out.ravel()
+        np.add(xf[:-2 * n], xf[2 * n:], out=of[n:-n])
+        of[:n] = xf[n:2 * n]
+        of[-n:] = xf[-2 * n:-n]
+        of[1:] += xf[:-1]
+        of[:-1] += xf[1:]
+        if self.wraps:
+            out[1:, 0] -= x[:-1, -1]
+            out[:-1, -1] -= x[1:, 0]
+        return out
+
+    def apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = A x for an array x that is zero outside the mask."""
+        S = self.stencil
+        if S is None:
+            s = self.neighbor_sum(x, self.w)
+            np.multiply(x, 4.0, out=out)
+            out -= s
+            return np.multiply(out, self.scale, out=out)
+        xf, of, wf = x.ravel(), out.ravel(), self.w.ravel()
+        np.multiply(S[0], xf, out=of)
+        for k, dst, src in self.neighbors:
+            np.multiply(S[k][dst], xf[src], out=wf[dst])
+            of[dst] += wf[dst]
+            np.multiply(S[k][dst], xf[dst], out=wf[dst])
+            of[src] += wf[dst]
+        return out
+
+    def presmooth(self, b: np.ndarray) -> None:
+        """MG_SMOOTH damped Jacobi sweeps on A x = b from x = 0 (the first gives dinv b)."""
+        np.multiply(self.dinv, b, out=self.x)
+        if self.stencil is None:
+            np.copyto(self.c, self.x)
+        self.smooth(b, MG_SMOOTH - 1)
+
+    def smooth(self, b: np.ndarray, sweeps: int) -> None:
+        """Damped Jacobi sweeps x += dinv (b - A x) on self.x (after presmooth(b))."""
+        x, t = self.x, self.t
+        for _ in range(sweeps):
+            if self.stencil is None:
+                t = self.neighbor_sum(x, t)
+                t *= self.weight
+                t += self.c
+                x *= 1.0 - MG_OMEGA
+            else:
+                t = self.apply(x, t)
+                np.subtract(b, t, out=t)
+                t *= self.dinv
+            x += t
 
 
-def _prolongation(mask: np.ndarray):
-    """Bilinear interpolation from the nodes of mask[::2, ::2] to those of mask.
+def _restrict(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = P^T r onto the nodes (2i, 2j): weights 1, 1/2, 1/4, one axis at a time."""
+    t = r[:, ::2].copy()
+    half = 0.5 * r[:, 1::2]
+    t[:, :half.shape[1]] += half
+    t[:, 1:] += half[:, :t.shape[1] - 1]
+    out[:] = t[::2]
+    half = 0.5 * t[1::2]
+    out[:half.shape[0]] += half
+    out[1:] += half[:out.shape[0] - 1]
+    return out
 
-    Coarse node (i, j) is fine node (2i, 2j).  A fine node takes weight 1/2
-    per odd coordinate from each of its one, two or four coarse corners;
-    corners outside the coarse mask carry zero and drop out.  Assembled
-    directly in CSR, like the Laplacian.  Returns (P, coarse mask).
+
+def _prolong(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = P c: bilinear interpolation from the nodes (2i, 2j), one axis at a time.
+
+    A fine node takes weight 1/2 per odd coordinate from each of its one,
+    two or four coarse corners; corners outside the array carry zero.
     """
-    coarse = mask[::2, ::2]
-    nc = int(np.count_nonzero(coarse))
-    cindex = np.full((coarse.shape[0] + 1, coarse.shape[1] + 1), -1, dtype=np.int32)
-    cindex[:-1, :-1][coarse] = np.arange(nc, dtype=np.int32)
-    iy, ix = np.nonzero(mask)
-    # corners at offsets (0,0), (0,1), (1,0), (1,1): ascending coarse columns
-    cols = np.stack([cindex[(iy + dy) // 2, (ix + dx) // 2]
-                     for dy in (0, 1) for dx in (0, 1)], axis=1)
-    odd_y, odd_x = iy % 2 == 1, ix % 2 == 1
-    # along an even coordinate both offsets name the same corner: keep one
-    cols[~odd_y, 2:] = -1
-    cols[~odd_x, 1::2] = -1
-    present = cols >= 0
-    counts = present.sum(axis=1, dtype=np.int32)
-    indptr = np.zeros(iy.size + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    weight = np.where(odd_y, 0.5, 1.0) * np.where(odd_x, 0.5, 1.0)
-    P = sp.csr_matrix((np.repeat(weight, counts), cols[present], indptr),
-                      shape=(iy.size, nc))
-    return P, coarse
+    ny, nx = out.shape
+    t = np.empty((c.shape[0], nx))
+    t[:, ::2] = c
+    half = 0.5 * c
+    t[:, 1::2] = half[:, :nx // 2]
+    t[:, 1::2][:, :c.shape[1] - 1] += half[:, 1:]
+    out[::2] = t
+    half = 0.5 * t
+    out[1::2] = half[:ny // 2]
+    out[1::2][:t.shape[0] - 1] += half[1:]
+    return out
 
 
-class _VCycle(LinearOperator):
-    """One multigrid V-cycle for the Laplacian A of a masked grid, as a
+def _probe(op, shape: tuple) -> np.ndarray:
+    """The 9-point stencil of a linear map on arrays of this shape, as a
+    (9, ny * nx) array: row 3 (dy + 1) + dx + 1 holds each node's
+    coefficient of its neighbor at (dy, dx).
+
+    Nine probes, each the indicator of the nodes of one colour (i mod 3,
+    j mod 3): a node's 3x3 neighborhood holds exactly one node of each
+    colour, so each probe's image gives one stencil entry at every node.
+    """
+    i, j = np.ogrid[:shape[0], :shape[1]]
+    S = np.zeros((3, 3) + shape)
+    for a in range(3):
+        for b in range(3):
+            S[(a - i + 1) % 3, (b - j + 1) % 3, i, j] = op(((i % 3 == a) & (j % 3 == b)) * 1.0)
+    return S.reshape(9, -1)
+
+
+def _galerkin(fine: _Level, coarse: np.ndarray) -> np.ndarray:
+    """Stencil of the Galerkin operator P^T A P on the coarse mask."""
+    def op(e):
+        e *= coarse
+        fine.apply(np.multiply(_prolong(e, fine.x), fine.mask, out=fine.x), fine.t)
+        return _restrict(fine.t, np.empty(coarse.shape)) * coarse
+    return _probe(op, coarse.shape)
+
+
+def _inverses(a: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of SPD matrices by Gauss-Jordan sweeps (elementwise numpy)."""
+    a = a.copy()
+    m, n, _ = a.shape
+    piv, col, row, rank1 = np.empty((m, 1)), np.empty((m, n)), np.empty((m, n)), np.empty(a.shape)
+    for k in range(n):
+        np.divide(1.0, a[:, k, k, None], out=piv)
+        np.copyto(col, a[:, :, k])
+        np.multiply(a[:, k], piv, out=row)
+        a -= np.multiply(col[:, :, None], row[:, None], out=rank1)
+        a[:, k] = row
+        np.multiply(col, -piv, out=a[:, :, k])
+        a[:, k, k] = piv[:, 0]
+    return a
+
+
+def _band_mm(T: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """T @ M for a stack of tridiagonal T: three row-shifted products."""
+    out = np.diagonal(T, 0, 1, 2)[:, :, None] * M
+    out[:, 1:] += np.diagonal(T, -1, 1, 2)[:, :, None] * M[:, :-1]
+    out[:, :-1] += np.diagonal(T, 1, 1, 2)[:, :, None] * M[:, 1:]
+    return out
+
+
+def _mm_band(M: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """M @ T for a stack of tridiagonal T."""
+    return _band_mm(T.transpose(0, 2, 1), M.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def _mm(a, b):
+    return np.einsum("kij,kjl->kil", a, b)
+
+
+def _mv(a, v):
+    return np.einsum("kij,kj->ki", a, v)
+
+
+class _LineSolver:
+    """Exact solve of the last level by block cyclic reduction over lattice lines.
+
+    Grouped by lattice line (lines run along the longer side of the mask's
+    bounding box, so blocks are as small as they can be), the 9-point
+    system is block tridiagonal: diagonal blocks D_k and couplings
+    L_k = T[k, k-1], both tridiagonal.  Box nodes outside the mask get a
+    unit diagonal and stay zero; dummy identity lines pad the count to
+    2^j - 1.  Each reduction step eliminates the even lines, whose blocks
+    are inverted together, and leaves a block tridiagonal system on the odd
+    ones.  Products are einsum contractions, which do not go through BLAS.
+    """
+
+    def __init__(self, S: np.ndarray, mask: np.ndarray):
+        rows, cols = np.flatnonzero(mask.any(1)), np.flatnonzero(mask.any(0))
+        self.box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        S = S.reshape((3, 3) + mask.shape)[(slice(None), slice(None)) + self.box]
+        mask = mask[self.box]
+        self.flip = mask.shape[1] > mask.shape[0]
+        if self.flip:
+            S, mask = S.transpose(1, 0, 3, 2), mask.T
+        lines, width = mask.shape
+        m = 2 ** int(np.ceil(np.log2(lines + 1))) - 1
+        j = np.arange(width)
+
+        def blocks(row, extra):
+            out = np.zeros((m, width, width))
+            out[:lines, j, j] = S[row, 1] + extra
+            out[:lines, j[:-1], j[:-1] + 1] = S[row, 2][:, :-1]
+            out[:lines, j[1:], j[1:] - 1] = S[row, 0][:, 1:]
+            return out
+
+        D = blocks(1, ~mask)
+        D[lines:, j, j] = 1.0
+        L = np.concatenate([blocks(0, 0.0), np.zeros((1, width, width))])
+        L[0] = 0.0
+        self.steps = []
+        # the first step's L blocks are still tridiagonal
+        left, right = _band_mm, _mm_band
+        while m > 1:
+            E = _inverses(D[0::2])
+            X, Z = left(L[1::2], E), left(L[0::2].transpose(0, 2, 1), E)
+            # line 2t+1 sheds X_t y_2t + Z_(t+1) y_(2t+2); as E is symmetric,
+            # x_2s = E_s y_2s - Z_s^T x_(2s-1) - X_s^T x_(2s+1)
+            self.steps.append((np.concatenate([X[:-1], Z[1:]], axis=2),
+                               np.concatenate([E, -Z.transpose(0, 2, 1),
+                                               -X.transpose(0, 2, 1)], axis=2)))
+            D = (D[1::2] - right(X[:-1], L[1:-1:2].transpose(0, 2, 1))
+                 - right(Z[1:], L[2::2]))
+            L = -right(X, L[0::2])
+            m //= 2
+            left, right = _mm, _mm
+        self.last = _inverses(D)
+        self.lines = lines
+
+    def solve(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = A^-1 b on the last level's arrays."""
+        box = b[self.box].T if self.flip else b[self.box]
+        y = np.zeros((2 ** len(self.steps) * 2 - 1, box.shape[1]))
+        y[:self.lines] = box
+        stack = []
+        for down, up in self.steps:
+            ye = y[0::2]
+            stack.append(ye)
+            y = y[1::2] - _mv(down, np.concatenate([ye[:-1], ye[1:]], axis=1))
+        # each level's lines sit in x[1:-1] between two zero lines
+        x = np.zeros((3, y.shape[1]))
+        x[1] = _mv(self.last, y)
+        for (down, up), ye in zip(reversed(self.steps), reversed(stack)):
+            finer = np.zeros((2 * len(x) - 1, x.shape[1]))
+            finer[2:-1:2] = x[1:-1]
+            finer[1:-1:2] = _mv(up, np.concatenate([ye, x[:-1], x[1:]], axis=1))
+            x = finer
+        x = x[1:self.lines + 1]
+        out[self.box] = x.T if self.flip else x
+        return out
+
+
+class _VCycle:
+    """One multigrid V-cycle for the Laplacian of a masked grid, as a
     preconditioner for cg.
 
     Levels coarsen by mask[::2, ::2] with bilinear prolongation P and
     Galerkin operators P^T A P while a level has more than MG_COARSE_SIZE
-    nodes (or until the coarse mask is empty); the last level is LU-factored.
-    Damped Jacobi, MG_SMOOTH sweeps before and as many after the coarse
-    correction, keeps the cycle a symmetric positive definite operator, as
-    conjugate gradients requires.  The cycle is a plain loop over the levels,
-    not a recursive closure, so a hierarchy holds no reference cycle and is
-    freed as soon as its solve is done.
+    nodes (or until the coarse mask is empty).  The last level is solved
+    exactly by _LineSolver when it has at most MG_COARSE_SIZE nodes; a level
+    whose mask stops coarsening above that size (a one-row strip) is
+    smoothed instead, 2 * MG_SMOOTH damped Jacobi sweeps.  Damped Jacobi,
+    MG_SMOOTH sweeps before and as many after the coarse correction, keeps
+    the cycle a symmetric positive definite operator, as conjugate gradients
+    requires.  The cycle is a plain loop over the levels, not a recursive
+    closure, so a hierarchy holds no reference cycle and is freed as soon
+    as its solve is done.
     """
 
-    def __init__(self, A, mask: np.ndarray):
-        super().__init__(dtype=float, shape=A.shape)
+    def __init__(self, mask: np.ndarray, h: float):
         self.levels = []
-        while A.shape[0] > MG_COARSE_SIZE:
-            P, mask = _prolongation(mask)
-            if P.shape[1] == 0:
+        level = _Level(mask, h=h)
+        self.fine = level
+        stencil = None
+        while level.size > MG_COARSE_SIZE:
+            coarse = mask[::2, ::2]
+            if not coarse.any():
                 break
-            self.levels.append((A, P, MG_OMEGA / A.diagonal()))
-            A = (P.T @ (A @ P)).tocsr()
-        self.bottom = splu(A.tocsc())
+            self.levels.append(level)
+            stencil = _galerkin(level, coarse)
+            level = _Level(coarse, stencil)
+            mask = coarse
+        self.bottom = level
+        self.solver = None
+        if level.size <= MG_COARSE_SIZE:
+            if stencil is None:
+                stencil = _probe(lambda e: level.apply(e * mask, np.empty(mask.shape)),
+                                 mask.shape)
+            self.solver = _LineSolver(stencil, mask)
 
-    def _matvec(self, r: np.ndarray) -> np.ndarray:
-        stack = []
-        for A, P, dinv in self.levels:
-            x = dinv * r
-            for _ in range(MG_SMOOTH - 1):
-                x += dinv * (r - A @ x)
-            stack.append((r, x))
-            r = P.T @ (r - A @ x)
-        x = self.bottom.solve(r)
-        for (A, P, dinv), (r, xf) in zip(reversed(self.levels), reversed(stack)):
-            x = xf + P @ x
-            for _ in range(MG_SMOOTH):
-                x += dinv * (r - A @ x)
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """The V-cycle applied to a residual array r; the result is a work
+        array of the finest level, valid until the next call."""
+        rhs, b = [], r
+        for level, coarse in zip(self.levels, self.levels[1:] + [self.bottom]):
+            level.presmooth(b)
+            t = np.subtract(b, level.apply(level.x, level.t), out=level.t)
+            rhs.append(b)
+            b = np.multiply(_restrict(t, coarse.b), coarse.mask, out=coarse.b)
+        bottom = self.bottom
+        if self.solver is None:
+            bottom.presmooth(b)
+            bottom.smooth(b, MG_SMOOTH)
+        else:
+            self.solver.solve(b, bottom.x)
+        x = bottom.x
+        for level, b in zip(reversed(self.levels), reversed(rhs)):
+            level.x += np.multiply(_prolong(x, level.t), level.mask, out=level.t)
+            level.smooth(b, MG_SMOOTH)
+            x = level.x
         return x
 
 
-def _cg(A, b, x0, M):
-    """Preconditioned conjugate gradients to CG_RTOL; the one linear-solver call.
+def cg(A, b: np.ndarray, x0: np.ndarray | None, M):
+    """Preconditioned conjugate gradients on arrays; the one linear-solver call.
 
-    scipy's cg stops on the unpreconditioned residual ||b - A x|| <=
-    CG_RTOL ||b||, so the preconditioner changes the cost, not the accuracy.
+    A(x, out) applies the operator and M(r) the preconditioner.  Stops when
+    the unpreconditioned residual ||b - A x|| (updated recursively) falls
+    below CG_RTOL ||b||, so the preconditioner changes the cost, not the
+    accuracy.  Returns the solution and its iteration count.  Inner
+    products are np.sum of products, pairwise sums that do not go through
+    BLAS, so x has the same bits at any BLAS thread count.
     """
-    x, info = cg(A, b, x0=x0, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=M)
-    if info != 0:
-        res = float(np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1e-300))
-        raise SolverError(
-            f"conjugate gradients did not reach rtol={CG_RTOL:g} in {CG_MAXITER} "
-            f"iterations (relative residual {res:.3e})", trajectory=[res])
-    return x
+    work = np.empty_like(b)
+
+    def dot(u, v):
+        return float(np.sum(np.multiply(u, v, out=work)))
+
+    bnorm = np.sqrt(dot(b, b))
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    r = b - A(x, work) if x.any() else b.copy()
+    q = np.empty_like(b)
+    for it in range(CG_MAXITER):
+        if np.sqrt(dot(r, r)) < CG_RTOL * bnorm:
+            return x, it
+        z = M(r)
+        rho = dot(r, z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        alpha = rho / dot(p, A(p, q))
+        x += np.multiply(p, alpha, out=work)
+        r -= np.multiply(q, alpha, out=work)
+        rho_prev = rho
+    r = b - A(x, q)
+    res = np.sqrt(dot(r, r)) / max(bnorm, 1e-300)
+    raise SolverError(
+        f"conjugate gradients did not reach rtol={CG_RTOL:g} in {CG_MAXITER} "
+        f"iterations (relative residual {res:.3e})", trajectory=[res])
 
 
 def poisson_solve(grid: GriddedField, rhs, x0: np.ndarray | None = None) -> GriddedField:
-    """Solve -Delta_h v = rhs with zero Dirichlet data, by multigrid-preconditioned CG."""
-    if isinstance(rhs, GriddedField):
-        b = rhs.values[grid.mask]
-    else:
-        rhs = np.asarray(rhs, dtype=float)
-        b = rhs[grid.mask] if rhs.shape == grid.mask.shape else rhs
-    A = _laplacian(grid)
-    x = _cg(A, b, x0, _VCycle(A, grid.mask))
-    out = np.zeros_like(grid.values)
-    out[grid.mask] = x
-    return GriddedField(grid.nx, grid.ny, grid.h, grid.origin, grid.mask, out, grid.spec)
+    """Solve -Delta_h v = rhs with zero Dirichlet data, by multigrid-preconditioned CG.
+
+    rhs is a field, an (ny, nx) array or a vector over the mask nodes; x0,
+    if given, is a vector over the mask nodes.
+    """
+    mask = grid.mask
+
+    def full(values):
+        out = np.zeros(mask.shape)
+        out[mask] = values[mask] if values.shape == mask.shape else values
+        return out
+
+    b = full(np.asarray(rhs.values if isinstance(rhs, GriddedField) else rhs, dtype=float))
+    if x0 is not None:
+        x0 = full(np.asarray(x0, dtype=float))
+    M = _VCycle(mask, grid.h)
+    x, _ = cg(M.fine.apply, b, x0, M)
+    return GriddedField(grid.nx, grid.ny, grid.h, grid.origin, mask, x, grid.spec)
 
 
 def quotient(fld: GriddedField, p: float) -> float:
@@ -254,28 +525,24 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     lands after a single solve; at p = 2 this is inverse power iteration.
     """
     check_exponents(2, p, allow_supercritical=allow_supercritical)
-    A = _laplacian(grid)
     mask = grid.mask
-    M = _VCycle(A, mask)
+    M = _VCycle(mask, grid.h)
     h2 = grid.h**2
 
-    u = np.ones(int(np.count_nonzero(mask)))
-    u /= (np.sum(u**p) * h2) ** (1.0 / p)
+    u = mask / (np.count_nonzero(mask) * h2) ** (1.0 / p)
     cp_prev = None
     trajectory = []
     x_prev = None
     for it in range(1, max_iter + 1):
-        rhs_vec = np.maximum(u, 0.0) ** (p - 1.0)
+        rhs = np.maximum(u, 0.0) ** (p - 1.0) * mask
         try:
-            x = _cg(A, rhs_vec, x_prev, M)
+            x, _ = cg(M.fine.apply, rhs, x_prev, M)
         except SolverError as exc:
             raise SolverError(f"inner CG solve failed to converge at sweep {it}: {exc}",
                               trajectory=trajectory) from exc
         x_prev = x
         u = x / (np.sum(np.maximum(x, 0.0) ** p) * h2) ** (1.0 / p)
-        field = np.zeros_like(grid.values)
-        field[mask] = u
-        out = GriddedField(grid.nx, grid.ny, grid.h, grid.origin, mask, field, grid.spec)
+        out = GriddedField(grid.nx, grid.ny, grid.h, grid.origin, mask, u, grid.spec)
         cp_now = quotient(out, p)
         trajectory.append(cp_now)
         if cp_prev is not None and abs(cp_now - cp_prev) <= tol * abs(cp_prev):

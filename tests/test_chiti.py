@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from sobolev_lab import chiti
 from sobolev_lab.chiti import (ComparisonBall, comparison_ball, constant_K,
                                crossing_analysis, dominance_check, khat,
                                torsion_form, verify_reverse_holder)
@@ -268,3 +269,11 @@ class TestVerifyReverseHolder:
         assert report.passed()
         report.rows[0] = dataclasses.replace(report.rows[0], margin=-1.0)
         assert not report.passed()
+        assert report.failed_gates() == ["margins"]
+
+    def test_planted_dominance_failure(self, solve, monkeypatch):
+        monkeypatch.setattr(chiti, "dominance_check", lambda *args, **kwargs: -1.0)
+        report = verify_reverse_holder(solve("square", 2.0), [2.0, 4.0])
+        assert report.dominance_min == -1.0 < -report.tau_dominance
+        assert not report.passed()
+        assert report.failed_gates() == ["dominance"]

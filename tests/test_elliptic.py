@@ -2,6 +2,9 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ import oracles
 from sobolev_lab import AdmissibilityError, DomainSpec, build_grid, minimize_quotient
 from sobolev_lab import elliptic
 from sobolev_lab.core import GridError, SolverError
-from sobolev_lab.elliptic import MG_COARSE_SIZE, _VCycle, _laplacian, poisson_solve, quotient
+from sobolev_lab.cli import main
+from sobolev_lab.elliptic import (MG_COARSE_SIZE, GriddedField, _galerkin, _Level, _VCycle,
+                                  poisson_solve, quotient)
 
 SHAPES = {
     "disk": DomainSpec.disk(1.0),
@@ -36,20 +41,64 @@ def kronecker_laplacian(grid):
     return L
 
 
+def bilinear_prolongation(mask):
+    """Bilinear interpolation from the nodes of mask[::2, ::2] to those of mask (CSR).
+
+    A fine node takes weight 1/2 per odd coordinate from each of its one,
+    two or four coarse corners; corners outside the coarse mask drop out.
+    """
+    coarse = mask[::2, ::2]
+    cindex = np.full((coarse.shape[0] + 1, coarse.shape[1] + 1), -1)
+    cindex[:-1, :-1][coarse] = np.arange(np.count_nonzero(coarse))
+    rows, cols, vals = [], [], []
+    for k, (iy, ix) in enumerate(zip(*np.nonzero(mask))):
+        for cy in {iy // 2, (iy + 1) // 2}:
+            for cx in {ix // 2, (ix + 1) // 2}:
+                if cindex[cy, cx] >= 0:
+                    rows.append(k)
+                    cols.append(cindex[cy, cx])
+                    vals.append((0.5 if iy % 2 else 1.0) * (0.5 if ix % 2 else 1.0))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(np.count_nonzero(mask),
+                                                      np.count_nonzero(coarse)))
+
+
+def stencil_matrix(S, mask):
+    """The sparse matrix of a (9, ny * nx) stencil on the mask's nodes."""
+    index = np.full(mask.shape, -1)
+    index[mask] = np.arange(np.count_nonzero(mask))
+    pad = np.pad(index, 1, constant_values=-1)
+    S = S.reshape((3, 3) + mask.shape)
+    rows, cols, vals = [], [], []
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            nb = pad[1 + dy:1 + dy + mask.shape[0], 1 + dx:1 + dx + mask.shape[1]]
+            keep = mask & (nb >= 0)
+            rows.append(index[keep])
+            cols.append(nb[keep])
+            vals.append(S[dy + 1, dx + 1][keep])
+    n = np.count_nonzero(mask)
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
+
+
+def on_grid(grid, values):
+    """A full (ny, nx) array with the given values on the mask nodes."""
+    out = np.zeros(grid.mask.shape)
+    out[grid.mask] = values
+    return out
+
+
 class CountingCG:
-    """Stand-in for elliptic.cg that counts calls and CG iterations per call."""
+    """Stand-in for elliptic.cg that counts calls and the CG iterations each returns."""
 
     def __init__(self, cg):
         self.cg = cg
         self.iterations = []
 
     def __call__(self, *args, **kwargs):
-        self.iterations.append(0)
-
-        def callback(xk):
-            self.iterations[-1] += 1
-
-        return self.cg(*args, callback=callback, **kwargs)
+        x, iterations = self.cg(*args, **kwargs)
+        self.iterations.append(iterations)
+        return x, iterations
 
 
 class TestBuildGrid:
@@ -87,29 +136,56 @@ class TestLaplacian:
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 48])
     def test_equals_kronecker_assembly(self, shape, h):
+        # the matrix-free operator's matrix, column by column from basis vectors
         grid = build_grid(SHAPES[shape], h)
-        A = _laplacian(grid)
+        level = _Level(grid.mask, h=grid.h)
+        e, out = np.zeros(grid.mask.shape), np.empty(grid.mask.shape)
+        cols = []
+        for iy, ix in zip(*np.nonzero(grid.mask)):
+            e[iy, ix] = 1.0
+            column = level.apply(e, out)
+            e[iy, ix] = 0.0
+            assert not np.any(column[~grid.mask])
+            cols.append(sp.csc_matrix(column[grid.mask][:, None]))
+        A = sp.hstack(cols).tocsr()
+        A.sort_indices()
         L = kronecker_laplacian(grid)
-        assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
-        assert A.has_sorted_indices
         assert np.array_equal(A.indptr, L.indptr)
         assert np.array_equal(A.indices, L.indices)
         assert np.array_equal(A.data, L.data)
+
+    def test_mask_on_the_array_frame(self):
+        # flat +-1 shifts wrap around row ends; with mask nodes in the first
+        # and last columns the wrapped terms must be undone
+        mask = np.ones((5, 7), dtype=bool)
+        grid = GriddedField(7, 5, 0.25, (0.0, 0.0), mask, np.zeros((5, 7)))
+        x = np.random.default_rng(3).standard_normal(mask.shape)
+        got = _Level(mask, h=grid.h).apply(x, np.empty(mask.shape))
+        ref = kronecker_laplacian(grid) @ x.ravel()
+        assert np.max(np.abs(got.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestMultigrid:
     @pytest.mark.parametrize("shape,h", [("disk", 1.0 / 64), ("lshape", 1.0 / 128)])
     def test_preconditioner_symmetric_positive_definite(self, shape, h):
         grid = build_grid(SHAPES[shape], h)
-        A = _laplacian(grid)
-        M = _VCycle(A, grid.mask)
+        M = _VCycle(grid.mask, grid.h)
         assert len(M.levels) >= 1
         rng = np.random.default_rng(7)
         for _ in range(3):
-            x, y = rng.standard_normal((2, A.shape[0]))
-            xMy, yMx = x @ M.matvec(y), y @ M.matvec(x)
+            x, y = (on_grid(grid, v) for v in rng.standard_normal((2, grid.mask.sum())))
+            xMy, yMx = np.sum(x * M(y)), np.sum(y * M(x))
             assert abs(xMy - yMx) <= 1e-12 * abs(xMy)
-            assert x @ M.matvec(x) > 0
+            assert np.sum(x * M(x)) > 0
+
+    @pytest.mark.parametrize("shape,h", [("disk", 1.0 / 64), ("lshape", 1.0 / 128)])
+    def test_galerkin_stencil_equals_sparse_product(self, shape, h):
+        grid = build_grid(SHAPES[shape], h)
+        coarse = grid.mask[::2, ::2]
+        A, P = kronecker_laplacian(grid), bilinear_prolongation(grid.mask)
+        ref = (P.T @ A @ P).toarray()
+        got = stencil_matrix(_galerkin(_Level(grid.mask, h=grid.h), coarse), coarse).toarray()
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 64, 1.0 / 128])
     def test_iterations_mesh_independent(self, monkeypatch, h):
@@ -127,8 +203,8 @@ class TestMultigrid:
     ])
     def test_degenerate_hierarchies_match_direct_solve(self, spec, h, levels):
         grid = build_grid(spec, h)
-        A = _laplacian(grid)
-        assert len(_VCycle(A, grid.mask).levels) == levels
+        A = kronecker_laplacian(grid)
+        assert len(_VCycle(grid.mask, grid.h).levels) == levels
         if A.shape[0] > MG_COARSE_SIZE and levels == 0:
             assert not grid.mask[::2, ::2].any()
         xs, ys = grid.node_coordinates()
@@ -228,7 +304,41 @@ class TestMinimizeQuotient:
             minimize_quotient(grid, 2.0, tol=1e-15, max_iter=2)
         assert len(err.value.trajectory) >= 1
 
+    def test_inner_cg_failure(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(elliptic, "CG_MAXITER", 1)
+        grid = build_grid(DomainSpec.rectangle(1.0, 1.0), h=1.0 / 32)
+        with pytest.raises(SolverError, match="inner CG solve failed to converge at sweep 1"):
+            minimize_quotient(grid, 2.0)
+        assert main(["domain", "--spec", '{"shape": "disk", "radius": 1.0}', "-p", "1",
+                     "--h", str(1.0 / 32), "--out", str(tmp_path)]) == 3
+        assert "conjugate gradients did not reach" in capsys.readouterr().err
+
     def test_scaling_against_radial_disk(self):
         # staircase disk at h=1/64 should sit within O(h) of the radial value
         res = minimize_quotient(build_grid(DomainSpec.disk(1.0), h=1.0 / 64), 2.0)
         assert res.cp == pytest.approx(oracles.DISK_EIGENVALUE, rel=0.04)
+
+
+class TestNumpyOnlyRuntime:
+    def test_import_leaves_scipy_out(self):
+        code = ("import sys, sobolev_lab.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.strip() == "[]"
+
+    def test_bits_independent_of_blas_threads(self):
+        code = (
+            "import hashlib, sobolev_lab as sl\n"
+            "for spec, p in ((sl.DomainSpec.disk(1.0), 2.0), (sl.DomainSpec.ellipse(1.0, 0.5), 1.5)):\n"
+            "    res = sl.minimize_quotient(sl.build_grid(spec, 1 / 64), p)\n"
+            "    print(repr(res.cp), hashlib.sha256(res.field.values.tobytes()).hexdigest())\n")
+        runs = []
+        for threads in ("1", "2"):
+            env = os.environ | {"PYTHONPATH": os.pathsep.join(sys.path),
+                                "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                                "MKL_NUM_THREADS": threads}
+            runs.append(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                       text=True, check=True, env=env).stdout)
+        assert len(runs[0].splitlines()) == 2
+        assert runs[0] == runs[1]

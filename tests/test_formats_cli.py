@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from sobolev_lab import cli
+from sobolev_lab import chiti, cli
 from sobolev_lab.chiti import verify_reverse_holder
 from sobolev_lab.cli import main
 from sobolev_lab.core import DomainSpec
@@ -234,6 +234,13 @@ class TestCliVerify:
             payload = json.loads(fh.read())
         assert payload["passed"] is True
         assert payload["config"]["command"] == "verify"
+
+    def test_dominance_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(chiti, "dominance_check", lambda *args, **kwargs: -1.0)
+        assert run("verify", "--spec", SQUARE, "-p", "1", "-q", "2",
+                   "--h", str(1 / 32), "--out", str(tmp_path)) == 4
+        err = capsys.readouterr().err
+        assert "verification failed: dominance" in err
 
     def test_json_format_flag(self, tmp_path, capsys):
         assert run("verify", "--spec", SQUARE, "-p", "2", "-q", "2",
