@@ -1,7 +1,7 @@
 """Extremal Sobolev functions, sharp constants, and reverse Holder verification."""
 
 from .core import (AdmissibilityError, CrossingError, DomainSpec, GridError,
-                   SolverError, VerificationError, admissible, alpha,
+                   SolverError, SpecError, VerificationError, admissible, alpha,
                    check_exponents, profile_integral, unit_ball_volume)
 from .radial import (RadialProfile, RawShot, VolumeProfile, cp_ball,
                      cp_unit_ball, normalize_to_unit_ball, shoot,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError", "CrossingError", "DomainSpec",
-    "GridError", "SolverError", "VerificationError",
+    "GridError", "SolverError", "SpecError", "VerificationError",
     "admissible", "check_exponents", "alpha", "profile_integral",
     "unit_ball_volume",
     "RawShot", "RadialProfile", "VolumeProfile",

@@ -200,12 +200,9 @@ def constant_K(n: int, p: float, q: float, cp_omega: float) -> float:
     a = alpha(n, p)
     expo = (n / a) * (1.0 / p - 1.0 / q)
     rho = (cp_omega / prof.cp_ball) ** (1.0 / a)
-    norm_p = prof.lp_norm(p)
-    norm_q = prof.lp_norm(q)
     # ||phi_rho||_q = rho^(n/q - n/p) ||phi||_q on the unit ball
-    direct = rho ** (n * (1.0 / p - 1.0 / q)) * norm_p / norm_q
-    k_hat = prof.cp_ball ** (-expo) * norm_p / norm_q
-    via_power = k_hat * cp_omega**expo
+    direct = rho ** (n * (1.0 / p - 1.0 / q)) * prof.lp_norm(p) / prof.lp_norm(q)
+    via_power = khat(n, p, q) * cp_omega**expo
     if abs(direct - via_power) > TWO_PATH_RTOL * abs(direct):
         raise VerificationError(
             f"two-path constant mismatch: {direct!r} vs {via_power!r}", stage="constant")

@@ -7,9 +7,12 @@ Subcommands
     table      sweep over domains x p x q with per-row caching
     rearrange  decreasing rearrangement of a stored field file
 
-Exit codes: 0 success, 2 usage or admissibility, 3 solver failure,
-4 verification failure.  All commands are deterministic for fixed
-flags; outputs embed the run configuration and a format version.
+Exit codes: 0 success, 2 usage or input error (a malformed spec or JSON,
+a missing file, inadmissible exponents, an unresolvable grid), 3 solver
+failure, 4 verification failure; any other error is a fault of the
+program and propagates with its traceback.  All commands are
+deterministic for fixed flags; outputs embed the run configuration and a
+format version.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .chiti import khat, verify_reverse_holder
 from .core import (AdmissibilityError, DomainSpec, GridError, SolverError,
-                   VerificationError, check_exponents)
+                   SpecError, VerificationError, check_exponents)
 from .elliptic import build_grid, minimize_quotient
 from .formats import (FORMAT_VERSION, canonical_json, read_field,
                       report_to_json, report_to_table, write_field,
@@ -366,7 +369,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:  # AdmissibilityError, GridError, bad JSON
+    except (FileNotFoundError, json.JSONDecodeError, AdmissibilityError, GridError,
+            SpecError) as exc:  # input errors; an internal ValueError propagates
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

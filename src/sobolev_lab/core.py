@@ -13,6 +13,7 @@ import numpy as np
 __all__ = [
     "AdmissibilityError",
     "GridError",
+    "SpecError",
     "SolverError",
     "VerificationError",
     "CrossingError",
@@ -31,6 +32,10 @@ class AdmissibilityError(ValueError):
 
 class GridError(ValueError):
     """Domain cannot be resolved on the requested grid."""
+
+
+class SpecError(ValueError):
+    """Malformed domain spec: unknown shape, wrong keys or bad values."""
 
 
 class SolverError(RuntimeError):
@@ -152,14 +157,14 @@ def _real(val) -> bool:
 
 def _positive(what: str, val) -> None:
     if not (_real(val) and val > 0):
-        raise ValueError(f"{what} must be a finite positive number, got {val!r}")
+        raise SpecError(f"{what} must be a finite positive number, got {val!r}")
 
 
 def _vertex_list(what: str, val) -> None:
     if not (isinstance(val, (list, tuple)) and len(val) >= 3 and all(
             isinstance(v, (list, tuple)) and len(v) == 2 and _real(v[0]) and _real(v[1])
             for v in val)):
-        raise ValueError(f"{what} must be at least 3 [x, y] pairs of finite numbers, got {val!r}")
+        raise SpecError(f"{what} must be at least 3 [x, y] pairs of finite numbers, got {val!r}")
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -300,16 +305,16 @@ class DomainSpec:
 
     def __post_init__(self):
         if not isinstance(self.shape, str) or self.shape not in _SHAPES:
-            raise ValueError(f"unknown shape {self.shape!r}; expected one of {tuple(_SHAPES)}")
+            raise SpecError(f"unknown shape {self.shape!r}; expected one of {tuple(_SHAPES)}")
         rec = _SHAPES[self.shape]
         _positive("scale", self.scale)
         if set(self.params) != set(rec.keys):
-            raise ValueError(f"{self.shape} takes exactly the keys {rec.keys}, "
-                             f"got {sorted(self.params)}")
+            raise SpecError(f"{self.shape} takes exactly the keys {rec.keys}, "
+                            f"got {sorted(self.params)}")
         for key in rec.keys:
             rec.check_value(f"{self.shape} {key}", self.params[key])
         if problem := rec.check(self.params):
-            raise ValueError(problem)
+            raise SpecError(problem)
 
     # -- constructors ------------------------------------------------------
 
@@ -340,7 +345,7 @@ class DomainSpec:
         if isinstance(obj, str):
             obj = json.loads(obj)
         if not isinstance(obj, dict) or "shape" not in obj:
-            raise ValueError("domain spec must be an object with a 'shape' key")
+            raise SpecError("domain spec must be an object with a 'shape' key")
         data = dict(obj)
         shape = data.pop("shape")
         scale = data.pop("scale", 1.0)  # stored as a float; the gate judges the rest

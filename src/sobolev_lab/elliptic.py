@@ -33,9 +33,10 @@ __all__ = [
 NODE_BUDGET = 4_000_000
 CG_RTOL = 1e-10
 CG_MAXITER = 50_000
-# multigrid preconditioner: levels coarsen until at most this many nodes,
-# damped Jacobi weight, and smoothing sweeps on each side of the coarse solve
-MG_COARSE_SIZE = 2_000
+# multigrid preconditioner: levels coarsen until at most this many nodes (the
+# last level is inverted densely), damped Jacobi weight, and smoothing sweeps
+# on each side of the coarse solve
+MG_COARSE_SIZE = 128
 MG_OMEGA = 0.8
 MG_SMOOTH = 2
 
@@ -262,119 +263,17 @@ def _galerkin(fine: _Level, coarse: np.ndarray) -> np.ndarray:
     return _probe(op, coarse.shape)
 
 
-def _inverses(a: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of SPD matrices by Gauss-Jordan sweeps (elementwise numpy)."""
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of an SPD matrix by Gauss-Jordan sweeps (elementwise numpy, no BLAS)."""
     a = a.copy()
-    m, n, _ = a.shape
-    piv, col, row, rank1 = np.empty((m, 1)), np.empty((m, n)), np.empty((m, n)), np.empty(a.shape)
-    for k in range(n):
-        np.divide(1.0, a[:, k, k, None], out=piv)
-        np.copyto(col, a[:, :, k])
-        np.multiply(a[:, k], piv, out=row)
-        a -= np.multiply(col[:, :, None], row[:, None], out=rank1)
-        a[:, k] = row
-        np.multiply(col, -piv, out=a[:, :, k])
-        a[:, k, k] = piv[:, 0]
+    for k in range(len(a)):
+        piv = 1.0 / a[k, k]
+        col, row = a[:, k].copy(), a[k] * piv
+        a -= np.multiply.outer(col, row)
+        a[k] = row
+        a[:, k] = col * -piv
+        a[k, k] = piv
     return a
-
-
-def _band_mm(T: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """T @ M for a stack of tridiagonal T: three row-shifted products."""
-    out = np.diagonal(T, 0, 1, 2)[:, :, None] * M
-    out[:, 1:] += np.diagonal(T, -1, 1, 2)[:, :, None] * M[:, :-1]
-    out[:, :-1] += np.diagonal(T, 1, 1, 2)[:, :, None] * M[:, 1:]
-    return out
-
-
-def _mm_band(M: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """M @ T for a stack of tridiagonal T."""
-    return _band_mm(T.transpose(0, 2, 1), M.transpose(0, 2, 1)).transpose(0, 2, 1)
-
-
-def _mm(a, b):
-    return np.einsum("kij,kjl->kil", a, b)
-
-
-def _mv(a, v):
-    return np.einsum("kij,kj->ki", a, v)
-
-
-class _LineSolver:
-    """Exact solve of the last level by block cyclic reduction over lattice lines.
-
-    Grouped by lattice line (lines run along the longer side of the mask's
-    bounding box, so blocks are as small as they can be), the 9-point
-    system is block tridiagonal: diagonal blocks D_k and couplings
-    L_k = T[k, k-1], both tridiagonal.  Box nodes outside the mask get a
-    unit diagonal and stay zero; dummy identity lines pad the count to
-    2^j - 1.  Each reduction step eliminates the even lines, whose blocks
-    are inverted together, and leaves a block tridiagonal system on the odd
-    ones.  Products are einsum contractions, which do not go through BLAS.
-    """
-
-    def __init__(self, S: np.ndarray, mask: np.ndarray):
-        rows, cols = np.flatnonzero(mask.any(1)), np.flatnonzero(mask.any(0))
-        self.box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-        S = S.reshape((3, 3) + mask.shape)[(slice(None), slice(None)) + self.box]
-        mask = mask[self.box]
-        self.flip = mask.shape[1] > mask.shape[0]
-        if self.flip:
-            S, mask = S.transpose(1, 0, 3, 2), mask.T
-        lines, width = mask.shape
-        m = 2 ** int(np.ceil(np.log2(lines + 1))) - 1
-        j = np.arange(width)
-
-        def blocks(row, extra):
-            out = np.zeros((m, width, width))
-            out[:lines, j, j] = S[row, 1] + extra
-            out[:lines, j[:-1], j[:-1] + 1] = S[row, 2][:, :-1]
-            out[:lines, j[1:], j[1:] - 1] = S[row, 0][:, 1:]
-            return out
-
-        D = blocks(1, ~mask)
-        D[lines:, j, j] = 1.0
-        L = np.concatenate([blocks(0, 0.0), np.zeros((1, width, width))])
-        L[0] = 0.0
-        self.steps = []
-        # the first step's L blocks are still tridiagonal
-        left, right = _band_mm, _mm_band
-        while m > 1:
-            E = _inverses(D[0::2])
-            X, Z = left(L[1::2], E), left(L[0::2].transpose(0, 2, 1), E)
-            # line 2t+1 sheds X_t y_2t + Z_(t+1) y_(2t+2); as E is symmetric,
-            # x_2s = E_s y_2s - Z_s^T x_(2s-1) - X_s^T x_(2s+1)
-            self.steps.append((np.concatenate([X[:-1], Z[1:]], axis=2),
-                               np.concatenate([E, -Z.transpose(0, 2, 1),
-                                               -X.transpose(0, 2, 1)], axis=2)))
-            D = (D[1::2] - right(X[:-1], L[1:-1:2].transpose(0, 2, 1))
-                 - right(Z[1:], L[2::2]))
-            L = -right(X, L[0::2])
-            m //= 2
-            left, right = _mm, _mm
-        self.last = _inverses(D)
-        self.lines = lines
-
-    def solve(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = A^-1 b on the last level's arrays."""
-        box = b[self.box].T if self.flip else b[self.box]
-        y = np.zeros((2 ** len(self.steps) * 2 - 1, box.shape[1]))
-        y[:self.lines] = box
-        stack = []
-        for down, up in self.steps:
-            ye = y[0::2]
-            stack.append(ye)
-            y = y[1::2] - _mv(down, np.concatenate([ye[:-1], ye[1:]], axis=1))
-        # each level's lines sit in x[1:-1] between two zero lines
-        x = np.zeros((3, y.shape[1]))
-        x[1] = _mv(self.last, y)
-        for (down, up), ye in zip(reversed(self.steps), reversed(stack)):
-            finer = np.zeros((2 * len(x) - 1, x.shape[1]))
-            finer[2:-1:2] = x[1:-1]
-            finer[1:-1:2] = _mv(up, np.concatenate([ye, x[:-1], x[1:]], axis=1))
-            x = finer
-        x = x[1:self.lines + 1]
-        out[self.box] = x.T if self.flip else x
-        return out
 
 
 class _VCycle:
@@ -384,36 +283,38 @@ class _VCycle:
     Levels coarsen by mask[::2, ::2] with bilinear prolongation P and
     Galerkin operators P^T A P while a level has more than MG_COARSE_SIZE
     nodes (or until the coarse mask is empty).  The last level is solved
-    exactly by _LineSolver when it has at most MG_COARSE_SIZE nodes; a level
-    whose mask stops coarsening above that size (a one-row strip) is
-    smoothed instead, 2 * MG_SMOOTH damped Jacobi sweeps.  Damped Jacobi,
-    MG_SMOOTH sweeps before and as many after the coarse correction, keeps
-    the cycle a symmetric positive definite operator, as conjugate gradients
-    requires.  The cycle is a plain loop over the levels, not a recursive
-    closure, so a hierarchy holds no reference cycle and is freed as soon
-    as its solve is done.
+    exactly by its dense inverse when it has at most MG_COARSE_SIZE nodes,
+    so the bottom costs at most MG_COARSE_SIZE^3 whatever the domain's
+    shape; a level whose mask stops coarsening above that size (a one-row
+    strip) is smoothed instead, 2 * MG_SMOOTH damped Jacobi sweeps.
+    Damped Jacobi, MG_SMOOTH sweeps before and as many after the coarse
+    correction, keeps the cycle a symmetric positive definite operator, as
+    conjugate gradients requires.  The cycle is a plain loop over the
+    levels, not a recursive closure, so a hierarchy holds no reference
+    cycle and is freed as soon as its solve is done.
     """
 
     def __init__(self, mask: np.ndarray, h: float):
         self.levels = []
         level = _Level(mask, h=h)
         self.fine = level
-        stencil = None
         while level.size > MG_COARSE_SIZE:
             coarse = mask[::2, ::2]
             if not coarse.any():
                 break
             self.levels.append(level)
-            stencil = _galerkin(level, coarse)
-            level = _Level(coarse, stencil)
+            level = _Level(coarse, _galerkin(level, coarse))
             mask = coarse
         self.bottom = level
-        self.solver = None
+        self.inverse = None
         if level.size <= MG_COARSE_SIZE:
-            if stencil is None:
-                stencil = _probe(lambda e: level.apply(e * mask, np.empty(mask.shape)),
-                                 mask.shape)
-            self.solver = _LineSolver(stencil, mask)
+            # the level's matrix, one column per mask node from its own apply
+            e, cols = np.zeros(mask.shape), []
+            for k in np.flatnonzero(mask):
+                e.flat[k] = 1.0
+                cols.append(level.apply(e, level.t)[mask])
+                e.flat[k] = 0.0
+            self.inverse = _inverse(np.array(cols))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """The V-cycle applied to a residual array r; the result is a work
@@ -425,11 +326,11 @@ class _VCycle:
             rhs.append(b)
             b = np.multiply(_restrict(t, coarse.b), coarse.mask, out=coarse.b)
         bottom = self.bottom
-        if self.solver is None:
+        if self.inverse is None:
             bottom.presmooth(b)
             bottom.smooth(b, MG_SMOOTH)
-        else:
-            self.solver.solve(b, bottom.x)
+        else:  # an einsum product, which does not go through BLAS
+            bottom.x[bottom.mask] = np.einsum("ij,j->i", self.inverse, b[bottom.mask])
         x = bottom.x
         for level, b in zip(reversed(self.levels), reversed(rhs)):
             level.x += np.multiply(_prolong(x, level.t), level.mask, out=level.t)

@@ -197,16 +197,23 @@ class TestMultigrid:
         assert sum(counting.iterations) <= 20
 
     @pytest.mark.parametrize("spec,h,levels", [
-        (DomainSpec.disk(1.0), 1.0 / 16, 0),              # below the coarse size
+        (DomainSpec.disk(1.0), 1.0 / 4, 0),               # below the coarse size
         (DomainSpec.rectangle(40.0, 2.0 / 64), 1.0 / 64, 0),  # one row: empty coarse mask
-        (DomainSpec.l_shape(1.0, 0.5), 1.0 / 128, 2),
+        (DomainSpec.l_shape(1.0, 0.5), 1.0 / 128, 4),
+        # a thin slanted sliver: few nodes in a wide bounding box
+        (DomainSpec.polygon([(0, 0), (0.01, 0), (1, 0.99), (1, 1), (0.99, 1), (0, 0.01)]),
+         1.0 / 256, 2),
     ])
     def test_degenerate_hierarchies_match_direct_solve(self, spec, h, levels):
         grid = build_grid(spec, h)
         A = kronecker_laplacian(grid)
-        assert len(_VCycle(grid.mask, grid.h).levels) == levels
+        M = _VCycle(grid.mask, grid.h)
+        assert len(M.levels) == levels
         if A.shape[0] > MG_COARSE_SIZE and levels == 0:
             assert not grid.mask[::2, ::2].any()
+            assert M.inverse is None
+        else:
+            assert M.inverse.shape == (M.bottom.size,) * 2 and M.bottom.size <= MG_COARSE_SIZE
         xs, ys = grid.node_coordinates()
         rhs = 1.0 + xs * ys
         sol = poisson_solve(grid, rhs)

@@ -201,6 +201,8 @@ class TestCliDomain:
                    "--out", str(tmp_path)) == 2
         assert run("domain", "--spec", "/nonexistent/spec.json", "-p", "1",
                    "--out", str(tmp_path)) == 2
+        assert run("domain", "--spec", '{"shape": disk}', "-p", "1",
+                   "--out", str(tmp_path)) == 2
         capsys.readouterr()
 
     def test_non_numeric_spec_value(self, tmp_path, capsys):
@@ -241,6 +243,17 @@ class TestCliVerify:
                    "--h", str(1 / 32), "--out", str(tmp_path)) == 4
         err = capsys.readouterr().err
         assert "verification failed: dominance" in err
+
+    def test_internal_error_propagates(self, tmp_path, monkeypatch):
+        # a broken invariant is a fault of the program, not an input error:
+        # main raises instead of returning exit code 2
+        def scrambled(fld):
+            u_star = decreasing_rearrangement(fld)
+            return VolumeProfile(u_star.s, u_star.values[::-1], step=True)
+        monkeypatch.setattr(chiti, "decreasing_rearrangement", scrambled)
+        with pytest.raises(ValueError, match="non-increasing"):
+            run("verify", "--spec", SQUARE, "-p", "1", "-q", "2",
+                "--h", str(1 / 32), "--out", str(tmp_path))
 
     def test_json_format_flag(self, tmp_path, capsys):
         assert run("verify", "--spec", SQUARE, "-p", "2", "-q", "2",

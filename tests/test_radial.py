@@ -1,6 +1,7 @@
 """Radial shooting, normalization, volume profiles, and the profile identity."""
 
 import math
+import os
 import subprocess
 import sys
 
@@ -68,8 +69,8 @@ class TestShoot:
 
     def test_import_leaves_scipy_integrate_out(self):
         code = "import sys, sobolev_lab.cli; print('scipy.integrate' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)})
         assert out.stdout.strip() == "False"
 
     def test_cumulative_trapezoid_matches_scipy(self):
