@@ -9,6 +9,7 @@ constant K, sharp because balls achieve equality.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,8 +18,8 @@ import numpy as np
 from .core import (AdmissibilityError, CrossingError, VerificationError, alpha,
                    check_exponents, unit_ball_volume)
 from .elliptic import SobolevResult
-from .radial import RadialProfile, VolumeProfile, unit_ball_profile, volume_profile
-from .rearrange import _cumulative_on, decreasing_rearrangement
+from .radial import VolumeProfile, unit_ball_profile, volume_profile
+from .rearrange import decreasing_rearrangement
 
 __all__ = [
     "ComparisonBall",
@@ -50,7 +51,6 @@ class ComparisonBall:
     rho: float
     bstar_volume: float
     phi_star: VolumeProfile         # zero-extended to the domain volume
-    unit_profile: RadialProfile
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +93,7 @@ def comparison_ball(cp_omega: float, n: int, p: float, total_volume: float) -> C
         vals = np.append(vp.values[keep], max(float(vp.evaluate(total_volume)), 0.0))
     phi_star = VolumeProfile(s=s, values=vals, total_volume=float(total_volume), step=False)
     return ComparisonBall(n=n, p=p, cp=cp_omega, rho=rho, bstar_volume=bvol,
-                          phi_star=phi_star, unit_profile=prof)
+                          phi_star=phi_star)
 
 
 def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall,
@@ -182,7 +182,7 @@ def dominance_check(u_star: VolumeProfile, ball: ComparisonBall, p: float,
                 stage="dominance")
     nodes = np.union1d(u_star.s, ball.phi_star.s)
     nodes = nodes[nodes <= total]
-    I = _cumulative_on(ball.phi_star, nodes, p) - _cumulative_on(u_star, nodes, p)
+    I = ball.phi_star.cumulative_at(nodes, p) - u_star.cumulative_at(nodes, p)
     return float(np.min(I))
 
 
@@ -209,8 +209,12 @@ def constant_K(n: int, p: float, q: float, cp_omega: float) -> float:
     return direct
 
 
+@functools.lru_cache(maxsize=256)
 def khat(n: int, p: float, q: float, tol: float = 1e-12) -> float:
-    """Domain-independent factor: K = khat(n, p, q) * cp^((n/alpha)(1/p - 1/q))."""
+    """Domain-independent factor: K = khat(n, p, q) * cp^((n/alpha)(1/p - 1/q)).
+
+    Memoized on its arguments; a rejected exponent raises and is not cached.
+    """
     check_exponents(n, p, [q])
     prof = unit_ball_profile(n, p, tol=tol)
     expo = (n / alpha(n, p)) * (1.0 / p - 1.0 / q)

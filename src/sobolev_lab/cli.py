@@ -7,10 +7,11 @@ Subcommands
     table      sweep over domains x p x q with per-row caching
     rearrange  decreasing rearrangement of a stored field file
 
-Exit codes: 0 success, 2 usage or input error (a malformed spec or JSON,
-a missing file, inadmissible exponents, an unresolvable grid), 3 solver
-failure, 4 verification failure; any other error is a fault of the
-program and propagates with its traceback.  All commands are
+Exit codes: 0 success, 2 usage or input error (core.InputError: a
+malformed spec or field file, inadmissible exponents, an unresolvable
+grid, an out-of-range option; or malformed JSON, a missing file), 3
+solver failure, 4 verification failure; any other error is a fault of
+the program and propagates with its traceback.  All commands are
 deterministic for fixed flags; outputs embed the run configuration and a
 format version.
 """
@@ -25,8 +26,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .chiti import khat, verify_reverse_holder
-from .core import (AdmissibilityError, DomainSpec, GridError, SolverError,
-                   SpecError, VerificationError, check_exponents)
+from .core import DomainSpec, InputError, SolverError, VerificationError, check_exponents
 from .elliptic import build_grid, minimize_quotient
 from .formats import (FORMAT_VERSION, canonical_json, read_field,
                       report_to_json, report_to_table, write_field,
@@ -182,7 +182,7 @@ def _table_group(task: dict) -> list[dict]:
                             task["max_iter"], False)
         report = verify_reverse_holder(res, [q for q in task["qs"] if q >= task["p"]])
         by_q = {row.q: row for row in report.rows}
-    except (AdmissibilityError, GridError, SolverError, VerificationError) as exc:
+    except (InputError, SolverError, VerificationError) as exc:
         # per-row failure contract: record, continue
         for q in task["qs"]:
             rows.append({**base, "q": q, "error": f"{type(exc).__name__}: {exc}"})
@@ -220,8 +220,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     qs = sorted(set(args.q))
     n_rows = len(specs) * len(ps) * len(qs)
     if n_rows > args.max_rows:
-        raise AdmissibilityError(
-            f"sweep of {n_rows} rows exceeds --max-rows {args.max_rows}")
+        raise InputError(f"sweep of {n_rows} rows exceeds --max-rows {args.max_rows}")
     tasks = []
     for spec in specs:
         label = _spec_slug(spec)
@@ -369,9 +368,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, json.JSONDecodeError, AdmissibilityError, GridError,
-            SpecError) as exc:  # input errors; an internal ValueError propagates
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # any other ValueError propagates
         return 2
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

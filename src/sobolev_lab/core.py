@@ -22,19 +22,22 @@ __all__ = [
     "admissible",
     "check_exponents",
     "alpha",
-    "profile_integral",
 ]
 
 
-class AdmissibilityError(ValueError):
+class InputError(ValueError):
+    """A value the caller supplied is out of range or malformed."""
+
+
+class AdmissibilityError(InputError):
     """Exponent pair outside the admissible range."""
 
 
-class GridError(ValueError):
+class GridError(InputError):
     """Domain cannot be resolved on the requested grid."""
 
 
-class SpecError(ValueError):
+class SpecError(InputError):
     """Malformed domain spec: unknown shape, wrong keys or bad values."""
 
 
@@ -120,27 +123,6 @@ def alpha(n: int, p: float) -> float:
     """
     check_exponents(n, p, allow_supercritical=True)
     return n - 2.0 - 2.0 * n / p
-
-
-def profile_integral(s, values, power: float = 1.0) -> float:
-    """Composite trapezoid of values**power over the sample grid s.
-
-    Negative samples are rejected unless power is an integer, where the
-    power is well defined anyway.
-    """
-    s = np.asarray(s, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if s.ndim != 1 or s.shape != values.shape:
-        raise ValueError("s and values must be 1-D arrays of equal length")
-    if s.size < 2 or not (s[-1] > s[0]):
-        raise ValueError("need at least two samples spanning a positive interval")
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(values))):
-        raise ValueError("samples must be finite")
-    if np.any(np.diff(s) < 0):
-        raise ValueError("sample grid must be non-decreasing")
-    if not float(power).is_integer() and np.any(values < 0):
-        raise ValueError(f"negative samples under non-integer power {power}")
-    return float(np.trapezoid(values**power, s))
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .core import DomainSpec
+from .core import DomainSpec, InputError
 from .elliptic import GriddedField
 from .radial import RadialProfile, VolumeProfile
 
@@ -23,6 +23,7 @@ __all__ = [
     "write_radial_profile",
     "write_volume_profile",
     "read_profile",
+    "read_volume_profile",
     "write_field",
     "read_field",
     "report_to_dict",
@@ -141,10 +142,13 @@ def read_field(path: str) -> tuple[dict, GriddedField]:
     """Read a field file back into a GriddedField (mask from NaN)."""
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        grid = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            grid = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise InputError(f"malformed field body: {exc}") from None
     ny, nx = int(header["ny"]), int(header["nx"])
     if grid.shape != (ny, nx):
-        raise ValueError(f"field body is {grid.shape}, header says {(ny, nx)}")
+        raise InputError(f"field body is {grid.shape}, header says {(ny, nx)}")
     mask = ~np.isnan(grid)
     spec = None
     if header.get("domain"):

@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SolverError, alpha, check_exponents, cumulative_trapezoid, unit_ball_volume
+from .core import (InputError, SolverError, alpha, check_exponents, cumulative_trapezoid,
+                   unit_ball_volume)
 
 __all__ = [
     "RawShot",
@@ -140,17 +141,14 @@ class VolumeProfile:
             return float(np.sum(np.diff(self.s) * self.values**power))
         return float(np.trapezoid(self.values**power, self.s))
 
-    def cumulative_power(self, power: float = 1.0):
-        """Nodes and cumulative integral of values**power, piecewise linear."""
+    def cumulative_at(self, s_query, power: float = 1.0):
+        """Integral of values**power over [0, s_query], piecewise linear in
+        s_query and constant past the last node."""
         if self.step:
             cum = np.concatenate(([0.0], np.cumsum(np.diff(self.s) * self.values**power)))
-            return self.s, cum
-        cum = cumulative_trapezoid(self.values**power, self.s)
-        return self.s, cum
-
-    def cumulative_at(self, s_query, power: float = 1.0):
-        nodes, cum = self.cumulative_power(power)
-        return np.interp(np.asarray(s_query, dtype=float), nodes, cum)
+        else:
+            cum = cumulative_trapezoid(self.values**power, self.s)
+        return np.interp(np.asarray(s_query, dtype=float), self.s, cum)
 
 
 # Dormand & Prince (1980) 5(4) pair: stage nodes and rows, the 5th-order
@@ -237,7 +235,7 @@ def shoot(n: int, p: float, tol: float = 1e-12, allow_supercritical: bool = Fals
     """
     check_exponents(n, p, allow_supercritical=allow_supercritical)
     if not (0 < tol <= 1e-6):
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
+        raise InputError(f"tol must lie in (0, 1e-6], got {tol}")
     eps = SERIES_RADIUS
     bend, power = n - 1.0, p - 1.0
 
@@ -304,18 +302,16 @@ def unit_ball_profile(n: int, p: float, tol: float = 1e-12,
     return _cached_unit_profile(int(n), float(p), float(tol))
 
 
-def cp_unit_ball(n: int, p: float, tol: float = 1e-12,
-                 allow_supercritical: bool = False) -> float:
+def cp_unit_ball(n: int, p: float, tol: float = 1e-12) -> float:
     """Sharp constant C_p of the unit ball in R^n."""
-    return unit_ball_profile(n, p, tol, allow_supercritical).cp_ball
+    return unit_ball_profile(n, p, tol).cp_ball
 
 
-def cp_ball(n: int, p: float, radius: float = 1.0,
-            allow_supercritical: bool = False) -> float:
+def cp_ball(n: int, p: float, radius: float = 1.0) -> float:
     """C_p of the radius-r ball by the dilation law C_p(rB) = r^alpha C_p(B)."""
     if not (radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
-    unit = unit_ball_profile(n, p, allow_supercritical=allow_supercritical)
+    unit = unit_ball_profile(n, p)
     return unit.cp_ball * radius ** alpha(n, p)
 
 
@@ -351,14 +347,12 @@ def verify_integro_differential(vp: VolumeProfile, cp: float, n: int, p: float,
     max(1% of the total volume, two grid cells) for n <= 2 and 10% for
     n >= 3: ball profiles behave like max - const*s^(2/n) near s = 0,
     so for n >= 3 the curvature blows up at the origin and first-order
-    differences need a wider berth from the singular prefactor.
+    differences need a wider berth from the singular prefactor.  Step
+    profiles (discrete rearrangements) are checked by verify_talenti.
     """
     if vp.step:
-        # operate on cell midpoints so backward differences are well defined
-        s = 0.5 * (vp.s[:-1] + vp.s[1:])
-        v = vp.values
-    else:
-        s, v = vp.s, vp.values
+        raise ValueError("step profiles have no pointwise slope; use verify_talenti")
+    s, v = vp.s, vp.values
     if s_min is None:
         frac = 0.01 if n <= 2 else 0.10
         s_min = max(frac * vp.total_volume, 2.0 * float(np.max(np.diff(s))))

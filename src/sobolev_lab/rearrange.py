@@ -135,13 +135,6 @@ def verify_talenti(u_star: VolumeProfile, cp: float, n: int, p: float,
     return float(np.max(violation[keep]))
 
 
-def _cumulative_on(f: VolumeProfile, nodes: np.ndarray, power: float) -> np.ndarray:
-    """Cumulative power integral of f at given nodes, zero beyond its support."""
-    own, cum = f.cumulative_power(power)
-    out = np.interp(nodes, own, cum)
-    out[nodes > own[-1]] = cum[-1]
-    return out
-
 def hlp_dominates(f: VolumeProfile, g: VolumeProfile, q1: float) -> bool:
     """Whether int_0^s f^q1 <= int_0^s g^q1 for every s (within rounding).
 
@@ -149,8 +142,8 @@ def hlp_dominates(f: VolumeProfile, g: VolumeProfile, q1: float) -> bool:
     of breakpoints is exact.  Raises if either profile increases.
     """
     nodes = np.union1d(np.union1d(f.s, g.s), [0.0, max(f.total_volume, g.total_volume)])
-    F = _cumulative_on(f, nodes, q1)
-    G = _cumulative_on(g, nodes, q1)
+    F = f.cumulative_at(nodes, q1)
+    G = g.cumulative_at(nodes, q1)
     scale = max(float(F[-1]), float(G[-1]), 1e-300)
     return bool(np.all(F <= G + HLP_RTOL * scale))
 

@@ -92,6 +92,35 @@ def test_exponent_gate(entry, case, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # rejected before any output
 
 
+# every public name of the package; adding or removing one is an API change
+PUBLIC = {
+    "AdmissibilityError", "CrossingError", "DomainSpec", "GridError", "SolverError",
+    "SpecError", "VerificationError", "admissible", "alpha", "check_exponents",
+    "unit_ball_volume",
+    "RadialProfile", "RawShot", "VolumeProfile", "cp_ball", "cp_unit_ball",
+    "normalize_to_unit_ball", "shoot", "unit_ball_profile",
+    "verify_integro_differential", "volume_profile",
+    "GriddedField", "SobolevResult", "build_grid", "minimize_quotient",
+    "poisson_solve", "quotient",
+    "DistributionFunction", "decreasing_rearrangement", "distribution",
+    "equimeasurability_residual", "hlp_conclusion_check", "hlp_dominates",
+    "symmetrized_sample", "verify_talenti",
+    "ComparisonBall", "CrossingAnalysis", "ReverseHolderReport", "ReverseHolderRow",
+    "comparison_ball", "constant_K", "crossing_analysis", "dominance_check", "khat",
+    "torsion_form", "verify_reverse_holder",
+    "formats", "__version__",
+}
+
+
+def test_public_surface_declared_once():
+    names = sobolev_lab.__all__
+    assert len(names) == len(set(names))
+    modules = [sobolev_lab.core, sobolev_lab.radial, sobolev_lab.elliptic,
+               sobolev_lab.rearrange, sobolev_lab.chiti]
+    assert names == [n for mod in modules for n in mod.__all__] + ["formats", "__version__"]
+    assert set(names) == PUBLIC
+
+
 def test_every_export_resolves():
     names = ["sobolev_lab"] + [f"sobolev_lab.{m.name}"
                                for m in pkgutil.iter_modules(sobolev_lab.__path__)

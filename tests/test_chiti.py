@@ -20,8 +20,7 @@ from sobolev_lab.rearrange import decreasing_rearrangement
 def synthetic_ball(phi: VolumeProfile) -> ComparisonBall:
     """Wrap a hand-built profile so crossing/dominance code can consume it."""
     return ComparisonBall(n=2, p=1.0, cp=1.0, rho=1.0,
-                          bstar_volume=phi.total_volume, phi_star=phi,
-                          unit_profile=None)
+                          bstar_volume=phi.total_volume, phi_star=phi)
 
 
 class TestComparisonBall:
@@ -262,6 +261,14 @@ class TestVerifyReverseHolder:
         r2 = verify_reverse_holder(res, [4.0, 2.0, 3.0, 2.0])
         assert [row.q for row in r1.rows] == [row.q for row in r2.rows]
         assert [row.margin for row in r1.rows] == [row.margin for row in r2.rows]
+
+    def test_khat_computed_once_per_row(self, solve):
+        # constant_K and the row itself both ask for khat; the second is a cache hit
+        khat.cache_clear()
+        report = verify_reverse_holder(solve("square", 2.0), [2.0, 3.0, 4.0])
+        info = khat.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
+        assert [row.khat for row in report.rows] == [khat(2, 2.0, q) for q in (2.0, 3.0, 4.0)]
 
     def test_tampered_margin_fails(self, solve):
         res = solve("square", 2.0)

@@ -9,7 +9,6 @@ import pytest
 import oracles
 from sobolev_lab import AdmissibilityError, DomainSpec, admissible, alpha, unit_ball_volume
 from sobolev_lab.cli import _spec_slug
-from sobolev_lab.core import profile_integral
 from sobolev_lab.elliptic import build_grid
 
 
@@ -63,23 +62,6 @@ class TestAdmissibility:
             alpha(3, 6.0)
         assert "2n/(n-2)" in str(err.value)
         assert "6" in str(err.value)
-
-
-class TestProfileIntegral:
-    def test_linear_exact(self):
-        s = np.linspace(0.0, 2.0, 9)
-        vals = 3.0 - s
-        assert profile_integral(s, vals) == pytest.approx(4.0, rel=1e-14)
-
-    def test_power(self):
-        s = np.linspace(0.0, 1.0, 100001)
-        vals = 1.0 - s
-        assert profile_integral(s, vals, power=2.0) == pytest.approx(1 / 3, rel=1e-8)
-
-    def test_negative_values_with_fractional_power_rejected(self):
-        s = np.array([0.0, 1.0])
-        with pytest.raises(ValueError):
-            profile_integral(s, np.array([1.0, -0.5]), power=1.5)
 
 
 class TestDomainSpec:

@@ -170,6 +170,13 @@ class TestCliBall:
                    "--out", str(tmp_path)) == 2
         assert "below p" in capsys.readouterr().err
 
+    def test_tol_out_of_range(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("ball", "-n", "2", "-p", "1", "--tol", "1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tol must lie in" in err
+        assert not out.exists()
+
 
 class TestCliDomain:
     def test_solves_and_writes_field(self, tmp_path, capsys):
@@ -295,6 +302,21 @@ class TestCliRearrange:
         direct = decreasing_rearrangement(fld)
         np.testing.assert_array_equal(u_star.values, direct.values)
         assert u_star.total_volume == direct.total_volume
+
+    @pytest.mark.parametrize("cut", ["lines", "mid-row"])
+    def test_truncated_field_is_an_input_error(self, tmp_path, capsys, cut):
+        assert run("domain", "--spec", SQUARE, "-p", "1", "--h", str(1 / 64),
+                   "--out", str(tmp_path)) == 0
+        fpath = tmp_path / "rectangle_height1_width1_p1_h64.field.csv"
+        lines = fpath.read_text(encoding="utf-8").splitlines()[:40]
+        if cut == "mid-row":
+            lines[-1] = lines[-1][: len(lines[-1]) // 2]
+        fpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run("rearrange", "--field", str(fpath), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 class TestCliTable:

@@ -186,6 +186,7 @@ class TestVolumeProfile:
         assert vp.power_integral(2.0) == pytest.approx(4.5, rel=1e-14)
         assert vp.evaluate([0.5, 2.0]) == pytest.approx([2.0, 0.5])
         assert vp.cumulative_at([1.0, 2.0], power=1.0) == pytest.approx([2.0, 2.5])
+        assert vp.cumulative_at([3.0, 5.0], power=2.0) == pytest.approx([4.5, 4.5])
 
     def test_sampled_semantics(self):
         vp = VolumeProfile(s=np.array([0.0, 1.0, 2.0]),
@@ -220,6 +221,12 @@ class TestIntegroDifferentialCheck:
         good = verify_integro_differential(vp, prof.cp_ball, 2, 2.0)
         bad = verify_integro_differential(vp, 1.1 * prof.cp_ball, 2, 2.0)
         assert bad > 10 * good
+
+    def test_step_profile_rejected(self):
+        vp = VolumeProfile(s=np.array([0.0, 1.0, 3.0]),
+                           values=np.array([2.0, 0.5]), step=True)
+        with pytest.raises(ValueError, match="verify_talenti"):
+            verify_integro_differential(vp, 1.0, 2, 2.0)
 
     def test_s_min_excluding_all_samples_rejected(self):
         prof = unit_ball_profile(2, 2.0)

@@ -2,7 +2,10 @@
 
 For random valid parameters and scales, each shape must round-trip
 through JSON, rasterize inside its bounding box, and rasterize to a node
-area within the boundary-layer bound of its exact area.
+area within the boundary-layer bound of its exact area.  On random
+ellipses, l-shapes and convex polygons the whole verify pipeline must
+pass, keep its rearrangement equimeasurable, keep |B*| within FK_TOL of
+|Omega|, obey the dilation law, and rerun byte-identically.
 """
 
 import json
@@ -12,10 +15,14 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from sobolev_lab import DomainSpec, build_grid  # noqa: E402
+from sobolev_lab import (DomainSpec, VerificationError, alpha, build_grid,  # noqa: E402
+                         equimeasurability_residual, minimize_quotient,
+                         verify_reverse_holder)
+from sobolev_lab.chiti import FK_TOL  # noqa: E402
 from sobolev_lab.core import _SHAPES  # noqa: E402
+from sobolev_lab.formats import report_to_json  # noqa: E402
 
 H = 1 / 16
 
@@ -66,3 +73,68 @@ def test_shape_invariants(shape, data):
     length = perimeter * scale
     bound = math.sqrt(2) * length * H + math.pi * H**2 / 2
     assert abs(grid.volume() - spec.area()) <= bound
+
+
+# Pipeline properties run at h = 1/32 on grids of at least MIN_NODES nodes.
+# |B*| <= |Omega|(1 + FK_TOL) is a rasterization allowance, and the disk,
+# where it is tightest, needs about 900 nodes at this h: its grid constant
+# puts |B*|/|Omega| near 1 + 1.4/sqrt(N), 1.051 at 793 nodes and 1.043 at
+# 969 (p = 2).  Coarser grids are the under-resolved side, pinned below.
+PIPELINE_H = 1 / 32
+MIN_NODES = 1000
+
+
+def _convex_polygon(weights, a, b):
+    """Vertices on the ellipse (a cos t, b sin t) at increasing angles: convex."""
+    theta = 2 * math.pi * np.cumsum(weights) / sum(weights)
+    return {"vertices": [[a * math.cos(t), b * math.sin(t)] for t in theta]}
+
+
+PIPELINE_SHAPES = {
+    "ellipse": st.builds(lambda a, b: {"a": a, "b": b},
+                         st.floats(0.4, 1.0), st.floats(0.4, 1.0)),
+    "l-shape": st.builds(lambda s, c: {"side": s, "notch": c},
+                         st.floats(1.0, 1.6), st.floats(0.1, 0.7)),
+    "polygon": st.integers(3, 8).flatmap(lambda k: st.builds(
+        _convex_polygon, st.lists(st.floats(0.5, 1.0), min_size=k, max_size=k),
+        st.floats(0.6, 1.2), st.floats(0.6, 1.2))),
+}
+
+
+def _verify(spec, p):
+    res = minimize_quotient(build_grid(spec, PIPELINE_H), p)
+    return res, verify_reverse_holder(res, [p, 2.0, 4.0])
+
+
+@pytest.mark.parametrize("shape", sorted(PIPELINE_SHAPES))
+@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@given(data=st.data())
+def test_pipeline_invariants(shape, data):
+    spec = DomainSpec(shape, data.draw(PIPELINE_SHAPES[shape]),
+                      data.draw(st.floats(0.8, 1.25)))
+    assume(np.count_nonzero(build_grid(spec, PIPELINE_H).mask) >= MIN_NODES)
+    doubled = DomainSpec(shape, spec.params, 2 * spec.scale)
+    for p in (1.0, 1.5, 2.0):
+        res, report = _verify(spec, p)
+        assert report.passed(), report.failed_gates()
+        u = res.field.values[res.field.mask]
+        for row in report.rows:
+            mass = float(np.sum(u**row.q)) * PIPELINE_H**2
+            assert equimeasurability_residual(res.field, row.q) <= 1e-12 * mass
+        assert report.bstar_volume <= report.omega_volume * (1 + FK_TOL)
+        # doubling the domain and h together gives the same lattice, scaled
+        big = minimize_quotient(build_grid(doubled, 2 * PIPELINE_H), p)
+        assert big.cp == pytest.approx(res.cp * 2.0 ** alpha(2, p), rel=1e-12, abs=0)
+        assert report_to_json(_verify(spec, p)[1]) == report_to_json(report)
+
+
+# rectangles of m x k interior nodes (side (m + 1/2) h): convex and under-resolved
+@pytest.mark.parametrize("nodes", [(1, 1), (2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_under_resolved_polygon_rejected(nodes, p):
+    w, t = ((m + 0.5) * PIPELINE_H for m in nodes)
+    spec = DomainSpec.polygon([[0, 0], [w, 0], [w, t], [0, t]])
+    assert np.count_nonzero(build_grid(spec, PIPELINE_H).mask) == nodes[0] * nodes[1]
+    with pytest.raises(VerificationError) as exc:
+        _verify(spec, p)
+    assert exc.value.stage == "comparison_ball"
