@@ -6,10 +6,11 @@ int |grad u|^2 / (int |u|^p)^(2/p) is driven down by the fixed-point
 iteration u <- normalize_p(laplace_solve(u^(p-1))), which is inverse power
 iteration at p = 2 and a single linear solve at p = 1.  Each linear solve
 is conjugate gradients preconditioned by a geometric multigrid V-cycle,
-built once per grid.  Both work matrix-free on full (ny, nx) arrays that
-are zero outside the mask, with numpy alone: every inner product is a
-pairwise np.sum, never a BLAS call, so results do not depend on the BLAS
-thread count.
+built once per grid, and only as accurate as the outer iteration needs
+(see minimize_quotient).  Both work matrix-free on full (ny, nx) arrays
+that are zero outside the mask, with numpy alone: every inner product is
+a pairwise np.sum, never a BLAS call, so results do not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ __all__ = [
 NODE_BUDGET = 4_000_000
 CG_RTOL = 1e-10
 CG_MAXITER = 50_000
+# forcing term of the inexact sweeps: a sweep's solve stops at
+# max(CG_RTOL, CG_FORCING * min(1, delta)), delta the quotient's last relative change
+CG_FORCING = 1e-4
 # multigrid preconditioner: levels coarsen until at most this many nodes (the
 # last level is inverted densely), damped Jacobi weight, and smoothing sweeps
 # on each side of the coarse solve
@@ -339,12 +343,12 @@ class _VCycle:
         return x
 
 
-def cg(A, b: np.ndarray, x0: np.ndarray | None, M):
+def cg(A, b: np.ndarray, x0: np.ndarray | None, M, rtol: float = CG_RTOL):
     """Preconditioned conjugate gradients on arrays; the one linear-solver call.
 
     A(x, out) applies the operator and M(r) the preconditioner.  Stops when
     the unpreconditioned residual ||b - A x|| (updated recursively) falls
-    below CG_RTOL ||b||, so the preconditioner changes the cost, not the
+    below rtol ||b||, so the preconditioner changes the cost, not the
     accuracy.  Returns the solution and its iteration count.  Inner
     products are np.sum of products, pairwise sums that do not go through
     BLAS, so x has the same bits at any BLAS thread count.
@@ -361,7 +365,7 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M):
     r = b - A(x, work) if x.any() else b.copy()
     q = np.empty_like(b)
     for it in range(CG_MAXITER):
-        if np.sqrt(dot(r, r)) < CG_RTOL * bnorm:
+        if np.sqrt(dot(r, r)) < rtol * bnorm:
             return x, it
         z = M(r)
         rho = dot(r, z)
@@ -377,7 +381,7 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M):
     r = b - A(x, q)
     res = np.sqrt(dot(r, r)) / max(bnorm, 1e-300)
     raise SolverError(
-        f"conjugate gradients did not reach rtol={CG_RTOL:g} in {CG_MAXITER} "
+        f"conjugate gradients did not reach rtol={rtol:g} in {CG_MAXITER} "
         f"iterations (relative residual {res:.3e})", trajectory=[res])
 
 
@@ -424,6 +428,13 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     Stops when the relative change of the quotient between sweeps falls
     below tol.  At p = 1 the right-hand side is constant, so the iteration
     lands after a single solve; at p = 2 this is inverse power iteration.
+
+    Each sweep's solve only feeds the next sweep, so it is inexact: CG
+    stops at rtol = max(CG_RTOL, CG_FORCING * min(1, delta)), delta the
+    previous sweep's relative change of the quotient (1 until two
+    quotients exist).  Near the stop rule delta is small and the solves
+    reach CG_RTOL again, so the sweep count and the returned field stay
+    those of exact solves.  At p = 1 every solve runs to CG_RTOL.
     """
     check_exponents(2, p, allow_supercritical=allow_supercritical)
     mask = grid.mask
@@ -434,10 +445,12 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     cp_prev = None
     trajectory = []
     x_prev = None
+    delta = 1.0
     for it in range(1, max_iter + 1):
         rhs = np.maximum(u, 0.0) ** (p - 1.0) * mask
+        rtol = CG_RTOL if p == 1.0 else max(CG_RTOL, CG_FORCING * min(1.0, delta))
         try:
-            x, _ = cg(M.fine.apply, rhs, x_prev, M)
+            x, _ = cg(M.fine.apply, rhs, x_prev, M, rtol)
         except SolverError as exc:
             raise SolverError(f"inner CG solve failed to converge at sweep {it}: {exc}",
                               trajectory=trajectory) from exc
@@ -446,10 +459,11 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
         out = GriddedField(grid.nx, grid.ny, grid.h, grid.origin, mask, u, grid.spec)
         cp_now = quotient(out, p)
         trajectory.append(cp_now)
-        if cp_prev is not None and abs(cp_now - cp_prev) <= tol * abs(cp_prev):
-            return SobolevResult(field=out, cp=cp_now, iterations=it,
-                                 residual=abs(cp_now - cp_prev) / abs(cp_prev), p=p,
-                                 trajectory=trajectory)
+        if cp_prev is not None:
+            delta = abs(cp_now - cp_prev) / abs(cp_prev)
+            if abs(cp_now - cp_prev) <= tol * abs(cp_prev):
+                return SobolevResult(field=out, cp=cp_now, iterations=it, residual=delta,
+                                     p=p, trajectory=trajectory)
         cp_prev = cp_now
     tail = ", ".join(f"{v:.10g}" for v in trajectory[-5:])
     raise SolverError(

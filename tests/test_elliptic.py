@@ -12,7 +12,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 import oracles
-from sobolev_lab import AdmissibilityError, DomainSpec, build_grid, minimize_quotient
+from sobolev_lab import (AdmissibilityError, DomainSpec, build_grid, minimize_quotient,
+                         verify_reverse_holder)
 from sobolev_lab import elliptic
 from sobolev_lab.core import GridError, SolverError
 from sobolev_lab.cli import main
@@ -89,15 +90,18 @@ def on_grid(grid, values):
 
 
 class CountingCG:
-    """Stand-in for elliptic.cg that counts calls and the CG iterations each returns."""
+    """Stand-in for elliptic.cg that records each call's rtol and the CG
+    iterations it returns."""
 
     def __init__(self, cg):
         self.cg = cg
         self.iterations = []
+        self.rtols = []
 
-    def __call__(self, *args, **kwargs):
-        x, iterations = self.cg(*args, **kwargs)
+    def __call__(self, A, b, x0, M, rtol=elliptic.CG_RTOL):
+        x, iterations = self.cg(A, b, x0, M, rtol)
         self.iterations.append(iterations)
+        self.rtols.append(rtol)
         return x, iterations
 
 
@@ -314,16 +318,58 @@ class TestMinimizeQuotient:
     def test_inner_cg_failure(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(elliptic, "CG_MAXITER", 1)
         grid = build_grid(DomainSpec.rectangle(1.0, 1.0), h=1.0 / 32)
-        with pytest.raises(SolverError, match="inner CG solve failed to converge at sweep 1"):
+        with pytest.raises(SolverError, match="inner CG solve failed to converge at sweep 1") as err:
             minimize_quotient(grid, 2.0)
+        # the first sweep's solve is a loose one, and the message says so
+        assert "did not reach rtol=0.0001 in 1 iterations" in str(err.value)
         assert main(["domain", "--spec", '{"shape": "disk", "radius": 1.0}', "-p", "1",
                      "--h", str(1.0 / 32), "--out", str(tmp_path)]) == 3
-        assert "conjugate gradients did not reach" in capsys.readouterr().err
+        assert "conjugate gradients did not reach rtol=1e-10" in capsys.readouterr().err
 
     def test_scaling_against_radial_disk(self):
         # staircase disk at h=1/64 should sit within O(h) of the radial value
         res = minimize_quotient(build_grid(DomainSpec.disk(1.0), h=1.0 / 64), 2.0)
         assert res.cp == pytest.approx(oracles.DISK_EIGENVALUE, rel=0.04)
+
+
+class TestInexactSweeps:
+    """Loose inner solves before convergence keep the outer path of exact ones
+    (CG_FORCING = 0 runs every solve to CG_RTOL)."""
+
+    @pytest.mark.parametrize("shape", ["disk", "ellipse", "lshape"])
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_same_path_as_exact_solves(self, monkeypatch, shape, p):
+        grid = build_grid(SHAPES[shape], 1.0 / 64)
+        loose = minimize_quotient(grid, p)
+        monkeypatch.setattr(elliptic, "CG_FORCING", 0.0)
+        exact = minimize_quotient(grid, p)
+        assert loose.iterations == exact.iterations
+        assert abs(loose.cp - exact.cp) <= 1e-12 * exact.cp
+        u, v = loose.field.values, exact.field.values
+        assert np.max(np.abs(u - v)) <= 1e-8 * np.max(np.abs(v))
+        for res in (loose, exact):
+            assert verify_reverse_holder(res, [p, 3.0, 4.0]).passed()
+
+    def test_fewer_cg_iterations(self, monkeypatch):
+        counting = CountingCG(elliptic.cg)
+        monkeypatch.setattr(elliptic, "cg", counting)
+        res = minimize_quotient(build_grid(SHAPES["disk"], 1.0 / 64), 2.0)
+        assert len(counting.iterations) == res.iterations
+        # 45 iterations with every solve at CG_RTOL
+        assert sum(counting.iterations) <= 35
+        assert counting.rtols[0] == elliptic.CG_FORCING
+        assert counting.rtols[-1] == elliptic.CG_RTOL
+
+    def test_p1_solves_exactly(self, monkeypatch):
+        grid = build_grid(SHAPES["disk"], 1.0 / 64)
+        counting = CountingCG(elliptic.cg)
+        monkeypatch.setattr(elliptic, "cg", counting)
+        res = minimize_quotient(grid, 1.0)
+        assert counting.rtols == [elliptic.CG_RTOL] * res.iterations
+        monkeypatch.setattr(elliptic, "CG_FORCING", 0.0)
+        exact = minimize_quotient(grid, 1.0)
+        assert res.cp == exact.cp
+        assert np.array_equal(res.field.values, exact.field.values)
 
 
 class TestNumpyOnlyRuntime:
