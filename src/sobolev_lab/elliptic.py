@@ -15,7 +15,7 @@ BLAS thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -426,25 +426,32 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     """Drive the quotient to its minimum over the masked grid.
 
     Stops when the relative change of the quotient between sweeps falls
-    below tol.  At p = 1 the right-hand side is constant, so the iteration
-    lands after a single solve; at p = 2 this is inverse power iteration.
+    below tol.  At p = 1 the right-hand side is constant, so the first
+    solve, run to CG_RTOL, is the answer: one sweep, residual 0.
+
+    For p > 1 each sweep is mixed with the one before (depth-1 Anderson
+    acceleration): with g_k the sweep's field and f_k = g_k - u_k, the
+    candidate is normalize_p(g_k - gamma (g_k - g_{k-1})), gamma minimizing
+    ||f_k - gamma (f_k - f_{k-1})||.  It replaces g_k only if its quotient
+    is no larger; otherwise the sweep keeps g_k and the next does not mix.
 
     Each sweep's solve only feeds the next sweep, so it is inexact: CG
     stops at rtol = max(CG_RTOL, CG_FORCING * min(1, delta)), delta the
     previous sweep's relative change of the quotient (1 until two
     quotients exist).  Near the stop rule delta is small and the solves
-    reach CG_RTOL again, so the sweep count and the returned field stay
-    those of exact solves.  At p = 1 every solve runs to CG_RTOL.
+    reach CG_RTOL again, so the path is that of exact solves.
     """
     check_exponents(2, p, allow_supercritical=allow_supercritical)
     mask = grid.mask
     M = _VCycle(mask, grid.h)
     h2 = grid.h**2
 
+    def lp_scale(v):
+        return (np.sum(np.maximum(v, 0.0) ** p) * h2) ** (1.0 / p)
+
     u = mask / (np.count_nonzero(mask) * h2) ** (1.0 / p)
-    cp_prev = None
+    cp_prev = x_prev = f_prev = None
     trajectory = []
-    x_prev = None
     delta = 1.0
     for it in range(1, max_iter + 1):
         rhs = np.maximum(u, 0.0) ** (p - 1.0) * mask
@@ -454,10 +461,32 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
         except SolverError as exc:
             raise SolverError(f"inner CG solve failed to converge at sweep {it}: {exc}",
                               trajectory=trajectory) from exc
-        x_prev = x
-        u = x / (np.sum(np.maximum(x, 0.0) ** p) * h2) ** (1.0 / p)
-        out = GriddedField(grid.nx, grid.ny, grid.h, grid.origin, mask, u, grid.spec)
+        scale = lp_scale(x)
+        out = GriddedField(grid.nx, grid.ny, grid.h, grid.origin, mask, x / scale, grid.spec)
         cp_now = quotient(out, p)
+        if p == 1.0:
+            return SobolevResult(field=out, cp=cp_now, iterations=1, residual=0.0, p=p,
+                                 trajectory=[cp_now])
+        # f_k in u's buffer; f_k - f_{k-1}, then the candidate, in f_prev's; rhs as scratch
+        g = out.values
+        f = np.subtract(g, u, out=u)
+        u = g
+        if f_prev is not None:
+            w = np.subtract(f, f_prev, out=f_prev)
+            dd = float(np.sum(np.multiply(w, w, out=rhs)))
+            if dd > 0.0:
+                gamma = float(np.sum(np.multiply(f, w, out=rhs))) / dd
+                np.subtract(g, np.divide(x_prev, s_prev, out=w), out=w)
+                np.subtract(g, np.multiply(w, gamma, out=w), out=w)
+                w /= lp_scale(w)
+                mixed = replace(out, values=w)
+                cp_mixed = quotient(mixed, p)
+                if cp_mixed <= cp_now:
+                    u, out, cp_now = w, mixed, cp_mixed
+                else:
+                    f = None
+        f_prev, x_prev, s_prev = f, x, scale
+        g = w = mixed = None  # only u, f_prev and x_prev live through the next solve
         trajectory.append(cp_now)
         if cp_prev is not None:
             delta = abs(cp_now - cp_prev) / abs(cp_prev)

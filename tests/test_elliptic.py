@@ -372,6 +372,76 @@ class TestInexactSweeps:
         assert np.array_equal(res.field.values, exact.field.values)
 
 
+class TestAndersonSweeps:
+    """Each sweep at p > 1 mixes its field with the previous sweep's and keeps
+    the mix only if the quotient does not rise; p = 1 is a single solve."""
+
+    @pytest.mark.parametrize("shape,most", [("disk", 5), ("lshape", 9)])
+    def test_fewer_sweeps(self, shape, most):
+        # 7 and 13 sweeps without mixing
+        res = minimize_quotient(build_grid(SHAPES[shape], 1.0 / 64), 2.0)
+        assert res.iterations <= most
+
+    @pytest.mark.parametrize("spec", [SHAPES["disk"], SHAPES["ellipse"], SHAPES["lshape"],
+                                      SHAPES["polygon"], DomainSpec.rectangle(1.0, 1.0)])
+    @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 64])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8, 2.0])
+    def test_trajectory_non_increasing(self, spec, h, p):
+        t = minimize_quotient(build_grid(spec, h), p).trajectory
+        assert all(b <= a for a, b in zip(t, t[1:]))
+
+    def test_square_discrete_eigenvalue(self):
+        # 1.5e-10 off without mixing
+        h = 1.0 / 32
+        res = minimize_quotient(build_grid(DomainSpec.rectangle(1.0, 1.0), h=h), 2.0)
+        assert res.cp == pytest.approx(oracles.square_discrete_eigenvalue(h), rel=1e-10)
+
+    def test_rejected_mix_keeps_the_plain_step(self, monkeypatch):
+        grid = build_grid(SHAPES["lshape"], 1.0 / 32)
+        cg = elliptic.cg
+        sweeps = []  # the quotients each sweep evaluates: its plain step, then any mix
+
+        def logging_cg(*args):
+            sweeps.append([])
+            return cg(*args)
+
+        def logging_quotient(fld, p):
+            sweeps[-1].append(quotient(fld, p))
+            return sweeps[-1][-1]
+
+        monkeypatch.setattr(elliptic, "cg", logging_cg)
+        monkeypatch.setattr(elliptic, "quotient", logging_quotient)
+        res = minimize_quotient(grid, 2.0)
+        assert len(sweeps) == res.iterations
+        rejected = [k for k, q in enumerate(sweeps) if len(q) == 2 and q[1] > q[0]]
+        assert rejected and rejected[0] < res.iterations - 1
+        for k in rejected:
+            assert res.trajectory[k] == sweeps[k][0]
+            if k + 1 < res.iterations:
+                assert len(sweeps[k + 1]) == 1  # the history is dropped
+        assert np.all(res.field.values[grid.mask] > 0)
+
+        def rejecting_quotient(fld, p):
+            sweeps[-1].append(math.inf if sweeps[-1] else quotient(fld, p))
+            return sweeps[-1][-1]
+
+        # every mix reads as worse, so every sweep keeps its plain step
+        monkeypatch.setattr(elliptic, "quotient", rejecting_quotient)
+        plain = minimize_quotient(grid, 2.0)
+        assert plain.iterations > res.iterations
+        assert abs(res.cp - plain.cp) <= 1e-8 * plain.cp
+
+    def test_p1_returns_after_one_solve(self, monkeypatch, tmp_path, capsys):
+        counting = CountingCG(elliptic.cg)
+        monkeypatch.setattr(elliptic, "cg", counting)
+        res = minimize_quotient(build_grid(SHAPES["disk"], 1.0 / 32), 1.0)
+        assert (res.iterations, res.residual, len(counting.rtols)) == (1, 0.0, 1)
+        assert res.trajectory == [res.cp]
+        assert main(["domain", "--spec", '{"shape": "disk", "radius": 1.0}', "-p", "1",
+                     "--h", str(1.0 / 32), "--out", str(tmp_path)]) == 0
+        assert "iterations = 1   residual = 0.000e+00" in capsys.readouterr().out
+
+
 class TestNumpyOnlyRuntime:
     def test_import_leaves_scipy_out(self):
         code = ("import sys, sobolev_lab.cli; "
