@@ -18,7 +18,7 @@ import numpy as np
 from .core import (AdmissibilityError, CrossingError, VerificationError, alpha,
                    check_exponents, unit_ball_volume)
 from .elliptic import SobolevResult
-from .radial import VolumeProfile, unit_ball_profile, volume_profile
+from .radial import VolumeProfile, unit_ball_profile
 from .rearrange import decreasing_rearrangement
 
 __all__ = [
@@ -50,7 +50,7 @@ class ComparisonBall:
     cp: float
     rho: float
     bstar_volume: float
-    phi_star: VolumeProfile         # zero-extended to the domain volume
+    phi_star: VolumeProfile         # sampled at the given volume nodes, 0 past |B*|
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,40 +65,36 @@ class CrossingAnalysis:
     identical: bool = False
 
 
-def comparison_ball(cp_omega: float, n: int, p: float, total_volume: float) -> ComparisonBall:
+def comparison_ball(cp_omega: float, n: int, p: float, s) -> ComparisonBall:
     """Build B* with C_p(B*) = cp_omega via the dilation law rho = (cp/cp_B)^(1/alpha).
 
-    The profile phi* is extended by zero up to total_volume.  |B*| may not
-    exceed the domain volume beyond rasterization slack (FK_TOL), since a
-    larger comparison ball would contradict the isoperimetric ordering of
-    the constants.
+    phi* is sampled from the ball extremal's dense output at the increasing
+    volume nodes s from 0 to |Omega| (the domain profile's own nodes), at
+    radius r = (s/|B*|)^(1/n) clipped to [0, 1], and is 0 past |B*|.
+    |B*| may not exceed |Omega| = s[-1] beyond rasterization slack
+    (FK_TOL), since a larger comparison ball would contradict the
+    isoperimetric ordering of the constants.
     """
-    if cp_omega <= 0 or total_volume <= 0:
-        raise ValueError("cp_omega and total_volume must be positive")
+    s = np.asarray(s, dtype=float)
+    if cp_omega <= 0 or s[-1] <= 0:
+        raise ValueError("cp_omega and the volume nodes must be positive")
     prof = unit_ball_profile(n, p)
     rho = (cp_omega / prof.cp_ball) ** (1.0 / alpha(n, p))
     bvol = unit_ball_volume(n) * rho**n
-    if bvol > total_volume * (1.0 + FK_TOL):
+    if bvol > s[-1] * (1.0 + FK_TOL):
         raise VerificationError(
             f"comparison ball volume {bvol:.6g} exceeds the domain volume "
-            f"{total_volume:.6g}: the constant is below the ball value, which "
+            f"{s[-1]:.6g}: the constant is below the ball value, which "
             f"violates the isoperimetric ordering", stage="comparison_ball")
-    vp = volume_profile(prof, radius=rho)
-    if bvol < total_volume:
-        s = np.append(vp.s, total_volume)
-        vals = np.append(vp.values, 0.0)
-    else:
-        keep = vp.s < total_volume
-        s = np.append(vp.s[keep], total_volume)
-        vals = np.append(vp.values[keep], max(float(vp.evaluate(total_volume)), 0.0))
-    phi_star = VolumeProfile(s=s, values=vals, total_volume=float(total_volume), step=False)
+    r = np.clip((s / bvol) ** (1.0 / n), 0.0, 1.0)  # (s/omega_n)^(1/n)/rho
+    vals = np.where(s < bvol, rho ** (-n / p) * prof.phi(r), 0.0)
     return ComparisonBall(n=n, p=p, cp=cp_omega, rho=rho, bstar_volume=bvol,
-                          phi_star=phi_star)
+                          phi_star=VolumeProfile(s=s, values=vals, step=False))
 
 
 def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall,
                       band: float | None = None) -> CrossingAnalysis:
-    """Locate the single crossing of D = phi* - u* on the common volume grid.
+    """Locate the single crossing of D = phi* - u* on u*'s volume nodes.
 
     Values of |D| below the noise band are treated as zero.  The band
     defaults to three times the largest increment of D between adjacent
@@ -108,12 +104,12 @@ def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall,
     discretization noise floor without looking at D's magnitude itself.
     max |D| < band over the whole interval reports identical profiles
     (the ball equality case) rather than an error; any other sign pattern
-    than one downward crossing raises a CrossingError carrying D.
+    than one downward crossing raises a CrossingError carrying D.  A step
+    u* reads its last cell value again at its end node, as evaluate does.
     """
-    total = min(u_star.total_volume, ball.phi_star.total_volume)
-    nodes = np.union1d(u_star.s, ball.phi_star.s)
-    nodes = nodes[nodes <= total]
-    D = ball.phi_star.evaluate(nodes) - u_star.evaluate(nodes)
+    nodes = u_star.s
+    u_nodes = np.append(u_star.values, u_star.values[-1]) if u_star.step else u_star.values
+    D = ball.phi_star.evaluate(nodes) - u_nodes
     if band is None:
         band = 3.0 * float(np.max(np.abs(np.diff(D)))) if D.size > 1 else 0.0
     if float(np.max(np.abs(D))) <= band:
@@ -167,22 +163,19 @@ def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall,
 
 def dominance_check(u_star: VolumeProfile, ball: ComparisonBall, p: float,
                     norm_tol: float = 1e-4) -> float:
-    """min over s of I(s) = int_0^s (phi*)^p - int_0^s (u*)^p.
+    """min over u*'s volume nodes s of I(s) = int_0^s (phi*)^p - int_0^s (u*)^p.
 
     Both profiles must carry the unit L^p normalization (checked to
     norm_tol); the single-crossing structure forces I >= 0 up to
     discretization, with I(0) = I(|Omega|) = 0.
     """
-    total = u_star.total_volume
     for name, prof in (("domain", u_star), ("ball", ball.phi_star)):
         mass = prof.power_integral(p)
         if abs(mass - 1.0) > norm_tol:
             raise VerificationError(
                 f"{name} profile has L^p mass {mass:.8f}, expected 1 within {norm_tol:g}",
                 stage="dominance")
-    nodes = np.union1d(u_star.s, ball.phi_star.s)
-    nodes = nodes[nodes <= total]
-    I = ball.phi_star.cumulative_at(nodes, p) - u_star.cumulative_at(nodes, p)
+    I = ball.phi_star.cumulative_at(u_star.s, p) - u_star.cumulative_at(u_star.s, p)
     return float(np.min(I))
 
 
@@ -303,7 +296,7 @@ def verify_reverse_holder(result: SobolevResult, q_list,
     fld = result.field
     h = fld.h
     u_star = decreasing_rearrangement(fld)
-    ball = comparison_ball(result.cp, 2, p, total_volume=u_star.total_volume)
+    ball = comparison_ball(result.cp, 2, p, u_star.s)
     crossing = crossing_analysis(u_star, ball, band=band)
     tau_I = DOMINANCE_FACTOR * h
     # the mass gate tracks the stage budget: a truncated ball profile

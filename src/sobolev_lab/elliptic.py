@@ -478,6 +478,7 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
                 gamma = float(np.sum(np.multiply(f, w, out=rhs))) / dd
                 np.subtract(g, np.divide(x_prev, s_prev, out=w), out=w)
                 np.subtract(g, np.multiply(w, gamma, out=w), out=w)
+                np.maximum(w, 0.0, out=w)
                 w /= lp_scale(w)
                 mixed = replace(out, values=w)
                 cp_mixed = quotient(mixed, p)

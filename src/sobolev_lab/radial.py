@@ -33,13 +33,16 @@ __all__ = [
 SERIES_RADIUS = 1e-6   # series start; avoids the (n-1)/r singularity at r = 0
 ZERO_TOL = 1e-12       # bisection width for the first zero
 DEFAULT_GRID = 2049    # stored profile samples
-QUAD_GRID = 65537      # dense-output grid for normalization quadrature
 R_MAX = 100.0          # end of the shooting interval
 
 
-def _ball_integral(n: int, r: np.ndarray, y: np.ndarray, power: float) -> float:
-    """n * omega_n * int y^power r^(n-1) dr for a radial profile y sampled on r."""
-    return n * unit_ball_volume(n) * float(np.trapezoid(y**power * r ** (n - 1), r))
+def _gauss_legendre(n: int, f: Callable, knots: np.ndarray, power: float) -> float:
+    """n * omega_n * int max(f, 0)^power r^(n-1) dr, 8-point Gauss-Legendre per knot piece."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    half = 0.5 * np.diff(knots)[:, None]
+    r = knots[:-1, None] + half * (1.0 + x)
+    y = np.clip(f(r.ravel()), 0.0, None).reshape(r.shape)
+    return n * unit_ball_volume(n) * float(np.sum(half * w * y**power * r ** (n - 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,13 +51,15 @@ class RawShot:
 
     y is strictly decreasing on [0, R0]; `dense` evaluates y anywhere on
     that interval (series below SERIES_RADIUS, the stepper's quintic
-    Hermite interpolant above).
+    Hermite interpolant above).  `nodes` are the accepted step ends, the
+    last one the first at or past R0.
     """
 
     n: int
     p: float
     R0: float
     dense: Callable[[np.ndarray], np.ndarray]
+    nodes: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,24 +73,16 @@ class RadialProfile:
     Lambda: float
     cp_ball: float
     phi: Callable[[np.ndarray], np.ndarray]
-
-    @functools.cached_property
-    def _quad_samples(self) -> np.ndarray:
-        r = np.linspace(0.0, self.r[-1], QUAD_GRID)
-        return np.clip(self.phi(r), 0.0, None)
+    knots: np.ndarray  # quadrature pieces: the shot's steps, rescaled to [0, radius]
 
     @functools.cached_property
     def _lp_norms(self) -> dict[float, float]:
         return {}
 
     def lp_norm(self, q: float) -> float:
-        """||phi||_Lq on the profile's ball by fine radial quadrature.
-
-        phi is sampled once per profile and each q's norm is computed once.
-        """
+        """||phi||_Lq on the profile's ball, Gauss-Legendre on the knots; memoized per q."""
         if q not in self._lp_norms:
-            r = np.linspace(0.0, self.r[-1], QUAD_GRID)
-            self._lp_norms[q] = _ball_integral(self.n, r, self._quad_samples, q) ** (1.0 / q)
+            self._lp_norms[q] = _gauss_legendre(self.n, self.phi, self.knots, q) ** (1.0 / q)
         return self._lp_norms[q]
 
 
@@ -219,9 +216,10 @@ def _quintic_hermite(r, y, dy, d2y):
     def evaluate(x):
         i = np.clip(np.searchsorted(r, x, side="right") - 1, 0, h.size - 1)
         t = (x - r[i]) / h[i]
-        out = coef[5, i]
+        out = coef[5][i]  # 1-D gathers: several times faster than coef[k, i]
         for k in (4, 3, 2, 1, 0):
-            out = out * t + coef[k, i]
+            out *= t
+            out += coef[k][i]
         return out
 
     return evaluate
@@ -262,7 +260,7 @@ def shoot(n: int, p: float, tol: float = 1e-12, allow_supercritical: bool = Fals
             lo = mid
         else:
             hi = mid
-    return RawShot(n=n, p=p, R0=0.5 * (lo + hi), dense=y_of)
+    return RawShot(n=n, p=p, R0=0.5 * (lo + hi), dense=y_of, nodes=rs)
 
 
 def normalize_to_unit_ball(shot: RawShot, radius: float = 1.0) -> RadialProfile:
@@ -270,13 +268,17 @@ def normalize_to_unit_ball(shot: RawShot, radius: float = 1.0) -> RadialProfile:
 
     phi(r) = A y(R0 r / radius) with A = (1/I_radius)^(1/p), where
     I_radius = (radius/R0)^n * n omega_n int_0^R0 y^p t^(n-1) dt, and
-    Lambda = (R0/radius)^2 A^(2-p).
+    Lambda = (R0/radius)^2 A^(2-p).  The integral takes 8-point
+    Gauss-Legendre on each accepted step below R0; the step holding R0 is
+    cut there and halved 10 times toward it, since y^p has a (R0 - t)^p
+    endpoint at non-integer p.  lp_norm integrates on the same pieces.
     """
     if not (radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
     n, p, R0 = shot.n, shot.p, shot.R0
-    t = np.linspace(0.0, R0, QUAD_GRID)
-    I1 = _ball_integral(n, t, np.clip(shot.dense(t), 0.0, None), p)
+    below = shot.nodes[shot.nodes < R0]
+    knots = np.concatenate(([0.0], below, R0 - (R0 - below[-1]) * 0.5 ** np.arange(1, 11), [R0]))
+    I1 = _gauss_legendre(n, shot.dense, knots, p)
     I_r = (radius / R0) ** n * I1
     A = float(I_r ** (-1.0 / p))
     Lambda = float((R0 / radius) ** 2 * A ** (2.0 - p))
@@ -287,7 +289,7 @@ def normalize_to_unit_ball(shot: RawShot, radius: float = 1.0) -> RadialProfile:
 
     r_grid = np.linspace(0.0, 1.0, DEFAULT_GRID) * radius
     return RadialProfile(n=n, p=p, r=r_grid, phi_samples=phi(r_grid),
-                         Lambda=Lambda, cp_ball=Lambda, phi=phi)
+                         Lambda=Lambda, cp_ball=Lambda, phi=phi, knots=knots * (radius / R0))
 
 
 @functools.lru_cache(maxsize=64)

@@ -74,7 +74,8 @@ def dop853_ball_shot(n: int, p: float):
 
     scipy's solve_ivp at rtol 1e-12 from the series start
     y = 1 - r^2/(2n) at r = start, stopped by a terminal zero event.
-    Returns (R0, y_of) with y_of taking arrays (the series below start).
+    Returns (R0, y_of, nodes) with y_of taking arrays (the series below
+    start) and nodes the accepted step ends, the last one at R0.
     """
     from scipy.integrate import solve_ivp  # the package itself must not need it
 
@@ -96,7 +97,7 @@ def dop853_ball_shot(n: int, p: float):
         r = np.asarray(r, dtype=float)
         return np.where(r < start, 1.0 - r**2 / (2.0 * n), sol.sol(np.maximum(r, start))[0])
 
-    return float(sol.t_events[0][0]), y_of
+    return float(sol.t_events[0][0]), y_of, sol.t
 
 
 def k_constant_25(factor: float) -> float:

@@ -108,7 +108,7 @@ def test_criterion_04_disk_cross_pipeline(solve):
         report = verify_reverse_holder(res, [p, 2.0 * p])
         all_equal = all_equal and report.equality_case
         u_star = decreasing_rearrangement(res.field)
-        ball = comparison_ball(res.cp, 2, p, total_volume=u_star.total_volume)
+        ball = comparison_ball(res.cp, 2, p, u_star.s)
         max_d = float(np.max(np.abs(report.crossing.difference)))
         worst_shape = max(worst_shape, max_d / float(ball.phi_star.values[0]))
         worst_margin = max(worst_margin,

@@ -26,7 +26,7 @@ def synthetic_ball(phi: VolumeProfile) -> ComparisonBall:
 class TestComparisonBall:
     def test_unit_ball_is_its_own_comparison(self):
         cp1 = oracles.torsion_cp(2)
-        ball = comparison_ball(cp1, n=2, p=1.0, total_volume=math.pi)
+        ball = comparison_ball(cp1, n=2, p=1.0, s=np.linspace(0.0, math.pi, 257))
         assert abs(ball.rho - 1.0) < 1e-10
         assert abs(ball.bstar_volume - math.pi) < 1e-9
         assert ball.phi_star.total_volume == math.pi
@@ -35,23 +35,28 @@ class TestComparisonBall:
         # doubling the radius scales the constant by 2^alpha
         cp1 = oracles.torsion_cp(2)
         a = alpha(2, 1.0)
-        ball = comparison_ball(cp1 * 2.0**a, n=2, p=1.0,
-                               total_volume=8.0 * math.pi)
-        assert abs(ball.rho - 2.0) < 1e-9
+        s = np.linspace(0.0, 8.0 * math.pi, 257)
+        ball = comparison_ball(cp1 * 2.0**a, n=2, p=1.0, s=s)
+        rho = ball.rho
+        assert abs(rho - 2.0) < 1e-9
         assert abs(ball.bstar_volume - 4.0 * math.pi) < 1e-8
+        # phi* is read off the dense output at the given nodes, 0 past |B*|
+        np.testing.assert_array_equal(ball.phi_star.s, s)
+        expected = rho**-2 * oracles.disk_p1_volume_profile(s / rho**2)
+        assert np.max(np.abs(ball.phi_star.values - expected)) < 1e-12
 
     def test_oversized_ball_rejected(self):
         # constant below the ball value forces |B*| > |Omega|
         cp1 = oracles.torsion_cp(2)
         with pytest.raises(VerificationError, match="isoperimetric") as exc:
-            comparison_ball(cp1, n=2, p=1.0, total_volume=1.0)
+            comparison_ball(cp1, n=2, p=1.0, s=np.linspace(0.0, 1.0, 5))
         assert exc.value.stage == "comparison_ball"
 
     def test_truncation_within_slack(self):
         # |B*| exceeding |Omega| by less than fk_tol truncates the profile
         cp1 = oracles.torsion_cp(2)
         total = 0.97 * math.pi
-        ball = comparison_ball(cp1, n=2, p=1.0, total_volume=total)
+        ball = comparison_ball(cp1, n=2, p=1.0, s=np.linspace(0.0, total, 129))
         assert ball.bstar_volume > total
         assert ball.phi_star.s[-1] == total
         assert ball.phi_star.values[-1] >= 0.0
@@ -59,18 +64,18 @@ class TestComparisonBall:
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            comparison_ball(0.0, n=2, p=1.0, total_volume=1.0)
+            comparison_ball(0.0, n=2, p=1.0, s=np.linspace(0.0, 1.0, 5))
         with pytest.raises(ValueError):
-            comparison_ball(1.0, n=2, p=1.0, total_volume=-1.0)
+            comparison_ball(1.0, n=2, p=1.0, s=np.array([0.0, -1.0]))
 
 
 class TestCrossingAnalysis:
     def test_square_crosses_once(self, solve):
         res = solve("square", 2.0)
         u_star = decreasing_rearrangement(res.field)
-        ball = comparison_ball(res.cp, n=2, p=2.0,
-                               total_volume=u_star.total_volume)
+        ball = comparison_ball(res.cp, n=2, p=2.0, s=u_star.s)
         cross = crossing_analysis(u_star, ball)
+        np.testing.assert_array_equal(cross.s, u_star.s)
         assert not cross.identical
         assert cross.crossing_count == 1
         assert 0.0 < cross.s1 < ball.bstar_volume
@@ -78,8 +83,7 @@ class TestCrossingAnalysis:
     def test_disk_reports_identical(self, solve):
         res = solve("disk", 2.0)
         u_star = decreasing_rearrangement(res.field)
-        ball = comparison_ball(res.cp, n=2, p=2.0,
-                               total_volume=u_star.total_volume)
+        ball = comparison_ball(res.cp, n=2, p=2.0, s=u_star.s)
         cross = crossing_analysis(u_star, ball)
         assert cross.identical
         assert cross.crossing_count == 0
@@ -149,8 +153,7 @@ class TestDominance:
     def test_square_extremal_dominated(self, solve):
         res = solve("square", 1.0)
         u_star = decreasing_rearrangement(res.field)
-        ball = comparison_ball(res.cp, n=2, p=1.0,
-                               total_volume=u_star.total_volume)
+        ball = comparison_ball(res.cp, n=2, p=1.0, s=u_star.s)
         h = res.field.h
         assert dominance_check(u_star, ball, p=1.0, norm_tol=5 * h) >= -5 * h
 

@@ -51,14 +51,14 @@ class TestShoot:
     @pytest.mark.parametrize("n,p", SHOOT_CASES)
     def test_matches_scipy_dop853(self, n, p):
         shot = shoot(n, p, allow_supercritical=True)
-        R0, y_of = oracles.dop853_ball_shot(n, p)
+        R0, y_of, nodes = oracles.dop853_ball_shot(n, p)
         assert shot.R0 == pytest.approx(R0, rel=1e-10)
-        ref = normalize_to_unit_ball(RawShot(n=n, p=p, R0=R0, dense=y_of))
+        ref = normalize_to_unit_ball(RawShot(n=n, p=p, R0=R0, dense=y_of, nodes=nodes))
         assert normalize_to_unit_ball(shot).Lambda == pytest.approx(ref.Lambda, rel=1e-10)
 
     def test_dense_interpolates_between_steps(self):
         shot = shoot(3, 1.5)
-        R0, y_of = oracles.dop853_ball_shot(3, 1.5)
+        R0, y_of, _ = oracles.dop853_ball_shot(3, 1.5)
         r = np.linspace(0.0, min(shot.R0, R0), 10007)
         assert np.max(np.abs(shot.dense(r) - y_of(r))) < 1e-10
 
@@ -92,7 +92,8 @@ class TestUnitBallProfile:
         (3, 1.0, 3.5809862195676456),     # n(n+2)/omega_n
     ])
     def test_cp_oracles(self, n, p, expected):
-        assert cp_unit_ball(n, p) == pytest.approx(expected, rel=1e-8)
+        rel = 1e-13 if (n, p) == (2, 1.0) else 1e-12
+        assert cp_unit_ball(n, p) == pytest.approx(expected, rel=rel)
 
     def test_strictly_decreasing(self):
         prof = unit_ball_profile(2, 1.5)
@@ -122,8 +123,8 @@ class TestUnitBallProfile:
     def test_lp_norm_computed_once_per_q(self, monkeypatch):
         prof = normalize_to_unit_ball(shoot(2, 1.5))
         calls = []
-        quadrature = radial._ball_integral
-        monkeypatch.setattr(radial, "_ball_integral",
+        quadrature = radial._gauss_legendre
+        monkeypatch.setattr(radial, "_gauss_legendre",
                             lambda *args: calls.append(args) or quadrature(*args))
         first = [prof.lp_norm(q) for q in (1.5, 3.0, 4.0)]
         assert [prof.lp_norm(q) for q in (4.0, 3.0, 1.5)] == first[::-1]
@@ -160,7 +161,7 @@ class TestVolumeProfile:
     def test_disk_p1_closed_form(self):
         vp = volume_profile(unit_ball_profile(2, 1.0))
         expected = oracles.disk_p1_volume_profile(vp.s)
-        assert np.max(np.abs(vp.values - expected)) < 1e-9
+        assert np.max(np.abs(vp.values - expected)) < 2e-14
 
     def test_scaled_ball(self):
         prof = unit_ball_profile(2, 1.0)
