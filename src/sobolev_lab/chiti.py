@@ -18,7 +18,7 @@ import numpy as np
 from .core import (AdmissibilityError, CrossingError, VerificationError, alpha,
                    check_exponents, unit_ball_volume)
 from .elliptic import SobolevResult
-from .radial import VolumeProfile, unit_ball_profile
+from .radial import VolumeProfile, unit_ball_profile, volume_profile
 from .rearrange import decreasing_rearrangement
 
 __all__ = [
@@ -45,9 +45,6 @@ DOMINANCE_FACTOR = 5.0 # tau_I = 5 h, calibrated on the disk self-test
 class ComparisonBall:
     """Ball B* with the same constant as the domain under comparison."""
 
-    n: int
-    p: float
-    cp: float
     rho: float
     bstar_volume: float
     phi_star: VolumeProfile         # sampled at the given volume nodes, 0 past |B*|
@@ -68,9 +65,8 @@ class CrossingAnalysis:
 def comparison_ball(cp_omega: float, n: int, p: float, s) -> ComparisonBall:
     """Build B* with C_p(B*) = cp_omega via the dilation law rho = (cp/cp_B)^(1/alpha).
 
-    phi* is sampled from the ball extremal's dense output at the increasing
-    volume nodes s from 0 to |Omega| (the domain profile's own nodes), at
-    radius r = (s/|B*|)^(1/n) clipped to [0, 1], and is 0 past |B*|.
+    phi* is radial.volume_profile of the ball extremal at the increasing
+    volume nodes s from 0 to |Omega| (the domain profile's own nodes).
     |B*| may not exceed |Omega| = s[-1] beyond rasterization slack
     (FK_TOL), since a larger comparison ball would contradict the
     isoperimetric ordering of the constants.
@@ -86,19 +82,22 @@ def comparison_ball(cp_omega: float, n: int, p: float, s) -> ComparisonBall:
             f"comparison ball volume {bvol:.6g} exceeds the domain volume "
             f"{s[-1]:.6g}: the constant is below the ball value, which "
             f"violates the isoperimetric ordering", stage="comparison_ball")
-    r = np.clip((s / bvol) ** (1.0 / n), 0.0, 1.0)  # (s/omega_n)^(1/n)/rho
-    vals = np.where(s < bvol, rho ** (-n / p) * prof.phi(r), 0.0)
-    return ComparisonBall(n=n, p=p, cp=cp_omega, rho=rho, bstar_volume=bvol,
-                          phi_star=VolumeProfile(s=s, values=vals, step=False))
+    return ComparisonBall(rho=rho, bstar_volume=bvol,
+                          phi_star=volume_profile(prof, s, radius=rho))
+
+
+def _check_nodes(u_star: VolumeProfile, ball: ComparisonBall) -> None:
+    if not np.array_equal(ball.phi_star.s, u_star.s):
+        raise ValueError("phi* is not sampled at u*'s volume nodes")
 
 
 def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall,
                       band: float | None = None) -> CrossingAnalysis:
     """Locate the single crossing of D = phi* - u* on u*'s volume nodes.
 
-    Values of |D| below the noise band are treated as zero.  The band
-    defaults to three times the largest increment of D between adjacent
-    grid nodes: a genuine profile difference varies smoothly in s while
+    phi* must be sampled there (ValueError otherwise).  Values of |D|
+    below the noise band are treated as zero.  The band defaults to three
+    times the largest increment of D between adjacent grid nodes: a genuine profile difference varies smoothly in s while
     the staircase rearrangement jumps by O(h) wherever a level set sweeps
     a whole lattice row, so the worst single-node jump measures the
     discretization noise floor without looking at D's magnitude itself.
@@ -107,11 +106,12 @@ def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall,
     than one downward crossing raises a CrossingError carrying D.  A step
     u* reads its last cell value again at its end node, as evaluate does.
     """
+    _check_nodes(u_star, ball)
     nodes = u_star.s
     u_nodes = np.append(u_star.values, u_star.values[-1]) if u_star.step else u_star.values
-    D = ball.phi_star.evaluate(nodes) - u_nodes
+    D = ball.phi_star.values - u_nodes
     if band is None:
-        band = 3.0 * float(np.max(np.abs(np.diff(D)))) if D.size > 1 else 0.0
+        band = 3.0 * float(np.max(np.abs(np.diff(D))))
     if float(np.max(np.abs(D))) <= band:
         return CrossingAnalysis(s1=math.nan, crossing_count=0, band=band,
                                 s=nodes, difference=D, identical=True)
@@ -146,7 +146,6 @@ def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall,
             raise CrossingError("no non-negative prefix before the downward crossing",
                                 s=nodes, difference=D)
         i_last_pos = int(nonneg_prefix[-1])
-        flips = 1
 
     # root of the raw difference inside the bracketing interval
     lo, hi = i_last_pos, i_first_neg
@@ -165,18 +164,19 @@ def dominance_check(u_star: VolumeProfile, ball: ComparisonBall, p: float,
                     norm_tol: float = 1e-4) -> float:
     """min over u*'s volume nodes s of I(s) = int_0^s (phi*)^p - int_0^s (u*)^p.
 
-    Both profiles must carry the unit L^p normalization (checked to
-    norm_tol); the single-crossing structure forces I >= 0 up to
-    discretization, with I(0) = I(|Omega|) = 0.
+    phi* must be sampled there (ValueError otherwise).  Both profiles
+    must carry the unit L^p normalization (checked to norm_tol at the ends
+    of the cumulative integrals); the single-crossing structure forces
+    I >= 0 up to discretization, with I(0) = I(|Omega|) = 0.
     """
-    for name, prof in (("domain", u_star), ("ball", ball.phi_star)):
-        mass = prof.power_integral(p)
+    _check_nodes(u_star, ball)
+    cum_u, cum_phi = u_star.cumulative(p), ball.phi_star.cumulative(p)
+    for name, mass in (("domain", cum_u[-1]), ("ball", cum_phi[-1])):
         if abs(mass - 1.0) > norm_tol:
             raise VerificationError(
                 f"{name} profile has L^p mass {mass:.8f}, expected 1 within {norm_tol:g}",
                 stage="dominance")
-    I = ball.phi_star.cumulative_at(u_star.s, p) - u_star.cumulative_at(u_star.s, p)
-    return float(np.min(I))
+    return float(np.min(cum_phi - cum_u))
 
 
 def constant_K(n: int, p: float, q: float, cp_omega: float) -> float:
@@ -278,8 +278,7 @@ class ReverseHolderReport:
         return not self.failed_gates()
 
 
-def verify_reverse_holder(result: SobolevResult, q_list,
-                          band: float | None = None) -> ReverseHolderReport:
+def verify_reverse_holder(result: SobolevResult, q_list) -> ReverseHolderReport:
     """Run the full comparison pipeline on a solved extremal.
 
     Stages: rearrange the field, build the comparison ball from the
@@ -297,21 +296,20 @@ def verify_reverse_holder(result: SobolevResult, q_list,
     h = fld.h
     u_star = decreasing_rearrangement(fld)
     ball = comparison_ball(result.cp, 2, p, u_star.s)
-    crossing = crossing_analysis(u_star, ball, band=band)
+    crossing = crossing_analysis(u_star, ball)
     tau_I = DOMINANCE_FACTOR * h
     # the mass gate tracks the stage budget: a truncated ball profile
     # (B* spilling past |Omega| by rasterization slack) shifts I by at
     # most its mass deficit, which tau_I absorbs
     dom_min = dominance_check(u_star, ball, p, norm_tol=tau_I)
 
-    lhs = u_star.power_integral(p) ** (1.0 / p)
+    norm = {q: u_star.power_integral(q) ** (1.0 / q) for q in {p, *qs}}
     rows = []
     for q in qs:
         K = constant_K(2, p, q, result.cp)
-        kh = khat(2, p, q)
-        rhs = K * u_star.power_integral(q) ** (1.0 / q)
-        rows.append(ReverseHolderRow(q=q, khat=kh, K=K, lhs=lhs, rhs=rhs,
-                                     margin=lhs - rhs))
+        rhs = K * norm[q]
+        rows.append(ReverseHolderRow(q=q, khat=khat(2, p, q), K=K, lhs=norm[p], rhs=rhs,
+                                     margin=norm[p] - rhs))
     return ReverseHolderReport(
         domain=fld.spec.to_json() if fld.spec is not None else None,
         n=2, p=p, h=h, cp=result.cp, rho=ball.rho,

@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .chiti import khat, verify_reverse_holder
 from .core import DomainSpec, InputError, SolverError, VerificationError, check_exponents
 from .elliptic import build_grid, minimize_quotient
-from .formats import (FORMAT_VERSION, canonical_json, read_field,
+from .formats import (FORMAT_VERSION, canonical_json, header_line, read_field,
                       report_to_json, report_to_table, write_field,
                       write_radial_profile, write_volume_profile)
 from .radial import unit_ball_profile
@@ -38,7 +38,9 @@ CACHE_ENV = "SOBOLEV_LAB_CACHE"
 
 
 def _fmt(x: float) -> str:
-    return f"{x:g}"
+    """Short form of x for names: :g where it reads back as x, repr otherwise."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
 def _spec_from_arg(text: str) -> DomainSpec:
@@ -58,9 +60,9 @@ def _spec_slug(spec: DomainSpec) -> str:
             canon = json.dumps([[float(x), float(y)] for x, y in val])
             parts.append(f"{key}{len(val)}-{hashlib.sha256(canon.encode()).hexdigest()[:8]}")
         else:
-            parts.append(f"{key}{val:g}")
+            parts.append(f"{key}{_fmt(val)}")
     if spec.scale != 1.0:
-        parts.append(f"scale{spec.scale:g}")
+        parts.append(f"scale{_fmt(spec.scale)}")
     return "_".join(parts)
 
 
@@ -68,7 +70,7 @@ def _h_slug(h: float) -> str:
     inv = 1.0 / h
     if abs(inv - round(inv)) < 1e-9:
         return f"h{int(round(inv))}"
-    return f"h{h:g}"
+    return f"h{_fmt(h)}"
 
 
 def _run_config(args: argparse.Namespace, command: str) -> dict:
@@ -88,7 +90,7 @@ def cmd_ball(args: argparse.Namespace) -> int:
     prof = unit_ball_profile(args.n, args.p, tol=args.tol,
                              allow_supercritical=args.experimental_supercritical)
     print(f"C_p(B) = {prof.cp_ball!r}   (n={args.n}, p={_fmt(args.p)})")
-    print(f"Lambda  = {prof.Lambda!r}")
+    print(f"Lambda  = {prof.cp_ball!r}")
     print(f"phi(0)  = {float(prof.phi_samples[0])!r}")
     os.makedirs(args.out, exist_ok=True)
     cfg = _run_config(args, "ball")
@@ -97,9 +99,7 @@ def cmd_ball(args: argparse.Namespace) -> int:
     print(f"profile -> {ppath}")
     if args.q:
         kpath = os.path.join(args.out, f"khat_n{args.n}_p{_fmt(args.p)}.csv")
-        lines = [canonical_json({"format": "sobolev-lab/khat",
-                                 "version": FORMAT_VERSION, "config": cfg}),
-                 "q,khat"]
+        lines = [header_line("khat", {}, cfg), "q,khat"]
         for q in sorted(set(args.q)):
             lines.append(f"{q!r},{khat(args.n, args.p, q, tol=args.tol)!r}")
         with open(kpath, "w", encoding="utf-8") as fh:
@@ -139,7 +139,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     check_exponents(2, args.p, args.q)
     spec = _spec_from_arg(args.spec)
     res = _solve_domain(spec, args.p, args.h, args.tol, args.max_iter, False)
-    report = verify_reverse_holder(res, args.q, band=args.band)
+    report = verify_reverse_holder(res, args.q)
     cfg = _run_config(args, "verify")
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out,
@@ -260,9 +260,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     flat = [row for i in range(len(tasks)) for row in results[i]]
     flat.sort(key=lambda r: (r["domain"], r["p"], r["q"]))
     cfg = _run_config(args, "table")
-    lines = [canonical_json({"format": "sobolev-lab/sweep",
-                             "version": FORMAT_VERSION, "config": cfg}),
-             ",".join(TABLE_COLUMNS)]
+    lines = [header_line("sweep", {}, cfg), ",".join(TABLE_COLUMNS)]
     lines += [_render_row(r) for r in flat]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -339,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("-p", type=float, required=True)
     v.add_argument("-q", type=float, action="append", default=[],
                    help="target exponent, q >= p; repeatable")
-    v.add_argument("--band", type=float, default=None,
-                   help="crossing suppression band (default: auto)")
     v.add_argument("--format", choices=("table", "json"), default="table")
     common(v, 1e-8)
     v.set_defaults(func=cmd_verify)

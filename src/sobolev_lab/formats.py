@@ -20,6 +20,7 @@ from .radial import RadialProfile, VolumeProfile
 __all__ = [
     "FORMAT_VERSION",
     "canonical_json",
+    "header_line",
     "write_radial_profile",
     "write_volume_profile",
     "read_profile",
@@ -39,8 +40,9 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
 
 
-def _header(kind: str, fields: Mapping[str, Any],
-            config: Mapping[str, Any] | None) -> str:
+def header_line(kind: str, fields: Mapping[str, Any],
+                config: Mapping[str, Any] | None) -> str:
+    """The JSON header line of a sobolev-lab/<kind> file."""
     head = {"format": f"sobolev-lab/{kind}", "version": FORMAT_VERSION}
     head.update(fields)
     if config is not None:
@@ -55,12 +57,12 @@ def write_radial_profile(path: str, prof: RadialProfile,
         "kind": "radial",
         "n": prof.n,
         "p": prof.p,
-        "Lambda": prof.Lambda,
+        "Lambda": prof.cp_ball,
         "cp_ball": prof.cp_ball,
         "normalization": float(prof.phi_samples[0]),
         "samples": int(prof.r.size),
     }
-    lines = [_header("profile", fields, config), "r,phi"]
+    lines = [header_line("profile", fields, config), "r,phi"]
     lines += [f"{float(r)!r},{float(v)!r}"
               for r, v in zip(prof.r, prof.phi_samples)]
     with open(path, "w", encoding="utf-8") as fh:
@@ -85,7 +87,7 @@ def write_volume_profile(path: str, vp: VolumeProfile,
     if meta:
         fields.update(meta)
     s = vp.s[:-1] if vp.step else vp.s
-    lines = [_header("profile", fields, config), "s,value"]
+    lines = [header_line("profile", fields, config), "s,value"]
     lines += [f"{float(a)!r},{float(v)!r}" for a, v in zip(s, vp.values)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -132,7 +134,7 @@ def write_field(path: str, field: GriddedField, p: float | None = None,
         "domain": None if field.spec is None else field.spec.to_json(),
     }
     grid = np.where(field.mask, field.values, np.nan)
-    lines = [_header("field", fields, config)]
+    lines = [header_line("field", fields, config)]
     lines += [",".join(f"{float(v)!r}" for v in row) for row in grid]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -146,18 +148,23 @@ def read_field(path: str) -> tuple[dict, GriddedField]:
             grid = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise InputError(f"malformed field body: {exc}") from None
-    ny, nx = int(header["ny"]), int(header["nx"])
+
+    def number(key, convert):
+        try:
+            return convert(header[key])
+        except (KeyError, IndexError, TypeError, ValueError):
+            raise InputError(f"field header key {key!r} is missing or not numeric") from None
+
+    ny, nx, h = number("ny", int), number("nx", int), number("h", float)
+    x0, y0 = number("origin", lambda xy: (float(xy[0]), float(xy[1])))
     if grid.shape != (ny, nx):
         raise InputError(f"field body is {grid.shape}, header says {(ny, nx)}")
     mask = ~np.isnan(grid)
     spec = None
     if header.get("domain"):
         spec = DomainSpec.from_json(header["domain"])
-    field = GriddedField(nx=nx, ny=ny, h=float(header["h"]),
-                         origin=(float(header["origin"][0]),
-                                 float(header["origin"][1])),
-                         mask=mask, values=np.where(mask, grid, 0.0),
-                         spec=spec)
+    field = GriddedField(nx=nx, ny=ny, h=h, origin=(x0, y0), mask=mask,
+                         values=np.where(mask, grid, 0.0), spec=spec)
     return header, field
 
 

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import (InputError, SolverError, alpha, check_exponents, cumulative_trapezoid,
-                   unit_ball_volume)
+from .core import InputError, SolverError, alpha, check_exponents, unit_ball_volume
 
 __all__ = [
     "RawShot",
@@ -70,14 +69,10 @@ class RadialProfile:
     p: float
     r: np.ndarray
     phi_samples: np.ndarray
-    Lambda: float
-    cp_ball: float
+    cp_ball: float  # the multiplier Lambda of the normalized extremal
     phi: Callable[[np.ndarray], np.ndarray]
     knots: np.ndarray  # quadrature pieces: the shot's steps, rescaled to [0, radius]
-
-    @functools.cached_property
-    def _lp_norms(self) -> dict[float, float]:
-        return {}
+    _lp_norms: dict = field(default_factory=dict, init=False, repr=False)
 
     def lp_norm(self, q: float) -> float:
         """||phi||_Lq on the profile's ball, Gauss-Legendre on the knots; memoized per q."""
@@ -103,49 +98,56 @@ class VolumeProfile:
     s: np.ndarray
     values: np.ndarray
     step: bool = False
-    total_volume: float | None = None  # derived from s unless given
+    _cell_integrals: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "values", v)
-        if self.total_volume is None:
-            object.__setattr__(self, "total_volume", float(s[-1]) if s.size else 0.0)
         expected = s.size - 1 if self.step else s.size
         if v.size != expected or s.size < 2:
             raise ValueError("sample-count mismatch between s and values")
         if s[0] != 0.0 or np.any(np.diff(s) <= 0):
             raise ValueError("s must increase strictly from 0")
-        scale = float(np.max(np.abs(v))) if v.size else 0.0
-        if np.any(np.diff(v) > 1e-10 * max(scale, 1.0)):
+        slack = 1e-10 * max(float(np.max(np.abs(v))), 1.0)
+        if np.any(np.diff(v) > slack):
             raise ValueError("profile values must be non-increasing")
-        if np.any(v < -1e-10 * max(scale, 1.0)):
+        if np.any(v < -slack):
             raise ValueError("profile values must be non-negative")
+
+    @property
+    def total_volume(self) -> float:
+        return float(self.s[-1])
+
+    def _cells(self, power: float) -> np.ndarray:
+        """Integral of values**power on each cell by the profile's rule; memoized per power."""
+        if power not in self._cell_integrals:
+            y = self.values**power
+            d = np.diff(self.s)
+            self._cell_integrals[power] = d * y if self.step else d * (y[1:] + y[:-1]) / 2.0
+        return self._cell_integrals[power]
 
     def evaluate(self, s_query):
         """Profile value at s_query; step profiles use left-cell values."""
         sq = np.asarray(s_query, dtype=float)
         if self.step:
             idx = np.searchsorted(self.s, sq, side="right") - 1
-            idx = np.clip(idx, 0, self.values.size - 1)
-            return self.values[idx]
+            return self.values[np.clip(idx, 0, self.values.size - 1)]
         return np.interp(sq, self.s, self.values)
 
     def power_integral(self, power: float = 1.0) -> float:
         """Integral of values**power over [0, total_volume]."""
-        if self.step:
-            return float(np.sum(np.diff(self.s) * self.values**power))
-        return float(np.trapezoid(self.values**power, self.s))
+        return float(np.sum(self._cells(power)))
+
+    def cumulative(self, power: float = 1.0) -> np.ndarray:
+        """Integral of values**power over [0, s] at each node s, from 0."""
+        return np.concatenate(([0.0], np.cumsum(self._cells(power))))
 
     def cumulative_at(self, s_query, power: float = 1.0):
         """Integral of values**power over [0, s_query], piecewise linear in
         s_query and constant past the last node."""
-        if self.step:
-            cum = np.concatenate(([0.0], np.cumsum(np.diff(self.s) * self.values**power)))
-        else:
-            cum = cumulative_trapezoid(self.values**power, self.s)
-        return np.interp(np.asarray(s_query, dtype=float), self.s, cum)
+        return np.interp(np.asarray(s_query, dtype=float), self.s, self.cumulative(power))
 
 
 # Dormand & Prince (1980) 5(4) pair: stage nodes and rows, the 5th-order
@@ -289,7 +291,7 @@ def normalize_to_unit_ball(shot: RawShot, radius: float = 1.0) -> RadialProfile:
 
     r_grid = np.linspace(0.0, 1.0, DEFAULT_GRID) * radius
     return RadialProfile(n=n, p=p, r=r_grid, phi_samples=phi(r_grid),
-                         Lambda=Lambda, cp_ball=Lambda, phi=phi, knots=knots * (radius / R0))
+                         cp_ball=Lambda, phi=phi, knots=knots * (radius / R0))
 
 
 @functools.lru_cache(maxsize=64)
@@ -317,25 +319,21 @@ def cp_ball(n: int, p: float, radius: float = 1.0) -> float:
     return unit.cp_ball * radius ** alpha(n, p)
 
 
-def volume_profile(profile: RadialProfile, radius: float = 1.0,
-                   num: int = DEFAULT_GRID) -> VolumeProfile:
-    """Rearrangement phi*(s) of the ball extremal, s = omega_n |x|^n.
+def volume_profile(profile: RadialProfile, s, radius: float = 1.0) -> VolumeProfile:
+    """Rearrangement phi*(s) of the ball extremal at the increasing volume nodes s from 0.
 
-    The radius-rho extremal is phi_rho(x) = rho^(-n/p) phi(x/rho); the
-    profile lives on [0, omega_n rho^n] and keeps ||phi_rho||_Lp = 1.
+    The radius-rho extremal phi_rho(x) = rho^(-n/p) phi(x/rho) keeps
+    ||phi_rho||_Lp = 1; at volume s it is read at r = (s/|B_rho|)^(1/n)
+    (in units of rho, clipped to [0, 1]) and is 0 from |B_rho| on.
     """
     if not (radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
-    if num < 2:
-        raise ValueError("need at least two samples")
     n, p = profile.n, profile.p
-    omega = unit_ball_volume(n)
-    total = omega * radius**n
-    s = np.linspace(0.0, total, num)
-    r = (s / omega) ** (1.0 / n) / radius
-    vals = radius ** (-n / p) * np.clip(profile.phi(np.clip(r, 0.0, 1.0)), 0.0, None)
-    vals[-1] = 0.0  # phi vanishes on the boundary by construction
-    return VolumeProfile(s=s, values=vals, total_volume=total, step=False)
+    s = np.asarray(s, dtype=float)
+    bvol = unit_ball_volume(n) * radius**n
+    r = np.clip((s / bvol) ** (1.0 / n), 0.0, 1.0)
+    vals = np.where(s < bvol, radius ** (-n / p) * profile.phi(r), 0.0)
+    return VolumeProfile(s=s, values=vals, step=False)
 
 
 def verify_integro_differential(vp: VolumeProfile, cp: float, n: int, p: float,
@@ -362,7 +360,7 @@ def verify_integro_differential(vp: VolumeProfile, cp: float, n: int, p: float,
         return 0.0
     omega = unit_ball_volume(n)
     lhs = np.diff(v) / np.diff(s)
-    cum = cumulative_trapezoid(v ** (p - 1.0), s)
+    cum = vp.cumulative(p - 1.0)
     mid = s[1:]
     rhs = -cp * n**-2.0 * omega ** (-2.0 / n) * mid ** (-2.0 + 2.0 / n) * cum[1:]
     keep = mid >= s_min

@@ -69,7 +69,7 @@ def decreasing_rearrangement(fld: GriddedField) -> VolumeProfile:
     h2 = fld.h**2
     order = np.sort(vals)[::-1]
     breaks = h2 * np.arange(vals.size + 1, dtype=float)
-    return VolumeProfile(s=breaks, values=order, total_volume=float(breaks[-1]), step=True)
+    return VolumeProfile(s=breaks, values=order, step=True)
 
 
 def symmetrized_sample(fld: GriddedField, x, y) -> np.ndarray:
@@ -141,7 +141,7 @@ def hlp_dominates(f: VolumeProfile, g: VolumeProfile, q1: float) -> bool:
     Both cumulative integrals are piecewise linear, so checking the union
     of breakpoints is exact.  Raises if either profile increases.
     """
-    nodes = np.union1d(np.union1d(f.s, g.s), [0.0, max(f.total_volume, g.total_volume)])
+    nodes = np.union1d(f.s, g.s)  # both start at 0 and end at their total volume
     F = f.cumulative_at(nodes, q1)
     G = g.cumulative_at(nodes, q1)
     scale = max(float(F[-1]), float(G[-1]), 1e-300)

@@ -18,7 +18,7 @@ import oracles
 from sobolev_lab.chiti import (comparison_ball, constant_K, khat,
                                torsion_form, verify_reverse_holder)
 from sobolev_lab.cli import main as cli_main
-from sobolev_lab.core import alpha
+from sobolev_lab.core import alpha, unit_ball_volume
 from sobolev_lab.radial import (VolumeProfile, cp_ball, cp_unit_ball,
                                 unit_ball_profile, verify_integro_differential,
                                 volume_profile)
@@ -152,12 +152,13 @@ def test_criterion_06_profile_lemmas(solve):
     for n in (2, 3):
         for p in (1.0, 1.5, 2.0):
             prof = unit_ball_profile(n, p)
-            vp = volume_profile(prof, num=2049)
+            vp = volume_profile(prof, np.linspace(0.0, unit_ball_volume(n), 2049))
             worst_res = max(worst_res,
                             verify_integro_differential(vp, prof.cp_ball, n, p))
             if p >= 1.5:  # p = 1 residual sits at roundoff, no order to read
                 coarse = verify_integro_differential(
-                    volume_profile(prof, num=1025), prof.cp_ball, n, p)
+                    volume_profile(prof, np.linspace(0.0, unit_ball_volume(n), 1025)),
+                    prof.cp_ball, n, p)
                 fine = verify_integro_differential(vp, prof.cp_ball, n, p)
                 ratios.append(coarse / fine)
     order_ok = all(1.6 <= r <= 2.4 for r in ratios)

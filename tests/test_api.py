@@ -1,6 +1,8 @@
 """Contracts shared by every module: the exponent gate and the exports."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -129,3 +131,18 @@ def test_every_export_resolves():
         mod = importlib.import_module(modname)
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{modname}.__all__ lists missing {name!r}"
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer rebinds these functions by name (and elliptic.cg
+    # as the per-sweep solve), so a rename must fail here too
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    traced = {**traced, "elliptic": (*traced["elliptic"], "cg")}
+    for module, names in traced.items():
+        mod = importlib.import_module(f"sobolev_lab.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"sobolev_lab.{module}.{name} is gone"

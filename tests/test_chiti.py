@@ -19,8 +19,7 @@ from sobolev_lab.rearrange import decreasing_rearrangement
 
 def synthetic_ball(phi: VolumeProfile) -> ComparisonBall:
     """Wrap a hand-built profile so crossing/dominance code can consume it."""
-    return ComparisonBall(n=2, p=1.0, cp=1.0, rho=1.0,
-                          bstar_volume=phi.total_volume, phi_star=phi)
+    return ComparisonBall(rho=1.0, bstar_volume=phi.total_volume, phi_star=phi)
 
 
 class TestComparisonBall:
@@ -117,6 +116,17 @@ class TestCrossingAnalysis:
         cross = crossing_analysis(phi, synthetic_ball(phi))
         assert cross.identical and cross.crossing_count == 0
 
+    def test_ball_on_other_nodes_rejected(self, solve):
+        # both stages read phi* and u* on u*'s own nodes, with no resampling
+        res = solve("square", 2.0)
+        u_star = decreasing_rearrangement(res.field)
+        ball = comparison_ball(res.cp, n=2, p=2.0,
+                               s=np.linspace(0.0, u_star.total_volume, 257))
+        with pytest.raises(ValueError, match="volume nodes"):
+            crossing_analysis(u_star, ball)
+        with pytest.raises(ValueError, match="volume nodes"):
+            dominance_check(u_star, ball, p=2.0, norm_tol=1.0)
+
     def test_hand_crossing_location(self):
         # phi = 1 - s and u = 0.75 - 0.5 s cross at s = 0.5 exactly
         s = np.linspace(0.0, 1.0, 101)
@@ -134,11 +144,12 @@ class TestDominance:
         assert dominance_check(phi, synthetic_ball(phi), p=1.0) == 0.0
 
     def test_early_excess_detected(self):
-        # u carries more mass than phi near s = 0, so I dips negative
+        # u carries more mass than phi near s = 0, so I dips negative; u is
+        # 3 on [0, 0.1) and 0.7/0.9 after, as cells on phi's nodes
         s = np.linspace(0.0, 1.0, 101)
         phi = VolumeProfile(s=s, values=2.0 * (1.0 - s))
-        u = VolumeProfile(s=np.array([0.0, 0.1, 1.0]),
-                          values=np.array([3.0, 0.7 / 0.9]), step=True)
+        u = VolumeProfile(s=s, values=np.where(np.arange(100) < 10, 3.0, 0.7 / 0.9),
+                          step=True)
         assert abs(u.power_integral(1.0) - 1.0) < 1e-12
         assert dominance_check(u, synthetic_ball(phi), p=1.0) < -0.05
 
@@ -272,6 +283,39 @@ class TestVerifyReverseHolder:
         info = khat.cache_info()
         assert (info.misses, info.hits) == (3, 3)
         assert [row.khat for row in report.rows] == [khat(2, 2.0, q) for q in (2.0, 3.0, 4.0)]
+
+    def test_each_power_taken_once(self, solve, monkeypatch):
+        # u* is raised to p and to every other q once, phi* to p once
+        res = solve("square", 2.0)
+        plain = verify_reverse_holder(res, [2.0, 3.0, 4.0])
+        powers = []
+
+        class Counted(np.ndarray):
+            def __array_finalize__(self, obj):
+                self.tag = getattr(obj, "tag", None)
+
+            def __pow__(self, power):
+                powers.append((self.tag, float(power)))
+                return super().__pow__(power)
+
+        def counted(profile, tag):
+            values = profile.values.view(Counted)
+            values.tag = tag
+            object.__setattr__(profile, "values", values)
+            return profile
+
+        def counted_ball(*args, **kwargs):
+            ball = comparison_ball(*args, **kwargs)
+            counted(ball.phi_star, "phi*")
+            return ball
+
+        monkeypatch.setattr(chiti, "decreasing_rearrangement",
+                            lambda fld: counted(decreasing_rearrangement(fld), "u*"))
+        monkeypatch.setattr(chiti, "comparison_ball", counted_ball)
+        report = verify_reverse_holder(res, [2.0, 3.0, 4.0])
+        assert sorted(powers) == [("phi*", 2.0), ("u*", 2.0), ("u*", 3.0), ("u*", 4.0)]
+        assert [row.margin for row in report.rows] == [row.margin for row in plain.rows]
+        assert report.dominance_min == plain.dominance_min
 
     def test_tampered_margin_fails(self, solve):
         res = solve("square", 2.0)

@@ -319,6 +319,27 @@ class TestCliRearrange:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("key,value", [("nx", None), ("ny", None), ("h", None),
+                                           ("origin", None), ("h", "x"), ("origin", "ab")])
+    def test_malformed_field_header_is_an_input_error(self, tmp_path, capsys, key, value):
+        assert run("domain", "--spec", SQUARE, "-p", "1", "--h", str(1 / 16),
+                   "--out", str(tmp_path)) == 0
+        fpath = tmp_path / "rectangle_height1_width1_p1_h16.field.csv"
+        first, rest = fpath.read_text(encoding="utf-8").split("\n", 1)
+        header = json.loads(first)
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        fpath.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run("rearrange", "--field", str(fpath), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+        assert not out.exists()
+
+
 class TestCliTable:
     ARGS = ("table", "--spec", SQUARE, "-p", "1", "-p", "2",
             "-q", "1", "-q", "2", "-q", "4", "--h", str(1 / 32))
@@ -418,6 +439,25 @@ class TestCliTable:
         capsys.readouterr()
         rows = self.read_sweep(out).decode().splitlines()[2:]
         assert {row.split(",")[0] for row in rows} == slugs
+
+    def test_close_values_get_distinct_names(self, tmp_path, capsys):
+        # :g keeps six significant digits, which would print 1.0000001 as 1
+        one = '{"shape": "disk", "radius": 1.0}'
+        near = '{"shape": "disk", "radius": 1.0000001}'
+        out = str(tmp_path / "t")
+        assert run("table", "--spec", one, "--spec", near, "-p", "1", "-q", "1",
+                   "--h", str(1 / 16), "--out", out) == 0
+        rows = self.read_sweep(out).decode().splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["disk_radius1", "disk_radius1.0000001"]
+        for spec in (one, near):
+            assert run("domain", "--spec", spec, "-p", "1.0000001", "--h", "0.1",
+                       "--out", str(tmp_path / "d")) == 0
+        capsys.readouterr()
+        assert sorted(os.listdir(tmp_path / "d")) == [
+            "disk_radius1.0000001_p1.0000001_h10.field.csv",
+            "disk_radius1_p1.0000001_h10.field.csv"]
+        assert cli._h_slug(0.1 + 0.2) == "h0.30000000000000004"
+        assert cli._h_slug(0.3) == "h0.3"
 
     def test_stdout_when_no_out(self, capsys):
         assert run("table", "--spec", SQUARE, "-p", "1", "-q", "1",

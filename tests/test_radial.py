@@ -21,6 +21,11 @@ SHOOT_CASES = [(2, 1.0), (2, 1.3), (2, 1.5), (2, 1.8), (2, 2.0),
                (3, 1.5), (3, 2.0), (3, 4.0)]
 
 
+def volume_nodes(n, radius=1.0, num=DEFAULT_GRID):
+    """num equispaced volume nodes from 0 to the volume of the radius ball in R^n."""
+    return np.linspace(0.0, unit_ball_volume(n) * radius**n, num)
+
+
 class TestShoot:
     def test_zero_polished_to_tolerance(self):
         shot = shoot(2, 2.0)
@@ -54,7 +59,7 @@ class TestShoot:
         R0, y_of, nodes = oracles.dop853_ball_shot(n, p)
         assert shot.R0 == pytest.approx(R0, rel=1e-10)
         ref = normalize_to_unit_ball(RawShot(n=n, p=p, R0=R0, dense=y_of, nodes=nodes))
-        assert normalize_to_unit_ball(shot).Lambda == pytest.approx(ref.Lambda, rel=1e-10)
+        assert normalize_to_unit_ball(shot).cp_ball == pytest.approx(ref.cp_ball, rel=1e-10)
 
     def test_dense_interpolates_between_steps(self):
         shot = shoot(3, 1.5)
@@ -141,7 +146,7 @@ class TestScalingLaw:
     @pytest.mark.parametrize("n,p,r", [(2, 1.0, 0.7), (2, 1.5, 0.7), (2, 2.0, 1.9),
                                        (3, 1.5, 2.5)])
     def test_dilation_matches_rescaled_shot(self, n, p, r):
-        direct = normalize_to_unit_ball(shoot(n, p), radius=r).Lambda
+        direct = normalize_to_unit_ball(shoot(n, p), radius=r).cp_ball
         assert cp_ball(n, p, radius=r) == pytest.approx(direct, rel=1e-12)
 
     def test_rejects_nonpositive_radius(self):
@@ -152,20 +157,20 @@ class TestScalingLaw:
 class TestVolumeProfile:
     def test_endpoints(self):
         prof = unit_ball_profile(2, 2.0)
-        vp = volume_profile(prof)
+        vp = volume_profile(prof, volume_nodes(2))
         assert vp.s[0] == 0.0
         assert vp.values[0] == pytest.approx(float(prof.phi_samples[0]), rel=1e-12)
         assert vp.values[-1] == 0.0
         assert vp.total_volume == pytest.approx(math.pi, rel=1e-12)
 
     def test_disk_p1_closed_form(self):
-        vp = volume_profile(unit_ball_profile(2, 1.0))
+        vp = volume_profile(unit_ball_profile(2, 1.0), volume_nodes(2))
         expected = oracles.disk_p1_volume_profile(vp.s)
         assert np.max(np.abs(vp.values - expected)) < 2e-14
 
     def test_scaled_ball(self):
         prof = unit_ball_profile(2, 1.0)
-        vp = volume_profile(prof, radius=2.0)
+        vp = volume_profile(prof, volume_nodes(2, radius=2.0), radius=2.0)
         assert vp.total_volume == pytest.approx(4 * math.pi, rel=1e-12)
         # phi_rho(0) = rho^(-n/p) phi(0)
         assert vp.values[0] == pytest.approx(0.25 * float(prof.phi_samples[0]), rel=1e-12)
@@ -200,13 +205,13 @@ class TestIntegroDifferentialCheck:
     @pytest.mark.parametrize("n,p", [(2, 1.0), (2, 2.0), (3, 2.0)])
     def test_residual_small_at_default_grid(self, n, p):
         prof = unit_ball_profile(n, p)
-        vp = volume_profile(prof)
+        vp = volume_profile(prof, volume_nodes(n))
         assert verify_integro_differential(vp, prof.cp_ball, n, p) < 1e-3
 
     def test_first_order_convergence(self):
         prof = unit_ball_profile(2, 2.0)
-        res = {num: verify_integro_differential(volume_profile(prof, num=num),
-                                                prof.cp_ball, 2, 2.0)
+        res = {num: verify_integro_differential(
+                   volume_profile(prof, volume_nodes(2, num=num)), prof.cp_ball, 2, 2.0)
                for num in (1025, 2049, 4097)}
         assert res[1025] > res[2049] > res[4097]
         assert res[1025] / res[2049] == pytest.approx(2.0, abs=0.4)
@@ -218,7 +223,7 @@ class TestIntegroDifferentialCheck:
 
     def test_wrong_constant_detected(self):
         prof = unit_ball_profile(2, 2.0)
-        vp = volume_profile(prof)
+        vp = volume_profile(prof, volume_nodes(2))
         good = verify_integro_differential(vp, prof.cp_ball, 2, 2.0)
         bad = verify_integro_differential(vp, 1.1 * prof.cp_ball, 2, 2.0)
         assert bad > 10 * good
@@ -231,6 +236,6 @@ class TestIntegroDifferentialCheck:
 
     def test_s_min_excluding_all_samples_rejected(self):
         prof = unit_ball_profile(2, 2.0)
-        vp = volume_profile(prof)
+        vp = volume_profile(prof, volume_nodes(2))
         with pytest.raises(ValueError):
             verify_integro_differential(vp, prof.cp_ball, 2, 2.0, s_min=10.0)
