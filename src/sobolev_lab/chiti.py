@@ -112,6 +112,8 @@ def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall,
     D = ball.phi_star.values - u_nodes
     if band is None:
         band = 3.0 * float(np.max(np.abs(np.diff(D))))
+    elif band < 0:
+        raise ValueError(f"band must be non-negative, got {band}")
     if float(np.max(np.abs(D))) <= band:
         return CrossingAnalysis(s1=math.nan, crossing_count=0, band=band,
                                 s=nodes, difference=D, identical=True)
@@ -147,15 +149,11 @@ def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall,
                                 s=nodes, difference=D)
         i_last_pos = int(nonneg_prefix[-1])
 
-    # root of the raw difference inside the bracketing interval
-    lo, hi = i_last_pos, i_first_neg
-    seg = np.nonzero(D[lo:hi + 1] < 0)[0]
-    j = lo + int(seg[0]) if seg.size else hi
+    # root of the raw difference at its first sign change in the bracket,
+    # where D[i_last_pos] >= 0 > D[i_first_neg]: D[j - 1] >= 0 > D[j]
+    j = i_last_pos + int(np.nonzero(D[i_last_pos:i_first_neg + 1] < 0)[0][0])
     d0, d1 = D[j - 1], D[j]
-    if d0 == d1:
-        s1 = float(nodes[j])
-    else:
-        s1 = float(nodes[j - 1] + (nodes[j] - nodes[j - 1]) * (d0 / (d0 - d1)))
+    s1 = float(nodes[j - 1] + (nodes[j] - nodes[j - 1]) * (d0 / (d0 - d1)))
     return CrossingAnalysis(s1=s1, crossing_count=1, band=band, s=nodes,
                             difference=D, identical=False)
 

@@ -28,8 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from .chiti import khat, verify_reverse_holder
 from .core import DomainSpec, InputError, SolverError, VerificationError, check_exponents
 from .elliptic import build_grid, minimize_quotient
-from .formats import (FORMAT_VERSION, canonical_json, header_line, read_field,
-                      report_to_json, report_to_table, write_field,
+from .formats import (FORMAT_VERSION, canonical_json, csv_text, read_field,
+                      report_to_json, report_to_table, write_csv, write_field,
                       write_radial_profile, write_volume_profile)
 from .radial import unit_ball_profile
 from .rearrange import decreasing_rearrangement
@@ -67,10 +67,9 @@ def _spec_slug(spec: DomainSpec) -> str:
 
 
 def _h_slug(h: float) -> str:
-    inv = 1.0 / h
-    if abs(inv - round(inv)) < 1e-9:
-        return f"h{int(round(inv))}"
-    return f"h{_fmt(h)}"
+    """h{k} when h is exactly 1.0 / k for an integer k, else h{_fmt(h)}."""
+    k = round(1.0 / h)
+    return f"h{k}" if k and 1.0 / k == h else f"h{_fmt(h)}"
 
 
 def _run_config(args: argparse.Namespace, command: str) -> dict:
@@ -91,7 +90,7 @@ def cmd_ball(args: argparse.Namespace) -> int:
                              allow_supercritical=args.experimental_supercritical)
     print(f"C_p(B) = {prof.cp_ball!r}   (n={args.n}, p={_fmt(args.p)})")
     print(f"Lambda  = {prof.cp_ball!r}")
-    print(f"phi(0)  = {float(prof.phi_samples[0])!r}")
+    print(f"phi(0)  = {float(prof.phi(0.0))!r}")
     os.makedirs(args.out, exist_ok=True)
     cfg = _run_config(args, "ball")
     ppath = os.path.join(args.out, f"ball_n{args.n}_p{_fmt(args.p)}.profile.csv")
@@ -99,11 +98,8 @@ def cmd_ball(args: argparse.Namespace) -> int:
     print(f"profile -> {ppath}")
     if args.q:
         kpath = os.path.join(args.out, f"khat_n{args.n}_p{_fmt(args.p)}.csv")
-        lines = [header_line("khat", {}, cfg), "q,khat"]
-        for q in sorted(set(args.q)):
-            lines.append(f"{q!r},{khat(args.n, args.p, q, tol=args.tol)!r}")
-        with open(kpath, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(kpath, "khat", {}, cfg, ("q", "khat"),
+                  [(q, khat(args.n, args.p, q, tol=args.tol)) for q in sorted(set(args.q))])
         print(f"khat    -> {kpath}")
     return 0
 
@@ -144,12 +140,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out,
                         f"report_{_spec_slug(spec)}_p{_fmt(args.p)}_{_h_slug(args.h)}")
-    with open(stem + ".json", "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report, config=cfg) + "\n")
-    table = report_to_table(report)
-    with open(stem + ".txt", "w", encoding="utf-8") as fh:
-        fh.write(table + "\n")
-    print(report_to_json(report, config=cfg) if args.format == "json" else table)
+    text = {"json": report_to_json(report, config=cfg), "table": report_to_table(report)}
+    for ext, fmt in ((".json", "json"), (".txt", "table")):
+        with open(stem + ext, "w", encoding="utf-8") as fh:
+            fh.write(text[fmt] + "\n")
+    print(text[args.format])
     print(f"report -> {stem}.json, {stem}.txt")
     failed = report.failed_gates()
     if failed:
@@ -161,15 +156,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- table
 
-def _row_key(payload: dict) -> str:
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-
-def _cache_path(key: str) -> str | None:
+def _cache_path(task: dict) -> str | None:
+    """The task's cache entry, keyed by the task and the format version."""
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
     os.makedirs(root, exist_ok=True)
-    return os.path.join(root, key + ".json")
+    key = hashlib.sha256(canonical_json({**task, "version": FORMAT_VERSION}).encode())
+    return os.path.join(root, key.hexdigest() + ".json")
 
 
 def _table_group(task: dict) -> list[dict]:
@@ -203,17 +197,6 @@ TABLE_COLUMNS = ["domain", "p", "q", "h", "cp", "rho", "khat", "K",
                  "lhs", "rhs", "margin", "error"]
 
 
-def _render_row(row: dict) -> str:
-    out = []
-    for col in TABLE_COLUMNS:
-        val = row.get(col, "")
-        if isinstance(val, float):
-            out.append(repr(val))
-        else:
-            out.append(str(val))
-    return ",".join(out)
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     specs = [_spec_from_arg(s) for s in args.spec]
     ps = sorted(set(args.p))
@@ -233,7 +216,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     results: dict[int, list[dict]] = {}
     pending: list[tuple[int, dict, str | None]] = []
     for i, task in enumerate(tasks):
-        cpath = _cache_path(_row_key({**task, "version": FORMAT_VERSION}))
+        cpath = _cache_path(task)
         if cpath:
             try:
                 with open(cpath, encoding="utf-8") as fh:
@@ -260,17 +243,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     flat = [row for i in range(len(tasks)) for row in results[i]]
     flat.sort(key=lambda r: (r["domain"], r["p"], r["q"]))
     cfg = _run_config(args, "table")
-    lines = [header_line("sweep", {}, cfg), ",".join(TABLE_COLUMNS)]
-    lines += [_render_row(r) for r in flat]
-    text = "\n".join(lines) + "\n"
+    rows = [[r.get(col, "") for col in TABLE_COLUMNS] for r in flat]
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         tpath = os.path.join(args.out, "sweep.csv")
-        with open(tpath, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_csv(tpath, "sweep", {}, cfg, TABLE_COLUMNS, rows)
         print(f"sweep -> {tpath}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(csv_text("sweep", {}, cfg, TABLE_COLUMNS, rows))
     failures = sum(1 for r in flat if r.get("error"))
     if failures:
         print(f"warning: {failures} of {len(flat)} rows failed", file=sys.stderr)

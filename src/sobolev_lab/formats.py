@@ -1,15 +1,15 @@
 """File formats: JSON-headed CSVs, field files, and report rendering.
 
-Every writer emits a single JSON header line followed by plain CSV rows,
-so files stay greppable and diff-friendly while carrying their own
-metadata.  Floats are written with repr, which round-trips exactly and
-keeps reruns byte-identical.
+Every CSV file is laid out by csv_text alone: a single JSON header line
+followed by plain CSV rows, so files stay greppable and diff-friendly
+while carrying their own metadata.  Floats are written with repr, which
+round-trips exactly and keeps reruns byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from .radial import RadialProfile, VolumeProfile
 __all__ = [
     "FORMAT_VERSION",
     "canonical_json",
-    "header_line",
+    "csv_text",
+    "write_csv",
     "write_radial_profile",
     "write_volume_profile",
     "read_profile",
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+DEFAULT_GRID = 2049    # rows of a radial profile file
 
 
 def canonical_json(obj: Any) -> str:
@@ -40,33 +42,44 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
 
 
-def header_line(kind: str, fields: Mapping[str, Any],
-                config: Mapping[str, Any] | None) -> str:
-    """The JSON header line of a sobolev-lab/<kind> file."""
-    head = {"format": f"sobolev-lab/{kind}", "version": FORMAT_VERSION}
-    head.update(fields)
+def csv_text(kind: str, fields: Mapping[str, Any], config: Mapping[str, Any] | None,
+             columns: Sequence[str] | None, rows: Iterable[Iterable[Any]]) -> str:
+    """A sobolev-lab/<kind> file: the JSON header line (fields, plus config
+    when given), the column row (omitted when columns is None), then one
+    line per row: strings as they are, numbers as repr(float(v))."""
+    head = {"format": f"sobolev-lab/{kind}", "version": FORMAT_VERSION, **fields}
     if config is not None:
         head["config"] = dict(config)
-    return canonical_json(head)
+    lines = [canonical_json(head)]
+    if columns is not None:
+        lines.append(",".join(columns))
+    lines += [",".join(v if isinstance(v, str) else repr(float(v)) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path: str, *args) -> None:
+    """Write csv_text(*args), the same arguments in the same order, to path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(csv_text(*args))
 
 
 def write_radial_profile(path: str, prof: RadialProfile,
                          config: Mapping[str, Any] | None = None) -> None:
-    """Profile CSV: JSON header line, then `r,phi` rows."""
+    """Profile CSV: JSON header line, then `r,phi` rows on DEFAULT_GRID
+    equispaced radii over [0, radius]."""
+    r = np.linspace(0.0, 1.0, DEFAULT_GRID) * prof.radius
+    phi = prof.phi(r)
     fields = {
         "kind": "radial",
         "n": prof.n,
         "p": prof.p,
         "Lambda": prof.cp_ball,
         "cp_ball": prof.cp_ball,
-        "normalization": float(prof.phi_samples[0]),
-        "samples": int(prof.r.size),
+        "normalization": float(phi[0]),
+        "samples": DEFAULT_GRID,
     }
-    lines = [header_line("profile", fields, config), "r,phi"]
-    lines += [f"{float(r)!r},{float(v)!r}"
-              for r, v in zip(prof.r, prof.phi_samples)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "profile", fields, config, ("r", "phi"), zip(r, phi))
 
 
 def write_volume_profile(path: str, vp: VolumeProfile,
@@ -87,10 +100,7 @@ def write_volume_profile(path: str, vp: VolumeProfile,
     if meta:
         fields.update(meta)
     s = vp.s[:-1] if vp.step else vp.s
-    lines = [header_line("profile", fields, config), "s,value"]
-    lines += [f"{float(a)!r},{float(v)!r}" for a, v in zip(s, vp.values)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "profile", fields, config, ("s", "value"), zip(s, vp.values))
 
 
 def read_profile(path: str) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -113,10 +123,9 @@ def read_volume_profile(path: str) -> tuple[dict, VolumeProfile]:
     header, s, v = read_profile(path)
     if header.get("kind") != "volume":
         raise ValueError("not a volume-profile file")
-    if header["step"]:
-        breaks = np.append(s, float(header["total_volume"]))
-        return header, VolumeProfile(s=breaks, values=v, step=True)
-    return header, VolumeProfile(s=s, values=v, step=False)
+    if header["step"]:  # the closing breakpoint
+        s = np.append(s, float(header["total_volume"]))
+    return header, VolumeProfile(s=s, values=v, step=header["step"])
 
 
 def write_field(path: str, field: GriddedField, p: float | None = None,
@@ -134,10 +143,7 @@ def write_field(path: str, field: GriddedField, p: float | None = None,
         "domain": None if field.spec is None else field.spec.to_json(),
     }
     grid = np.where(field.mask, field.values, np.nan)
-    lines = [header_line("field", fields, config)]
-    lines += [",".join(f"{float(v)!r}" for v in row) for row in grid]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "field", fields, config, None, grid)
 
 
 def read_field(path: str) -> tuple[dict, GriddedField]:

@@ -22,7 +22,6 @@ __all__ = [
     "VolumeProfile",
     "shoot",
     "normalize_to_unit_ball",
-    "cp_unit_ball",
     "cp_ball",
     "unit_ball_profile",
     "volume_profile",
@@ -31,7 +30,6 @@ __all__ = [
 
 SERIES_RADIUS = 1e-6   # series start; avoids the (n-1)/r singularity at r = 0
 ZERO_TOL = 1e-12       # bisection width for the first zero
-DEFAULT_GRID = 2049    # stored profile samples
 R_MAX = 100.0          # end of the shooting interval
 
 
@@ -63,12 +61,11 @@ class RawShot:
 
 @dataclass(frozen=True, eq=False)
 class RadialProfile:
-    """Normalized unit-ball extremal phi(r) on [0, 1] with ||phi||_Lp = 1."""
+    """Normalized extremal phi(r) on the ball of radius `radius` with ||phi||_Lp = 1."""
 
     n: int
     p: float
-    r: np.ndarray
-    phi_samples: np.ndarray
+    radius: float
     cp_ball: float  # the multiplier Lambda of the normalized extremal
     phi: Callable[[np.ndarray], np.ndarray]
     knots: np.ndarray  # quadrature pieces: the shot's steps, rescaled to [0, radius]
@@ -289,9 +286,8 @@ def normalize_to_unit_ball(shot: RawShot, radius: float = 1.0) -> RadialProfile:
         r = np.asarray(r, dtype=float)
         return A * np.clip(shot.dense(r * (R0 / radius)), 0.0, None)
 
-    r_grid = np.linspace(0.0, 1.0, DEFAULT_GRID) * radius
-    return RadialProfile(n=n, p=p, r=r_grid, phi_samples=phi(r_grid),
-                         cp_ball=Lambda, phi=phi, knots=knots * (radius / R0))
+    return RadialProfile(n=n, p=p, radius=radius, cp_ball=Lambda, phi=phi,
+                         knots=knots * (radius / R0))
 
 
 @functools.lru_cache(maxsize=64)
@@ -304,11 +300,6 @@ def unit_ball_profile(n: int, p: float, tol: float = 1e-12,
     """Normalized unit-ball extremal; memoized on (n, p, tol)."""
     check_exponents(n, p, allow_supercritical=allow_supercritical)
     return _cached_unit_profile(int(n), float(p), float(tol))
-
-
-def cp_unit_ball(n: int, p: float, tol: float = 1e-12) -> float:
-    """Sharp constant C_p of the unit ball in R^n."""
-    return unit_ball_profile(n, p, tol).cp_ball
 
 
 def cp_ball(n: int, p: float, radius: float = 1.0) -> float:

@@ -19,7 +19,7 @@ from sobolev_lab.chiti import (comparison_ball, constant_K, khat,
                                torsion_form, verify_reverse_holder)
 from sobolev_lab.cli import main as cli_main
 from sobolev_lab.core import alpha, unit_ball_volume
-from sobolev_lab.radial import (VolumeProfile, cp_ball, cp_unit_ball,
+from sobolev_lab.radial import (VolumeProfile, cp_ball,
                                 unit_ball_profile, verify_integro_differential,
                                 volume_profile)
 from sobolev_lab.rearrange import (decreasing_rearrangement,
@@ -48,7 +48,7 @@ def test_criterion_01_radial_oracles():
     worst_err, worst_time = 0.0, 0.0
     for n, p, expected in cases:
         t0 = time.perf_counter()
-        got = cp_unit_ball(n, p)
+        got = cp_ball(n, p)
         worst_time = max(worst_time, time.perf_counter() - t0)
         worst_err = max(worst_err, abs(got - expected) / expected)
     ok = worst_err <= 1e-8 and worst_time < 1.0
@@ -61,7 +61,7 @@ def test_criterion_02_scaling_law(solve):
     worst_radial = 0.0
     for n in (2, 3):
         for p in (1.0, 1.5, 2.0):
-            base = cp_unit_ball(n, p)
+            base = cp_ball(n, p)
             for r in (0.5, 2.0, 3.0):
                 predicted = r ** alpha(n, p) * base
                 err = abs(cp_ball(n, p, radius=r) - predicted) / predicted

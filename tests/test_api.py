@@ -99,7 +99,7 @@ PUBLIC = {
     "AdmissibilityError", "CrossingError", "DomainSpec", "GridError", "SolverError",
     "SpecError", "VerificationError", "admissible", "alpha", "check_exponents",
     "unit_ball_volume",
-    "RadialProfile", "RawShot", "VolumeProfile", "cp_ball", "cp_unit_ball",
+    "RadialProfile", "RawShot", "VolumeProfile", "cp_ball",
     "normalize_to_unit_ball", "shoot", "unit_ball_profile",
     "verify_integro_differential", "volume_profile",
     "GriddedField", "SobolevResult", "build_grid", "minimize_quotient",

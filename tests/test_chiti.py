@@ -136,6 +136,15 @@ class TestCrossingAnalysis:
         assert cross.crossing_count == 1
         assert abs(cross.s1 - 0.5) < 1e-9
 
+    def test_negative_band_rejected(self):
+        # the crossing's bracket needs D >= 0 at its left end and D < 0 at its
+        # right end, which a negative band does not give
+        s = np.linspace(0.0, 1.0, 101)
+        phi = VolumeProfile(s=s, values=1.0 - s)
+        u = VolumeProfile(s=s, values=0.75 - 0.5 * s)
+        with pytest.raises(ValueError, match="band must be non-negative"):
+            crossing_analysis(u, synthetic_ball(phi), band=-0.1)
+
 
 class TestDominance:
     def test_identical_profiles_give_zero(self):

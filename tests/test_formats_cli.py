@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from sobolev_lab.chiti import verify_reverse_holder
 from sobolev_lab.cli import main
 from sobolev_lab.core import DomainSpec
 from sobolev_lab.elliptic import build_grid, minimize_quotient
-from sobolev_lab.formats import (FORMAT_VERSION, canonical_json, read_field,
+from sobolev_lab.formats import (DEFAULT_GRID, FORMAT_VERSION, canonical_json, read_field,
                                  read_profile, read_volume_profile,
                                  report_to_dict, report_to_json,
                                  report_to_table, write_field,
@@ -37,8 +39,9 @@ class TestProfileFiles:
         assert header["version"] == FORMAT_VERSION
         assert header["n"] == 2 and header["p"] == 1.5
         assert header["config"] == {"note": "x"}
-        np.testing.assert_array_equal(r, prof.r)
-        np.testing.assert_array_equal(phi, prof.phi_samples)
+        grid = np.linspace(0.0, 1.0, DEFAULT_GRID) * prof.radius
+        np.testing.assert_array_equal(r, grid)
+        np.testing.assert_array_equal(phi, prof.phi(grid))
 
     def test_volume_roundtrip_sampled(self, tmp_path):
         s = np.linspace(0.0, 2.0, 40)
@@ -141,6 +144,14 @@ class TestReportRendering:
         bare = dataclasses.replace(report, domain=None)
         assert "(unspecified)" in report_to_table(bare)
 
+    def test_table_line_for_a_real_crossing(self):
+        # the h = 1/32 square of the fixture lies inside its band (equality
+        # case); at h = 1/64 the profiles cross once, outside the band
+        res = minimize_quotient(build_grid(DomainSpec.rectangle(1.0, 1.0), 1 / 64), 2.0)
+        lines = report_to_table(verify_reverse_holder(res, [2.0, 4.0])).splitlines()
+        assert "crossing      count=1  s1=0.616874  band=5.193e-02" in lines
+        assert "equality      no" in lines
+
 
 class TestCliBall:
     def test_writes_profile_and_khat(self, tmp_path, capsys):
@@ -160,6 +171,14 @@ class TestCliBall:
             assert fh.readline().strip() == "q,khat"
             rows = [line.split(",") for line in fh.read().splitlines()]
         assert [float(a) for a, _ in rows] == [1.0, 2.0]
+
+    def test_module_entry_point(self, tmp_path):
+        # `python -m sobolev_lab` runs __main__.py in a fresh interpreter
+        proc = subprocess.run([sys.executable, "-m", "sobolev_lab", "ball", "-n", "2", "-p", "1",
+                               "--out", str(tmp_path)], capture_output=True, text=True,
+                              env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        assert os.listdir(tmp_path) == ["ball_n2_p1.profile.csv"]
 
     def test_supercritical_needs_flag(self, tmp_path, capsys):
         assert run("ball", "-n", "3", "-p", "6", "--out", str(tmp_path)) == 2
@@ -283,6 +302,15 @@ class TestCliVerify:
         assert run("verify", "--spec", SQUARE, "-p", "1",
                    "--out", str(tmp_path)) == 2
         capsys.readouterr()
+
+    def test_verification_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a negative slack makes every comparison ball too large for its domain
+        monkeypatch.setattr(chiti, "FK_TOL", -0.5)
+        out = tmp_path / "v"
+        assert run("verify", "--spec", SQUARE, "-p", "2", "-q", "3",
+                   "--h", str(1 / 32), "--out", str(out)) == 4
+        assert "verification error [stage: comparison_ball]" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestCliRearrange:
@@ -458,6 +486,14 @@ class TestCliTable:
             "disk_radius1_p1.0000001_h10.field.csv"]
         assert cli._h_slug(0.1 + 0.2) == "h0.30000000000000004"
         assert cli._h_slug(0.3) == "h0.3"
+
+    def test_h_slug_is_exact(self):
+        h = 1 / (128 + 1e-10)
+        assert cli._h_slug(1 / 128) == "h128"
+        assert cli._h_slug(h) == f"h{h!r}"
+        cases = {1 / 64: "h64", 1 / 3: "h3", 0.1: "h10", 0.01: "h100",
+                 0.003: "h0.003", 2.5: "h2.5"}  # round(1 / 2.5) = 0
+        assert {h: cli._h_slug(h) for h in cases} == cases
 
     def test_stdout_when_no_out(self, capsys):
         assert run("table", "--spec", SQUARE, "-p", "1", "-q", "1",

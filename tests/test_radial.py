@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import oracles
-from sobolev_lab import AdmissibilityError, cp_ball, cp_unit_ball, radial
+from sobolev_lab import AdmissibilityError, cp_ball, radial
 from sobolev_lab.core import SolverError, alpha, cumulative_trapezoid, unit_ball_volume
-from sobolev_lab.radial import (DEFAULT_GRID, RawShot, VolumeProfile,
+from sobolev_lab.formats import DEFAULT_GRID
+from sobolev_lab.radial import (RawShot, VolumeProfile,
                                 normalize_to_unit_ball, shoot,
                                 unit_ball_profile, verify_integro_differential,
                                 volume_profile)
@@ -98,11 +99,11 @@ class TestUnitBallProfile:
     ])
     def test_cp_oracles(self, n, p, expected):
         rel = 1e-13 if (n, p) == (2, 1.0) else 1e-12
-        assert cp_unit_ball(n, p) == pytest.approx(expected, rel=rel)
+        assert cp_ball(n, p) == pytest.approx(expected, rel=rel)
 
     def test_strictly_decreasing(self):
         prof = unit_ball_profile(2, 1.5)
-        assert np.all(np.diff(prof.phi_samples) < 0)
+        assert np.all(np.diff(prof.phi(np.linspace(0.0, 1.0, DEFAULT_GRID))) < 0)
 
     def test_unit_lp_norm_by_independent_quadrature(self):
         for n, p in [(2, 1.0), (2, 2.0), (3, 1.5)]:
@@ -118,8 +119,8 @@ class TestUnitBallProfile:
 
     def test_rk_tolerance_refinement(self):
         for tol in (1e-8, 1e-10):
-            coarse = cp_unit_ball(2, 2.0, tol=tol)
-            fine = cp_unit_ball(2, 2.0, tol=tol / 2)
+            coarse = unit_ball_profile(2, 2.0, tol).cp_ball
+            fine = unit_ball_profile(2, 2.0, tol / 2).cp_ball
             assert abs(coarse - fine) < 10 * tol
 
     def test_memoized(self):
@@ -140,7 +141,7 @@ class TestScalingLaw:
     @pytest.mark.parametrize("r", [0.5, 2.0, 3.0])
     def test_radial_dilation(self, r):
         for n, p in [(2, 1.0), (2, 2.0), (3, 1.5)]:
-            expected = r ** alpha(n, p) * cp_unit_ball(n, p)
+            expected = r ** alpha(n, p) * cp_ball(n, p)
             assert cp_ball(n, p, radius=r) == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize("n,p,r", [(2, 1.0, 0.7), (2, 1.5, 0.7), (2, 2.0, 1.9),
@@ -159,7 +160,7 @@ class TestVolumeProfile:
         prof = unit_ball_profile(2, 2.0)
         vp = volume_profile(prof, volume_nodes(2))
         assert vp.s[0] == 0.0
-        assert vp.values[0] == pytest.approx(float(prof.phi_samples[0]), rel=1e-12)
+        assert vp.values[0] == pytest.approx(float(prof.phi(0.0)), rel=1e-12)
         assert vp.values[-1] == 0.0
         assert vp.total_volume == pytest.approx(math.pi, rel=1e-12)
 
@@ -173,7 +174,7 @@ class TestVolumeProfile:
         vp = volume_profile(prof, volume_nodes(2, radius=2.0), radius=2.0)
         assert vp.total_volume == pytest.approx(4 * math.pi, rel=1e-12)
         # phi_rho(0) = rho^(-n/p) phi(0)
-        assert vp.values[0] == pytest.approx(0.25 * float(prof.phi_samples[0]), rel=1e-12)
+        assert vp.values[0] == pytest.approx(0.25 * float(prof.phi(0.0)), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
