@@ -67,9 +67,12 @@ def _spec_slug(spec: DomainSpec) -> str:
 
 
 def _h_slug(h: float) -> str:
-    """h{k} when h is exactly 1.0 / k for an integer k, else h{_fmt(h)}."""
+    """h{k} when h is exactly 1.0 / k for an integer k; else h{h!r} for a
+    whole h of 2 or more (h3.0, since h3 is 1/3), and h{_fmt(h)} otherwise."""
     k = round(1.0 / h)
-    return f"h{k}" if k and 1.0 / k == h else f"h{_fmt(h)}"
+    if k and 1.0 / k == h:
+        return f"h{k}"
+    return f"h{float(h)!r}" if float(h).is_integer() else f"h{_fmt(h)}"
 
 
 def _run_config(args: argparse.Namespace, command: str) -> dict:

@@ -116,7 +116,9 @@ class _Level:
 
     The finest level applies the 5-point Dirichlet Laplacian (stencil None);
     a coarser level applies its Galerkin operator, a symmetric 9-point
-    stencil held as flat coefficient arrays that vanish outside the mask.
+    stencil given by its upper half, a read-only (5, ny * nx) array: flat
+    coefficients of the centre and the neighbors at (0, 1), (1, -1),
+    (1, 0), (1, 1), that vanish outside the mask.
     Either way A x is zero outside the mask, and neighbors outside it carry
     u = 0.
     Neighbors are flat offsets dy * nx + dx into the row-major arrays; an
@@ -128,9 +130,7 @@ class _Level:
                  h: float | None = None):
         self.mask = mask
         self.size = int(np.count_nonzero(mask))
-        # the operator is symmetric, so the centre and the four neighbors at
-        # positive flat offsets (0, 1), (1, -1), (1, 0), (1, 1) hold it all
-        self.stencil = None if stencil is None else stencil[4:].copy()
+        self.stencil = stencil
         ny, nx = mask.shape
         if stencil is None:
             self.scale = mask / h**2
@@ -142,7 +142,7 @@ class _Level:
             # the first or last column holds mask nodes
             self.wraps = bool(mask[:, 0].any() or mask[:, -1].any())
         else:
-            diag = self.stencil[0].reshape(mask.shape)
+            diag = stencil[0].reshape(mask.shape)
             n = mask.size
             self.neighbors = [(k, slice(0, n - off), slice(off, n))
                               for k, off in enumerate((1, nx - 1, nx, nx + 1), start=1)]
@@ -280,45 +280,97 @@ def _inverse(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _matrix(mask: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The dense matrix of a symmetric operator on the mask nodes, read off
+    its upper-half stencil.  Neighbors are indexed in 2-D, so no offset
+    wraps a row end; entries are 0.0 + coefficient, the bits of A e_j."""
+    ny, nx = mask.shape
+    index = np.full((ny + 2, nx + 2), -1)
+    index[1:-1, 1:-1][mask] = np.arange(np.count_nonzero(mask))
+    nodes = np.flatnonzero(mask)
+    iy, ix = np.divmod(nodes, nx)
+    a = np.diag(upper[0][nodes])
+    for k, (dy, dx) in enumerate(((0, 1), (1, -1), (1, 0), (1, 1)), start=1):
+        j = index[iy + 1 + dy, ix + 1 + dx]
+        i = np.flatnonzero(j >= 0)
+        j = j[i]
+        coef = upper[k][nodes[i]]
+        a[i, j] += coef
+        a[j, i] += coef
+    return a
+
+
+# the last grid's coarse operators, (key, operators); see _coarse_operators
+_last_operators = None
+
+
+def _coarse_operators(mask: np.ndarray, h: float) -> tuple:
+    """The read-only part of a grid's multigrid hierarchy: its Galerkin
+    levels, each a (coarse mask, upper-half stencil) pair, and the bottom
+    level's dense inverse, or None if the bottom is smoothed instead.
+
+    Levels coarsen by mask[::2, ::2] with bilinear prolongation P and
+    Galerkin operators P^T A P while a level has more than MG_COARSE_SIZE
+    nodes (or until the coarse mask is empty).  They depend on the mask and
+    h alone, so the last grid's operators are kept, as copies set read-only,
+    and a solve on the same mask and h reuses them.  The slot is emptied
+    before any other grid's build, so two grids' operators never coexist.
+    """
+    global _last_operators
+    key = (mask.shape, h, mask.tobytes())
+    last = _last_operators
+    if last is not None and last[0] == key:
+        return last[1]
+    _last_operators = None
+    galerkin = []
+    level = _Level(mask, h=h)
+    while level.size > MG_COARSE_SIZE:
+        coarse = mask[::2, ::2].copy()
+        if not coarse.any():
+            break
+        # the operator is symmetric, so its upper half holds it all
+        stencil = _galerkin(level, coarse)[4:].copy()
+        coarse.flags.writeable = stencil.flags.writeable = False
+        galerkin.append((coarse, stencil))
+        level = _Level(coarse, stencil)
+        mask = coarse
+    inverse = None
+    if level.size <= MG_COARSE_SIZE:
+        upper = level.stencil
+        if upper is None:  # the 5-point finest level: 4/h^2, and -1/h^2 at (0, 1) and (1, 0)
+            upper = np.zeros((5, mask.size))
+            upper[0] = 4.0 * level.scale.ravel()
+            upper[1] = upper[3] = -level.scale.ravel()
+        inverse = _inverse(_matrix(mask, upper))
+        inverse.flags.writeable = False
+    operators = (galerkin, inverse)
+    _last_operators = (key, operators)
+    return operators
+
+
 class _VCycle:
     """One multigrid V-cycle for the Laplacian of a masked grid, as a
     preconditioner for cg.
 
-    Levels coarsen by mask[::2, ::2] with bilinear prolongation P and
-    Galerkin operators P^T A P while a level has more than MG_COARSE_SIZE
-    nodes (or until the coarse mask is empty).  The last level is solved
+    The levels are those of _coarse_operators.  The last level is solved
     exactly by its dense inverse when it has at most MG_COARSE_SIZE nodes,
     so the bottom costs at most MG_COARSE_SIZE^3 whatever the domain's
     shape; a level whose mask stops coarsening above that size (a one-row
     strip) is smoothed instead, 2 * MG_SMOOTH damped Jacobi sweeps.
     Damped Jacobi, MG_SMOOTH sweeps before and as many after the coarse
     correction, keeps the cycle a symmetric positive definite operator, as
-    conjugate gradients requires.  The cycle is a plain loop over the
-    levels, not a recursive closure, so a hierarchy holds no reference
-    cycle and is freed as soon as its solve is done.
+    conjugate gradients requires.  Each cycle wraps the shared read-only
+    operators in levels of its own, so concurrent solves share nothing
+    they write.  The cycle is a plain loop over the levels, not a
+    recursive closure, so it holds no reference cycle: its levels are
+    freed as soon as its solve is done, while the last grid's read-only
+    operators are kept until another grid's build.
     """
 
     def __init__(self, mask: np.ndarray, h: float):
-        self.levels = []
-        level = _Level(mask, h=h)
-        self.fine = level
-        while level.size > MG_COARSE_SIZE:
-            coarse = mask[::2, ::2]
-            if not coarse.any():
-                break
-            self.levels.append(level)
-            level = _Level(coarse, _galerkin(level, coarse))
-            mask = coarse
-        self.bottom = level
-        self.inverse = None
-        if level.size <= MG_COARSE_SIZE:
-            # the level's matrix, one column per mask node from its own apply
-            e, cols = np.zeros(mask.shape), []
-            for k in np.flatnonzero(mask):
-                e.flat[k] = 1.0
-                cols.append(level.apply(e, level.t)[mask])
-                e.flat[k] = 0.0
-            self.inverse = _inverse(np.array(cols))
+        galerkin, self.inverse = _coarse_operators(mask, h)
+        levels = [_Level(mask, h=h)] + [_Level(m, stencil) for m, stencil in galerkin]
+        self.fine, self.bottom, self.levels = levels[0], levels[-1], levels[:-1]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """The V-cycle applied to a residual array r; the result is a work

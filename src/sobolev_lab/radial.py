@@ -313,9 +313,10 @@ def cp_ball(n: int, p: float, radius: float = 1.0) -> float:
 def volume_profile(profile: RadialProfile, s, radius: float = 1.0) -> VolumeProfile:
     """Rearrangement phi*(s) of the ball extremal at the increasing volume nodes s from 0.
 
-    The radius-rho extremal phi_rho(x) = rho^(-n/p) phi(x/rho) keeps
-    ||phi_rho||_Lp = 1; at volume s it is read at r = (s/|B_rho|)^(1/n)
-    (in units of rho, clipped to [0, 1]) and is 0 from |B_rho| on.
+    With R = profile.radius, the radius-rho extremal
+    phi_rho(x) = (rho/R)^(-n/p) phi(x R/rho) keeps ||phi_rho||_Lp = 1; at
+    volume s it is read at r = (s/|B_rho|)^(1/n) (in units of rho, clipped
+    to [0, 1]) and is 0 from |B_rho| on.
     """
     if not (radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
@@ -323,7 +324,8 @@ def volume_profile(profile: RadialProfile, s, radius: float = 1.0) -> VolumeProf
     s = np.asarray(s, dtype=float)
     bvol = unit_ball_volume(n) * radius**n
     r = np.clip((s / bvol) ** (1.0 / n), 0.0, 1.0)
-    vals = np.where(s < bvol, radius ** (-n / p) * profile.phi(r), 0.0)
+    vals = np.where(s < bvol, (radius / profile.radius) ** (-n / p)
+                    * profile.phi(r * profile.radius), 0.0)
     return VolumeProfile(s=s, values=vals, step=False)
 
 

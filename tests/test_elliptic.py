@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from sobolev_lab import (AdmissibilityError, DomainSpec, build_grid, minimize_qu
 from sobolev_lab import elliptic
 from sobolev_lab.core import GridError, SolverError
 from sobolev_lab.cli import main
-from sobolev_lab.elliptic import (MG_COARSE_SIZE, GriddedField, _galerkin, _Level, _VCycle,
-                                  poisson_solve, quotient)
+from sobolev_lab.elliptic import (MG_COARSE_SIZE, GriddedField, _coarse_operators, _galerkin,
+                                  _inverse, _Level, _VCycle, poisson_solve, quotient)
 
 SHAPES = {
     "disk": DomainSpec.disk(1.0),
@@ -225,6 +227,26 @@ class TestMultigrid:
         err = np.linalg.norm(sol.values[grid.mask] - ref) / np.linalg.norm(ref)
         assert err < 1e-9
 
+    @pytest.mark.parametrize("spec,h", [
+        (DomainSpec.disk(1.0), 1.0 / 4),                  # the 5-point finest level
+        (None, 0.25),                     # 5-point, mask nodes on the array frame
+        (DomainSpec.l_shape(1.0, 0.5), 1.0 / 128),
+        (DomainSpec.polygon([(0, 0), (0.01, 0), (1, 0.99), (1, 1), (0.99, 1), (0, 0.01)]),
+         1.0 / 256),
+        # a bottom array two columns wide: the flat offsets 1 and nx - 1 coincide
+        (DomainSpec.rectangle(3.0 / 64, 2.0), 1.0 / 64),
+    ])
+    def test_bottom_inverse_equals_inverse_of_applied_columns(self, spec, h):
+        # the bottom matrix read off the stencil has the bits of A e_j, column by column
+        mask = np.ones((5, 7), dtype=bool) if spec is None else build_grid(spec, h).mask
+        M = _VCycle(mask, h)
+        bottom, e, cols = M.bottom, np.zeros(M.bottom.mask.shape), []
+        for k in np.flatnonzero(bottom.mask):
+            e.flat[k] = 1.0
+            cols.append(bottom.apply(e, np.empty(e.shape))[bottom.mask])
+            e.flat[k] = 0.0
+        assert M.inverse.tobytes() == _inverse(np.array(cols)).tobytes()
+
     def test_hierarchy_freed_without_cycle_collector(self):
         grid = build_grid(SHAPES["disk"], 1.0 / 64)
         minimize_quotient(grid, 1.0)
@@ -237,6 +259,105 @@ class TestMultigrid:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class CountingGalerkin:
+    """Stand-in for elliptic._galerkin that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, fine, coarse):
+        self.calls += 1
+        return _galerkin(fine, coarse)
+
+
+class TestHierarchyMemo:
+    """The last grid's coarse operators are reused by solves on the same mask and h."""
+
+    @pytest.fixture
+    def galerkin(self, monkeypatch):
+        monkeypatch.setattr(elliptic, "_last_operators", None)
+        counting = CountingGalerkin()
+        monkeypatch.setattr(elliptic, "_galerkin", counting)
+        return counting
+
+    def test_hit_is_bit_identical(self, galerkin):
+        spec, h = SHAPES["lshape"], 1.0 / 64
+        grid = build_grid(spec, h)
+        miss = minimize_quotient(grid, 1.5)
+        built = galerkin.calls
+        assert built > 0
+        hit = minimize_quotient(grid, 1.5)
+        again = minimize_quotient(build_grid(spec, h), 1.5)  # a fresh grid of the same spec
+        assert galerkin.calls == built
+        for res in (hit, again):
+            assert np.array_equal(res.field.values, miss.field.values)
+            assert res.cp == miss.cp and res.iterations == miss.iterations
+
+    def test_key_is_mask_and_spacing(self, galerkin):
+        grid = build_grid(SHAPES["disk"], 1.0 / 32)
+        operators = _coarse_operators(grid.mask, grid.h)
+        built = galerkin.calls
+        assert _coarse_operators(grid.mask.copy(), grid.h) is operators
+        assert galerkin.calls == built
+        other = grid.mask.copy()
+        other[tuple(np.argwhere(other)[0])] = False  # same shape, one node fewer
+        assert _coarse_operators(other, grid.h) is not operators
+        assert galerkin.calls == 2 * built
+        _coarse_operators(other, 2 * grid.h)  # same mask, another spacing
+        assert galerkin.calls == 3 * built
+
+    def test_operators_read_only_and_copied(self, galerkin):
+        grid = build_grid(SHAPES["disk"], 1.0 / 64)
+        poisson_solve(grid, np.ones(grid.mask.shape))
+        levels, inverse = _coarse_operators(grid.mask, grid.h)
+        assert galerkin.calls == len(levels)
+        for array in [a for level in levels for a in level] + [inverse]:
+            with pytest.raises(ValueError):
+                array.flat[0] = 1
+        coarse = levels[0][0]
+        kept = coarse.copy()
+        assert not np.shares_memory(coarse, grid.mask)
+        grid.mask[::2, ::2] = False
+        assert np.array_equal(coarse, kept)
+
+    def test_old_grid_freed_by_another_grids_solve(self, galerkin):
+        minimize_quotient(build_grid(SHAPES["disk"], 1.0 / 64), 1.0)
+        stencil = weakref.ref(elliptic._last_operators[1][0][0][1])
+        assert stencil() is not None
+        minimize_quotient(build_grid(SHAPES["ellipse"], 1.0 / 64), 1.0)
+        assert stencil() is None
+
+    def test_concurrent_solves_match_sequential(self, galerkin):
+        grid = build_grid(SHAPES["disk"], 1.0 / 64)
+        ps = (1.5, 2.0, 1.5, 2.0)  # more threads than cores, two at each p
+        sequential = {p: minimize_quotient(grid, p) for p in set(ps)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cold in (True, False):  # the threads build at once, then all reuse
+                if cold:
+                    elliptic._last_operators = None
+                start, results = threading.Barrier(len(ps)), {}
+
+                def solve(k, p):
+                    start.wait(timeout=60)
+                    results[k] = minimize_quotient(grid, p)
+
+                threads = [threading.Thread(target=solve, args=kp, daemon=True)
+                           for kp in enumerate(ps)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert len(results) == len(ps)
+                for k, p in enumerate(ps):
+                    assert np.array_equal(results[k].field.values, sequential[p].field.values)
+                    assert results[k].cp == sequential[p].cp
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestPoissonSolve:

@@ -492,7 +492,8 @@ class TestCliTable:
         assert cli._h_slug(1 / 128) == "h128"
         assert cli._h_slug(h) == f"h{h!r}"
         cases = {1 / 64: "h64", 1 / 3: "h3", 0.1: "h10", 0.01: "h100",
-                 0.003: "h0.003", 2.5: "h2.5"}  # round(1 / 2.5) = 0
+                 0.003: "h0.003", 2.5: "h2.5",  # round(1 / 2.5) = 0
+                 1.0: "h1", 0.5: "h2", 2.0: "h2.0", 3.0: "h3.0"}  # h3 names 1/3
         assert {h: cli._h_slug(h) for h in cases} == cases
 
     def test_stdout_when_no_out(self, capsys):

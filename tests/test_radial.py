@@ -176,6 +176,17 @@ class TestVolumeProfile:
         # phi_rho(0) = rho^(-n/p) phi(0)
         assert vp.values[0] == pytest.approx(0.25 * float(prof.phi(0.0)), rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_profile_of_any_radius(self, p):
+        # a profile normalized on the radius-2 ball gives the same phi* as the unit one
+        two = normalize_to_unit_ball(shoot(2, p), radius=2.0)
+        unit = unit_ball_profile(2, p)
+        for radius in (0.5, 1.0, 2.0):
+            s = volume_nodes(2, radius=radius)
+            got, ref = volume_profile(two, s, radius), volume_profile(unit, s, radius)
+            assert got.power_integral(p) == pytest.approx(1.0, rel=1e-6)
+            assert np.max(np.abs(got.values - ref.values)) <= 1e-12 * ref.values[0]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             VolumeProfile(s=np.array([0.1, 1.0]), values=np.array([1.0]), step=True)
