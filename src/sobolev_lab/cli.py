@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -288,20 +289,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "reverse Holder verification on balls and planar domains.")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def finite(text):  # the type of every float option; argparse names it in its error
+        val = float(text)
+        if not math.isfinite(val):
+            raise ValueError(text)
+        return val
+
     def common(sp, tol, with_grid=True):
         sp.add_argument("--out", default=".", help="output directory")
         if tol is not None:
-            sp.add_argument("--tol", type=float, default=tol,
+            sp.add_argument("--tol", type=finite, default=tol,
                             help="solver tolerance (default %(default)g)")
         if with_grid:
-            sp.add_argument("--h", type=float, default=1.0 / 128,
+            sp.add_argument("--h", type=finite, default=1.0 / 128,
                             help="grid spacing (default 1/128)")
             sp.add_argument("--max-iter", type=int, default=300)
 
     b = sub.add_parser("ball", help="unit-ball constant and extremal profile")
     b.add_argument("-n", type=int, required=True, help="dimension")
-    b.add_argument("-p", type=float, required=True)
-    b.add_argument("-q", type=float, action="append", default=[],
+    b.add_argument("-p", type=finite, required=True)
+    b.add_argument("-q", type=finite, action="append", default=[],
                    help="also tabulate khat(n,p,q); repeatable")
     b.add_argument("--experimental-supercritical", action="store_true")
     common(b, 1e-12, with_grid=False)
@@ -310,15 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("domain", help="extremal on a planar domain")
     d.add_argument("--spec", required=True,
                    help="domain spec: JSON file path or inline JSON")
-    d.add_argument("-p", type=float, required=True)
+    d.add_argument("-p", type=finite, required=True)
     d.add_argument("--experimental-supercritical", action="store_true")
     common(d, 1e-8)
     d.set_defaults(func=cmd_domain)
 
     v = sub.add_parser("verify", help="reverse Holder verification report")
     v.add_argument("--spec", required=True)
-    v.add_argument("-p", type=float, required=True)
-    v.add_argument("-q", type=float, action="append", default=[],
+    v.add_argument("-p", type=finite, required=True)
+    v.add_argument("-q", type=finite, action="append", default=[],
                    help="target exponent, q >= p; repeatable")
     v.add_argument("--format", choices=("table", "json"), default="table")
     common(v, 1e-8)
@@ -327,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table", help="sweep domains x p x q to CSV")
     t.add_argument("--spec", action="append", required=True,
                    help="domain spec (repeatable)")
-    t.add_argument("-p", type=float, action="append", required=True)
-    t.add_argument("-q", type=float, action="append", required=True)
+    t.add_argument("-p", type=finite, action="append", required=True)
+    t.add_argument("-q", type=finite, action="append", required=True)
     t.add_argument("--jobs", type=int, default=1)
     t.add_argument("--max-rows", type=int, default=1000)
     common(t, 1e-8)

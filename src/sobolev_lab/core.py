@@ -99,7 +99,7 @@ def check_exponents(n: int, p: float, qs=None, allow_supercritical: bool = False
 
     Checks that (n, p) is admissible, that p <= 2 unless
     allow_supercritical lifts the experimental gate, and, when qs is
-    given, that it is non-empty with every q >= p.
+    given, that it is non-empty with every q finite and q >= p.
     """
     if not admissible(n, p):
         bound = "any p >= 1" if n == 2 else f"1 <= p < 2n/(n-2) = {2.0 * n / (n - 2.0):g}"
@@ -111,6 +111,8 @@ def check_exponents(n: int, p: float, qs=None, allow_supercritical: bool = False
     if qs is not None:
         if len(qs) == 0:
             raise AdmissibilityError("need at least one exponent q")
+        if not np.all(np.isfinite(qs)):
+            raise AdmissibilityError(f"every q must be finite; got {[float(q) for q in qs]}")
         if min(qs) < p:
             raise AdmissibilityError(
                 f"every q must be >= p = {p:g}; q = {min(qs):g} is below p")

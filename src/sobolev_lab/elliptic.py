@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainSpec, GridError, SolverError, check_exponents
+from .core import DomainSpec, GridError, InputError, SolverError, check_exponents
 
 __all__ = [
     "GriddedField",
@@ -280,52 +280,33 @@ def _inverse(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _matrix(mask: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The dense matrix of a symmetric operator on the mask nodes, read off
-    its upper-half stencil.  Neighbors are indexed in 2-D, so no offset
-    wraps a row end; entries are 0.0 + coefficient, the bits of A e_j."""
-    ny, nx = mask.shape
-    index = np.full((ny + 2, nx + 2), -1)
-    index[1:-1, 1:-1][mask] = np.arange(np.count_nonzero(mask))
-    nodes = np.flatnonzero(mask)
-    iy, ix = np.divmod(nodes, nx)
-    a = np.diag(upper[0][nodes])
-    for k, (dy, dx) in enumerate(((0, 1), (1, -1), (1, 0), (1, 1)), start=1):
-        j = index[iy + 1 + dy, ix + 1 + dx]
-        i = np.flatnonzero(j >= 0)
-        j = j[i]
-        coef = upper[k][nodes[i]]
-        a[i, j] += coef
-        a[j, i] += coef
-    return a
-
-
 # the last grid's coarse operators, (key, operators); see _coarse_operators
 _last_operators = None
 
 
-def _coarse_operators(mask: np.ndarray, h: float) -> tuple:
-    """The read-only part of a grid's multigrid hierarchy: its Galerkin
-    levels, each a (coarse mask, upper-half stencil) pair, and the bottom
-    level's dense inverse, or None if the bottom is smoothed instead.
+def _coarse_operators(fine: _Level, h: float) -> tuple:
+    """The read-only part of the multigrid hierarchy above the finest level
+    fine: its Galerkin levels, each a (coarse mask, upper-half stencil)
+    pair, and the bottom level's dense inverse, or None if it is smoothed.
 
     Levels coarsen by mask[::2, ::2] with bilinear prolongation P and
     Galerkin operators P^T A P while a level has more than MG_COARSE_SIZE
-    nodes (or until the coarse mask is empty).  They depend on the mask and
+    nodes (or until the coarse mask is empty); the first is probed on fine
+    itself, whose work arrays it overwrites.  They depend on the mask and
     h alone, so the last grid's operators are kept, as copies set read-only,
     and a solve on the same mask and h reuses them.  The slot is emptied
     before any other grid's build, so two grids' operators never coexist.
     """
     global _last_operators
-    key = (mask.shape, h, mask.tobytes())
+    key = (fine.mask.shape, h, fine.mask.tobytes())
     last = _last_operators
     if last is not None and last[0] == key:
         return last[1]
     _last_operators = None
     galerkin = []
-    level = _Level(mask, h=h)
+    level = fine
     while level.size > MG_COARSE_SIZE:
-        coarse = mask[::2, ::2].copy()
+        coarse = level.mask[::2, ::2].copy()
         if not coarse.any():
             break
         # the operator is symmetric, so its upper half holds it all
@@ -333,15 +314,15 @@ def _coarse_operators(mask: np.ndarray, h: float) -> tuple:
         coarse.flags.writeable = stencil.flags.writeable = False
         galerkin.append((coarse, stencil))
         level = _Level(coarse, stencil)
-        mask = coarse
     inverse = None
     if level.size <= MG_COARSE_SIZE:
-        upper = level.stencil
-        if upper is None:  # the 5-point finest level: 4/h^2, and -1/h^2 at (0, 1) and (1, 0)
-            upper = np.zeros((5, mask.size))
-            upper[0] = 4.0 * level.scale.ravel()
-            upper[1] = upper[3] = -level.scale.ravel()
-        inverse = _inverse(_matrix(mask, upper))
+        # the bottom operator is symmetric, so its image of unit vector k is row k
+        a, e = np.empty((level.size, level.size)), np.zeros(level.mask.shape)
+        for i, k in enumerate(np.flatnonzero(level.mask)):
+            e.flat[k] = 1.0
+            a[i] = level.apply(e, level.t)[level.mask]
+            e.flat[k] = 0.0
+        inverse = _inverse(a)
         inverse.flags.writeable = False
     operators = (galerkin, inverse)
     _last_operators = (key, operators)
@@ -368,8 +349,9 @@ class _VCycle:
     """
 
     def __init__(self, mask: np.ndarray, h: float):
-        galerkin, self.inverse = _coarse_operators(mask, h)
-        levels = [_Level(mask, h=h)] + [_Level(m, stencil) for m, stencil in galerkin]
+        fine = _Level(mask, h=h)
+        galerkin, self.inverse = _coarse_operators(fine, h)
+        levels = [fine] + [_Level(m, stencil) for m, stencil in galerkin]
         self.fine, self.bottom, self.levels = levels[0], levels[-1], levels[:-1]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
@@ -494,6 +476,8 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     reach CG_RTOL again, so the path is that of exact solves.
     """
     check_exponents(2, p, allow_supercritical=allow_supercritical)
+    if not (0 < tol < np.inf and max_iter >= 1):
+        raise InputError(f"need a finite tol > 0 and max_iter >= 1, got {tol} and {max_iter}")
     mask = grid.mask
     M = _VCycle(mask, grid.h)
     h2 = grid.h**2

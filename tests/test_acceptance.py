@@ -305,11 +305,15 @@ def test_criterion_10_determinism(tmp_path):
         ["domain", "--spec", square, "-p", "1", "--h", repr(1 / 16)],
         str(tmp_path / "d1"), str(tmp_path / "d2"),
         header_config(field_name), lambda out: [field_name])
+
+    def report_config(out):
+        with open(os.path.join(out, "report_rectangle_height1_width1_p1_h32.json"),
+                  encoding="utf-8") as fh:
+            return json.load(fh)["config"]
+
     ok_verify = replay(
         ["verify", "--spec", square, "-p", "1", "-q", "2", "--h", repr(1 / 32)],
-        str(tmp_path / "v1"), str(tmp_path / "v2"),
-        lambda out: json.load(open(os.path.join(
-            out, "report_rectangle_height1_width1_p1_h32.json")))["config"],
+        str(tmp_path / "v1"), str(tmp_path / "v2"), report_config,
         lambda out: sorted(os.listdir(out)))
     ok_rearrange = replay(
         ["rearrange", "--field", os.path.join(str(tmp_path / "d1"), field_name)],

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import math
 import pathlib
 import pkgutil
 
@@ -23,7 +24,10 @@ BAD = {
     "supercritical": (2, 2.5, None, ["experimental", "1 <= p <= 2"]),
     "q-below-p": (2, 1.0, [0.5], ["must be >=", "below p"]),
     "empty-q": (2, 1.0, [], ["at least one exponent q"]),
+    "q-nan": (2, 1.0, [math.nan], ["finite", "nan"]),
+    "q-inf": (2, 1.0, [math.inf], ["finite", "inf"]),
 }
+NON_FINITE_Q = {"q-nan", "q-inf"}
 
 
 def _grid():
@@ -52,25 +56,25 @@ ENTRY = {
     "minimize_quotient": (lambda n, p, qs, out: minimize_quotient(_grid(), p),
                           {"p-below-one", "supercritical"}, AdmissibilityError, None),
     "constant_K": (lambda n, p, qs, out: constant_K(n, p, _q(p, qs), 1.0),
-                   {"critical", "p-below-one", "supercritical", "q-below-p"},
+                   {"critical", "p-below-one", "supercritical", "q-below-p", *NON_FINITE_Q},
                    AdmissibilityError, None),
     "khat": (lambda n, p, qs, out: khat(n, p, _q(p, qs)),
-             {"critical", "p-below-one", "supercritical", "q-below-p"},
+             {"critical", "p-below-one", "supercritical", "q-below-p", *NON_FINITE_Q},
              AdmissibilityError, None),
     "torsion_form": (lambda n, p, qs, out: torsion_form(n, _q(p, qs), 1.0),
-                     {"q-below-p"}, AdmissibilityError, None),
+                     {"q-below-p", *NON_FINITE_Q}, AdmissibilityError, None),
     "verify_reverse_holder": (
         lambda n, p, qs, out: verify_reverse_holder(
             SobolevResult(field=_grid(), cp=1.0, iterations=0, residual=0.0, p=p),
             [p] if qs is None else qs),
-        {"p-below-one", "supercritical", "q-below-p", "empty-q"},
+        {"p-below-one", "supercritical", "q-below-p", "empty-q", *NON_FINITE_Q},
         VerificationError, "preconditions"),
     "cli verify": (lambda n, p, qs, out: cli_main(
         ["verify", "--spec", SQUARE, "-p", repr(p), *_q_flags(p, qs), "--out", out]),
-        {"p-below-one", "supercritical", "q-below-p", "empty-q"}, None, None),
+        {"p-below-one", "supercritical", "q-below-p", "empty-q", *NON_FINITE_Q}, None, None),
     "cli ball": (lambda n, p, qs, out: cli_main(
         ["ball", "-n", str(n), "-p", repr(p), *_q_flags(p, qs), "--out", out]),
-        {"critical", "p-below-one", "supercritical", "q-below-p"}, None, None),
+        {"critical", "p-below-one", "supercritical", "q-below-p", *NON_FINITE_Q}, None, None),
 }
 
 PAIRS = [(entry, case) for entry, (_, cases, _, _) in ENTRY.items()
@@ -82,7 +86,11 @@ def test_exponent_gate(entry, case, tmp_path, capsys):
     call, _, error, stage = ENTRY[entry]
     n, p, qs, pinned = BAD[case]
     if error is None:  # CLI: usage exit code, message on stderr
-        assert call(n, p, qs, str(tmp_path)) == 2
+        try:
+            code = call(n, p, qs, str(tmp_path))
+        except SystemExit as exc:  # rejected by the argument parser
+            code = exc.code
+        assert code == 2
         message = capsys.readouterr().err
     else:
         with pytest.raises(error) as exc:

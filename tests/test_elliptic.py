@@ -17,7 +17,7 @@ import oracles
 from sobolev_lab import (AdmissibilityError, DomainSpec, build_grid, minimize_quotient,
                          verify_reverse_holder)
 from sobolev_lab import elliptic
-from sobolev_lab.core import GridError, SolverError
+from sobolev_lab.core import GridError, InputError, SolverError
 from sobolev_lab.cli import main
 from sobolev_lab.elliptic import (MG_COARSE_SIZE, GriddedField, _coarse_operators, _galerkin,
                                   _inverse, _Level, _VCycle, poisson_solve, quotient)
@@ -237,7 +237,7 @@ class TestMultigrid:
         (DomainSpec.rectangle(3.0 / 64, 2.0), 1.0 / 64),
     ])
     def test_bottom_inverse_equals_inverse_of_applied_columns(self, spec, h):
-        # the bottom matrix read off the stencil has the bits of A e_j, column by column
+        # the bottom matrix has the bits of the level's A e_j, column by column
         mask = np.ones((5, 7), dtype=bool) if spec is None else build_grid(spec, h).mask
         M = _VCycle(mask, h)
         bottom, e, cols = M.bottom, np.zeros(M.bottom.mask.shape), []
@@ -297,21 +297,37 @@ class TestHierarchyMemo:
 
     def test_key_is_mask_and_spacing(self, galerkin):
         grid = build_grid(SHAPES["disk"], 1.0 / 32)
-        operators = _coarse_operators(grid.mask, grid.h)
+        operators = _coarse_operators(_Level(grid.mask, h=grid.h), grid.h)
         built = galerkin.calls
-        assert _coarse_operators(grid.mask.copy(), grid.h) is operators
+        assert _coarse_operators(_Level(grid.mask.copy(), h=grid.h), grid.h) is operators
         assert galerkin.calls == built
         other = grid.mask.copy()
         other[tuple(np.argwhere(other)[0])] = False  # same shape, one node fewer
-        assert _coarse_operators(other, grid.h) is not operators
+        assert _coarse_operators(_Level(other, h=grid.h), grid.h) is not operators
         assert galerkin.calls == 2 * built
-        _coarse_operators(other, 2 * grid.h)  # same mask, another spacing
+        _coarse_operators(_Level(other, h=2 * grid.h), 2 * grid.h)  # same mask, another spacing
         assert galerkin.calls == 3 * built
+
+    def test_one_fine_level_per_cold_solve(self, galerkin, monkeypatch):
+        fine = []
+
+        def level(mask, stencil=None, h=None):
+            if stencil is None:
+                fine.append(mask)
+            return _Level(mask, stencil, h)
+
+        monkeypatch.setattr(elliptic, "_Level", level)
+        grid = build_grid(SHAPES["disk"], 1.0 / 64)
+        minimize_quotient(grid, 1.5)  # cold: the probe runs on the solve's own fine level
+        assert len(fine) == 1 and galerkin.calls > 0
+        built = galerkin.calls
+        minimize_quotient(grid, 1.5)  # a memo hit
+        assert len(fine) == 2 and galerkin.calls == built
 
     def test_operators_read_only_and_copied(self, galerkin):
         grid = build_grid(SHAPES["disk"], 1.0 / 64)
         poisson_solve(grid, np.ones(grid.mask.shape))
-        levels, inverse = _coarse_operators(grid.mask, grid.h)
+        levels, inverse = _coarse_operators(_Level(grid.mask, h=grid.h), grid.h)
         assert galerkin.calls == len(levels)
         for array in [a for level in levels for a in level] + [inverse]:
             with pytest.raises(ValueError):
@@ -429,6 +445,13 @@ class TestMinimizeQuotient:
             minimize_quotient(grid, 2.5)
         res = minimize_quotient(grid, 2.5, allow_supercritical=True)
         assert res.cp > 0
+
+    @pytest.mark.parametrize("tol,max_iter", [
+        (-1.0, 300), (0.0, 300), (math.nan, 300), (math.inf, 300), (1e-8, 0)])
+    def test_tol_and_max_iter_checked(self, tol, max_iter):
+        grid = build_grid(DomainSpec.rectangle(1.0, 1.0), h=1.0 / 8)
+        with pytest.raises(InputError, match="finite tol > 0 and max_iter >= 1"):
+            minimize_quotient(grid, 2.0, tol=tol, max_iter=max_iter)
 
     def test_nonconvergence_carries_trajectory(self):
         grid = build_grid(DomainSpec.rectangle(1.0, 1.0), h=1.0 / 16)

@@ -239,6 +239,22 @@ class TestCliDomain:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("domain", "--tol", "-1"),
+        ("domain", "--max-iter", "0"),
+        ("verify", "-q", "2", "--tol", "-1"),
+        ("verify", "-q", "2", "--tol", "nan"),  # rejected by the argument parser
+    ])
+    def test_out_of_range_solver_options(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        try:
+            code = run(*argv, "--spec", SQUARE, "-p", "2", "--h", str(1 / 8), "--out", str(out))
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         assert run("domain", "--spec", SQUARE, "-p", "1.5", "--h", str(1 / 16),
                    "--tol", "1e-15", "--max-iter", "1",
@@ -394,6 +410,24 @@ class TestCliTable:
         assert len(good) == 5
         for r in good:
             assert float(r[10]) >= -1e-3  # margin column
+
+    def test_non_finite_q_rejected_before_any_group(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(*self.ARGS, "-q", "nan", "--out", str(out))
+        assert exc.value.code == 2
+        assert "argument -q: invalid finite value: 'nan'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_range_tol_gives_error_rows(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert run("table", "--spec", SQUARE, "-p", "2", "-q", "2", "-q", "4",
+                   "--h", str(1 / 8), "--tol", "-1", "--out", out) == 0
+        assert "2 of 2 rows failed" in capsys.readouterr().err
+        rows = self.read_sweep(out).decode().splitlines()[2:]
+        assert len(rows) == 2
+        for row in rows:
+            assert "InputError: need a finite tol > 0 and max_iter >= 1" in row
 
     def test_reruns_byte_identical(self, tmp_path, capsys):
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
