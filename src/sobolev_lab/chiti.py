@@ -4,7 +4,10 @@ Given an extremal u on a planar domain with constant cp, the comparison
 ball B* is the ball sharing that constant.  The rearranged profiles phi*
 (ball) and u* (domain) cross exactly once; cumulative dominance of the
 p-th powers then yields ||u||_p >= K ||u||_q with the ball-extremal
-constant K, sharp because balls achieve equality.
+constant K, sharp because balls achieve equality.  verify_reverse_holder
+runs that chain on a solved extremal, one stage function per step:
+comparison_ball, crossing_analysis, dominance_check, then constant_K and
+khat for the norm inequality.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "dominance_check",
     "constant_K",
     "khat",
-    "torsion_form",
     "verify_reverse_holder",
 ]
 
@@ -104,7 +106,7 @@ def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall,
     max |D| < band over the whole interval reports identical profiles
     (the ball equality case) rather than an error; any other sign pattern
     than one downward crossing raises a CrossingError carrying D.  A step
-    u* reads its last cell value again at its end node, as evaluate does.
+    u* reads its last cell value again at its end node.
     """
     _check_nodes(u_star, ball)
     nodes = u_star.s
@@ -210,27 +212,6 @@ def khat(n: int, p: float, q: float, tol: float = 1e-12) -> float:
     prof = unit_ball_profile(n, p, tol=tol)
     expo = (n / alpha(n, p)) * (1.0 / p - 1.0 / q)
     return prof.cp_ball ** (-expo) * prof.lp_norm(p) / prof.lp_norm(q)
-
-
-def torsion_form(n: int, q: float, cp1_omega: float) -> float:
-    """The p = 1 constant expressed through torsional rigidity P = 4 / C_1.
-
-    K(n, 1, q, cp) = khat_P(n, q) * P^((n/(n+2))(1 - 1/q)) with the factor
-    4^(-(n/(n+2))(1-1/q)) absorbed into khat_P; exact consistency with
-    constant_K is asserted.  Note alpha(n, 1) = -(n+2), so the P form is
-    the dilation law in disguise.
-    """
-    check_exponents(n, 1.0, [q])
-    P = 4.0 / cp1_omega
-    expo = (n / (n + 2.0)) * (1.0 - 1.0 / q)
-    khat_p_form = khat(n, 1.0, q) * 4.0 ** (-expo)
-    value = khat_p_form * P**expo
-    ref = constant_K(n, 1.0, q, cp1_omega)
-    if not math.isclose(value, ref, rel_tol=1e-10):
-        raise VerificationError(
-            f"torsion form {value!r} disagrees with the dilation form {ref!r}",
-            stage="constant")
-    return value
 
 
 @dataclass(frozen=True)

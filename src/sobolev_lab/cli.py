@@ -231,8 +231,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         pending.append((i, task, cpath))
 
     if pending:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a forked pool starts all its workers at once, so start no idle one
+        jobs = min(args.jobs, len(pending))
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 fresh = list(pool.map(_table_group, [t for _, t, _ in pending]))
         else:
             fresh = [_table_group(t) for _, t, _ in pending]
@@ -265,6 +267,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_rearrange(args: argparse.Namespace) -> int:
     header, fld = read_field(args.field)
+    if (fld.values < 0).any():
+        raise InputError("field has negative node values; a rearrangement needs u >= 0")
     u_star = decreasing_rearrangement(fld)
     meta = {"n": 2, "p": header.get("p"), "cp": header.get("cp"),
             "source": os.path.basename(args.field)}
@@ -292,6 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     def finite(text):  # the type of every float option; argparse names it in its error
         val = float(text)
         if not math.isfinite(val):
+            raise ValueError(text)
+        return val
+
+    def positive(text):  # the type of --jobs
+        val = int(text)
+        if val < 1:
             raise ValueError(text)
         return val
 
@@ -336,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="domain spec (repeatable)")
     t.add_argument("-p", type=finite, action="append", required=True)
     t.add_argument("-q", type=finite, action="append", required=True)
-    t.add_argument("--jobs", type=int, default=1)
+    t.add_argument("--jobs", type=positive, default=1)
     t.add_argument("--max-rows", type=int, default=1000)
     common(t, 1e-8)
     t.set_defaults(func=cmd_table, out=None)

@@ -1,4 +1,4 @@
-"""Shared primitives: the exponent gate, planar domain specs, quadrature."""
+"""Shared primitives: the exponent gate, the error classes, planar domain specs."""
 
 from __future__ import annotations
 
@@ -83,7 +83,7 @@ def unit_ball_volume(n: int) -> float:
 def admissible(n: int, p: float) -> bool:
     """Whether the variational problem for (n, p) has an extremal.
 
-    Requires p >= 1, and for n >= 3 the subcritical bound p < 2n/(n-2).
+    Requires n >= 2 and p >= 1, and for n >= 3 the subcritical bound p < 2n/(n-2).
     In two dimensions every p >= 1 is admissible.  Total: out-of-range
     inputs return False rather than raising.
     """
@@ -102,7 +102,8 @@ def check_exponents(n: int, p: float, qs=None, allow_supercritical: bool = False
     given, that it is non-empty with every q finite and q >= p.
     """
     if not admissible(n, p):
-        bound = "any p >= 1" if n == 2 else f"1 <= p < 2n/(n-2) = {2.0 * n / (n - 2.0):g}"
+        bound = ("n >= 2" if n < 2 else "any p >= 1" if n == 2
+                 else f"1 <= p < 2n/(n-2) = {2.0 * n / (n - 2.0):g}")
         raise AdmissibilityError(f"(n, p) = ({n}, {p}) is not admissible; need {bound}")
     if p > 2.0 and not allow_supercritical:
         raise AdmissibilityError(
@@ -125,14 +126,6 @@ def alpha(n: int, p: float) -> float:
     """
     check_exponents(n, p, allow_supercritical=True)
     return n - 2.0 - 2.0 * n / p
-
-
-def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of y over x, starting at 0.
-
-    Bit-identical to scipy.integrate.cumulative_trapezoid(y, x, initial=0.0).
-    """
-    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def _real(val) -> bool:

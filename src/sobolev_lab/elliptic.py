@@ -26,7 +26,6 @@ __all__ = [
     "GriddedField",
     "SobolevResult",
     "build_grid",
-    "poisson_solve",
     "quotient",
     "minimize_quotient",
 ]
@@ -67,14 +66,6 @@ class GriddedField:
     def volume(self) -> float:
         """Area estimate: inside-node count times h^2."""
         return float(np.count_nonzero(self.mask)) * self.h**2
-
-    def node_coordinates(self):
-        x = self.origin[0] + self.h * np.arange(self.nx)
-        y = self.origin[1] + self.h * np.arange(self.ny)
-        return np.meshgrid(x, y)
-
-    def lp_norm(self, p: float) -> float:
-        return float(np.sum(np.abs(self.values[self.mask]) ** p) * self.h**2) ** (1.0 / p)
 
 
 @dataclass(eq=False)
@@ -417,27 +408,6 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M, rtol: float = CG_RTOL):
     raise SolverError(
         f"conjugate gradients did not reach rtol={rtol:g} in {CG_MAXITER} "
         f"iterations (relative residual {res:.3e})", trajectory=[res])
-
-
-def poisson_solve(grid: GriddedField, rhs, x0: np.ndarray | None = None) -> GriddedField:
-    """Solve -Delta_h v = rhs with zero Dirichlet data, by multigrid-preconditioned CG.
-
-    rhs is a field, an (ny, nx) array or a vector over the mask nodes; x0,
-    if given, is a vector over the mask nodes.
-    """
-    mask = grid.mask
-
-    def full(values):
-        out = np.zeros(mask.shape)
-        out[mask] = values[mask] if values.shape == mask.shape else values
-        return out
-
-    b = full(np.asarray(rhs.values if isinstance(rhs, GriddedField) else rhs, dtype=float))
-    if x0 is not None:
-        x0 = full(np.asarray(x0, dtype=float))
-    M = _VCycle(mask, grid.h)
-    x, _ = cg(M.fine.apply, b, x0, M)
-    return GriddedField(grid.nx, grid.ny, grid.h, grid.origin, mask, x, grid.spec)
 
 
 def quotient(fld: GriddedField, p: float) -> float:

@@ -24,8 +24,6 @@ __all__ = [
     "write_csv",
     "write_radial_profile",
     "write_volume_profile",
-    "read_profile",
-    "read_volume_profile",
     "write_field",
     "read_field",
     "report_to_dict",
@@ -103,31 +101,6 @@ def write_volume_profile(path: str, vp: VolumeProfile,
     write_csv(path, "profile", fields, config, ("s", "value"), zip(s, vp.values))
 
 
-def read_profile(path: str) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Read a profile CSV back: (header, first column, second column).
-
-    For step volume profiles the first column holds left breakpoints;
-    rebuild the full breakpoint vector by appending total_volume.
-    """
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        label = fh.readline().strip()
-        if label not in ("r,phi", "s,value"):
-            raise ValueError(f"unrecognized profile column row: {label!r}")
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return header, body[:, 0], body[:, 1]
-
-
-def read_volume_profile(path: str) -> tuple[dict, VolumeProfile]:
-    """Reconstruct a VolumeProfile from a profile CSV written here."""
-    header, s, v = read_profile(path)
-    if header.get("kind") != "volume":
-        raise ValueError("not a volume-profile file")
-    if header["step"]:  # the closing breakpoint
-        s = np.append(s, float(header["total_volume"]))
-    return header, VolumeProfile(s=s, values=v, step=header["step"])
-
-
 def write_field(path: str, field: GriddedField, p: float | None = None,
                 cp: float | None = None,
                 config: Mapping[str, Any] | None = None) -> None:
@@ -147,7 +120,12 @@ def write_field(path: str, field: GriddedField, p: float | None = None,
 
 
 def read_field(path: str) -> tuple[dict, GriddedField]:
-    """Read a field file back into a GriddedField (mask from NaN)."""
+    """Read a field file back into a GriddedField (mask from NaN).
+
+    A malformed file raises InputError: a missing or non-numeric header
+    key, an h that is not finite and positive, a body of the wrong shape,
+    an infinite node value or no node inside the mask.
+    """
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         try:
@@ -163,9 +141,15 @@ def read_field(path: str) -> tuple[dict, GriddedField]:
 
     ny, nx, h = number("ny", int), number("nx", int), number("h", float)
     x0, y0 = number("origin", lambda xy: (float(xy[0]), float(xy[1])))
+    if not 0 < h < np.inf:
+        raise InputError(f"field header key 'h' must be finite and positive, got {h!r}")
     if grid.shape != (ny, nx):
         raise InputError(f"field body is {grid.shape}, header says {(ny, nx)}")
+    if np.isinf(grid).any():
+        raise InputError("field body holds an infinite node value")
     mask = ~np.isnan(grid)
+    if not mask.any():
+        raise InputError("field body has no node inside the domain (every value is nan)")
     spec = None
     if header.get("domain"):
         spec = DomainSpec.from_json(header["domain"])

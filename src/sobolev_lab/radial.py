@@ -25,7 +25,6 @@ __all__ = [
     "cp_ball",
     "unit_ball_profile",
     "volume_profile",
-    "verify_integro_differential",
 ]
 
 SERIES_RADIUS = 1e-6   # series start; avoids the (n-1)/r singularity at r = 0
@@ -125,14 +124,6 @@ class VolumeProfile:
             self._cell_integrals[power] = d * y if self.step else d * (y[1:] + y[:-1]) / 2.0
         return self._cell_integrals[power]
 
-    def evaluate(self, s_query):
-        """Profile value at s_query; step profiles use left-cell values."""
-        sq = np.asarray(s_query, dtype=float)
-        if self.step:
-            idx = np.searchsorted(self.s, sq, side="right") - 1
-            return self.values[np.clip(idx, 0, self.values.size - 1)]
-        return np.interp(sq, self.s, self.values)
-
     def power_integral(self, power: float = 1.0) -> float:
         """Integral of values**power over [0, total_volume]."""
         return float(np.sum(self._cells(power)))
@@ -140,11 +131,6 @@ class VolumeProfile:
     def cumulative(self, power: float = 1.0) -> np.ndarray:
         """Integral of values**power over [0, s] at each node s, from 0."""
         return np.concatenate(([0.0], np.cumsum(self._cells(power))))
-
-    def cumulative_at(self, s_query, power: float = 1.0):
-        """Integral of values**power over [0, s_query], piecewise linear in
-        s_query and constant past the last node."""
-        return np.interp(np.asarray(s_query, dtype=float), self.s, self.cumulative(power))
 
 
 # Dormand & Prince (1980) 5(4) pair: stage nodes and rows, the 5th-order
@@ -327,36 +313,3 @@ def volume_profile(profile: RadialProfile, s, radius: float = 1.0) -> VolumeProf
     vals = np.where(s < bvol, (radius / profile.radius) ** (-n / p)
                     * profile.phi(r * profile.radius), 0.0)
     return VolumeProfile(s=s, values=vals, step=False)
-
-
-def verify_integro_differential(vp: VolumeProfile, cp: float, n: int, p: float,
-                                s_min: float | None = None) -> float:
-    """Residual of the profile identity
-
-        (phi*)'(s) = -cp n^-2 omega_n^(-2/n) s^(-2+2/n) int_0^s (phi*)^(p-1) dt,
-
-    max |LHS - RHS| over s >= s_min, with LHS by one-sided backward
-    differences and RHS by cumulative trapezoid.  The default s_min is
-    max(1% of the total volume, two grid cells) for n <= 2 and 10% for
-    n >= 3: ball profiles behave like max - const*s^(2/n) near s = 0,
-    so for n >= 3 the curvature blows up at the origin and first-order
-    differences need a wider berth from the singular prefactor.  Step
-    profiles (discrete rearrangements) are checked by verify_talenti.
-    """
-    if vp.step:
-        raise ValueError("step profiles have no pointwise slope; use verify_talenti")
-    s, v = vp.s, vp.values
-    if s_min is None:
-        frac = 0.01 if n <= 2 else 0.10
-        s_min = max(frac * vp.total_volume, 2.0 * float(np.max(np.diff(s))))
-    if np.all(v == 0.0):
-        return 0.0
-    omega = unit_ball_volume(n)
-    lhs = np.diff(v) / np.diff(s)
-    cum = vp.cumulative(p - 1.0)
-    mid = s[1:]
-    rhs = -cp * n**-2.0 * omega ** (-2.0 / n) * mid ** (-2.0 + 2.0 / n) * cum[1:]
-    keep = mid >= s_min
-    if not np.any(keep):
-        raise ValueError("s_min excludes every sample")
-    return float(np.max(np.abs(lhs[keep] - rhs[keep])))

@@ -15,16 +15,14 @@ import numpy as np
 
 import conftest
 import oracles
+from identities import (equimeasurability_residual, hlp_conclusion_check, hlp_dominates,
+                        torsion_form, verify_integro_differential, verify_talenti)
 from sobolev_lab.chiti import (comparison_ball, constant_K, khat,
-                               torsion_form, verify_reverse_holder)
+                               verify_reverse_holder)
 from sobolev_lab.cli import main as cli_main
 from sobolev_lab.core import alpha, unit_ball_volume
-from sobolev_lab.radial import (VolumeProfile, cp_ball,
-                                unit_ball_profile, verify_integro_differential,
-                                volume_profile)
-from sobolev_lab.rearrange import (decreasing_rearrangement,
-                                   equimeasurability_residual, hlp_conclusion_check,
-                                   hlp_dominates, verify_talenti)
+from sobolev_lab.radial import VolumeProfile, cp_ball, unit_ball_profile, volume_profile
+from sobolev_lab.rearrange import decreasing_rearrangement
 
 SOLVED_PLANE = [(shape, p) for shape in ("disk", "square", "ellipse", "lshape")
                 for p in (1.0, 1.5, 2.0)]

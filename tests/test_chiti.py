@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
+from identities import torsion_form
 from sobolev_lab import chiti
 from sobolev_lab.chiti import (ComparisonBall, comparison_ball, constant_K,
                                crossing_analysis, dominance_check, khat,
-                               torsion_form, verify_reverse_holder)
+                               verify_reverse_holder)
 from sobolev_lab.core import (CrossingError, DomainSpec, VerificationError,
                               alpha)
 from sobolev_lab.radial import VolumeProfile, unit_ball_profile

@@ -9,13 +9,13 @@ import sys
 import numpy as np
 import pytest
 
+from identities import read_profile, read_volume_profile
 from sobolev_lab import chiti, cli
 from sobolev_lab.chiti import verify_reverse_holder
 from sobolev_lab.cli import main
 from sobolev_lab.core import DomainSpec
 from sobolev_lab.elliptic import build_grid, minimize_quotient
 from sobolev_lab.formats import (DEFAULT_GRID, FORMAT_VERSION, canonical_json, read_field,
-                                 read_profile, read_volume_profile,
                                  report_to_dict, report_to_json,
                                  report_to_table, write_field,
                                  write_radial_profile, write_volume_profile)
@@ -364,7 +364,9 @@ class TestCliRearrange:
 
 
     @pytest.mark.parametrize("key,value", [("nx", None), ("ny", None), ("h", None),
-                                           ("origin", None), ("h", "x"), ("origin", "ab")])
+                                           ("origin", None), ("h", "x"), ("origin", "ab"),
+                                           ("h", -1.0), ("h", 0.0), ("h", "nan"),
+                                           ("h", math.inf)])
     def test_malformed_field_header_is_an_input_error(self, tmp_path, capsys, key, value):
         assert run("domain", "--spec", SQUARE, "-p", "1", "--h", str(1 / 16),
                    "--out", str(tmp_path)) == 0
@@ -381,6 +383,26 @@ class TestCliRearrange:
         assert run("rearrange", "--field", str(fpath), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body,message", [("inf", "infinite node value"),
+                                              ("negative", "negative node values"),
+                                              ("all-nan", "no node inside")])
+    def test_malformed_field_body_is_an_input_error(self, tmp_path, capsys, body, message):
+        assert run("domain", "--spec", SQUARE, "-p", "1", "--h", str(1 / 16),
+                   "--out", str(tmp_path)) == 0
+        fpath = tmp_path / "rectangle_height1_width1_p1_h16.field.csv"
+        first, rest = fpath.read_text(encoding="utf-8").split("\n", 1)
+        rows = [row.split(",") for row in rest.splitlines()]
+        inside = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v != "nan"]
+        for i, j in inside[:1] if body != "all-nan" else inside:
+            rows[i][j] = {"inf": "inf", "negative": "-1.0", "all-nan": "nan"}[body]
+        fpath.write_text("\n".join([first, *map(",".join, rows)]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run("rearrange", "--field", str(fpath), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
         assert not out.exists()
 
 
@@ -484,6 +506,42 @@ class TestCliTable:
         rows1 = self.read_sweep(out1).decode().splitlines()[1:]
         rows2 = self.read_sweep(out2).decode().splitlines()[1:]
         assert rows1 == rows2
+
+    def test_pool_never_larger_than_the_missed_groups(self, tmp_path, capsys, monkeypatch):
+        asked = []
+
+        class Recorder:  # stands in for the pool: records its size, runs the groups here
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(tmp_path / "cache"))
+        assert run(*self.ARGS, "--jobs", "64", "--out", str(tmp_path / "cold")) == 0
+        assert asked == [2]  # two (domain, p) groups
+        assert run(*self.ARGS, "--jobs", "64", "--out", str(tmp_path / "warm")) == 0
+        assert run("table", "--spec", SQUARE, "-p", "1", "-q", "1", "--h", str(1 / 16),
+                   "--jobs", "8", "--out", str(tmp_path / "one")) == 0
+        capsys.readouterr()
+        assert asked == [2]  # every group cached, then one group: no pool
+        assert self.read_sweep(tmp_path / "cold") == self.read_sweep(tmp_path / "warm")
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected_at_parse(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(*self.ARGS, "--jobs", jobs, "--out", str(out))
+        assert exc.value.code == 2
+        assert f"argument --jobs: invalid positive value: '{jobs}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_row_budget(self, tmp_path, capsys):
         assert run("table", "--spec", SQUARE, "-p", "1", "-q", "1",

@@ -1,19 +1,16 @@
 """Distribution functions, rearrangements, and the comparison lemmas."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
 import oracles
-from sobolev_lab import DomainSpec, build_grid
+from identities import (distribution, equimeasurability_residual, hlp_conclusion_check,
+                        hlp_dominates, symmetrized_sample, verify_talenti)
 from sobolev_lab.elliptic import GriddedField
 from sobolev_lab.radial import VolumeProfile
-from sobolev_lab.rearrange import (decreasing_rearrangement, distribution,
-                                   equimeasurability_residual,
-                                   hlp_conclusion_check, hlp_dominates,
-                                   symmetrized_sample, verify_talenti)
+from sobolev_lab.rearrange import decreasing_rearrangement
 
 
 def tiny_field():
@@ -41,6 +38,16 @@ class TestDistribution:
         mu = distribution(tiny_field())
         assert np.all(np.diff(mu.thresholds) > 0)
         assert np.all(np.diff(mu.measures) <= 0)
+
+    def test_rearrangement_inverts_distribution(self, solve):
+        # layer cake: the cell of u* that starts at s holds a value v with
+        # mu(v) = |{u > v}| = s wherever v is below the cell before it
+        fld = solve("ellipse", 1.5, 1.0 / 32).field
+        us = decreasing_rearrangement(fld)
+        first = np.concatenate(([True], np.diff(us.values) < 0))
+        measures = distribution(fld).evaluate(us.values)
+        np.testing.assert_array_equal(measures[first], us.s[:-1][first])
+        assert np.all(measures <= us.s[:-1])
 
 
 class TestDecreasingRearrangement:
