@@ -1,21 +1,23 @@
 """Sobolev quotient minimization on masked finite-difference grids.
 
-Domains are rasterized onto a uniform grid; the Dirichlet Laplacian is the
-5-point stencil with zero boundary values, and the quotient
-int |grad u|^2 / (int |u|^p)^(2/p) is driven down by the fixed-point
-iteration u <- normalize_p(laplace_solve(u^(p-1))), which is inverse power
-iteration at p = 2 and a single linear solve at p = 1.  Each linear solve
-is conjugate gradients preconditioned by a geometric multigrid V-cycle,
-built once per grid, and only as accurate as the outer iteration needs
-(see minimize_quotient).  Both work matrix-free on full (ny, nx) arrays
-that are zero outside the mask, with numpy alone: every inner product is
-a pairwise np.sum, never a BLAS call, so results do not depend on the
-BLAS thread count.
+Domains are rasterized onto a uniform grid; the Dirichlet Laplacian A is
+the 5-point stencil with zero boundary values, and the quotient
+int |grad u|^2 / (int |u|^p)^(2/p) is minimized.  At p = 1 the minimizer
+solves one linear system, by conjugate gradients preconditioned with a
+geometric multigrid V-cycle built once per grid.  For p > 1 each step
+preconditions the residual A u - Q u^(p-1) with one V-cycle and takes a
+safeguarded Rayleigh-Ritz step on three vectors, LOBPCG at p = 2; conjugate
+gradients only serve its fallback (see minimize_quotient).  Both work
+matrix-free on full (ny, nx) arrays that are zero outside the mask, with
+numpy alone: every inner product is a pairwise np.sum, never a BLAS call,
+and the small Ritz pencils are solved in Python floats, so results do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,9 +35,10 @@ __all__ = [
 NODE_BUDGET = 4_000_000
 CG_RTOL = 1e-10
 CG_MAXITER = 50_000
-# forcing term of the inexact sweeps: a sweep's solve stops at
-# max(CG_RTOL, CG_FORCING * min(1, delta)), delta the quotient's last relative change
-CG_FORCING = 1e-4
+# how close to 0 minimize_quotient lets a node come, relative to the field:
+# its weight W = diag(u^(p-2)) reads u as at least W_FLOOR * max(u), and a
+# Ritz step keeps at least W_FLOOR times the part of u it carries
+W_FLOOR = 1e-4
 # multigrid preconditioner: levels coarsen until at most this many nodes (the
 # last level is inverted densely), damped Jacobi weight, and smoothing sweeps
 # on each side of the coarse solve
@@ -425,83 +428,177 @@ def quotient(fld: GriddedField, p: float) -> float:
     return energy / mass ** (2.0 / p)
 
 
+def _eigh(S: list) -> tuple:
+    """Eigenvalues and eigenvectors (the columns of V) of a small symmetric
+    matrix, a list of lists of floats, by cyclic Jacobi rotations."""
+    k = len(S)
+    S = [list(row) for row in S]
+    V = [[float(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(50):
+        rotated = False
+        for i in range(k):
+            for j in range(i + 1, k):
+                if abs(S[i][j]) <= 1e-18 * (abs(S[i][i]) + abs(S[j][j])):
+                    continue
+                rotated = True
+                theta = (S[j][j] - S[i][i]) / (2.0 * S[i][j])
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                for M in (S, V):  # columns i and j, then for S rows i and j
+                    for row in M:
+                        row[i], row[j] = c * row[i] - s * row[j], s * row[i] + c * row[j]
+                S[i], S[j] = ([c * x - s * y for x, y in zip(S[i], S[j])],
+                              [s * x + c * y for x, y in zip(S[i], S[j])])
+        if not rotated:
+            break
+    return [S[i][i] for i in range(k)], V
+
+
+def _ritz(a: list, b: list) -> list | None:
+    """Coefficients c of the smallest eigenpair of the pencil a c = lambda b c,
+    a and b symmetric k x k lists of floats, signed so that (b c)[0] > 0;
+    None if b is not positive definite.
+
+    With b scaled to unit diagonal, b = V diag(e) V^T gives the b-orthonormal
+    basis T = V diag(e)^(-1/2), in which the pencil is the symmetric T^T a T.
+    Both are diagonalized by _eigh in Python floats, so no LAPACK call is made
+    and the result does not depend on the BLAS thread count.
+    """
+    k = len(a)
+    if not min(b[i][i] for i in range(k)) > 0.0:
+        return None
+    scale = [1.0 / math.sqrt(b[i][i]) for i in range(k)]
+    e, V = _eigh([[b[i][j] * scale[i] * scale[j] for j in range(k)] for i in range(k)])
+    if not min(e) > 0.0:
+        return None
+    T = [[scale[i] * V[i][m] / math.sqrt(e[m]) for m in range(k)] for i in range(k)]
+    C = [[sum(T[i][m] * a[i][j] * T[j][n] for i in range(k) for j in range(k))
+          for n in range(k)] for m in range(k)]
+    lam, Y = _eigh(C)
+    n = lam.index(min(lam))
+    c = [sum(T[i][m] * Y[m][n] for m in range(k)) for i in range(k)]
+    if sum(b[0][i] * c[i] for i in range(k)) < 0.0:
+        c = [-x for x in c]
+    return c if all(math.isfinite(x) for x in c) else None
+
+
 def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
                       max_iter: int = 300, allow_supercritical: bool = False) -> SobolevResult:
     """Drive the quotient to its minimum over the masked grid.
 
-    Stops when the relative change of the quotient between sweeps falls
+    Stops when the relative change of the quotient between steps falls
     below tol.  At p = 1 the right-hand side is constant, so the first
-    solve, run to CG_RTOL, is the answer: one sweep, residual 0.
+    solve, run to CG_RTOL, is the answer: one step, residual 0.
 
-    For p > 1 each sweep is mixed with the one before (depth-1 Anderson
-    acceleration): with g_k the sweep's field and f_k = g_k - u_k, the
-    candidate is normalize_p(g_k - gamma (g_k - g_{k-1})), gamma minimizing
-    ||f_k - gamma (f_k - f_{k-1})||.  It replaces g_k only if its quotient
-    is no larger; otherwise the sweep keeps g_k and the next does not mix.
-
-    Each sweep's solve only feeds the next sweep, so it is inexact: CG
-    stops at rtol = max(CG_RTOL, CG_FORCING * min(1, delta)), delta the
-    previous sweep's relative change of the quotient (1 until two
-    quotients exist).  Near the stop rule delta is small and the solves
-    reach CG_RTOL again, so the path is that of exact solves.
+    For p > 1 each step starts from u >= 0 with ||u||_p = 1 and quotient Q.
+    It forms the residual r = A u - Q u^(p-1), preconditions it with one
+    V-cycle, w = M(r), and takes the Rayleigh-Ritz step for the pencil
+    A v = lambda B v on span{u, w, d}, d the previous step (none on the
+    first step and after a fallback).  B = (p - 1) W + (2 - p) g g^T / (u . g),
+    with W = diag(u^(p-2)) and g = W u, is the second-order model of
+    ||v||_p^2 at u, so the pencil's Rayleigh quotient matches the quotient
+    to second order there; W reads u as at least W_FLOOR * max(u), which
+    keeps it finite (p < 2) and positive (p > 2).  At p = 2, B is the
+    identity and the step is LOBPCG's.  The Ritz vector c0 u + c1 w + c2 d
+    is clipped from below at W_FLOOR * max(c0, 0) * u, so no node of u
+    reaches 0 (there its residual would vanish, and a node with no
+    neighbor in the mask could never come back), and normalized.  It is
+    kept only if its quotient is no larger than Q.  Else the
+    two-term step on span{u, w} is tried the same way, and if that fails
+    too, one exact sweep u <- normalize_p(A^-1 u^(p-1)) is taken (cg to
+    CG_RTOL, warm-started at u / Q; it does not raise the quotient) and d
+    is dropped.  A step whose sweep is no better either keeps u, and then
+    the stop rule holds.  iterations counts the steps.
     """
     check_exponents(2, p, allow_supercritical=allow_supercritical)
     if not (0 < tol < np.inf and max_iter >= 1):
         raise InputError(f"need a finite tol > 0 and max_iter >= 1, got {tol} and {max_iter}")
     mask = grid.mask
     M = _VCycle(mask, grid.h)
+    A = M.fine.apply
     h2 = grid.h**2
+    trajectory = []
 
     def lp_scale(v):
         return (np.sum(np.maximum(v, 0.0) ** p) * h2) ** (1.0 / p)
 
-    u = mask / (np.count_nonzero(mask) * h2) ** (1.0 / p)
-    cp_prev = x_prev = f_prev = None
-    trajectory = []
-    delta = 1.0
-    for it in range(1, max_iter + 1):
-        rhs = np.maximum(u, 0.0) ** (p - 1.0) * mask
-        rtol = CG_RTOL if p == 1.0 else max(CG_RTOL, CG_FORCING * min(1.0, delta))
+    def as_field(v):
+        return GriddedField(grid.nx, grid.ny, grid.h, grid.origin, mask, v, grid.spec)
+
+    def sweep(it, x0):
+        """The exact step normalize_p(A^-1 u^(p-1)), clipped at 0 for p > 1, and its quotient."""
         try:
-            x, _ = cg(M.fine.apply, rhs, x_prev, M, rtol)
+            x, _ = cg(A, np.maximum(u, 0.0) ** (p - 1.0) * mask, x0, M, CG_RTOL)
         except SolverError as exc:
-            raise SolverError(f"inner CG solve failed to converge at sweep {it}: {exc}",
+            raise SolverError(f"inner CG solve failed to converge at step {it}: {exc}",
                               trajectory=trajectory) from exc
-        scale = lp_scale(x)
-        out = GriddedField(grid.nx, grid.ny, grid.h, grid.origin, mask, x / scale, grid.spec)
-        cp_now = quotient(out, p)
-        if p == 1.0:
-            return SobolevResult(field=out, cp=cp_now, iterations=1, residual=0.0, p=p,
-                                 trajectory=[cp_now])
-        # f_k in u's buffer; f_k - f_{k-1}, then the candidate, in f_prev's; rhs as scratch
-        g = out.values
-        f = np.subtract(g, u, out=u)
-        u = g
-        if f_prev is not None:
-            w = np.subtract(f, f_prev, out=f_prev)
-            dd = float(np.sum(np.multiply(w, w, out=rhs)))
-            if dd > 0.0:
-                gamma = float(np.sum(np.multiply(f, w, out=rhs))) / dd
-                np.subtract(g, np.divide(x_prev, s_prev, out=w), out=w)
-                np.subtract(g, np.multiply(w, gamma, out=w), out=w)
-                np.maximum(w, 0.0, out=w)
-                w /= lp_scale(w)
-                mixed = replace(out, values=w)
-                cp_mixed = quotient(mixed, p)
-                if cp_mixed <= cp_now:
-                    u, out, cp_now = w, mixed, cp_mixed
-                else:
-                    f = None
-        f_prev, x_prev, s_prev = f, x, scale
-        g = w = mixed = None  # only u, f_prev and x_prev live through the next solve
-        trajectory.append(cp_now)
-        if cp_prev is not None:
-            delta = abs(cp_now - cp_prev) / abs(cp_prev)
-            if abs(cp_now - cp_prev) <= tol * abs(cp_prev):
-                return SobolevResult(field=out, cp=cp_now, iterations=it, residual=delta,
-                                     p=p, trajectory=trajectory)
-        cp_prev = cp_now
+        if p > 1.0:
+            np.maximum(x, 0.0, out=x)
+        x /= lp_scale(x)
+        return x, quotient(as_field(x), p)
+
+    u = mask / (np.count_nonzero(mask) * h2) ** (1.0 / p)
+    if p == 1.0:
+        x, cp = sweep(1, None)
+        return SobolevResult(field=as_field(x), cp=cp, iterations=1, residual=0.0, p=p,
+                             trajectory=[cp])
+    # u, the previous step d, the product buffer Au, r and then W in s, the
+    # candidate v and t for the products of the inner products; w is the
+    # V-cycle's own work array
+    d, Au, s, v, t = (np.empty_like(u) for _ in range(5))
+    have_d = False
+
+    def dot(x, y):
+        return float(np.sum(np.multiply(x, y, out=t)))
+
+    cp = quotient(as_field(u), p)
+    for it in range(1, max_iter + 1):
+        A(u, Au)
+        np.subtract(Au, np.multiply(np.power(u, p - 1.0, out=s), cp, out=s), out=s)
+        basis = [u, M(s)] + [d] * have_d
+        k = len(basis)
+        a, b = [[0.0] * k for _ in range(k)], [[0.0] * k for _ in range(k)]
+        for j, x in enumerate(basis):
+            y = A(x, s) if j else Au
+            for i in range(j + 1):
+                a[i][j] = a[j][i] = dot(basis[i], y)
+        np.power(np.maximum(u, W_FLOOR * float(u.max()), out=s), p - 2.0, out=s)
+        for j, x in enumerate(basis):
+            y = np.multiply(s, x, out=v)
+            for i in range(j + 1):
+                b[i][j] = b[j][i] = dot(basis[i], y)
+        # B = (p - 1) W + (2 - p) g g^T / (u . g), and u . W x = g . x
+        b = [[(p - 1.0) * b[i][j] + (2.0 - p) * b[i][0] * b[0][j] / b[0][0] for j in range(k)]
+             for i in range(k)]
+        for k in range(k, 1, -1):  # span{u, w, d}, then span{u, w}
+            c = _ritz([row[:k] for row in a[:k]], [row[:k] for row in b[:k]])
+            if c is None:
+                continue
+            np.multiply(u, c[0], out=v)
+            for ci, x in zip(c[1:], basis[1:k]):
+                v += np.multiply(x, ci, out=t)
+            scale = lp_scale(np.maximum(v, np.multiply(u, W_FLOOR * max(c[0], 0.0), out=t), out=v))
+            if not scale > 0.0:
+                continue
+            v /= scale
+            cp_v = quotient(as_field(v), p)
+            if cp_v <= cp:
+                np.subtract(v, u, out=d)
+                have_d = True
+                break
+        else:
+            v, cp_v = sweep(it, np.divide(u, cp, out=v))
+            have_d = False
+        if cp_v <= cp:  # else even the sweep did not lower Q: u stays, and the stop rule holds
+            u, v = v, u
+        delta = (cp - min(cp_v, cp)) / cp
+        cp = min(cp_v, cp)
+        trajectory.append(cp)
+        if delta <= tol:
+            return SobolevResult(field=as_field(u), cp=cp, iterations=it, residual=delta,
+                                 p=p, trajectory=trajectory)
     tail = ", ".join(f"{v:.10g}" for v in trajectory[-5:])
     raise SolverError(
-        f"quotient iteration did not converge in {max_iter} sweeps (tail: {tail})",
+        f"quotient iteration did not converge in {max_iter} steps (tail: {tail})",
         trajectory=trajectory)

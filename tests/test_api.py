@@ -1,10 +1,13 @@
-"""Contracts shared by every module: the exponent gate and the exports."""
+"""Contracts shared by every module: the exponent gate, the exports, and the
+test settings that every module's tests run under."""
 
 import ast
 import importlib
 import math
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -173,3 +176,21 @@ def test_every_public_name_has_a_caller():
     # the version string is read by people and packaging tools, not by code
     public = set(sobolev_lab.__all__) - {"__version__"} | set(sobolev_lab.formats.__all__)
     assert sorted(public - read) == []
+
+
+def test_failing_hypothesis_example_does_not_abort_the_run(tmp_path):
+    # hypothesis's failure report imports libcst, which warns on import; under
+    # the repo's warnings-as-errors that warning must not stop the run
+    (tmp_path / "test_sample.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 10\n\n"
+        "def test_passes():\n"
+        "    assert True\n", encoding="utf-8")
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                          str(tmp_path / "test_sample.py")],
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout
