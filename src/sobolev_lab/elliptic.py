@@ -324,8 +324,8 @@ def _coarse_operators(fine: _Level, h: float) -> tuple:
 
 
 class _VCycle:
-    """One multigrid V-cycle for the Laplacian of a masked grid, as a
-    preconditioner for cg.
+    """One multigrid V-cycle for the Laplacian of a masked grid, the
+    preconditioner of cg and of minimize_quotient's Rayleigh-Ritz steps.
 
     The levels are those of _coarse_operators.  The last level is solved
     exactly by its dense inverse when it has at most MG_COARSE_SIZE nodes,
