@@ -528,6 +528,26 @@ class TestMinimizeQuotient:
         assert res.cp == pytest.approx(oracles.DISK_EIGENVALUE, rel=0.04)
 
 
+class TestInexactSweeps:
+    """The p = 1 solve is never loosened: every cg call runs to CG_RTOL, and
+    the field is the normalized direct solve of A u = 1.  (The class is named
+    for the loose inner solves of p > 1 that the Rayleigh-Ritz steps replaced.)"""
+
+    def test_p1_solves_exactly(self, monkeypatch):
+        grid = build_grid(SHAPES["disk"], 1.0 / 64)
+        counting = CountingCG(elliptic.cg)
+        monkeypatch.setattr(elliptic, "cg", counting)
+        res = minimize_quotient(grid, 1.0)
+        assert counting.rtols == [elliptic.CG_RTOL] * res.iterations
+        # 6e-14 and 4e-16 off measured
+        x = spsolve(kronecker_laplacian(grid).tocsc(), np.ones(np.count_nonzero(grid.mask)))
+        x /= np.sum(x) * grid.h**2
+        assert np.max(np.abs(res.field.values[grid.mask] - x)) <= 1e-10 * np.max(x)
+        direct = GriddedField(grid.nx, grid.ny, grid.h, grid.origin, grid.mask,
+                              on_grid(grid, x), grid.spec)
+        assert res.cp == pytest.approx(quotient(direct, 1.0), rel=1e-12)
+
+
 class TestAndersonSweeps:
     """What any p > 1 iteration owes: few steps, a quotient that never rises,
     the exact discrete minimum, a non-negative field; p = 1 is a single solve.
