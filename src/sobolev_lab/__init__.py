@@ -1,14 +1,25 @@
-"""Extremal Sobolev functions, sharp constants, and reverse Holder verification."""
+"""Extremal Sobolev functions, sharp constants, and reverse Holder verification.
 
-from .core import *
-from .radial import *
-from .elliptic import *
-from .rearrange import *
-from . import formats
-from .chiti import *
-from . import chiti, core, elliptic, radial, rearrange
+The public names resolve on first access (PEP 562): importing the package
+loads no submodule, and `sobolev_lab.DomainSpec` loads `core` alone.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [*core.__all__, *radial.__all__, *elliptic.__all__, *rearrange.__all__,
-           *chiti.__all__, "formats", "__version__"]
+# the modules whose __all__, in this order, make up the package's
+_SOURCES = ("core", "radial", "elliptic", "rearrange", "chiti")
+
+
+def __getattr__(name):
+    if name in _SOURCES or name == "formats":
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        return [*(n for source in _SOURCES for n in __getattr__(source).__all__),
+                "formats", "__version__"]
+    for source in _SOURCES:
+        module = __getattr__(source)
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,28 +14,54 @@ solver failure, 4 verification failure; any other error is a fault of
 the program and propagates with its traceback.  All commands are
 deterministic for fixed flags; outputs embed the run configuration and a
 format version.
+
+Only numpy-free modules load with this one: `core` for specs and errors,
+`csvtext` for the CSV layout.  The solver modules are registered lazily
+(importlib's LazyLoader) and run on their first attribute access, so a
+`table` whose every group is cached reads JSON and writes CSV without
+loading numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from .chiti import khat, verify_reverse_holder
 from .core import DomainSpec, InputError, SolverError, VerificationError, check_exponents
-from .elliptic import build_grid, minimize_quotient
-from .formats import (FORMAT_VERSION, canonical_json, csv_text, read_field,
-                      report_to_json, report_to_table, write_csv, write_field,
-                      write_radial_profile, write_volume_profile)
-from .radial import unit_ball_profile
-from .rearrange import decreasing_rearrangement
+from .csvtext import FORMAT_VERSION, canonical_json, csv_text, write_csv
 
 CACHE_ENV = "SOBOLEV_LAB_CACHE"
+
+
+def _lazy(name: str):
+    """sobolev_lab.<name>, registered in sys.modules so that its code runs
+    on the first attribute access; the loaded module when there is one."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+chiti, elliptic, formats, radial, rearrange = map(
+    _lazy, ("chiti", "elliptic", "formats", "radial", "rearrange"))
+
+
+def verify_reverse_holder(res, qs):
+    """chiti.verify_reverse_holder.  `verify` and every `table` group call
+    it through this module-level name, so one replacement here, made
+    before a pool forks, sees every verification of a command."""
+    return chiti.verify_reverse_holder(res, qs)
 
 
 def _fmt(x: float) -> str:
@@ -90,20 +116,20 @@ def _run_config(args: argparse.Namespace, command: str) -> dict:
 def cmd_ball(args: argparse.Namespace) -> int:
     check_exponents(args.n, args.p, args.q or None,
                     allow_supercritical=args.experimental_supercritical)
-    prof = unit_ball_profile(args.n, args.p, tol=args.tol,
-                             allow_supercritical=args.experimental_supercritical)
+    prof = radial.unit_ball_profile(args.n, args.p, tol=args.tol,
+                                    allow_supercritical=args.experimental_supercritical)
     print(f"C_p(B) = {prof.cp_ball!r}   (n={args.n}, p={_fmt(args.p)})")
     print(f"Lambda  = {prof.cp_ball!r}")
     print(f"phi(0)  = {float(prof.phi(0.0))!r}")
     os.makedirs(args.out, exist_ok=True)
     cfg = _run_config(args, "ball")
     ppath = os.path.join(args.out, f"ball_n{args.n}_p{_fmt(args.p)}.profile.csv")
-    write_radial_profile(ppath, prof, config=cfg)
+    formats.write_radial_profile(ppath, prof, config=cfg)
     print(f"profile -> {ppath}")
     if args.q:
         kpath = os.path.join(args.out, f"khat_n{args.n}_p{_fmt(args.p)}.csv")
         write_csv(kpath, "khat", {}, cfg, ("q", "khat"),
-                  [(q, khat(args.n, args.p, q, tol=args.tol)) for q in sorted(set(args.q))])
+                  [(q, chiti.khat(args.n, args.p, q, tol=args.tol)) for q in sorted(set(args.q))])
         print(f"khat    -> {kpath}")
     return 0
 
@@ -112,9 +138,9 @@ def cmd_ball(args: argparse.Namespace) -> int:
 
 def _solve_domain(spec: DomainSpec, p: float, h: float, tol: float,
                   max_iter: int, supercritical: bool):
-    grid = build_grid(spec, h)
-    return minimize_quotient(grid, p, tol=tol, max_iter=max_iter,
-                             allow_supercritical=supercritical)
+    grid = elliptic.build_grid(spec, h)
+    return elliptic.minimize_quotient(grid, p, tol=tol, max_iter=max_iter,
+                                      allow_supercritical=supercritical)
 
 
 def cmd_domain(args: argparse.Namespace) -> int:
@@ -127,8 +153,8 @@ def cmd_domain(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     fpath = os.path.join(
         args.out, f"{_spec_slug(spec)}_p{_fmt(args.p)}_{_h_slug(args.h)}.field.csv")
-    write_field(fpath, res.field, p=args.p, cp=res.cp,
-                config=_run_config(args, "domain"))
+    formats.write_field(fpath, res.field, p=args.p, cp=res.cp,
+                        config=_run_config(args, "domain"))
     print(f"field -> {fpath}")
     return 0
 
@@ -144,7 +170,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out,
                         f"report_{_spec_slug(spec)}_p{_fmt(args.p)}_{_h_slug(args.h)}")
-    text = {"json": report_to_json(report, config=cfg), "table": report_to_table(report)}
+    text = {"json": formats.report_to_json(report, config=cfg),
+            "table": formats.report_to_table(report)}
     for ext, fmt in ((".json", "json"), (".txt", "table")):
         with open(stem + ext, "w", encoding="utf-8") as fh:
             fh.write(text[fmt] + "\n")
@@ -234,7 +261,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         # a forked pool starts all its workers at once, so start no idle one
         jobs = min(args.jobs, len(pending))
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # load the solver here, once, before the pool forks: the workers
+            # then share its pages rather than each importing numpy
+            vars(chiti)  # any attribute access runs a lazy module's code
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
                 fresh = list(pool.map(_table_group, [t for _, t, _ in pending]))
         else:
             fresh = [_table_group(t) for _, t, _ in pending]
@@ -266,10 +296,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------- rearrange
 
 def cmd_rearrange(args: argparse.Namespace) -> int:
-    header, fld = read_field(args.field)
+    header, fld = formats.read_field(args.field)
     if (fld.values < 0).any():
         raise InputError("field has negative node values; a rearrangement needs u >= 0")
-    u_star = decreasing_rearrangement(fld)
+    u_star = rearrange.decreasing_rearrangement(fld)
     meta = {"n": 2, "p": header.get("p"), "cp": header.get("cp"),
             "source": os.path.basename(args.field)}
     os.makedirs(args.out, exist_ok=True)
@@ -277,8 +307,8 @@ def cmd_rearrange(args: argparse.Namespace) -> int:
     if stem.endswith(".field"):
         stem = stem[: -len(".field")]
     opath = os.path.join(args.out, stem + ".ustar.csv")
-    write_volume_profile(opath, u_star, meta=meta,
-                         config=_run_config(args, "rearrange"))
+    formats.write_volume_profile(opath, u_star, meta=meta,
+                                 config=_run_config(args, "rearrange"))
     print(f"u* -> {opath}  (cells={u_star.values.size}, "
           f"|Omega|={u_star.total_volume!r})")
     return 0

@@ -1,4 +1,9 @@
-"""Shared primitives: the exponent gate, the error classes, planar domain specs."""
+"""Shared primitives: the exponent gate, the error classes, planar domain specs.
+
+Imports no numpy, so a command that only parses specs and reads cached
+results never loads it.  The shapes' contains tests use arithmetic and
+comparison operators alone, which act elementwise on numpy arrays.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from typing import Any, Callable
 
 __all__ = [
     "AdmissibilityError",
@@ -64,18 +67,19 @@ class VerificationError(RuntimeError):
 class CrossingError(VerificationError):
     """Crossing analysis could not certify a single sign change.
 
-    The offending difference profile is attached for diagnostics.
+    The offending difference profile (float arrays of the volume nodes s
+    and the difference there) is attached for diagnostics.
     """
 
     def __init__(self, message: str, s=None, difference=None):
         super().__init__(message, stage="crossing")
-        self.s = None if s is None else np.asarray(s, dtype=float)
-        self.difference = None if difference is None else np.asarray(difference, dtype=float)
+        self.s = s
+        self.difference = difference
 
 
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n, pi^(n/2) / Gamma(n/2 + 1)."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
@@ -87,7 +91,7 @@ def admissible(n: int, p: float) -> bool:
     In two dimensions every p >= 1 is admissible.  Total: out-of-range
     inputs return False rather than raising.
     """
-    if not np.isfinite(p) or p < 1.0:
+    if not math.isfinite(p) or p < 1.0:
         return False
     if n == 2:
         return True
@@ -112,7 +116,7 @@ def check_exponents(n: int, p: float, qs=None, allow_supercritical: bool = False
     if qs is not None:
         if len(qs) == 0:
             raise AdmissibilityError("need at least one exponent q")
-        if not np.all(np.isfinite(qs)):
+        if not all(math.isfinite(q) for q in qs):
             raise AdmissibilityError(f"every q must be finite; got {[float(q) for q in qs]}")
         if min(qs) < p:
             raise AdmissibilityError(
@@ -156,9 +160,15 @@ def _segments_properly_intersect(p1, p2, p3, p4):
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
 
 
+def _polygon_points(p) -> list[tuple[float, float]]:
+    return [(float(x), float(y)) for x, y in p["vertices"]]
+
+
 def _polygon_area(p) -> float:
-    x, y = np.array(p["vertices"], dtype=float).T
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    pts = _polygon_points(p)
+    edges = list(zip(pts, pts[1:] + pts[:1]))
+    return 0.5 * abs(sum(x0 * y1 for (x0, _), (_, y1) in edges)
+                     - sum(y0 * x1 for (_, y0), (x1, _) in edges))
 
 
 def _polygon_box(p):
@@ -168,25 +178,22 @@ def _polygon_box(p):
 
 def _polygon_contains(p, x, y):
     """Even-odd crossing test, minus the points that lie exactly on an edge."""
-    verts = p["vertices"]
-    vx, vy = np.array(verts, dtype=float).T
-    inside = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-    on_edge = np.zeros_like(inside)
-    j = len(verts) - 1
-    for i in range(len(verts)):
-        crosses = (vy[i] > y) != (vy[j] > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xcross = (vx[j] - vx[i]) * (y - vy[i]) / (vy[j] - vy[i]) + vx[i]
-        inside ^= crosses & (x < xcross)
-        on_edge |= (((x - vx[i]) * (vy[j] - vy[i]) == (y - vy[i]) * (vx[j] - vx[i]))
-                    & (min(vx[i], vx[j]) <= x) & (x <= max(vx[i], vx[j]))
-                    & (min(vy[i], vy[j]) <= y) & (y <= max(vy[i], vy[j])))
-        j = i
-    return inside & ~on_edge
+    pts = _polygon_points(p)
+    inside = on_edge = False
+    xj, yj = pts[-1]
+    for xi, yi in pts:
+        if yi != yj:  # a horizontal edge crosses no horizontal ray
+            xcross = (xj - xi) * (y - yi) / (yj - yi) + xi
+            inside = inside ^ (((yi > y) != (yj > y)) & (x < xcross))
+        on_edge = on_edge | (((x - xi) * (yj - yi) == (y - yi) * (xj - xi))
+                             & (min(xi, xj) <= x) & (x <= max(xi, xj))
+                             & (min(yi, yj) <= y) & (y <= max(yi, yj)))
+        xj, yj = xi, yi
+    return inside > on_edge  # inside and not on an edge
 
 
 def _polygon_problem(p) -> str | None:
-    pts = [(float(x), float(y)) for x, y in p["vertices"]]
+    pts = _polygon_points(p)
     k = len(pts)
     for i in range(k):
         if pts[i] == pts[(i + 1) % k]:
@@ -212,7 +219,7 @@ class _Shape:
     keys: tuple[str, ...]
     area: Callable[[dict], float]
     box: Callable[[dict], tuple]
-    contains: Callable[[dict, np.ndarray, np.ndarray], np.ndarray]
+    contains: Callable[[dict, Any, Any], Any]
     label: Callable[[dict], str]
     check: Callable[[dict], str | None] = lambda p: None
     check_value: Callable[[str, object], None] = _positive
@@ -242,8 +249,8 @@ _SHAPES: dict[str, _Shape] = {
         area=lambda p: p["side"] ** 2 * (1.0 - p["notch"] ** 2),
         box=lambda p: ((0.0, 0.0), (p["side"], p["side"])),
         contains=lambda p, x, y: ((x > 0) & (x < p["side"]) & (y > 0) & (y < p["side"])
-                                  & ~((x >= p["side"] * (1.0 - p["notch"]))
-                                      & (y >= p["side"] * (1.0 - p["notch"])))),
+                                  & ((x < p["side"] * (1.0 - p["notch"]))
+                                     | (y < p["side"] * (1.0 - p["notch"])))),
         label=lambda p: f"l-shape(side={p['side']:g},notch={p['notch']:g})",
         check=lambda p: (None if p["notch"] < 1 else
                          f"l-shape notch fraction must lie in (0, 1), got {p['notch']!r}")),
@@ -344,10 +351,9 @@ class DomainSpec:
         return (x0 * s, y0 * s), (x1 * s, y1 * s)
 
     def contains(self, x, y):
-        """Vectorized strict-interior test on scaled coordinates."""
-        x = np.asarray(x, dtype=float) / self.scale
-        y = np.asarray(y, dtype=float) / self.scale
-        return _SHAPES[self.shape].contains(self.params, x, y)
+        """Strict-interior test on scaled coordinates: floats, or numpy
+        arrays elementwise."""
+        return _SHAPES[self.shape].contains(self.params, x / self.scale, y / self.scale)
 
     def describe(self) -> str:
         """Short human-readable label used in tables and reports."""

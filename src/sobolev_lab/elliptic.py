@@ -509,7 +509,9 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     too, one exact sweep u <- normalize_p(A^-1 u^(p-1)) is taken (cg to
     CG_RTOL, warm-started at u / Q; it does not raise the quotient) and d
     is dropped.  A step whose sweep is no better either keeps u, and then
-    the stop rule holds.  iterations counts the steps.
+    the stop rule holds.  So does a step whose best candidate reads at
+    most 4 ulps above Q: the quotient has converged to roundoff, and no
+    sweep is paid to confirm it.  iterations counts the steps.
     """
     check_exponents(2, p, allow_supercritical=allow_supercritical)
     if not (0 < tol < np.inf and max_iter >= 1):
@@ -573,6 +575,7 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
         # B = (p - 1) W + (2 - p) g g^T / (u . g), and u . W x = g . x
         b = [[(p - 1.0) * b[i][j] + (2.0 - p) * b[i][0] * b[0][j] / b[0][0] for j in range(k)]
              for i in range(k)]
+        best = math.inf  # the lowest quotient of a rejected candidate
         for k in range(k, 1, -1):  # span{u, w, d}, then span{u, w}
             c = _ritz([row[:k] for row in a[:k]], [row[:k] for row in b[:k]])
             if c is None:
@@ -589,12 +592,14 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
                 np.subtract(v, u, out=d)
                 have_d = True
                 break
+            best = min(best, cp_v)
         else:
-            v, cp_v = sweep(it, np.divide(u, cp, out=v))
-            have_d = False
+            if best > cp + 4.0 * math.ulp(cp):  # else Q has converged to roundoff
+                v, cp_v = sweep(it, np.divide(u, cp, out=v))
+                have_d = False
         if cp_v <= cp:
             u, v = v, u
-        else:  # even the sweep did not lower Q: u stays, and the stop rule holds
+        else:  # nothing lowered Q: u stays, and the stop rule holds
             cp_v = cp
         delta = (cp - cp_v) / cp
         cp = cp_v

@@ -1,19 +1,18 @@
 """File formats: JSON-headed CSVs, field files, and report rendering.
 
-Every CSV file is laid out by csv_text alone: a single JSON header line
-followed by plain CSV rows, so files stay greppable and diff-friendly
-while carrying their own metadata.  Floats are written with repr, which
-round-trips exactly and keeps reruns byte-identical.
+Every CSV file is laid out by csv_text alone (see csvtext, which holds
+the numpy-free text layer that this module re-exports).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
 from .core import DomainSpec, InputError
+from .csvtext import FORMAT_VERSION, canonical_json, csv_text, write_csv
 from .elliptic import GriddedField
 from .radial import RadialProfile, VolumeProfile
 
@@ -31,35 +30,7 @@ __all__ = [
     "report_to_table",
 ]
 
-FORMAT_VERSION = 1
 DEFAULT_GRID = 2049    # rows of a radial profile file
-
-
-def canonical_json(obj: Any) -> str:
-    """Deterministic single-line JSON: sorted keys, minimal separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
-
-
-def csv_text(kind: str, fields: Mapping[str, Any], config: Mapping[str, Any] | None,
-             columns: Sequence[str] | None, rows: Iterable[Iterable[Any]]) -> str:
-    """A sobolev-lab/<kind> file: the JSON header line (fields, plus config
-    when given), the column row (omitted when columns is None), then one
-    line per row: strings as they are, numbers as repr(float(v))."""
-    head = {"format": f"sobolev-lab/{kind}", "version": FORMAT_VERSION, **fields}
-    if config is not None:
-        head["config"] = dict(config)
-    lines = [canonical_json(head)]
-    if columns is not None:
-        lines.append(",".join(columns))
-    lines += [",".join(v if isinstance(v, str) else repr(float(v)) for v in row)
-              for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(path: str, *args) -> None:
-    """Write csv_text(*args), the same arguments in the same order, to path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(csv_text(*args))
 
 
 def write_radial_profile(path: str, prof: RadialProfile,

@@ -3,11 +3,14 @@ test settings that every module's tests run under."""
 
 import ast
 import importlib
+import json
 import math
+import os
 import pathlib
 import pkgutil
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -141,14 +144,21 @@ def test_every_export_resolves():
             assert hasattr(mod, name), f"{modname}.__all__ lists missing {name!r}"
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _traced():
+    """TRACED of the benchmark's tracer: module -> the function names it rebinds."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer rebinds these functions by name (and elliptic.cg
     # as the per-sweep solve), so a rename must fail here too
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    traced = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    traced = _traced()
     traced = {**traced, "elliptic": (*traced["elliptic"], "cg")}
     for module, names in traced.items():
         mod = importlib.import_module(f"sobolev_lab.{module}")
@@ -156,7 +166,6 @@ def test_traced_names_resolve():
             assert callable(getattr(mod, name, None)), f"sobolev_lab.{module}.{name} is gone"
 
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = {"sobolev_lab", "core", "radial", "elliptic", "rearrange", "chiti", "formats", "cli"}
 
 
@@ -194,3 +203,67 @@ def test_failing_hypothesis_example_does_not_abort_the_run(tmp_path):
                          capture_output=True, text=True, cwd=tmp_path)
     assert "INTERNALERROR" not in out.stdout + out.stderr
     assert "1 failed, 1 passed" in out.stdout
+
+
+# ------------------------------------------------------ what an import loads
+
+def _fresh(code, *argv, **env):
+    """The last stdout line of code, run in a fresh interpreter on this source
+    tree with argv and env added, read as JSON."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path, **env}, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_package_names_load_their_module_on_first_use():
+    code = ("import json, sys; import sobolev_lab; before = 'numpy' in sys.modules; "
+            "from sobolev_lab import chiti; print(json.dumps([before, 'numpy' in sys.modules]))")
+    assert _fresh(code) == [False, True]
+
+
+def test_cli_registers_the_traced_modules_without_loading_them():
+    # the tracer reads sys.modules["sobolev_lab.<m>"] right after the import
+    code = ("import json, sys, sobolev_lab.cli; "
+            "print(json.dumps([sorted(sys.modules), 'numpy' in sys.modules]))")
+    modules, numpy_loaded = _fresh(code)
+    assert {f"sobolev_lab.{m}" for m in _traced()} <= set(modules)
+    assert not numpy_loaded
+
+
+def test_warm_table_loads_no_numpy(tmp_path):
+    code = ("import json, sys, sobolev_lab, sobolev_lab.cli; "
+            "rc = sobolev_lab.cli.main(sys.argv[1:]); "
+            "print(json.dumps([rc, 'numpy' in sys.modules]))")
+    argv = ["table", "--spec", SQUARE, "-p", "1", "-q", "2", "--h", repr(1 / 16)]
+    cache = str(tmp_path / "cache")
+    assert _fresh(code, *argv, "--out", str(tmp_path / "cold"), SOBOLEV_LAB_CACHE=cache) == [0, True]
+    assert _fresh(code, *argv, "--out", str(tmp_path / "warm"), SOBOLEV_LAB_CACHE=cache) == [0, False]
+    cold, warm = ((tmp_path / run / "sweep.csv").read_bytes() for run in ("cold", "warm"))
+    assert cold == warm
+
+
+def test_pool_workers_verify_through_the_cli_name(tmp_path):
+    # a replaced cli.verify_reverse_holder sees every group, in the workers
+    code = textwrap.dedent("""
+        import json, os, sys
+        from sobolev_lab import cli
+        log, verify = sys.argv[1], cli.verify_reverse_holder
+
+        def recorded(res, qs):
+            with open(log, "a", encoding="utf-8") as fh:
+                print(json.dumps([os.getpid(), res.p]), file=fh)
+            return verify(res, qs)
+
+        cli.verify_reverse_holder = recorded
+        print(json.dumps([cli.main(sys.argv[2:]), os.getpid()]))
+    """)
+    log = tmp_path / "calls.jsonl"
+    disk = '{"shape": "disk", "radius": 0.5}'
+    rc, pid = _fresh(code, str(log), "table", "--spec", SQUARE, "--spec", disk,
+                     "-p", "1", "-p", "2", "-q", "2", "--h", repr(1 / 16), "--jobs", "2",
+                     "--out", str(tmp_path))
+    calls = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    assert rc == 0
+    assert sorted(p for _, p in calls) == [1.0, 1.0, 2.0, 2.0]  # one call per group
+    assert pid not in {worker for worker, _ in calls}

@@ -626,6 +626,17 @@ class TestRayleighRitzSteps:
         assert len(cycles) == res.iterations <= most
         assert counting.rtols == []
 
+    def test_no_sweep_to_confirm_a_roundoff_minimum(self, monkeypatch):
+        # the last step's candidates read 3510.470529048484, one ulp above
+        # Q = 3510.4705290484835: an exact sweep there would only confirm Q
+        counting = CountingCG(elliptic.cg)
+        monkeypatch.setattr(elliptic, "cg", counting)
+        grid = build_grid(DomainSpec.rectangle(1.0, 0.128), 1.0 / 32)
+        res = minimize_quotient(grid, 1.01, tol=1e-12)
+        assert counting.rtols == []
+        assert res.residual == 0.0 and res.trajectory[-1] == res.trajectory[-2]
+        assert res.cp == pytest.approx(3510.4705290484835, rel=1e-15)
+
     def test_pencils_grow_to_three_terms(self, monkeypatch):
         ritz = LoggingRitz(monkeypatch)
         res = minimize_quotient(build_grid(SHAPES["disk"], 1.0 / 64), 2.0)

@@ -1,5 +1,6 @@
 """File-format roundtrips and the command-line interface."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -523,7 +524,8 @@ class TestCliTable:
             def map(self, fn, items):
                 return list(map(fn, items))
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        # cli looks the pool up in concurrent.futures on a cache miss
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(tmp_path / "cache"))
         assert run(*self.ARGS, "--jobs", "64", "--out", str(tmp_path / "cold")) == 0
         assert asked == [2]  # two (domain, p) groups
