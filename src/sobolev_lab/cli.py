@@ -17,15 +17,15 @@ format version.
 
 Only numpy-free modules load with this one: `core` for specs and errors,
 `csvtext` for the CSV layout.  The solver modules are registered lazily
-(importlib's LazyLoader) and run on their first attribute access, so a
-`table` whose every group is cached reads JSON and writes CSV without
-loading numpy.
+(importlib's LazyLoader) and run on their first attribute access, and
+`concurrent.futures` is imported only to start a pool, so a `table` whose
+every group is cached reads JSON and writes CSV without loading numpy or
+the pool machinery.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import importlib.util
 import json
@@ -197,6 +197,23 @@ def _cache_path(task: dict) -> str | None:
     return os.path.join(root, key.hexdigest() + ".json")
 
 
+def _cached_rows(cpath: str, task: dict) -> list[dict] | None:
+    """The task's rows from its cache entry; None, a miss, when the entry is
+    absent or truncated or is not one row per q keyed as the task's."""
+    try:
+        with open(cpath, encoding="utf-8") as fh:
+            rows = json.load(fh)
+    except (FileNotFoundError, ValueError):
+        return None
+    keys = [{"domain": task["label"], "p": task["p"], "h": task["h"], "q": q}
+            for q in task["qs"]]
+    if isinstance(rows, list) and len(rows) == len(keys) and all(
+            isinstance(row, dict) and {k: row.get(k) for k in key} == key
+            for row, key in zip(rows, keys)):
+        return rows
+    return None
+
+
 def _table_group(task: dict) -> list[dict]:
     """Solve one (domain, p) pair and emit its q rows; errors become rows."""
     spec = DomainSpec.from_json(task["spec"])
@@ -248,14 +265,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     pending: list[tuple[int, dict, str | None]] = []
     for i, task in enumerate(tasks):
         cpath = _cache_path(task)
-        if cpath:
-            try:
-                with open(cpath, encoding="utf-8") as fh:
-                    results[i] = json.load(fh)
-                continue
-            except (FileNotFoundError, ValueError):  # absent or truncated: a miss
-                pass
-        pending.append((i, task, cpath))
+        cached = _cached_rows(cpath, task) if cpath else None
+        if cached is None:
+            pending.append((i, task, cpath))
+        else:
+            results[i] = cached
 
     if pending:
         # a forked pool starts all its workers at once, so start no idle one
@@ -264,6 +278,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             # load the solver here, once, before the pool forks: the workers
             # then share its pages rather than each importing numpy
             vars(chiti)  # any attribute access runs a lazy module's code
+            import concurrent.futures  # only a pool needs it; it loads logging
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
                 fresh = list(pool.map(_table_group, [t for _, t, _ in pending]))
         else:

@@ -1,8 +1,9 @@
 """Shared primitives: the exponent gate, the error classes, planar domain specs.
 
-Imports no numpy, so a command that only parses specs and reads cached
-results never loads it.  The shapes' contains tests use arithmetic and
-comparison operators alone, which act elementwise on numpy arrays.
+Imports no numpy, and no dataclasses (which loads inspect), so a command
+that only parses specs and reads cached results loads neither.  The
+shapes' contains tests use arithmetic and comparison operators alone,
+which act elementwise on numpy arrays.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Any, Callable
 
 __all__ = [
     "AdmissibilityError",
@@ -210,19 +209,15 @@ def _polygon_problem(p) -> str | None:
     return "polygon encloses no area" if _polygon_area(p) <= 0 else None
 
 
-@dataclass(frozen=True)
 class _Shape:
     """One planar shape: its required keys, a check for each of their values,
     and area, box, strict-interior contains and label on the unscaled params.
     check runs after the value checks and returns what is wrong, or None."""
 
-    keys: tuple[str, ...]
-    area: Callable[[dict], float]
-    box: Callable[[dict], tuple]
-    contains: Callable[[dict, Any, Any], Any]
-    label: Callable[[dict], str]
-    check: Callable[[dict], str | None] = lambda p: None
-    check_value: Callable[[str, object], None] = _positive
+    def __init__(self, keys, area, box, contains, label,
+                 check=lambda p: None, check_value=_positive):
+        self.keys, self.area, self.box, self.contains, self.label = keys, area, box, contains, label
+        self.check, self.check_value = check, check_value
 
 
 _SHAPES: dict[str, _Shape] = {
@@ -265,7 +260,6 @@ _SHAPES: dict[str, _Shape] = {
 }
 
 
-@dataclass(frozen=True)
 class DomainSpec:
     """Declarative bounded planar domain: a named shape plus a scale factor.
 
@@ -283,22 +277,37 @@ class DomainSpec:
     or unknown keys, or with non-numeric values, are rejected.
     """
 
-    shape: str
-    params: dict = field(default_factory=dict)
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not isinstance(self.shape, str) or self.shape not in _SHAPES:
-            raise SpecError(f"unknown shape {self.shape!r}; expected one of {tuple(_SHAPES)}")
-        rec = _SHAPES[self.shape]
-        _positive("scale", self.scale)
-        if set(self.params) != set(rec.keys):
-            raise SpecError(f"{self.shape} takes exactly the keys {rec.keys}, "
-                            f"got {sorted(self.params)}")
+    def __init__(self, shape: str, params: dict | None = None, scale: float = 1.0):
+        params = {} if params is None else params
+        # frozen: the fields are set once, here, past the __setattr__ below
+        self.__dict__.update(shape=shape, params=params, scale=scale)
+        if not isinstance(shape, str) or shape not in _SHAPES:
+            raise SpecError(f"unknown shape {shape!r}; expected one of {tuple(_SHAPES)}")
+        rec = _SHAPES[shape]
+        _positive("scale", scale)
+        if set(params) != set(rec.keys):
+            raise SpecError(f"{shape} takes exactly the keys {rec.keys}, got {sorted(params)}")
         for key in rec.keys:
-            rec.check_value(f"{self.shape} {key}", self.params[key])
-        if problem := rec.check(self.params):
+            rec.check_value(f"{shape} {key}", params[key])
+        if problem := rec.check(params):
             raise SpecError(problem)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        # field by field; defining __eq__ alone leaves the class unhashable, as
+        # it must be while params is a dict
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.shape, self.params, self.scale) == (other.shape, other.params, other.scale)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(shape={self.shape!r}, params={self.params!r}, "
+                f"scale={self.scale!r})")
 
     # -- constructors ------------------------------------------------------
 

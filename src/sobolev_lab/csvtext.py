@@ -10,20 +10,20 @@ the array-side writers and readers.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 __all__ = ["FORMAT_VERSION", "canonical_json", "csv_text", "write_csv"]
 
 FORMAT_VERSION = 1
 
 
-def canonical_json(obj: Any) -> str:
+def canonical_json(obj: object) -> str:
     """Deterministic single-line JSON: sorted keys, minimal separators."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
 
 
-def csv_text(kind: str, fields: Mapping[str, Any], config: Mapping[str, Any] | None,
-             columns: Sequence[str] | None, rows: Iterable[Iterable[Any]]) -> str:
+def csv_text(kind: str, fields: Mapping[str, object], config: Mapping[str, object] | None,
+             columns: Sequence[str] | None, rows: Iterable[Iterable[object]]) -> str:
     """A sobolev-lab/<kind> file: the JSON header line (fields, plus config
     when given), the column row (omitted when columns is None), then one
     line per row: strings as they are, numbers as repr(float(v))."""

@@ -32,13 +32,21 @@ ZERO_TOL = 1e-12       # bisection width for the first zero
 R_MAX = 100.0          # end of the shooting interval
 
 
+# the 8-point Gauss-Legendre rule on [-1, 1]: numpy's leggauss(8), written out
+GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+
+
 def _gauss_legendre(n: int, f: Callable, knots: np.ndarray, power: float) -> float:
     """n * omega_n * int max(f, 0)^power r^(n-1) dr, 8-point Gauss-Legendre per knot piece."""
-    x, w = np.polynomial.legendre.leggauss(8)
     half = 0.5 * np.diff(knots)[:, None]
-    r = knots[:-1, None] + half * (1.0 + x)
+    r = knots[:-1, None] + half * (1.0 + GL_NODES)
     y = np.clip(f(r.ravel()), 0.0, None).reshape(r.shape)
-    return n * unit_ball_volume(n) * float(np.sum(half * w * y**power * r ** (n - 1)))
+    return n * unit_ball_volume(n) * float(np.sum(half * GL_WEIGHTS * y**power * r ** (n - 1)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -222,25 +222,47 @@ def test_package_names_load_their_module_on_first_use():
     assert _fresh(code) == [False, True]
 
 
+# what a cache-hit table has no use for: the solver's numpy, the pool's
+# concurrent.futures (which loads logging), and dataclasses (which loads inspect)
+UNUSED_WHEN_WARM = ("numpy", "concurrent.futures", "dataclasses", "inspect", "logging")
+
+
+def _unused_when_warm(modules):
+    """The UNUSED_WHEN_WARM names among modules that a bare interpreter does not load."""
+    bare = _fresh("import json, sys; print(json.dumps(sorted(sys.modules)))")
+    return sorted(set(UNUSED_WHEN_WARM) & set(modules) - set(bare))
+
+
 def test_cli_registers_the_traced_modules_without_loading_them():
     # the tracer reads sys.modules["sobolev_lab.<m>"] right after the import
-    code = ("import json, sys, sobolev_lab.cli; "
-            "print(json.dumps([sorted(sys.modules), 'numpy' in sys.modules]))")
-    modules, numpy_loaded = _fresh(code)
+    modules = _fresh("import json, sys, sobolev_lab.cli; print(json.dumps(sorted(sys.modules)))")
     assert {f"sobolev_lab.{m}" for m in _traced()} <= set(modules)
-    assert not numpy_loaded
+    assert _unused_when_warm(modules) == []
 
 
 def test_warm_table_loads_no_numpy(tmp_path):
+    # nor anything else in UNUSED_WHEN_WARM
     code = ("import json, sys, sobolev_lab, sobolev_lab.cli; "
             "rc = sobolev_lab.cli.main(sys.argv[1:]); "
-            "print(json.dumps([rc, 'numpy' in sys.modules]))")
+            "print(json.dumps([rc, sorted(sys.modules)]))")
     argv = ["table", "--spec", SQUARE, "-p", "1", "-q", "2", "--h", repr(1 / 16)]
     cache = str(tmp_path / "cache")
-    assert _fresh(code, *argv, "--out", str(tmp_path / "cold"), SOBOLEV_LAB_CACHE=cache) == [0, True]
-    assert _fresh(code, *argv, "--out", str(tmp_path / "warm"), SOBOLEV_LAB_CACHE=cache) == [0, False]
+    rc, cold = _fresh(code, *argv, "--out", str(tmp_path / "cold"), SOBOLEV_LAB_CACHE=cache)
+    assert rc == 0 and "numpy" in cold
+    rc, warm = _fresh(code, *argv, "--out", str(tmp_path / "warm"), SOBOLEV_LAB_CACHE=cache)
+    assert rc == 0 and _unused_when_warm(warm) == []
     cold, warm = ((tmp_path / run / "sweep.csv").read_bytes() for run in ("cold", "warm"))
     assert cold == warm
+
+
+def test_verify_loads_no_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre rule of the radial norms is constants, not leggauss(8)
+    code = ("import json, sys, sobolev_lab.cli; "
+            "rc = sobolev_lab.cli.main(sys.argv[1:]); "
+            "print(json.dumps([rc, 'numpy' in sys.modules, 'numpy.polynomial' in sys.modules]))")
+    disk = '{"shape": "disk", "radius": 1.0}'
+    assert _fresh(code, "verify", "--spec", disk, "-p", "2", "-q", "3", "--h", repr(1 / 32),
+                  "--out", str(tmp_path)) == [0, True, False]
 
 
 def test_pool_workers_verify_through_the_cli_name(tmp_path):
@@ -256,14 +278,15 @@ def test_pool_workers_verify_through_the_cli_name(tmp_path):
             return verify(res, qs)
 
         cli.verify_reverse_holder = recorded
-        print(json.dumps([cli.main(sys.argv[2:]), os.getpid()]))
+        print(json.dumps([cli.main(sys.argv[2:]), os.getpid(),
+                          "concurrent.futures" in sys.modules]))
     """)
     log = tmp_path / "calls.jsonl"
     disk = '{"shape": "disk", "radius": 0.5}'
-    rc, pid = _fresh(code, str(log), "table", "--spec", SQUARE, "--spec", disk,
-                     "-p", "1", "-p", "2", "-q", "2", "--h", repr(1 / 16), "--jobs", "2",
-                     "--out", str(tmp_path))
+    rc, pid, pool_loaded = _fresh(code, str(log), "table", "--spec", SQUARE, "--spec", disk,
+                                  "-p", "1", "-p", "2", "-q", "2", "--h", repr(1 / 16),
+                                  "--jobs", "2", "--out", str(tmp_path))
     calls = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
-    assert rc == 0
+    assert rc == 0 and pool_loaded  # a cold table --jobs 2 starts its pool
     assert sorted(p for _, p in calls) == [1.0, 1.0, 2.0, 2.0]  # one call per group
     assert pid not in {worker for worker, _ in calls}

@@ -2,12 +2,14 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import oracles
-from sobolev_lab import AdmissibilityError, DomainSpec, admissible, alpha, unit_ball_volume
+from sobolev_lab import (AdmissibilityError, DomainSpec, SpecError, admissible, alpha,
+                         unit_ball_volume)
 from sobolev_lab.cli import _spec_slug
 from sobolev_lab.elliptic import build_grid
 
@@ -209,3 +211,51 @@ class TestDomainSpec:
         assert "disk" in DomainSpec.disk(1.0).describe()
         label = DomainSpec.ellipse(1.0, 0.5).describe()
         assert "ellipse" in label and "0.5" in label
+
+    def test_value_semantics(self):
+        # frozen, compared field by field, unhashable (params is a dict)
+        spec = DomainSpec("disk", {"radius": 0.5}, 2.0)
+        assert spec == DomainSpec(shape="disk", params={"radius": 0.5}, scale=2.0)
+        assert spec == DomainSpec.disk(0.5, scale=2.0)
+        assert spec != DomainSpec.disk(0.5) and spec != ("disk", {"radius": 0.5}, 2.0)
+        assert repr(spec) == "DomainSpec(shape='disk', params={'radius': 0.5}, scale=2.0)"
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        for name in ("shape", "params", "scale", "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(spec, name, 1.0)
+        with pytest.raises(AttributeError, match="cannot delete field 'scale'"):
+            del spec.scale
+        assert (spec.shape, spec.params, spec.scale) == ("disk", {"radius": 0.5}, 2.0)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(spec)
+
+    def test_spec_error_messages(self):
+        poly = "polygon vertices must be at least 3 [x, y] pairs of finite numbers, got "
+        shapes = "expected one of ('disk', 'rectangle', 'ellipse', 'l-shape', 'polygon')"
+        cases = [
+            (("hexagon", {}), f"unknown shape 'hexagon'; {shapes}"),
+            ((["disk"], {"radius": 1.0}), f"unknown shape ['disk']; {shapes}"),
+            (("disk", {"radius": 1.0}, 0.0), "scale must be a finite positive number, got 0.0"),
+            (("disk", {"radius": 1.0}, True), "scale must be a finite positive number, got True"),
+            (("disk", {"radius": 1.0, "radus": 2.0}),
+             "disk takes exactly the keys ('radius',), got ['radius', 'radus']"),
+            (("rectangle", {"width": 1.0}),
+             "rectangle takes exactly the keys ('width', 'height'), got ['width']"),
+            (("disk",), "disk takes exactly the keys ('radius',), got []"),
+            (("disk", {"radius": math.nan}),
+             "disk radius must be a finite positive number, got nan"),
+            (("disk", {"radius": "1"}), "disk radius must be a finite positive number, got '1'"),
+            (("l-shape", {"side": 1.0, "notch": 1.0}),
+             "l-shape notch fraction must lie in (0, 1), got 1.0"),
+            (("polygon", {"vertices": 3}), poly + "3"),
+            (("polygon", {"vertices": [[0, 0], [1, 0]]}), poly + "[[0, 0], [1, 0]]"),
+            (("polygon", {"vertices": [[0, 0], [0, 0], [1, 0], [0, 1]]}),
+             "polygon has repeated consecutive vertices"),
+            (("polygon", {"vertices": [[0, 0], [1, 1], [1, 0], [0, 1]]}),
+             "polygon edges intersect; vertices must trace a simple closed curve"),
+            (("polygon", {"vertices": [[0, 0], [1, 0], [2, 0]]}), "polygon encloses no area"),
+        ]
+        for args, message in cases:
+            with pytest.raises(SpecError) as err:
+                DomainSpec(*args)
+            assert str(err.value) == message

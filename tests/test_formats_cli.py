@@ -487,6 +487,22 @@ class TestCliTable:
         assert json.loads(entry.read_text(encoding="utf-8")) == json.loads(whole)
         assert len(list(cache.iterdir())) == 2  # no temp file left behind
 
+    @pytest.mark.parametrize("bad", ["{}", '[{"domain": "x"}]', "other group"])
+    def test_misshapen_cache_entry_is_recomputed(self, tmp_path, capsys, monkeypatch, bad):
+        # an entry that parses but is not this group's rows is a miss too
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(cache))
+        clean, again = str(tmp_path / "clean"), str(tmp_path / "again")
+        assert run(*self.ARGS, "--out", clean) == 0
+        entry, other = sorted(cache.glob("*.json"))
+        whole = entry.read_text(encoding="utf-8")
+        entry.write_text(other.read_text(encoding="utf-8") if bad == "other group" else bad,
+                         encoding="utf-8")
+        assert run(*self.ARGS, "--out", again) == 0
+        capsys.readouterr()
+        assert self.read_sweep(again) == self.read_sweep(clean)
+        assert entry.read_text(encoding="utf-8") == whole
+
     def test_programming_errors_propagate(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SOBOLEV_LAB_CACHE", raising=False)
 

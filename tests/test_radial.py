@@ -125,6 +125,12 @@ class TestUnitBallProfile:
         assert [prof.lp_norm(q) for q in (4.0, 3.0, 1.5)] == first[::-1]
         assert len(calls) == 3
 
+    def test_gauss_legendre_rule_is_leggauss(self):
+        # written out from one LAPACK build; another may differ in the last bit
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        np.testing.assert_array_max_ulp(radial.GL_NODES, nodes, maxulp=2)
+        np.testing.assert_array_max_ulp(radial.GL_WEIGHTS, weights, maxulp=2)
+
 
 class TestScalingLaw:
     @pytest.mark.parametrize("r", [0.5, 2.0, 3.0])
