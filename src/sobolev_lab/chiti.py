@@ -12,7 +12,6 @@ khat for the norm inequality.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -202,12 +201,8 @@ def constant_K(n: int, p: float, q: float, cp_omega: float) -> float:
     return direct
 
 
-@functools.lru_cache(maxsize=256)
 def khat(n: int, p: float, q: float, tol: float = 1e-12) -> float:
-    """Domain-independent factor: K = khat(n, p, q) * cp^((n/alpha)(1/p - 1/q)).
-
-    Memoized on its arguments; a rejected exponent raises and is not cached.
-    """
+    """Domain-independent factor: K = khat(n, p, q) * cp^((n/alpha)(1/p - 1/q))."""
     check_exponents(n, p, [q])
     prof = unit_ball_profile(n, p, tol=tol)
     expo = (n / alpha(n, p)) * (1.0 / p - 1.0 / q)

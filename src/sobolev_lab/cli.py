@@ -114,8 +114,9 @@ def _run_config(args: argparse.Namespace, command: str) -> dict:
 # ---------------------------------------------------------------- ball
 
 def cmd_ball(args: argparse.Namespace) -> int:
+    # -q is checked against khat's gate, which no flag lifts, before any output
     check_exponents(args.n, args.p, args.q or None,
-                    allow_supercritical=args.experimental_supercritical)
+                    allow_supercritical=args.experimental_supercritical and not args.q)
     prof = radial.unit_ball_profile(args.n, args.p, tol=args.tol,
                                     allow_supercritical=args.experimental_supercritical)
     print(f"C_p(B) = {prof.cp_ball!r}   (n={args.n}, p={_fmt(args.p)})")
@@ -161,6 +162,12 @@ def cmd_domain(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------- verify
 
+def _gate_error(report) -> str:
+    """The failed gates of a report, as `verify` prints them; "" if it passed."""
+    failed = report.failed_gates()
+    return f"verification failed: {', '.join(failed)} out of tolerance" if failed else ""
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     check_exponents(2, args.p, args.q)
     spec = _spec_from_arg(args.spec)
@@ -177,10 +184,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             fh.write(text[fmt] + "\n")
     print(text[args.format])
     print(f"report -> {stem}.json, {stem}.txt")
-    failed = report.failed_gates()
-    if failed:
-        print(f"verification failed: {', '.join(failed)} out of tolerance",
-              file=sys.stderr)
+    error = _gate_error(report)
+    if error:
+        print(error, file=sys.stderr)
         return 4
     return 0
 
@@ -193,7 +199,10 @@ def _cache_path(task: dict) -> str | None:
     if not root:
         return None
     os.makedirs(root, exist_ok=True)
-    key = hashlib.sha256(canonical_json({**task, "version": FORMAT_VERSION}).encode())
+    # entries from before rows named a failed gate in `error` hash without
+    # "gates", so none of them replays a failed group as a pass
+    key = hashlib.sha256(canonical_json(
+        {**task, "version": FORMAT_VERSION, "gates": "error"}).encode())
     return os.path.join(root, key.hexdigest() + ".json")
 
 
@@ -215,7 +224,10 @@ def _cached_rows(cpath: str, task: dict) -> list[dict] | None:
 
 
 def _table_group(task: dict) -> list[dict]:
-    """Solve one (domain, p) pair and emit its q rows; errors become rows."""
+    """Solve one (domain, p) pair and emit its q rows; errors become rows.
+
+    A report that fails a gate keeps its numbers, with the gates that
+    failed in each row's `error`."""
     spec = DomainSpec.from_json(task["spec"])
     rows = []
     base = {"domain": task["label"], "p": task["p"], "h": task["h"]}
@@ -229,6 +241,7 @@ def _table_group(task: dict) -> list[dict]:
         for q in task["qs"]:
             rows.append({**base, "q": q, "error": f"{type(exc).__name__}: {exc}"})
         return rows
+    error = _gate_error(report)
     for q in task["qs"]:
         if q < task["p"]:
             rows.append({**base, "q": q,
@@ -237,7 +250,7 @@ def _table_group(task: dict) -> list[dict]:
         row = by_q[q]
         rows.append({**base, "q": q, "cp": report.cp, "rho": report.rho,
                      "khat": row.khat, "K": row.K, "lhs": row.lhs,
-                     "rhs": row.rhs, "margin": row.margin, "error": ""})
+                     "rhs": row.rhs, "margin": row.margin, "error": error})
     return rows
 
 

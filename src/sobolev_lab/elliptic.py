@@ -371,12 +371,12 @@ class _VCycle:
         return x
 
 
-def cg(A, b: np.ndarray, x0: np.ndarray | None, M, rtol: float = CG_RTOL):
+def cg(A, b: np.ndarray, x0: np.ndarray | None, M):
     """Preconditioned conjugate gradients on arrays; the one linear-solver call.
 
     A(x, out) applies the operator and M(r) the preconditioner.  Stops when
     the unpreconditioned residual ||b - A x|| (updated recursively) falls
-    below rtol ||b||, so the preconditioner changes the cost, not the
+    below CG_RTOL ||b||, so the preconditioner changes the cost, not the
     accuracy.  Returns the solution and its iteration count.  Inner
     products are np.sum of products, pairwise sums that do not go through
     BLAS, so x has the same bits at any BLAS thread count.
@@ -393,7 +393,7 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M, rtol: float = CG_RTOL):
     r = b - A(x, work) if x.any() else b.copy()
     q = np.empty_like(b)
     for it in range(CG_MAXITER):
-        if np.sqrt(dot(r, r)) < rtol * bnorm:
+        if np.sqrt(dot(r, r)) < CG_RTOL * bnorm:
             return x, it
         z = M(r)
         rho = dot(r, z)
@@ -409,7 +409,7 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M, rtol: float = CG_RTOL):
     r = b - A(x, q)
     res = np.sqrt(dot(r, r)) / max(bnorm, 1e-300)
     raise SolverError(
-        f"conjugate gradients did not reach rtol={rtol:g} in {CG_MAXITER} "
+        f"conjugate gradients did not reach rtol={CG_RTOL:g} in {CG_MAXITER} "
         f"iterations (relative residual {res:.3e})", trajectory=[res])
 
 
@@ -504,14 +504,14 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     is clipped from below at W_FLOOR * max(c0, 0) * u, so no node of u
     reaches 0 (there its residual would vanish, and a node with no
     neighbor in the mask could never come back), and normalized.  It is
-    kept only if its quotient is no larger than Q.  Else the
-    two-term step on span{u, w} is tried the same way, and if that fails
-    too, one exact sweep u <- normalize_p(A^-1 u^(p-1)) is taken (cg to
-    CG_RTOL, warm-started at u / Q; it does not raise the quotient) and d
-    is dropped.  A step whose sweep is no better either keeps u, and then
-    the stop rule holds.  So does a step whose best candidate reads at
-    most 4 ulps above Q: the quotient has converged to roundoff, and no
-    sweep is paid to confirm it.  iterations counts the steps.
+    kept only if its quotient is no larger than Q.  Else (or when the
+    pencil yields no vector with a positive part) one exact sweep
+    u <- normalize_p(A^-1 u^(p-1)) is taken (cg to CG_RTOL, warm-started
+    at u / Q; it does not raise the quotient) and d is dropped.  A step
+    whose sweep is no better either keeps u, and then the stop rule holds.
+    So does a step whose candidate reads at most 4 ulps above Q: the
+    quotient has converged to roundoff, and no sweep is paid to confirm
+    it.  iterations counts the steps.
     """
     check_exponents(2, p, allow_supercritical=allow_supercritical)
     if not (0 < tol < np.inf and max_iter >= 1):
@@ -531,7 +531,7 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     def sweep(it, x0):
         """The exact step normalize_p(A^-1 u^(p-1)), clipped at 0 for p > 1, and its quotient."""
         try:
-            x, _ = cg(A, np.maximum(u, 0.0) ** (p - 1.0) * mask, x0, M, CG_RTOL)
+            x, _ = cg(A, np.maximum(u, 0.0) ** (p - 1.0) * mask, x0, M)
         except SolverError as exc:
             raise SolverError(f"inner CG solve failed to converge at step {it}: {exc}",
                               trajectory=trajectory) from exc
@@ -575,28 +575,22 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
         # B = (p - 1) W + (2 - p) g g^T / (u . g), and u . W x = g . x
         b = [[(p - 1.0) * b[i][j] + (2.0 - p) * b[i][0] * b[0][j] / b[0][0] for j in range(k)]
              for i in range(k)]
-        best = math.inf  # the lowest quotient of a rejected candidate
-        for k in range(k, 1, -1):  # span{u, w, d}, then span{u, w}
-            c = _ritz([row[:k] for row in a[:k]], [row[:k] for row in b[:k]])
-            if c is None:
-                continue
+        c = _ritz(a, b)
+        cp_v = math.inf  # the candidate's quotient; inf if there is none
+        if c is not None:
             np.multiply(u, c[0], out=v)
-            for ci, x in zip(c[1:], basis[1:k]):
+            for ci, x in zip(c[1:], basis[1:]):
                 v += np.multiply(x, ci, out=t)
             scale = lp_scale(np.maximum(v, np.multiply(u, W_FLOOR * max(c[0], 0.0), out=t), out=v))
-            if not scale > 0.0:
-                continue
-            v /= scale
-            cp_v = quotient(as_field(v), p)
-            if cp_v <= cp:
-                np.subtract(v, u, out=d)
-                have_d = True
-                break
-            best = min(best, cp_v)
-        else:
-            if best > cp + 4.0 * math.ulp(cp):  # else Q has converged to roundoff
-                v, cp_v = sweep(it, np.divide(u, cp, out=v))
-                have_d = False
+            if scale > 0.0:
+                v /= scale
+                cp_v = quotient(as_field(v), p)
+        if cp_v <= cp:
+            np.subtract(v, u, out=d)
+            have_d = True
+        elif cp_v > cp + 4.0 * math.ulp(cp):  # else Q has converged to roundoff
+            v, cp_v = sweep(it, np.divide(u, cp, out=v))
+            have_d = False
         if cp_v <= cp:
             u, v = v, u
         else:  # nothing lowered Q: u stays, and the stop rule holds

@@ -82,6 +82,11 @@ ENTRY = {
     "cli ball": (lambda n, p, qs, out: cli_main(
         ["ball", "-n", str(n), "-p", repr(p), *_q_flags(p, qs), "--out", out]),
         {*BAD_N, "p-below-one", "supercritical", "q-below-p", *NON_FINITE_Q}, None, None),
+    # the flag lifts the profile's gate but not khat's, so -q is still rejected
+    "cli ball lifted": (lambda n, p, qs, out: cli_main(
+        ["ball", "-n", str(n), "-p", repr(p), *_q_flags(p, qs),
+         "--experimental-supercritical", "--out", out]),
+        {"supercritical"}, None, None),
 }
 
 PAIRS = [(entry, case) for entry, (_, cases, _, _) in ENTRY.items()

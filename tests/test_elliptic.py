@@ -96,18 +96,16 @@ def on_grid(grid, values):
 
 
 class CountingCG:
-    """Stand-in for elliptic.cg that records each call's rtol and the CG
-    iterations it returns."""
+    """Stand-in for elliptic.cg that records the CG iterations of each call,
+    so len(iterations) counts the calls."""
 
     def __init__(self, cg):
         self.cg = cg
         self.iterations = []
-        self.rtols = []
 
-    def __call__(self, A, b, x0, M, rtol=elliptic.CG_RTOL):
-        x, iterations = self.cg(A, b, x0, M, rtol)
+    def __call__(self, A, b, x0, M):
+        x, iterations = self.cg(A, b, x0, M)
         self.iterations.append(iterations)
-        self.rtols.append(rtol)
         return x, iterations
 
 
@@ -529,16 +527,16 @@ class TestMinimizeQuotient:
 
 
 class TestInexactSweeps:
-    """The p = 1 solve is never loosened: every cg call runs to CG_RTOL, and
-    the field is the normalized direct solve of A u = 1.  (The class is named
-    for the loose inner solves of p > 1 that the Rayleigh-Ritz steps replaced.)"""
+    """The p = 1 solve is one cg call, to CG_RTOL, and the field is the
+    normalized direct solve of A u = 1.  (The class is named for the loose
+    inner solves of p > 1 that the Rayleigh-Ritz steps replaced.)"""
 
     def test_p1_solves_exactly(self, monkeypatch):
         grid = build_grid(SHAPES["disk"], 1.0 / 64)
         counting = CountingCG(elliptic.cg)
         monkeypatch.setattr(elliptic, "cg", counting)
         res = minimize_quotient(grid, 1.0)
-        assert counting.rtols == [elliptic.CG_RTOL] * res.iterations
+        assert len(counting.iterations) == res.iterations == 1
         # 6e-14 and 4e-16 off measured
         x = spsolve(kronecker_laplacian(grid).tocsc(), np.ones(np.count_nonzero(grid.mask)))
         x /= np.sum(x) * grid.h**2
@@ -583,8 +581,7 @@ class TestAndersonSweeps:
         # no step has a previous one, and each pencil is the two-term one
         ritz = LoggingRitz(monkeypatch, reject=lambda k: True)
         plain = minimize_quotient(grid, 2.0)
-        assert len(counting.rtols) == plain.iterations > res.iterations
-        assert set(counting.rtols) == {elliptic.CG_RTOL}
+        assert len(counting.iterations) == plain.iterations > res.iterations
         assert ritz.sizes == [2] * plain.iterations
         t = plain.trajectory
         assert all(b <= a for a, b in zip(t, t[1:]))
@@ -602,7 +599,7 @@ class TestAndersonSweeps:
         counting = CountingCG(elliptic.cg)
         monkeypatch.setattr(elliptic, "cg", counting)
         res = minimize_quotient(build_grid(SHAPES["disk"], 1.0 / 32), 1.0)
-        assert (res.iterations, res.residual, counting.rtols) == (1, 0.0, [elliptic.CG_RTOL])
+        assert (res.iterations, res.residual, len(counting.iterations)) == (1, 0.0, 1)
         assert res.trajectory == [res.cp]
         assert main(["domain", "--spec", '{"shape": "disk", "radius": 1.0}', "-p", "1",
                      "--h", str(1.0 / 32), "--out", str(tmp_path)]) == 0
@@ -612,7 +609,7 @@ class TestAndersonSweeps:
 class TestRayleighRitzSteps:
     """For p > 1 each step preconditions the residual with one V-cycle and
     takes the Rayleigh-Ritz step on span{u, w, d}, kept only if the quotient
-    does not rise; else the two-term step, else one exact sweep."""
+    does not rise; else one exact sweep, which drops d."""
 
     @pytest.mark.parametrize("shape,p,most", [
         ("disk", 1.5, 6), ("disk", 2.0, 6), ("ellipse", 1.5, 6), ("ellipse", 2.0, 7),
@@ -624,7 +621,7 @@ class TestRayleighRitzSteps:
         cycles = count_vcycles(monkeypatch)
         res = minimize_quotient(build_grid(SHAPES[shape], 1.0 / 64), p)
         assert len(cycles) == res.iterations <= most
-        assert counting.rtols == []
+        assert counting.iterations == []
 
     def test_no_sweep_to_confirm_a_roundoff_minimum(self, monkeypatch):
         # the last step's candidates read 3510.470529048484, one ulp above
@@ -633,7 +630,7 @@ class TestRayleighRitzSteps:
         monkeypatch.setattr(elliptic, "cg", counting)
         grid = build_grid(DomainSpec.rectangle(1.0, 0.128), 1.0 / 32)
         res = minimize_quotient(grid, 1.01, tol=1e-12)
-        assert counting.rtols == []
+        assert counting.iterations == []
         assert res.residual == 0.0 and res.trajectory[-1] == res.trajectory[-2]
         assert res.cp == pytest.approx(3510.4705290484835, rel=1e-15)
 
@@ -642,18 +639,18 @@ class TestRayleighRitzSteps:
         res = minimize_quotient(build_grid(SHAPES["disk"], 1.0 / 64), 2.0)
         assert ritz.sizes == [2] + [3] * (res.iterations - 1)
 
-    def test_rejected_three_term_step_takes_the_two_term_one(self, monkeypatch):
+    def test_rejected_three_term_step_takes_one_exact_sweep(self, monkeypatch):
         grid = build_grid(SHAPES["ellipse"], 1.0 / 64)
         res = minimize_quotient(grid, 1.5)
         counting = CountingCG(elliptic.cg)
         monkeypatch.setattr(elliptic, "cg", counting)
         ritz = LoggingRitz(monkeypatch, reject=lambda k: k == 3)
-        two = minimize_quotient(grid, 1.5)
-        # the two-term step keeps the step it takes as d, so each later step
-        # tries three terms first
-        assert ritz.sizes == [2] + [3, 2] * (two.iterations - 1)
-        assert counting.rtols == []
-        assert abs(two.cp - res.cp) <= 1e-8 * res.cp
+        swept = minimize_quotient(grid, 1.5)
+        # one candidate per step: a rejected three-term one is followed by
+        # the sweep, which drops d, so the next pencil has two terms again
+        assert ritz.sizes == [(2, 3)[i % 2] for i in range(swept.iterations)]
+        assert len(counting.iterations) == ritz.sizes.count(3) > 0
+        assert abs(swept.cp - res.cp) <= 1e-8 * res.cp
 
     def test_isolated_nodes_keep_their_mass(self, monkeypatch):
         # for p < 2 the minimizer is positive on every component of the mask,

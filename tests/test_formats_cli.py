@@ -1,6 +1,7 @@
 """File-format roundtrips and the command-line interface."""
 
 import concurrent.futures
+import hashlib
 import json
 import math
 import os
@@ -433,6 +434,34 @@ class TestCliTable:
         assert len(good) == 5
         for r in good:
             assert float(r[10]) >= -1e-3  # margin column
+
+    def test_failed_gate_is_an_error_row(self, tmp_path, capsys, monkeypatch):
+        # margin -0.0010049 against the gate's -1e-3 lhs: verify exits 4 here
+        group = ("--spec", '{"shape": "disk", "radius": 1.0}', "-p", "1", "-q", "2",
+                 "--h", "0.0625")
+        failed = "verification failed: margins out of tolerance"
+        assert run("verify", *group, "--out", str(tmp_path / "v")) == 4
+        assert failed in capsys.readouterr().err
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(cache))
+        tasks, path = [], cli._cache_path
+        monkeypatch.setattr(cli, "_cache_path", lambda task: tasks.append(task) or path(task))
+        assert run("table", *group, "--out", str(tmp_path / "cold")) == 0
+        assert "1 of 1 rows failed" in capsys.readouterr().err
+        cold = self.read_sweep(tmp_path / "cold")
+        row = cold.decode().splitlines()[2].split(",")
+        assert row[-1] == failed and float(row[10]) < 0  # the numbers are kept
+        # the entry as it was written before rows named failed gates, under
+        # the key of that time, holds the group as a pass; it is not read
+        (entry,) = cache.iterdir()
+        rows = json.loads(entry.read_text(encoding="utf-8"))
+        entry.unlink()
+        key = hashlib.sha256(canonical_json({**tasks[0], "version": FORMAT_VERSION}).encode())
+        (cache / f"{key.hexdigest()}.json").write_text(
+            json.dumps([{**r, "error": ""} for r in rows]), encoding="utf-8")
+        assert run("table", *group, "--out", str(tmp_path / "warm")) == 0
+        assert "1 of 1 rows failed" in capsys.readouterr().err
+        assert self.read_sweep(tmp_path / "warm") == cold
 
     def test_non_finite_q_rejected_before_any_group(self, tmp_path, capsys):
         out = tmp_path / "out"
