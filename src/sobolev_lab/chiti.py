@@ -109,8 +109,10 @@ def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall,
     """
     _check_nodes(u_star, ball)
     nodes = u_star.s
-    u_nodes = np.append(u_star.values, u_star.values[-1]) if u_star.step else u_star.values
-    D = ball.phi_star.values - u_nodes
+    phi, u = ball.phi_star.values, u_star.values
+    D = np.empty(nodes.size)
+    np.subtract(phi[:u.size], u, out=D[:u.size])
+    D[u.size:] = phi[u.size:] - u[-1]  # a step u*'s end node reads its last cell
     if band is None:
         band = 3.0 * float(np.max(np.abs(np.diff(D))))
     elif band < 0:
@@ -175,7 +177,8 @@ def dominance_check(u_star: VolumeProfile, ball: ComparisonBall, p: float,
             raise VerificationError(
                 f"{name} profile has L^p mass {mass:.8f}, expected 1 within {norm_tol:g}",
                 stage="dominance")
-    return float(np.min(cum_phi - cum_u))
+    cum_phi -= cum_u  # I(s), in place in a fresh array
+    return float(np.min(cum_phi))
 
 
 def constant_K(n: int, p: float, q: float, cp_omega: float) -> float:

@@ -33,7 +33,8 @@ import math
 import os
 import sys
 
-from .core import DomainSpec, InputError, SolverError, VerificationError, check_exponents
+from .core import (AdmissibilityError, DomainSpec, InputError, SolverError, VerificationError,
+                   check_exponents)
 from .csvtext import FORMAT_VERSION, canonical_json, csv_text, write_csv
 
 CACHE_ENV = "SOBOLEV_LAB_CACHE"
@@ -114,9 +115,13 @@ def _run_config(args: argparse.Namespace, command: str) -> dict:
 # ---------------------------------------------------------------- ball
 
 def cmd_ball(args: argparse.Namespace) -> int:
-    # -q is checked against khat's gate, which no flag lifts, before any output
     check_exponents(args.n, args.p, args.q or None,
-                    allow_supercritical=args.experimental_supercritical and not args.q)
+                    allow_supercritical=args.experimental_supercritical or bool(args.q))
+    if args.q and args.p > 2.0:  # before any output
+        raise AdmissibilityError(
+            f"p = {args.p:g} lies outside 1 <= p <= 2, where khat is gated; no flag "
+            f"lifts khat's gate, so -q needs p <= 2 (--experimental-supercritical "
+            f"lifts only the profile's)")
     prof = radial.unit_ball_profile(args.n, args.p, tol=args.tol,
                                     allow_supercritical=args.experimental_supercritical)
     print(f"C_p(B) = {prof.cp_ball!r}   (n={args.n}, p={_fmt(args.p)})")

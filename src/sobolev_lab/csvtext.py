@@ -22,18 +22,26 @@ def canonical_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
 
 
+def _field(text: str) -> str:
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def csv_text(kind: str, fields: Mapping[str, object], config: Mapping[str, object] | None,
              columns: Sequence[str] | None, rows: Iterable[Iterable[object]]) -> str:
     """A sobolev-lab/<kind> file: the JSON header line (fields, plus config
     when given), the column row (omitted when columns is None), then one
-    line per row: strings as they are, numbers as repr(float(v))."""
+    line per row: numbers as repr(float(v)), strings as they are unless
+    they hold a comma, a double quote or a line break, which are quoted
+    as RFC 4180 asks (inner quotes doubled)."""
     head = {"format": f"sobolev-lab/{kind}", "version": FORMAT_VERSION, **fields}
     if config is not None:
         head["config"] = dict(config)
     lines = [canonical_json(head)]
     if columns is not None:
         lines.append(",".join(columns))
-    lines += [",".join(v if isinstance(v, str) else repr(float(v)) for v in row)
+    lines += [",".join(_field(v) if isinstance(v, str) else repr(float(v)) for v in row)
               for row in rows]
     return "\n".join(lines) + "\n"
 

@@ -102,6 +102,7 @@ class VolumeProfile:
     s: np.ndarray
     values: np.ndarray
     step: bool = False
+    _widths: np.ndarray = field(init=False, repr=False)  # np.diff(s), once per profile
     _cell_integrals: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -112,8 +113,10 @@ class VolumeProfile:
         expected = s.size - 1 if self.step else s.size
         if v.size != expected or s.size < 2:
             raise ValueError("sample-count mismatch between s and values")
-        if s[0] != 0.0 or np.any(np.diff(s) <= 0):
+        widths = np.diff(s)
+        if s[0] != 0.0 or np.any(widths <= 0):
             raise ValueError("s must increase strictly from 0")
+        object.__setattr__(self, "_widths", widths)
         slack = 1e-10 * max(float(np.max(np.abs(v))), 1.0)
         if np.any(np.diff(v) > slack):
             raise ValueError("profile values must be non-increasing")
@@ -125,12 +128,19 @@ class VolumeProfile:
         return float(self.s[-1])
 
     def _cells(self, power: float) -> np.ndarray:
-        """Integral of values**power on each cell by the profile's rule; memoized per power."""
-        if power not in self._cell_integrals:
+        """Integral of values**power on each cell by the profile's rule.
+
+        The cells of a power that `cumulative` read are kept and reused;
+        any other power is computed for its one sum and not held.
+        """
+        cells = self._cell_integrals.get(power)
+        if cells is None:
             y = self.values**power
-            d = np.diff(self.s)
-            self._cell_integrals[power] = d * y if self.step else d * (y[1:] + y[:-1]) / 2.0
-        return self._cell_integrals[power]
+            cells = y if self.step else y[1:] + y[:-1]
+            cells *= self._widths  # in place in the fresh power array
+            if not self.step:
+                cells /= 2.0
+        return cells
 
     def power_integral(self, power: float = 1.0) -> float:
         """Integral of values**power over [0, total_volume]."""
@@ -138,7 +148,11 @@ class VolumeProfile:
 
     def cumulative(self, power: float = 1.0) -> np.ndarray:
         """Integral of values**power over [0, s] at each node s, from 0."""
-        return np.concatenate(([0.0], np.cumsum(self._cells(power))))
+        cells = self._cell_integrals.setdefault(power, self._cells(power))
+        out = np.empty(cells.size + 1)
+        out[0] = 0.0
+        np.cumsum(cells, out=out[1:])
+        return out
 
 
 # Dormand & Prince (1980) 5(4) pair: stage nodes and rows, the 5th-order
@@ -195,7 +209,12 @@ def _dopri5(accel, r, y, v, rtol, atol):
 def _quintic_hermite(r, y, dy, d2y):
     """Piecewise quintic through (y, y', y'') at the nodes r, vectorised.
 
-    Queries outside [r[0], r[-1]] extend the end pieces.
+    Queries outside [r[0], r[-1]] extend the end pieces; a query equal to
+    a node takes the piece that starts there.  A 1-D non-decreasing query
+    array longer than the node list finds its pieces by searching the
+    nodes into it and repeats each piece's coefficients over its run of
+    queries: linear in the queries, and bit-identical to the per-query
+    binary search that every other input takes.
     """
     h = np.diff(r)
     d = np.diff(y)
@@ -207,12 +226,18 @@ def _quintic_hermite(r, y, dy, d2y):
                      6.0 * d - 3.0 * hv0 - 3.0 * hv1 - 0.5 * ha0 + 0.5 * ha1])
 
     def evaluate(x):
-        i = np.clip(np.searchsorted(r, x, side="right") - 1, 0, h.size - 1)
-        t = (x - r[i]) / h[i]
-        out = coef[5][i]  # 1-D gathers: several times faster than coef[k, i]
+        if x.ndim == 1 and x.size > h.size and np.all(x[1:] >= x[:-1]):
+            # piece k holds the run of queries in [r[k], r[k + 1]), end pieces extended
+            runs = np.diff(np.searchsorted(x, r[1:-1]), prepend=0, append=x.size)
+            take = functools.partial(np.repeat, repeats=runs)
+        else:
+            i = np.clip(np.searchsorted(r, x, side="right") - 1, 0, h.size - 1)
+            take = functools.partial(np.take, indices=i)
+        t = (x - take(r[:-1])) / take(h)
+        out = take(coef[5])  # 1-D takes: several times faster than coef[k, i]
         for k in (4, 3, 2, 1, 0):
             out *= t
-            out += coef[k][i]
+            out += take(coef[k])
         return out
 
     return evaluate
@@ -243,7 +268,10 @@ def shoot(n: int, p: float, tol: float = 1e-12, allow_supercritical: bool = Fals
 
     def y_of(r):
         r = np.asarray(r, dtype=float)
-        return np.where(r < eps, 1.0 - r**2 / (2.0 * n), hermite(r))
+        y = np.asarray(hermite(r))  # a fresh array, 0-d for a 0-d r
+        near = r < eps  # the series start, evaluated only where it applies
+        y[near] = 1.0 - r[near] ** 2 / (2.0 * n)
+        return y
 
     # bisection on the bracketing step
     lo, hi = float(rs[-2]), float(rs[-1])

@@ -18,9 +18,16 @@ def _masked_values(fld: GriddedField) -> np.ndarray:
 
 
 def decreasing_rearrangement(fld: GriddedField) -> VolumeProfile:
-    """u*(s): sorted-descending node values as a step profile over h^2 cells."""
+    """u*(s): sorted-descending node values as a step profile over h^2 cells.
+
+    The values are one C-contiguous array, sorted in place in the masked
+    copy (negate, sort ascending, negate back), so that powers of u* run
+    numpy's contiguous loops and no second full-size array is held.
+    """
     vals = _masked_values(fld)
     h2 = fld.h**2
-    order = np.sort(vals)[::-1]
+    np.negative(vals, out=vals)
+    vals.sort()
+    np.negative(vals, out=vals)
     breaks = h2 * np.arange(vals.size + 1, dtype=float)
-    return VolumeProfile(s=breaks, values=order, step=True)
+    return VolumeProfile(s=breaks, values=vals, step=True)

@@ -1,6 +1,7 @@
 """File-format roundtrips and the command-line interface."""
 
 import concurrent.futures
+import csv
 import hashlib
 import json
 import math
@@ -17,8 +18,8 @@ from sobolev_lab.chiti import verify_reverse_holder
 from sobolev_lab.cli import main
 from sobolev_lab.core import DomainSpec
 from sobolev_lab.elliptic import build_grid, minimize_quotient
-from sobolev_lab.formats import (DEFAULT_GRID, FORMAT_VERSION, canonical_json, read_field,
-                                 report_to_dict, report_to_json,
+from sobolev_lab.formats import (DEFAULT_GRID, FORMAT_VERSION, canonical_json, csv_text,
+                                 read_field, report_to_dict, report_to_json,
                                  report_to_table, write_field,
                                  write_radial_profile, write_volume_profile)
 from sobolev_lab.radial import VolumeProfile, unit_ball_profile
@@ -181,6 +182,16 @@ class TestCliBall:
                               env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)})
         assert proc.returncode == 0, proc.stderr
         assert os.listdir(tmp_path) == ["ball_n2_p1.profile.csv"]
+
+    def test_q_beyond_khat_gate_names_no_lift(self, tmp_path, capsys):
+        # the flag lifts the profile's gate; no flag lifts khat's
+        out = tmp_path / "out"
+        assert run("ball", "-n", "2", "-p", "2.5", "-q", "3", "--experimental-supercritical",
+                   "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "no flag lifts khat's gate" in captured.err
+        assert "allow_supercritical" not in captured.err
 
     def test_supercritical_needs_flag(self, tmp_path, capsys):
         assert run("ball", "-n", "3", "-p", "6", "--out", str(tmp_path)) == 2
@@ -462,6 +473,50 @@ class TestCliTable:
         assert run("table", *group, "--out", str(tmp_path / "warm")) == 0
         assert "1 of 1 rows failed" in capsys.readouterr().err
         assert self.read_sweep(tmp_path / "warm") == cold
+
+    def read_back(self, out):
+        """The column row and the rows of sweep.csv, as Python's csv module reads them."""
+        with open(os.path.join(out, "sweep.csv"), newline="", encoding="utf-8") as fh:
+            fh.readline()  # the JSON header line
+            return list(csv.reader(fh))
+
+    def test_solver_error_with_commas_reads_back(self, tmp_path, capsys, monkeypatch):
+        # two steps leave the quotient short of converging; the SolverError
+        # quotes the tail "20.00154846, 19.67846626", a comma inside `error`
+        monkeypatch.delenv("SOBOLEV_LAB_CACHE", raising=False)
+        out = str(tmp_path)
+        assert run("table", "--spec", SQUARE, "-p", "2", "-q", "2", "-q", "3",
+                   "--h", "0.0625", "--max-iter", "2", "--out", out) == 0
+        assert "2 of 2 rows failed" in capsys.readouterr().err
+        columns, *rows = self.read_back(out)
+        assert columns == cli.TABLE_COLUMNS and len(columns) == 12
+        assert len(rows) == 2 and all(len(row) == 12 for row in rows)
+        for row in rows:
+            assert row[-1].startswith("SolverError: quotient iteration did not converge")
+            assert ", " in row[-1]
+        lines = self.read_sweep(out).decode().splitlines()
+        assert lines[2].endswith(f'"{rows[0][-1]}"')  # quoted, and only that field
+
+    def test_two_failed_gates_read_back(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SOBOLEV_LAB_CACHE", raising=False)
+        monkeypatch.setattr(chiti.ReverseHolderReport, "failed_gates",
+                            lambda self: ["margins", "dominance"])
+        out = str(tmp_path)
+        assert run("table", "--spec", SQUARE, "-p", "2", "-q", "2", "-q", "3",
+                   "--h", str(1 / 32), "--out", out) == 0
+        assert "2 of 2 rows failed" in capsys.readouterr().err
+        columns, *rows = self.read_back(out)
+        assert len(rows) == 2 and all(len(row) == len(columns) == 12 for row in rows)
+        for row in rows:
+            assert row[-1] == "verification failed: margins, dominance out of tolerance"
+            assert float(row[columns.index("cp")]) > 0  # the numbers are kept
+
+    def test_quoting_only_where_needed(self):
+        text = csv_text("sweep", {}, None, ("a", "b", "c"),
+                        [("plain", 'say "hi"', "two\nlines"), ("x, y", 1, "")])
+        assert text.splitlines()[1:3] == ["a,b,c", 'plain,"say ""hi""","two']
+        assert list(csv.reader(text.splitlines(keepends=True)[2:])) == [
+            ["plain", 'say "hi"', "two\nlines"], ["x, y", "1.0", ""]]
 
     def test_non_finite_q_rejected_before_any_group(self, tmp_path, capsys):
         out = tmp_path / "out"

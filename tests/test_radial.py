@@ -13,8 +13,8 @@ from identities import cumulative_at, evaluate, verify_integro_differential
 from sobolev_lab import AdmissibilityError, cp_ball, radial
 from sobolev_lab.core import SolverError, alpha, unit_ball_volume
 from sobolev_lab.formats import DEFAULT_GRID
-from sobolev_lab.radial import (RawShot, VolumeProfile, normalize_to_unit_ball, shoot,
-                                unit_ball_profile, volume_profile)
+from sobolev_lab.radial import (SERIES_RADIUS, RawShot, VolumeProfile, normalize_to_unit_ball,
+                                shoot, unit_ball_profile, volume_profile)
 
 # (n, p) pairs the stepper is checked on; (3, 4) needs the supercritical flag
 SHOOT_CASES = [(2, 1.0), (2, 1.3), (2, 1.5), (2, 1.8), (2, 2.0),
@@ -66,6 +66,25 @@ class TestShoot:
         R0, y_of, _ = oracles.dop853_ball_shot(3, 1.5)
         r = np.linspace(0.0, min(shot.R0, R0), 10007)
         assert np.max(np.abs(shot.dense(r) - y_of(r))) < 1e-10
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_sorted_lookup_matches_pointwise(self, p):
+        # sorted arrays search the knots into the queries; single points
+        # search each query into the knots: the values must agree bit for bit.
+        # On the ball of radius R0, phi reads the shot at its own radii, so
+        # the Hermite pieces start exactly at the queried knots.
+        shot = shoot(2, p)
+        for prof, knots in ((normalize_to_unit_ball(shot, radius=shot.R0), shot.nodes),
+                            (unit_ball_profile(2, p), unit_ball_profile(2, p).knots)):
+            past = knots[-1] * np.array([1.0 + 1e-9, 1.01, 1.5])
+            r = np.sort(np.concatenate([
+                knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                [0.0, 1e-3 * SERIES_RADIUS, 0.5 * SERIES_RADIUS], past]))
+            r = r[r >= 0.0]
+            assert r.size > knots.size  # more queries than pieces: the sorted lookup
+            got = prof.phi(r)
+            ref = np.array([prof.phi(x) for x in r])
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     def test_no_zero_before_r_max(self, monkeypatch):
         monkeypatch.setattr(radial, "R_MAX", 1.0)

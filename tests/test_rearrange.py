@@ -77,6 +77,13 @@ class TestDecreasingRearrangement:
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.s, b.s)
 
+    def test_values_contiguous_and_non_increasing(self, solve):
+        fld = solve("lshape", 1.5, 1.0 / 32).field
+        values = decreasing_rearrangement(fld).values
+        assert values.flags.c_contiguous
+        assert np.all(values[1:] <= values[:-1])
+        np.testing.assert_array_equal(values, np.sort(fld.values[fld.mask])[::-1])
+
     def test_symmetrized_sample(self):
         us_center = symmetrized_sample(tiny_field(), 0.0, 0.0)
         assert us_center == pytest.approx(3.0)
