@@ -92,15 +92,15 @@ def _check_nodes(u_star: VolumeProfile, ball: ComparisonBall) -> None:
         raise ValueError("phi* is not sampled at u*'s volume nodes")
 
 
-def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall,
-                      band: float | None = None) -> CrossingAnalysis:
+def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall) -> CrossingAnalysis:
     """Locate the single crossing of D = phi* - u* on u*'s volume nodes.
 
     phi* must be sampled there (ValueError otherwise).  Values of |D|
-    below the noise band are treated as zero.  The band defaults to three
-    times the largest increment of D between adjacent grid nodes: a genuine profile difference varies smoothly in s while
-    the staircase rearrangement jumps by O(h) wherever a level set sweeps
-    a whole lattice row, so the worst single-node jump measures the
+    below the noise band are treated as zero.  The band is three times
+    the largest increment of D between adjacent grid nodes: a genuine
+    profile difference varies smoothly in s while the staircase
+    rearrangement jumps by O(h) wherever a level set sweeps a whole
+    lattice row, so the worst single-node jump measures the
     discretization noise floor without looking at D's magnitude itself.
     max |D| < band over the whole interval reports identical profiles
     (the ball equality case) rather than an error; any other sign pattern
@@ -113,10 +113,7 @@ def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall,
     D = np.empty(nodes.size)
     np.subtract(phi[:u.size], u, out=D[:u.size])
     D[u.size:] = phi[u.size:] - u[-1]  # a step u*'s end node reads its last cell
-    if band is None:
-        band = 3.0 * float(np.max(np.abs(np.diff(D))))
-    elif band < 0:
-        raise ValueError(f"band must be non-negative, got {band}")
+    band = 3.0 * float(np.max(np.abs(np.diff(D))))
     if float(np.max(np.abs(D))) <= band:
         return CrossingAnalysis(s1=math.nan, crossing_count=0, band=band,
                                 s=nodes, difference=D, identical=True)

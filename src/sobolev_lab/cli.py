@@ -33,8 +33,7 @@ import math
 import os
 import sys
 
-from .core import (AdmissibilityError, DomainSpec, InputError, SolverError, VerificationError,
-                   check_exponents)
+from .core import DomainSpec, InputError, SolverError, VerificationError, check_exponents
 from .csvtext import FORMAT_VERSION, canonical_json, csv_text, write_csv
 
 CACHE_ENV = "SOBOLEV_LAB_CACHE"
@@ -115,13 +114,9 @@ def _run_config(args: argparse.Namespace, command: str) -> dict:
 # ---------------------------------------------------------------- ball
 
 def cmd_ball(args: argparse.Namespace) -> int:
+    # before any output; with -q it is khat's gate, which the flag does not lift
     check_exponents(args.n, args.p, args.q or None,
-                    allow_supercritical=args.experimental_supercritical or bool(args.q))
-    if args.q and args.p > 2.0:  # before any output
-        raise AdmissibilityError(
-            f"p = {args.p:g} lies outside 1 <= p <= 2, where khat is gated; no flag "
-            f"lifts khat's gate, so -q needs p <= 2 (--experimental-supercritical "
-            f"lifts only the profile's)")
+                    allow_supercritical=args.experimental_supercritical)
     prof = radial.unit_ball_profile(args.n, args.p, tol=args.tol,
                                     allow_supercritical=args.experimental_supercritical)
     print(f"C_p(B) = {prof.cp_ball!r}   (n={args.n}, p={_fmt(args.p)})")
@@ -204,10 +199,10 @@ def _cache_path(task: dict) -> str | None:
     if not root:
         return None
     os.makedirs(root, exist_ok=True)
-    # entries from before rows named a failed gate in `error` hash without
-    # "gates", so none of them replays a failed group as a pass
+    # the salt changes whenever a task's rows change text (failed gates named
+    # in `error`, then the p > 2 gate's wording), so no older entry replays
     key = hashlib.sha256(canonical_json(
-        {**task, "version": FORMAT_VERSION, "gates": "error"}).encode())
+        {**task, "version": FORMAT_VERSION, "salt": 2}).encode())
     return os.path.join(root, key.hexdigest() + ".json")
 
 
@@ -231,31 +226,31 @@ def _cached_rows(cpath: str, task: dict) -> list[dict] | None:
 def _table_group(task: dict) -> list[dict]:
     """Solve one (domain, p) pair and emit its q rows; errors become rows.
 
-    A report that fails a gate keeps its numbers, with the gates that
+    Each row's numbers are formats.report_to_dict's, as `verify` writes
+    them; a report that fails a gate keeps them, with the gates that
     failed in each row's `error`."""
     spec = DomainSpec.from_json(task["spec"])
     rows = []
     base = {"domain": task["label"], "p": task["p"], "h": task["h"]}
+    qs = [q for q in task["qs"] if q >= task["p"]]
     try:
+        check_exponents(2, task["p"], qs or None)  # khat's gate, as `verify` meets it
         res = _solve_domain(spec, task["p"], task["h"], task["tol"],
                             task["max_iter"], False)
-        report = verify_reverse_holder(res, [q for q in task["qs"] if q >= task["p"]])
-        by_q = {row.q: row for row in report.rows}
+        report = verify_reverse_holder(res, qs)
     except (InputError, SolverError, VerificationError) as exc:
         # per-row failure contract: record, continue
         for q in task["qs"]:
             rows.append({**base, "q": q, "error": f"{type(exc).__name__}: {exc}"})
         return rows
-    error = _gate_error(report)
+    flat, error = formats.report_to_dict(report), _gate_error(report)
+    by_q = {row["q"]: row for row in flat["rows"]}
     for q in task["qs"]:
         if q < task["p"]:
             rows.append({**base, "q": q,
                          "error": f"q = {q:g} below p = {task['p']:g}"})
             continue
-        row = by_q[q]
-        rows.append({**base, "q": q, "cp": report.cp, "rho": report.rho,
-                     "khat": row.khat, "K": row.K, "lhs": row.lhs,
-                     "rhs": row.rhs, "margin": row.margin, "error": error})
+        rows.append({**base, **by_q[q], "cp": flat["cp"], "rho": flat["rho"], "error": error})
     return rows
 
 

@@ -100,18 +100,19 @@ def admissible(n: int, p: float) -> bool:
 def check_exponents(n: int, p: float, qs=None, allow_supercritical: bool = False):
     """The one admissibility gate for exponents; raises AdmissibilityError.
 
-    Checks that (n, p) is admissible, that p <= 2 unless
-    allow_supercritical lifts the experimental gate, and, when qs is
-    given, that it is non-empty with every q finite and q >= p.
+    Checks that (n, p) is admissible, that p <= 2 (allow_supercritical
+    lifts that only without qs: nothing lifts khat's gate), and, when qs
+    is given, that it is non-empty with every q finite and q >= p.
     """
     if not admissible(n, p):
         bound = ("n >= 2" if n < 2 else "any p >= 1" if n == 2
                  else f"1 <= p < 2n/(n-2) = {2.0 * n / (n - 2.0):g}")
         raise AdmissibilityError(f"(n, p) = ({n}, {p}) is not admissible; need {bound}")
-    if p > 2.0 and not allow_supercritical:
+    if p > 2.0 and (qs is not None or not allow_supercritical):
+        lift = ("no flag lifts khat's gate" if qs is not None else "allow_supercritical=True"
+                " lifts it, as --experimental-supercritical does for ball and domain")
         raise AdmissibilityError(
-            f"p = {p:g} lies outside 1 <= p <= 2 and is gated as experimental; "
-            f"pass allow_supercritical=True to lift")
+            f"p = {p:g} lies outside 1 <= p <= 2 and is gated as experimental; {lift}")
     if qs is not None:
         if len(qs) == 0:
             raise AdmissibilityError("need at least one exponent q")

@@ -50,12 +50,10 @@ MG_SMOOTH = 2
 class GriddedField:
     """Values on a uniform grid masked to a domain's strict interior.
 
-    values has shape (ny, nx), row-major in y; entries outside the mask
-    are identically zero.  origin is the coordinate of node (0, 0).
+    values has the mask's shape (ny, nx), row-major in y; entries outside
+    the mask are identically zero.  origin is the coordinate of node (0, 0).
     """
 
-    nx: int
-    ny: int
     h: float
     origin: tuple
     mask: np.ndarray
@@ -63,8 +61,8 @@ class GriddedField:
     spec: Optional[DomainSpec] = None
 
     def __post_init__(self):
-        if self.mask.shape != (self.ny, self.nx) or self.values.shape != (self.ny, self.nx):
-            raise ValueError("mask/values shape must be (ny, nx)")
+        if self.values.shape != self.mask.shape:
+            raise ValueError("values must have the mask's shape")
 
     def volume(self) -> float:
         """Area estimate: inside-node count times h^2."""
@@ -101,8 +99,7 @@ def build_grid(spec: DomainSpec, h: float) -> GriddedField:
     mask = spec.contains(X, Y)
     if not np.any(mask):
         raise GridError(f"domain {spec.describe()} is unresolved at h = {h:g}")
-    return GriddedField(nx=nx, ny=ny, h=h, origin=(x0, y0), mask=mask,
-                        values=np.zeros((ny, nx)), spec=spec)
+    return GriddedField(h=h, origin=(x0, y0), mask=mask, values=np.zeros((ny, nx)), spec=spec)
 
 
 class _Level:
@@ -526,7 +523,7 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
         return (np.sum(np.maximum(v, 0.0) ** p) * h2) ** (1.0 / p)
 
     def as_field(v):
-        return GriddedField(grid.nx, grid.ny, grid.h, grid.origin, mask, v, grid.spec)
+        return GriddedField(grid.h, grid.origin, mask, v, grid.spec)
 
     def sweep(it, x0):
         """The exact step normalize_p(A^-1 u^(p-1)), clipped at 0 for p > 1, and its quotient."""

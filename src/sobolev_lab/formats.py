@@ -78,8 +78,8 @@ def write_field(path: str, field: GriddedField, p: float | None = None,
     """Field file: JSON header {nx, ny, h, origin, p, cp, domain} then
     row-major CSV of node values with NaN outside the mask."""
     fields: dict[str, Any] = {
-        "nx": field.nx,
-        "ny": field.ny,
+        "nx": field.mask.shape[1],
+        "ny": field.mask.shape[0],
         "h": field.h,
         "origin": [field.origin[0], field.origin[1]],
         "p": p,
@@ -124,7 +124,7 @@ def read_field(path: str) -> tuple[dict, GriddedField]:
     spec = None
     if header.get("domain"):
         spec = DomainSpec.from_json(header["domain"])
-    field = GriddedField(nx=nx, ny=ny, h=h, origin=(x0, y0), mask=mask,
+    field = GriddedField(h=h, origin=(x0, y0), mask=mask,
                          values=np.where(mask, grid, 0.0), spec=spec)
     return header, field
 

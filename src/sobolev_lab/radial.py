@@ -304,9 +304,9 @@ def normalize_to_unit_ball(shot: RawShot, radius: float = 1.0) -> RadialProfile:
     A = float(I_r ** (-1.0 / p))
     Lambda = float((R0 / radius) ** 2 * A ** (2.0 - p))
 
-    def phi(r):
+    def phi(r):  # 0 past the radius, where the dense output extrapolates
         r = np.asarray(r, dtype=float)
-        return A * np.clip(shot.dense(r * (R0 / radius)), 0.0, None)
+        return A * np.where(r > radius, 0.0, np.clip(shot.dense(r * (R0 / radius)), 0.0, None))
 
     return RadialProfile(n=n, p=p, radius=radius, cp_ball=Lambda, phi=phi,
                          knots=knots * (radius / R0))

@@ -35,8 +35,9 @@ HLP_RTOL = 1e-12  # relative rounding slack of the dominance comparisons
 
 def node_coordinates(grid: GriddedField):
     """(X, Y): the coordinates of every node of the grid, each of shape (ny, nx)."""
-    x = grid.origin[0] + grid.h * np.arange(grid.nx)
-    y = grid.origin[1] + grid.h * np.arange(grid.ny)
+    ny, nx = grid.mask.shape
+    x = grid.origin[0] + grid.h * np.arange(nx)
+    y = grid.origin[1] + grid.h * np.arange(ny)
     return np.meshgrid(x, y)
 
 
@@ -64,7 +65,7 @@ def poisson_solve(grid: GriddedField, rhs, x0: np.ndarray | None = None) -> Grid
         x0 = full(np.asarray(x0, dtype=float))
     M = elliptic._VCycle(mask, grid.h)
     x, _ = elliptic.cg(M.fine.apply, b, x0, M)
-    return GriddedField(grid.nx, grid.ny, grid.h, grid.origin, mask, x, grid.spec)
+    return GriddedField(grid.h, grid.origin, mask, x, grid.spec)
 
 
 # ------------------------------------------------------------- profiles

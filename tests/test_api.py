@@ -2,6 +2,7 @@
 test settings that every module's tests run under."""
 
 import ast
+import csv
 import importlib
 import json
 import math
@@ -51,7 +52,8 @@ def _q_flags(p, qs):
     return [a for q in ([p] if qs is None else qs) for a in ("-q", repr(q))]
 
 
-# entry point -> (call(n, p, qs, out), cases it takes, error class, stage)
+# entry point -> (call(n, p, qs, out), cases it takes, error class, stage); the
+# error class is None for a CLI exit code and "row" for a table row's error
 ENTRY = {
     "alpha": (lambda n, p, qs, out: alpha(n, p),
               {*BAD_N, "p-below-one"}, AdmissibilityError, None),
@@ -87,17 +89,31 @@ ENTRY = {
         ["ball", "-n", str(n), "-p", repr(p), *_q_flags(p, qs),
          "--experimental-supercritical", "--out", out]),
         {"supercritical"}, None, None),
+    # a sweep records the refusal in each row's error and exits 0
+    "cli table": (lambda n, p, qs, out: cli_main(
+        ["table", "--spec", SQUARE, "-p", repr(p), *_q_flags(p, qs), "--h", "0.125"]),
+        {"supercritical"}, "row", None),
 }
+# the entries that compute khat: nothing lifts their p <= 2 gate, and they
+# say so; every other entry names the flag that lifts it
+KHAT_GATED = {"constant_K", "khat", "verify_reverse_holder", "cli verify", "cli ball",
+              "cli ball lifted", "cli table"}
 
 PAIRS = [(entry, case) for entry, (_, cases, _, _) in ENTRY.items()
          for case in BAD if case in cases]
 
 
 @pytest.mark.parametrize("entry,case", PAIRS, ids=[f"{e}-{c}" for e, c in PAIRS])
-def test_exponent_gate(entry, case, tmp_path, capsys):
+def test_exponent_gate(entry, case, tmp_path, capsys, monkeypatch):
     call, _, error, stage = ENTRY[entry]
     n, p, qs, pinned = BAD[case]
-    if error is None:  # CLI: usage exit code, message on stderr
+    if error == "row":  # the sweep goes to stdout, no cache entry is written
+        monkeypatch.delenv("SOBOLEV_LAB_CACHE", raising=False)
+        assert call(n, p, qs, str(tmp_path)) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        columns, *rows = csv.reader(lines[1:])  # past the JSON header line
+        (message,) = {row[columns.index("error")] for row in rows}
+    elif error is None:  # CLI: usage exit code, message on stderr
         try:
             code = call(n, p, qs, str(tmp_path))
         except SystemExit as exc:  # rejected by the argument parser
@@ -111,6 +127,12 @@ def test_exponent_gate(entry, case, tmp_path, capsys):
         message = str(exc.value)
     for text in pinned:
         assert text in message
+    if case == "supercritical":  # what lifts the gate, if anything
+        if entry in KHAT_GATED:
+            assert "no flag lifts khat's gate" in message
+            assert "allow_supercritical" not in message
+        else:
+            assert "--experimental-supercritical" in message
     assert list(tmp_path.iterdir()) == []  # rejected before any output
 
 

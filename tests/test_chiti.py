@@ -94,7 +94,7 @@ class TestCrossingAnalysis:
         phi = VolumeProfile(s=s, values=1.0 - s)
         u = VolumeProfile(s=s, values=1.05 - s)
         with pytest.raises(CrossingError, match="cannot share") as exc:
-            crossing_analysis(u, synthetic_ball(phi), band=1e-6)
+            crossing_analysis(u, synthetic_ball(phi))
         assert exc.value.difference.shape == exc.value.s.shape
 
     def test_no_crossing_rejected(self):
@@ -102,14 +102,14 @@ class TestCrossingAnalysis:
         phi = VolumeProfile(s=s, values=1.0 - s)
         u = VolumeProfile(s=s, values=0.5 * (1.0 - s))
         with pytest.raises(CrossingError, match="no crossing"):
-            crossing_analysis(u, synthetic_ball(phi), band=1e-6)
+            crossing_analysis(u, synthetic_ball(phi))
 
     def test_multiple_crossings_rejected(self):
         s = np.linspace(0.0, 1.0, 401)
         phi = VolumeProfile(s=s, values=1.05 - s)
         u = VolumeProfile(s=s, values=1.05 - s + 0.05 * np.cos(3 * np.pi * s))
         with pytest.raises(CrossingError, match="changes sign"):
-            crossing_analysis(u, synthetic_ball(phi), band=1e-6)
+            crossing_analysis(u, synthetic_ball(phi))
 
     def test_identical_profiles(self):
         s = np.linspace(0.0, 1.0, 101)
@@ -133,18 +133,9 @@ class TestCrossingAnalysis:
         s = np.linspace(0.0, 1.0, 101)
         phi = VolumeProfile(s=s, values=1.0 - s)
         u = VolumeProfile(s=s, values=0.75 - 0.5 * s)
-        cross = crossing_analysis(u, synthetic_ball(phi), band=1e-9)
+        cross = crossing_analysis(u, synthetic_ball(phi))
         assert cross.crossing_count == 1
         assert abs(cross.s1 - 0.5) < 1e-9
-
-    def test_negative_band_rejected(self):
-        # the crossing's bracket needs D >= 0 at its left end and D < 0 at its
-        # right end, which a negative band does not give
-        s = np.linspace(0.0, 1.0, 101)
-        phi = VolumeProfile(s=s, values=1.0 - s)
-        u = VolumeProfile(s=s, values=0.75 - 0.5 * s)
-        with pytest.raises(ValueError, match="band must be non-negative"):
-            crossing_analysis(u, synthetic_ball(phi), band=-0.1)
 
 
 class TestDominance:

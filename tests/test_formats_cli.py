@@ -474,6 +474,54 @@ class TestCliTable:
         assert "1 of 1 rows failed" in capsys.readouterr().err
         assert self.read_sweep(tmp_path / "warm") == cold
 
+    @pytest.mark.parametrize("spec,failed", [
+        ('{"shape": "ellipse", "a": 1.0, "b": 0.6}', []),
+        ('{"shape": "disk", "radius": 1.0}', ["margins"]),  # margin -0.0010049
+    ], ids=["ellipse-passes", "disk-fails-margins"])
+    def test_rows_are_the_reports_flattening(self, spec, failed, tmp_path, capsys,
+                                             monkeypatch):
+        # `table` and `verify --format json` flatten one report the same way
+        monkeypatch.delenv("SOBOLEV_LAB_CACHE", raising=False)
+        group = ("--spec", spec, "-p", "1", "-q", "2", "-q", "3", "--h", "0.0625")
+        assert run("verify", *group, "--format", "json", "--out", str(tmp_path)) == (
+            4 if failed else 0)
+        report = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert run("table", *group, "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        columns, *rows = self.read_back(tmp_path)
+        assert len(rows) == len(report["rows"]) == 2
+        for row, flat in zip(rows, report["rows"]):
+            got = dict(zip(columns, row))
+            for key in ("cp", "rho"):
+                assert got[key] == repr(report[key])
+            for key in ("q", "khat", "K", "lhs", "rhs", "margin"):
+                assert got[key] == repr(flat[key])
+            assert got["error"] == (
+                f"verification failed: {', '.join(failed)} out of tolerance" if failed else "")
+
+    def test_old_gate_wording_not_replayed(self, tmp_path, capsys, monkeypatch):
+        # an entry written when p > 2 rows named allow_supercritical, under
+        # the key of that time, is not read back
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(cache))
+        tasks, path = [], cli._cache_path
+        monkeypatch.setattr(cli, "_cache_path", lambda task: tasks.append(task) or path(task))
+        args = ("table", "--spec", SQUARE, "-p", "2.5", "-q", "3", "--h", "0.125")
+        assert run(*args, "--out", str(tmp_path / "cold")) == 0
+        (entry,) = cache.iterdir()
+        rows = json.loads(entry.read_text(encoding="utf-8"))
+        entry.unlink()
+        old = "pass allow_supercritical=True to lift"
+        key = hashlib.sha256(canonical_json(
+            {**tasks[0], "version": FORMAT_VERSION, "gates": "error"}).encode())
+        (cache / f"{key.hexdigest()}.json").write_text(
+            json.dumps([{**r, "error": old} for r in rows]), encoding="utf-8")
+        assert run(*args, "--out", str(tmp_path / "warm")) == 0
+        capsys.readouterr()
+        warm = self.read_sweep(tmp_path / "warm")
+        assert warm == self.read_sweep(tmp_path / "cold")
+        assert b"no flag lifts khat's gate" in warm and old.encode() not in warm
+
     def read_back(self, out):
         """The column row and the rows of sweep.csv, as Python's csv module reads them."""
         with open(os.path.join(out, "sweep.csv"), newline="", encoding="utf-8") as fh:

@@ -109,6 +109,19 @@ class TestUnitBallProfile:
         rel = 1e-13 if (n, p) == (2, 1.0) else 1e-12
         assert cp_ball(n, p) == pytest.approx(expected, rel=rel)
 
+    @pytest.mark.parametrize("p", [1.3, 1.5, 1.8, 2.0])
+    def test_phi_vanishes_past_the_radius(self, p):
+        # the dense output extrapolates its last piece past R0 (it read
+        # 14818.5 at r = 1.01 for p = 1.5); phi is 0 there, on arrays and
+        # points alike, and keeps its clipped value at the radius itself
+        shot = shoot(2, p)
+        for prof in (unit_ball_profile(2, p), normalize_to_unit_ball(shot, radius=2.0)):
+            past = prof.radius * np.array([1.0 + 1e-9, 1.01, 1.5, 10.0])
+            assert np.all(prof.phi(past) == 0.0)
+            assert all(prof.phi(r) == 0.0 for r in past)
+            edge = float(prof.phi(0.0)) * max(float(shot.dense(shot.R0)), 0.0)
+            assert prof.phi(prof.radius) == edge
+
     def test_strictly_decreasing(self):
         prof = unit_ball_profile(2, 1.5)
         assert np.all(np.diff(prof.phi(np.linspace(0.0, 1.0, DEFAULT_GRID))) < 0)

@@ -20,8 +20,7 @@ def tiny_field():
     for k, v in enumerate((3.0, 1.0, 2.0)):
         mask[k, k] = True
         vals[k, k] = v
-    return GriddedField(nx=3, ny=3, h=0.5, origin=(0.0, 0.0), mask=mask,
-                        values=vals, spec=None)
+    return GriddedField(h=0.5, origin=(0.0, 0.0), mask=mask, values=vals, spec=None)
 
 
 class TestDistribution:
