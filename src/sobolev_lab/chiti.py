@@ -236,14 +236,13 @@ class ReverseHolderReport:
     tau_margin: float
     tau_dominance: float
     rows: list
-    equality_case: bool
 
     def failed_gates(self) -> list:
         """The gates this run fails, by name: margins, crossing, dominance."""
         gates = {
             "margins": all(row.margin >= -self.tau_margin * max(row.lhs, 1e-300)
                            for row in self.rows),
-            "crossing": self.equality_case or self.crossing.crossing_count == 1,
+            "crossing": self.crossing.identical or self.crossing.crossing_count == 1,
             "dominance": self.dominance_min >= -self.tau_dominance,
         }
         return [name for name, ok in gates.items() if not ok]
@@ -289,4 +288,4 @@ def verify_reverse_holder(result: SobolevResult, q_list) -> ReverseHolderReport:
         n=2, p=p, h=h, cp=result.cp, rho=ball.rho,
         omega_volume=u_star.total_volume, bstar_volume=ball.bstar_volume,
         crossing=crossing, dominance_min=dom_min, tau_margin=MARGIN_TOL,
-        tau_dominance=tau_I, rows=rows, equality_case=crossing.identical)
+        tau_dominance=tau_I, rows=rows)

@@ -162,17 +162,19 @@ def cmd_domain(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------- verify
 
-def _gate_error(report) -> str:
-    """The failed gates of a report, as `verify` prints them; "" if it passed."""
+def _verify(spec: DomainSpec, p: float, qs, h: float, tol: float, max_iter: int):
+    """Solve and verify; the report, and its failed gates as `verify`
+    prints them ("" if it passed).  Callers run the exponent gate first."""
+    res = _solve_domain(spec, p, h, tol, max_iter, False)
+    report = verify_reverse_holder(res, qs)
     failed = report.failed_gates()
-    return f"verification failed: {', '.join(failed)} out of tolerance" if failed else ""
+    return report, f"verification failed: {', '.join(failed)} out of tolerance" if failed else ""
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    check_exponents(2, args.p, args.q)
+    check_exponents(2, args.p, args.q)  # before the spec: a bad spec does not hide it
     spec = _spec_from_arg(args.spec)
-    res = _solve_domain(spec, args.p, args.h, args.tol, args.max_iter, False)
-    report = verify_reverse_holder(res, args.q)
+    report, error = _verify(spec, args.p, args.q, args.h, args.tol, args.max_iter)
     cfg = _run_config(args, "verify")
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out,
@@ -184,7 +186,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             fh.write(text[fmt] + "\n")
     print(text[args.format])
     print(f"report -> {stem}.json, {stem}.txt")
-    error = _gate_error(report)
     if error:
         print(error, file=sys.stderr)
         return 4
@@ -224,34 +225,23 @@ def _cached_rows(cpath: str, task: dict) -> list[dict] | None:
 
 
 def _table_group(task: dict) -> list[dict]:
-    """Solve one (domain, p) pair and emit its q rows; errors become rows.
+    """Solve one (domain, p) pair and emit a row per q, every q >= p;
+    errors become rows.
 
     Each row's numbers are formats.report_to_dict's, as `verify` writes
     them; a report that fails a gate keeps them, with the gates that
     failed in each row's `error`."""
-    spec = DomainSpec.from_json(task["spec"])
-    rows = []
     base = {"domain": task["label"], "p": task["p"], "h": task["h"]}
-    qs = [q for q in task["qs"] if q >= task["p"]]
     try:
-        check_exponents(2, task["p"], qs or None)  # khat's gate, as `verify` meets it
-        res = _solve_domain(spec, task["p"], task["h"], task["tol"],
-                            task["max_iter"], False)
-        report = verify_reverse_holder(res, qs)
+        check_exponents(2, task["p"], task["qs"])  # khat's gate, as `verify` meets it
+        report, error = _verify(DomainSpec.from_json(task["spec"]), task["p"], task["qs"],
+                                task["h"], task["tol"], task["max_iter"])
     except (InputError, SolverError, VerificationError) as exc:
         # per-row failure contract: record, continue
-        for q in task["qs"]:
-            rows.append({**base, "q": q, "error": f"{type(exc).__name__}: {exc}"})
-        return rows
-    flat, error = formats.report_to_dict(report), _gate_error(report)
-    by_q = {row["q"]: row for row in flat["rows"]}
-    for q in task["qs"]:
-        if q < task["p"]:
-            rows.append({**base, "q": q,
-                         "error": f"q = {q:g} below p = {task['p']:g}"})
-            continue
-        rows.append({**base, **by_q[q], "cp": flat["cp"], "rho": flat["rho"], "error": error})
-    return rows
+        return [{**base, "q": q, "error": f"{type(exc).__name__}: {exc}"} for q in task["qs"]]
+    flat = formats.report_to_dict(report)
+    return [{**base, **row, "cp": flat["cp"], "rho": flat["rho"], "error": error}
+            for row in flat["rows"]]
 
 
 TABLE_COLUMNS = ["domain", "p", "q", "h", "cp", "rho", "khat", "K",
@@ -265,24 +255,27 @@ def cmd_table(args: argparse.Namespace) -> int:
     n_rows = len(specs) * len(ps) * len(qs)
     if n_rows > args.max_rows:
         raise InputError(f"sweep of {n_rows} rows exceeds --max-rows {args.max_rows}")
-    tasks = []
+    # a q below p needs no solve: its row is written here, and a (domain, p)
+    # pair with no q >= p makes no task, so no solve, cache entry or worker
+    flat, tasks = [], []
     for spec in specs:
         label = _spec_slug(spec)
         for p in ps:
-            tasks.append({"spec": spec.to_json(), "label": label, "p": p,
-                          "qs": qs, "h": args.h, "tol": args.tol,
-                          "max_iter": args.max_iter})
-    tasks.sort(key=lambda t: (t["label"], t["p"]))
+            flat += [{"domain": label, "p": p, "h": args.h, "q": q,
+                      "error": f"q = {q:g} below p = {p:g}"} for q in qs if q < p]
+            solved = [q for q in qs if q >= p]
+            if solved:
+                tasks.append({"spec": spec.to_json(), "label": label, "p": p, "qs": solved,
+                              "h": args.h, "tol": args.tol, "max_iter": args.max_iter})
 
-    results: dict[int, list[dict]] = {}
-    pending: list[tuple[int, dict, str | None]] = []
-    for i, task in enumerate(tasks):
+    pending: list[tuple[dict, str | None]] = []
+    for task in tasks:
         cpath = _cache_path(task)
         cached = _cached_rows(cpath, task) if cpath else None
         if cached is None:
-            pending.append((i, task, cpath))
+            pending.append((task, cpath))
         else:
-            results[i] = cached
+            flat += cached
 
     if pending:
         # a forked pool starts all its workers at once, so start no idle one
@@ -293,18 +286,17 @@ def cmd_table(args: argparse.Namespace) -> int:
             vars(chiti)  # any attribute access runs a lazy module's code
             import concurrent.futures  # only a pool needs it; it loads logging
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                fresh = list(pool.map(_table_group, [t for _, t, _ in pending]))
+                fresh = list(pool.map(_table_group, [t for t, _ in pending]))
         else:
-            fresh = [_table_group(t) for _, t, _ in pending]
-        for (i, _, cpath), rows in zip(pending, fresh):
-            results[i] = rows
+            fresh = [_table_group(t) for t, _ in pending]
+        for (_, cpath), rows in zip(pending, fresh):
+            flat += rows
             if cpath:  # write then rename, so a killed run leaves no partial entry
                 tmp = f"{cpath}.{os.getpid()}.tmp"
                 with open(tmp, "w", encoding="utf-8") as fh:
                     json.dump(rows, fh, sort_keys=True)
                 os.replace(tmp, cpath)
 
-    flat = [row for i in range(len(tasks)) for row in results[i]]
     flat.sort(key=lambda r: (r["domain"], r["p"], r["q"]))
     cfg = _run_config(args, "table")
     rows = [[r.get(col, "") for col in TABLE_COLUMNS] for r in flat]
@@ -325,8 +317,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_rearrange(args: argparse.Namespace) -> int:
     header, fld = formats.read_field(args.field)
-    if (fld.values < 0).any():
-        raise InputError("field has negative node values; a rearrangement needs u >= 0")
     u_star = rearrange.decreasing_rearrangement(fld)
     meta = {"n": 2, "p": header.get("p"), "cp": header.get("cp"),
             "source": os.path.basename(args.field)}

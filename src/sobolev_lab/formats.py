@@ -143,7 +143,7 @@ def report_to_dict(report) -> dict:
         "rho": report.rho,
         "omega_volume": report.omega_volume,
         "bstar_volume": report.bstar_volume,
-        "equality_case": report.equality_case,
+        "equality_case": cr.identical,
         "crossing": {
             "identical": cr.identical,
             "count": cr.crossing_count,

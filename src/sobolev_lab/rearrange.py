@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import InputError
 from .elliptic import GriddedField
 from .radial import VolumeProfile
 
@@ -13,7 +14,7 @@ __all__ = ["decreasing_rearrangement"]
 def _masked_values(fld: GriddedField) -> np.ndarray:
     vals = fld.values[fld.mask]
     if np.any(vals < 0):
-        raise ValueError("rearrangement machinery expects non-negative fields")
+        raise InputError("field has negative node values; a rearrangement needs u >= 0")
     return vals
 
 

@@ -104,7 +104,7 @@ def test_criterion_04_disk_cross_pipeline(solve):
     for p in (1.0, 1.5, 2.0):
         res = solve("disk", p)
         report = verify_reverse_holder(res, [p, 2.0 * p])
-        all_equal = all_equal and report.equality_case
+        all_equal = all_equal and report.crossing.identical
         u_star = decreasing_rearrangement(res.field)
         ball = comparison_ball(res.cp, 2, p, u_star.s)
         max_d = float(np.max(np.abs(report.crossing.difference)))

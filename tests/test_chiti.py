@@ -242,7 +242,7 @@ class TestVerifyReverseHolder:
         res = solve("square", 1.0)
         report = verify_reverse_holder(res, [1.0, 2.0, 4.0])
         assert report.passed()
-        assert not report.equality_case
+        assert not report.crossing.identical
         assert report.crossing.crossing_count == 1
         assert [row.q for row in report.rows] == [1.0, 2.0, 4.0]
         for row in report.rows:
@@ -255,7 +255,7 @@ class TestVerifyReverseHolder:
     def test_disk_equality_case(self, solve):
         res = solve("disk", 2.0)
         report = verify_reverse_holder(res, [2.0, 4.0])
-        assert report.equality_case
+        assert report.crossing.identical
         assert report.passed()
 
     def test_preconditions_stage_tagged(self, solve):

@@ -171,6 +171,16 @@ class TestBuildGrid:
         with pytest.raises(GridError):
             build_grid(DomainSpec.rectangle(1.0, 1.0), h=1e-5)
 
+    @pytest.mark.parametrize("h", [0.0, -0.125])
+    def test_nonpositive_spacing_rejected(self, h):
+        with pytest.raises(GridError, match="grid spacing must be positive"):
+            build_grid(DomainSpec.disk(1.0), h=h)
+
+    def test_values_shaped_as_the_mask(self):
+        with pytest.raises(ValueError, match="the mask's shape"):
+            GriddedField(h=0.25, origin=(0.0, 0.0), mask=np.ones((3, 4), dtype=bool),
+                         values=np.zeros((4, 3)), spec=None)
+
     def test_lshape_mask_avoids_notch(self):
         grid = build_grid(DomainSpec.l_shape(1.0, 0.5), h=1.0 / 16)
         xs, ys = node_coordinates(grid)

@@ -332,6 +332,13 @@ class TestCliVerify:
                    "--out", str(tmp_path)) == 2
         capsys.readouterr()
 
+    def test_nonpositive_h(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert run("verify", "--spec", SQUARE, "-p", "2", "-q", "2", "--h", "0",
+                   "--out", str(out)) == 2
+        assert "grid spacing must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verification_error_exit_code(self, tmp_path, capsys, monkeypatch):
         # a negative slack makes every comparison ball too large for its domain
         monkeypatch.setattr(chiti, "FK_TOL", -0.5)
@@ -521,6 +528,57 @@ class TestCliTable:
         warm = self.read_sweep(tmp_path / "warm")
         assert warm == self.read_sweep(tmp_path / "cold")
         assert b"no flag lifts khat's gate" in warm and old.encode() not in warm
+
+    @pytest.mark.parametrize("p,qs,solved", [
+        ("2", ["1"], None),
+        ("2.5", ["1"], None),
+        ("2.5", ["1", "3"], "AdmissibilityError: p = 2.5 lies outside 1 <= p <= 2"
+                            " and is gated as experimental; no flag lifts khat's gate"),
+        ("2", ["1", "2"], "VerificationError: comparison ball volume 3.2549 exceeds"),
+    ], ids=["p2-q1", "p2.5-q1", "p2.5-q1-q3", "p2-q1-q2"])
+    def test_rows_below_p_need_no_solve(self, p, qs, solved, tmp_path, capsys, monkeypatch):
+        # a q below p is decided before its group: no solve, no cache entry,
+        # and the group's own error stays off its row
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(cache))
+        if solved is None:
+            def no_solve(*args, **kwargs):
+                raise AssertionError("a group with no q >= p was solved")
+            monkeypatch.setattr(cli, "_solve_domain", no_solve)
+        q_flags = [flag for q in qs for flag in ("-q", q)]
+        assert run("table", "--spec", '{"shape": "disk", "radius": 1.0}', "-p", p, *q_flags,
+                   "--h", "0.0625", "--out", str(tmp_path / "out")) == 0
+        assert f"{len(qs)} of {len(qs)} rows failed" in capsys.readouterr().err
+        columns, *rows = self.read_back(tmp_path / "out")
+        errors = [row[columns.index("error")] for row in rows]
+        assert errors[0] == f"q = 1 below p = {p}"
+        if solved is None:
+            assert len(errors) == 1
+            assert not cache.exists() or list(cache.iterdir()) == []
+        else:
+            assert len(errors) == 2 and errors[1].startswith(solved)
+            assert len(list(cache.iterdir())) == 1
+        assert not any("allow_supercritical" in error for error in errors)
+
+    def test_group_keyed_on_the_q_it_solves(self, tmp_path, capsys, monkeypatch):
+        # a q below p is not part of the group's task, so a sweep without it
+        # replays the same entry
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(cache))
+        group = ("table", "--spec", SQUARE, "-p", "2", "--h", str(1 / 32))
+        assert run(*group, "-q", "1", "-q", "2", "-q", "3", "--out", str(tmp_path / "a")) == 0
+        (entry,) = cache.iterdir()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a cached group was solved")
+
+        monkeypatch.setattr(cli, "_solve_domain", no_solve)
+        assert run(*group, "-q", "2", "-q", "3", "--out", str(tmp_path / "b")) == 0
+        capsys.readouterr()
+        assert list(cache.iterdir()) == [entry]
+        _, *with_below = self.read_back(tmp_path / "a")
+        _, *without = self.read_back(tmp_path / "b")
+        assert with_below[1:] == without and with_below[0][-1] == "q = 1 below p = 2"
 
     def read_back(self, out):
         """The column row and the rows of sweep.csv, as Python's csv module reads them."""

@@ -180,6 +180,12 @@ class TestScalingLaw:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             cp_ball(2, 2.0, radius=0.0)
+        prof = unit_ball_profile(2, 2.0)
+        for radius in (0.0, -1.0):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                normalize_to_unit_ball(shoot(2, 2.0), radius=radius)
+            with pytest.raises(ValueError, match="radius must be positive"):
+                volume_profile(prof, volume_nodes(2), radius=radius)
 
 
 class TestVolumeProfile:
@@ -223,6 +229,12 @@ class TestVolumeProfile:
         with pytest.raises(ValueError):  # non-increasing breakpoints
             VolumeProfile(s=np.array([0.0, 1.0, 1.0]),
                           values=np.array([1.0, 0.5]), step=True)
+        with pytest.raises(ValueError, match="sample-count mismatch"):
+            VolumeProfile(s=np.array([0.0, 1.0, 2.0]),
+                          values=np.array([1.0, 0.5, 0.0]), step=True)
+        with pytest.raises(ValueError, match="non-negative"):
+            VolumeProfile(s=np.array([0.0, 1.0, 2.0]),
+                          values=np.array([0.5, -1.0]), step=True)
 
     def test_step_integrals_exact(self):
         vp = VolumeProfile(s=np.array([0.0, 1.0, 3.0]),

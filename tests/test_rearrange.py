@@ -8,6 +8,7 @@ import pytest
 import oracles
 from identities import (distribution, equimeasurability_residual, hlp_conclusion_check,
                         hlp_dominates, symmetrized_sample, verify_talenti)
+from sobolev_lab.core import InputError
 from sobolev_lab.elliptic import GriddedField
 from sobolev_lab.radial import VolumeProfile
 from sobolev_lab.rearrange import decreasing_rearrangement
@@ -56,6 +57,12 @@ class TestDecreasingRearrangement:
         np.testing.assert_allclose(us.values, [3.0, 2.0, 1.0])
         np.testing.assert_allclose(us.s, 0.25 * np.arange(4))
         assert us.total_volume == pytest.approx(0.75)
+
+    def test_negative_node_rejected(self):
+        fld = tiny_field()
+        fld.values[1, 1] = -1.0
+        with pytest.raises(InputError, match="a rearrangement needs u >= 0"):
+            decreasing_rearrangement(fld)
 
     def test_equimeasurable_with_field(self, solve):
         res = solve("disk", 2.0, 1.0 / 32)
