@@ -259,12 +259,12 @@ def verify_reverse_holder(result: SobolevResult, q_list) -> ReverseHolderReport:
     dominance, then tabulate margins ||u||_p - K ||u||_q for each q.
     Stage failures surface as VerificationError with the stage tag.
     """
-    p = result.p
-    qs = sorted(set(float(q) for q in q_list))
+    p, qs = result.p, sorted(set(q_list))
     try:
-        check_exponents(2, p, qs)
+        check_exponents(2, p, qs)  # before float(), which raises past float range
     except AdmissibilityError as exc:
         raise VerificationError(str(exc), stage="preconditions") from exc
+    qs = [float(q) for q in qs]
     fld = result.field
     h = fld.h
     u_star = decreasing_rearrangement(fld)

@@ -84,8 +84,8 @@ def _spec_slug(spec: DomainSpec) -> str:
     for key in sorted(spec.params):
         val = spec.params[key]
         if isinstance(val, list):  # vertex count plus a digest, so polygons differ
-            canon = json.dumps([[float(x), float(y)] for x, y in val])
-            parts.append(f"{key}{len(val)}-{hashlib.sha256(canon.encode()).hexdigest()[:8]}")
+            digest = hashlib.sha256(json.dumps(val).encode()).hexdigest()[:8]
+            parts.append(f"{key}{len(val)}-{digest}")
         else:
             parts.append(f"{key}{_fmt(val)}")
     if spec.scale != 1.0:
@@ -249,7 +249,8 @@ TABLE_COLUMNS = ["domain", "p", "q", "h", "cp", "rho", "khat", "K",
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    specs = [_spec_from_arg(s) for s in args.spec]
+    # one per distinct domain, in --spec order: equal specs share one JSON form
+    specs = list({canonical_json(s.to_json()): s for s in map(_spec_from_arg, args.spec)}.values())
     ps = sorted(set(args.p))
     qs = sorted(set(args.q))
     n_rows = len(specs) * len(ps) * len(qs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 
 __all__ = [
     "AdmissibilityError",
@@ -90,7 +91,7 @@ def admissible(n: int, p: float) -> bool:
     In two dimensions every p >= 1 is admissible.  Total: out-of-range
     inputs return False rather than raising.
     """
-    if not math.isfinite(p) or p < 1.0:
+    if not 1.0 <= p <= sys.float_info.max:  # math.isfinite raises past float range
         return False
     if n == 2:
         return True
@@ -116,8 +117,8 @@ def check_exponents(n: int, p: float, qs=None, allow_supercritical: bool = False
     if qs is not None:
         if len(qs) == 0:
             raise AdmissibilityError("need at least one exponent q")
-        if not all(math.isfinite(q) for q in qs):
-            raise AdmissibilityError(f"every q must be finite; got {[float(q) for q in qs]}")
+        if not all(abs(q) <= sys.float_info.max for q in qs):
+            raise AdmissibilityError(f"every q must be finite; got {list(qs)}")
         if min(qs) < p:
             raise AdmissibilityError(
                 f"every q must be >= p = {p:g}; q = {min(qs):g} is below p")
@@ -133,19 +134,23 @@ def alpha(n: int, p: float) -> float:
 
 
 def _real(val) -> bool:
-    return isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
+    """A real number, not a bool, within float range (so not nan or infinite)."""
+    return (isinstance(val, numbers.Real) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
 
 
-def _positive(what: str, val) -> None:
+def _positive(what: str, val) -> float:
     if not (_real(val) and val > 0):
         raise SpecError(f"{what} must be a finite positive number, got {val!r}")
+    return float(val)
 
 
-def _vertex_list(what: str, val) -> None:
+def _vertex_list(what: str, val) -> list[list[float]]:
     if not (isinstance(val, (list, tuple)) and len(val) >= 3 and all(
             isinstance(v, (list, tuple)) and len(v) == 2 and _real(v[0]) and _real(v[1])
             for v in val)):
         raise SpecError(f"{what} must be at least 3 [x, y] pairs of finite numbers, got {val!r}")
+    return [[float(x), float(y)] for x, y in val]
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -160,12 +165,8 @@ def _segments_properly_intersect(p1, p2, p3, p4):
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
 
 
-def _polygon_points(p) -> list[tuple[float, float]]:
-    return [(float(x), float(y)) for x, y in p["vertices"]]
-
-
 def _polygon_area(p) -> float:
-    pts = _polygon_points(p)
+    pts = p["vertices"]
     edges = list(zip(pts, pts[1:] + pts[:1]))
     return 0.5 * abs(sum(x0 * y1 for (x0, _), (_, y1) in edges)
                      - sum(y0 * x1 for (_, y0), (x1, _) in edges))
@@ -178,7 +179,7 @@ def _polygon_box(p):
 
 def _polygon_contains(p, x, y):
     """Even-odd crossing test, minus the points that lie exactly on an edge."""
-    pts = _polygon_points(p)
+    pts = p["vertices"]
     inside = on_edge = False
     xj, yj = pts[-1]
     for xi, yi in pts:
@@ -193,7 +194,7 @@ def _polygon_contains(p, x, y):
 
 
 def _polygon_problem(p) -> str | None:
-    pts = _polygon_points(p)
+    pts = p["vertices"]
     k = len(pts)
     for i in range(k):
         if pts[i] == pts[(i + 1) % k]:
@@ -211,9 +212,9 @@ def _polygon_problem(p) -> str | None:
 
 
 class _Shape:
-    """One planar shape: its required keys, a check for each of their values,
-    and area, box, strict-interior contains and label on the unscaled params.
-    check runs after the value checks and returns what is wrong, or None."""
+    """One planar shape: its keys, a check_value that judges each raw value and
+    returns its float copy, a check on the copy (what is wrong, or None), and
+    area, box, strict-interior contains and label on the copy, unscaled."""
 
     def __init__(self, keys, area, box, contains, label,
                  check=lambda p: None, check_value=_positive):
@@ -275,23 +276,23 @@ class DomainSpec:
     The l-shape is the open square (0, side)^2 with the closed square of
     side notch*side removed from the top-right corner.  Lipschitz corners
     are accepted; boundary smoothness is not required.  Specs with missing
-    or unknown keys, or with non-numeric values, are rejected.
+    or unknown keys, or with values other than real numbers in float range,
+    are rejected; a spec stores its own float copy of what it judged.
     """
 
     def __init__(self, shape: str, params: dict | None = None, scale: float = 1.0):
         params = {} if params is None else params
-        # frozen: the fields are set once, here, past the __setattr__ below
-        self.__dict__.update(shape=shape, params=params, scale=scale)
         if not isinstance(shape, str) or shape not in _SHAPES:
             raise SpecError(f"unknown shape {shape!r}; expected one of {tuple(_SHAPES)}")
         rec = _SHAPES[shape]
-        _positive("scale", scale)
+        scale = _positive("scale", scale)
         if set(params) != set(rec.keys):
             raise SpecError(f"{shape} takes exactly the keys {rec.keys}, got {sorted(params)}")
-        for key in rec.keys:
-            rec.check_value(f"{shape} {key}", params[key])
+        params = {key: rec.check_value(f"{shape} {key}", params[key]) for key in rec.keys}
         if problem := rec.check(params):
             raise SpecError(problem)
+        # frozen: the fields are set once, here, past the __setattr__ below
+        self.__dict__.update(shape=shape, params=params, scale=scale)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -314,24 +315,23 @@ class DomainSpec:
 
     @classmethod
     def disk(cls, radius: float = 1.0, scale: float = 1.0) -> "DomainSpec":
-        return cls("disk", {"radius": float(radius)}, scale)
+        return cls("disk", {"radius": radius}, scale)
 
     @classmethod
     def rectangle(cls, width: float, height: float, scale: float = 1.0) -> "DomainSpec":
-        return cls("rectangle", {"width": float(width), "height": float(height)}, scale)
+        return cls("rectangle", {"width": width, "height": height}, scale)
 
     @classmethod
     def ellipse(cls, a: float, b: float, scale: float = 1.0) -> "DomainSpec":
-        return cls("ellipse", {"a": float(a), "b": float(b)}, scale)
+        return cls("ellipse", {"a": a, "b": b}, scale)
 
     @classmethod
     def l_shape(cls, side: float = 1.0, notch: float = 0.5, scale: float = 1.0) -> "DomainSpec":
-        return cls("l-shape", {"side": float(side), "notch": float(notch)}, scale)
+        return cls("l-shape", {"side": side, "notch": notch}, scale)
 
     @classmethod
     def polygon(cls, vertices, scale: float = 1.0) -> "DomainSpec":
-        verts = [[float(x), float(y)] for x, y in vertices]
-        return cls("polygon", {"vertices": verts}, scale)
+        return cls("polygon", {"vertices": [list(v) for v in vertices]}, scale)
 
     @classmethod
     def from_json(cls, obj) -> "DomainSpec":
@@ -341,9 +341,8 @@ class DomainSpec:
         if not isinstance(obj, dict) or "shape" not in obj:
             raise SpecError("domain spec must be an object with a 'shape' key")
         data = dict(obj)
-        shape = data.pop("shape")
-        scale = data.pop("scale", 1.0)  # stored as a float; the gate judges the rest
-        return cls(shape, data, float(scale) if _real(scale) else scale)
+        shape, scale = data.pop("shape"), data.pop("scale", 1.0)
+        return cls(shape, data, scale)
 
     def to_json(self) -> dict:
         return {"shape": self.shape, **self.params, "scale": self.scale}

@@ -107,7 +107,7 @@ def read_field(path: str) -> tuple[dict, GriddedField]:
     def number(key, convert):
         try:
             return convert(header[key])
-        except (KeyError, IndexError, TypeError, ValueError):
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError):
             raise InputError(f"field header key {key!r} is missing or not numeric") from None
 
     ny, nx, h = number("ny", int), number("nx", int), number("h", float)

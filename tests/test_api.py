@@ -34,8 +34,11 @@ BAD = {
     "empty-q": (2, 1.0, [], ["at least one exponent q"]),
     "q-nan": (2, 1.0, [math.nan], ["finite", "nan"]),
     "q-inf": (2, 1.0, [math.inf], ["finite", "inf"]),
+    # ints past float range: out of range, not an OverflowError
+    "p-past-float": (2, 10**400, None, ["not admissible"]),
+    "q-past-float": (2, 1.0, [10**400], ["finite"]),
 }
-NON_FINITE_Q = {"q-nan", "q-inf"}
+NON_FINITE_Q = {"q-nan", "q-inf", "q-past-float"}
 # the cases of an entry point that takes the dimension n
 BAD_N = {"critical", "dimension-one"}
 
@@ -56,27 +59,31 @@ def _q_flags(p, qs):
 # error class is None for a CLI exit code and "row" for a table row's error
 ENTRY = {
     "alpha": (lambda n, p, qs, out: alpha(n, p),
-              {*BAD_N, "p-below-one"}, AdmissibilityError, None),
+              {*BAD_N, "p-below-one", "p-past-float"}, AdmissibilityError, None),
     "shoot": (lambda n, p, qs, out: shoot(n, p),
-              {*BAD_N, "p-below-one", "supercritical"}, AdmissibilityError, None),
+              {*BAD_N, "p-below-one", "p-past-float", "supercritical"}, AdmissibilityError, None),
     "unit_ball_profile": (lambda n, p, qs, out: unit_ball_profile(n, p),
-                          {*BAD_N, "p-below-one", "supercritical"},
+                          {*BAD_N, "p-below-one", "p-past-float", "supercritical"},
                           AdmissibilityError, None),
     "cp_ball": (lambda n, p, qs, out: cp_ball(n, p, 0.5),
-                {*BAD_N, "p-below-one", "supercritical"}, AdmissibilityError, None),
+                {*BAD_N, "p-below-one", "p-past-float", "supercritical"},
+                AdmissibilityError, None),
     "minimize_quotient": (lambda n, p, qs, out: minimize_quotient(_grid(), p),
-                          {"p-below-one", "supercritical"}, AdmissibilityError, None),
+                          {"p-below-one", "p-past-float", "supercritical"},
+                          AdmissibilityError, None),
     "constant_K": (lambda n, p, qs, out: constant_K(n, p, _q(p, qs), 1.0),
-                   {*BAD_N, "p-below-one", "supercritical", "q-below-p", *NON_FINITE_Q},
+                   {*BAD_N, "p-below-one", "p-past-float", "supercritical", "q-below-p",
+                    *NON_FINITE_Q},
                    AdmissibilityError, None),
     "khat": (lambda n, p, qs, out: khat(n, p, _q(p, qs)),
-             {*BAD_N, "p-below-one", "supercritical", "q-below-p", *NON_FINITE_Q},
+             {*BAD_N, "p-below-one", "p-past-float", "supercritical", "q-below-p",
+              *NON_FINITE_Q},
              AdmissibilityError, None),
     "verify_reverse_holder": (
         lambda n, p, qs, out: verify_reverse_holder(
             SobolevResult(field=_grid(), cp=1.0, iterations=0, residual=0.0, p=p),
             [p] if qs is None else qs),
-        {"p-below-one", "supercritical", "q-below-p", "empty-q", *NON_FINITE_Q},
+        {"p-below-one", "p-past-float", "supercritical", "q-below-p", "empty-q", *NON_FINITE_Q},
         VerificationError, "preconditions"),
     "cli verify": (lambda n, p, qs, out: cli_main(
         ["verify", "--spec", SQUARE, "-p", repr(p), *_q_flags(p, qs), "--out", out]),

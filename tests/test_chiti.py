@@ -128,6 +128,18 @@ class TestCrossingAnalysis:
         with pytest.raises(ValueError, match="volume nodes"):
             dominance_check(u_star, ball, p=2.0, norm_tol=1.0)
 
+    def test_no_non_negative_prefix_rejected(self):
+        # D = phi* - u* climbs from -1 to +0.005, inside its band of 0.015: no
+        # sample lies above the band, and none before the first one below it is >= 0
+        n = 200
+        i = np.arange(n)
+        u = VolumeProfile(s=np.arange(n + 1.0), values=3.0 - 2.0 * i / n, step=True)
+        phi_head = u.values - 1.0 + 1.01 * i / n
+        phi = VolumeProfile(s=u.s, values=np.append(phi_head, phi_head[-1]))
+        with pytest.raises(CrossingError, match="no non-negative prefix") as exc:
+            crossing_analysis(u, synthetic_ball(phi))
+        assert exc.value.difference.shape == exc.value.s.shape == (n + 1,)
+
     def test_hand_crossing_location(self):
         # phi = 1 - s and u = 0.75 - 0.5 s cross at s = 0.5 exactly
         s = np.linspace(0.0, 1.0, 101)

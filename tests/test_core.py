@@ -10,6 +10,7 @@ import pytest
 import oracles
 from sobolev_lab import (AdmissibilityError, DomainSpec, SpecError, admissible, alpha,
                          unit_ball_volume)
+from sobolev_lab import cli
 from sobolev_lab.cli import _spec_slug
 from sobolev_lab.elliptic import build_grid
 
@@ -45,6 +46,11 @@ class TestAdmissibility:
     def test_p_below_one_rejected(self):
         assert not admissible(2, 0.5)
         assert not admissible(3, 0.999)
+
+    def test_total_past_float_range(self):
+        # an int too large for a float is out of range, not an OverflowError
+        for p in (10**400, -10**400, math.inf, math.nan):
+            assert not admissible(2, p)
 
     def test_alpha_values(self):
         # alpha = n - 2 - 2n/p
@@ -185,7 +191,7 @@ class TestDomainSpec:
             (DomainSpec.ellipse(1, 0.5), "ellipse(a=1,b=0.5)", "ellipse_a1_b0.5",
              '{"shape": "ellipse", "a": 1.0, "b": 0.5, "scale": 1.0}'),
             (DomainSpec.ellipse(1, 0.5, scale=3), "ellipse(a=1,b=0.5)@3", "ellipse_a1_b0.5_scale3",
-             '{"shape": "ellipse", "a": 1.0, "b": 0.5, "scale": 3}'),
+             '{"shape": "ellipse", "a": 1.0, "b": 0.5, "scale": 3.0}'),
             (DomainSpec.l_shape(2, 0.25), "l-shape(side=2,notch=0.25)", "lshape_notch0.25_side2",
              '{"shape": "l-shape", "side": 2.0, "notch": 0.25, "scale": 1.0}'),
             (DomainSpec.l_shape(2, 0.25, scale=1.5), "l-shape(side=2,notch=0.25)@1.5",
@@ -200,7 +206,7 @@ class TestDomainSpec:
              '"scale": 0.5}'),
             (DomainSpec.from_json('{"shape": "disk", "radius": 1, "scale": 2}'),
              "disk(r=1)@2", "disk_radius1_scale2",
-             '{"shape": "disk", "radius": 1, "scale": 2.0}'),
+             '{"shape": "disk", "radius": 1.0, "scale": 2.0}'),
         ]
         for spec, label, slug, text in cases:
             assert spec.describe() == label
@@ -259,3 +265,68 @@ class TestDomainSpec:
             with pytest.raises(SpecError) as err:
                 DomainSpec(*args)
             assert str(err.value) == message
+
+    def test_equal_specs_share_one_form(self, tmp_path, monkeypatch):
+        # one JSON form, so one slug, one cache key and one table task
+        monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(tmp_path))
+        specs = [DomainSpec.from_json('{"shape":"disk","radius":1}'),
+                 DomainSpec.from_json('{"radius":1.0,"shape":"disk","scale":1}'),
+                 DomainSpec.disk(1)]
+        texts = {json.dumps(spec.to_json()) for spec in specs}
+        assert texts == {'{"shape": "disk", "radius": 1.0, "scale": 1.0}'}
+        assert {_spec_slug(spec) for spec in specs} == {"disk_radius1"}
+        keys = {cli._cache_path({"spec": spec.to_json(), "label": _spec_slug(spec), "p": 1.0,
+                                 "qs": [2.0], "h": 0.125, "tol": 1e-8, "max_iter": 300})
+                for spec in specs}
+        assert len(keys) == 1
+
+    @pytest.mark.parametrize("build", [
+        lambda: DomainSpec.disk("2"),
+        lambda: DomainSpec.disk(True),
+        lambda: DomainSpec.rectangle(1.0, "2"),
+        lambda: DomainSpec.ellipse(True, 0.5),
+        lambda: DomainSpec.l_shape(1.0, "0.5"),
+        lambda: DomainSpec.polygon([(0, 0), (1, 0), (0, "1")]),
+        lambda: DomainSpec.polygon([(0, 0), (1, 0), (0, True)]),
+    ], ids=["disk-str", "disk-bool", "rectangle-str", "ellipse-bool", "l-shape-str",
+            "polygon-str", "polygon-bool"])
+    def test_constructors_coerce_nothing(self, build):
+        with pytest.raises(SpecError, match="finite"):
+            build()
+
+    def test_polygon_from_an_array(self):
+        tri = [(0, 0), (1, 0), (0.5, 1)]
+        for verts in (np.array(tri), np.array([(0, 0), (2, 0), (1, 2)]) / 2):
+            spec = DomainSpec.polygon(verts)
+            assert spec == DomainSpec.polygon(tri)
+            assert all(type(c) is float for v in spec.params["vertices"] for c in v)
+
+    def test_spec_keeps_its_own_copy(self):
+        params = {"radius": 1.0}
+        disk = DomainSpec("disk", params)
+        params["radius"] = -5.0
+        assert disk.params == {"radius": 1.0} and disk.area() == math.pi
+        verts = [[0, 0], [1, 0], [0, 1]]
+        tris = [DomainSpec("polygon", {"vertices": verts}), DomainSpec.polygon(verts),
+                DomainSpec.from_json({"shape": "polygon", "vertices": verts})]
+        verts[2][1] = -1
+        verts.append([5, 5])
+        for tri in tris:
+            assert tri.params["vertices"] == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("text", [
+        '{"shape": "disk", "radius": BIG}',
+        '{"shape": "disk", "radius": 1.0, "scale": BIG}',
+        '{"shape": "disk", "radius": -BIG}',
+        '{"shape": "polygon", "vertices": [[0, 0], [BIG, 0], [0, 1]]}',
+    ], ids=["radius", "scale", "negative", "vertex"])
+    def test_number_past_float_range(self, text):
+        # a 401-digit int is no float; the gate rejects it rather than overflow
+        with pytest.raises(SpecError, match="finite"):
+            DomainSpec.from_json(text.replace("BIG", str(10**400)))
+
+    @pytest.mark.parametrize("text", ['[{"shape": "disk", "radius": 1.0}]',
+                                      '{"radius": 1.0}', '"disk"'])
+    def test_json_not_a_shaped_object(self, text):
+        with pytest.raises(SpecError, match="must be an object with a 'shape' key"):
+            DomainSpec.from_json(text)

@@ -252,6 +252,24 @@ class TestCliDomain:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["domain", "verify", "table"])
+    @pytest.mark.parametrize("text", [
+        '{"shape": "disk", "radius": BIG}',
+        '{"shape": "disk", "radius": 1.0, "scale": BIG}',
+        '{"shape": "polygon", "vertices": [[0, 0], [BIG, 0], [0, 1]]}',
+    ], ids=["radius", "scale", "vertex"])
+    def test_number_past_float_range(self, command, text, tmp_path, capsys, monkeypatch):
+        # a 401-digit int is an input error, not an OverflowError traceback
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(cache))
+        out = tmp_path / "out"
+        q_flags = [] if command == "domain" else ["-q", "2"]
+        assert run(command, "--spec", text.replace("BIG", str(10**400)), "-p", "1", *q_flags,
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+        assert not out.exists() and not cache.exists()
+
     @pytest.mark.parametrize("argv", [
         ("domain", "--tol", "-1"),
         ("domain", "--max-iter", "0"),
@@ -339,6 +357,13 @@ class TestCliVerify:
         assert "grid spacing must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_spec_without_shape(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert run("verify", "--spec", '{"radius": 1.0}', "-p", "1", "-q", "2",
+                   "--out", str(out)) == 2
+        assert "must be an object with a 'shape' key" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verification_error_exit_code(self, tmp_path, capsys, monkeypatch):
         # a negative slack makes every comparison ball too large for its domain
         monkeypatch.setattr(chiti, "FK_TOL", -0.5)
@@ -386,7 +411,8 @@ class TestCliRearrange:
     @pytest.mark.parametrize("key,value", [("nx", None), ("ny", None), ("h", None),
                                            ("origin", None), ("h", "x"), ("origin", "ab"),
                                            ("h", -1.0), ("h", 0.0), ("h", "nan"),
-                                           ("h", math.inf)])
+                                           ("h", math.inf),
+                                           pytest.param("h", 10**400, id="h-past-float")])
     def test_malformed_field_header_is_an_input_error(self, tmp_path, capsys, key, value):
         assert run("domain", "--spec", SQUARE, "-p", "1", "--h", str(1 / 16),
                    "--out", str(tmp_path)) == 0
@@ -579,6 +605,29 @@ class TestCliTable:
         _, *with_below = self.read_back(tmp_path / "a")
         _, *without = self.read_back(tmp_path / "b")
         assert with_below[1:] == without and with_below[0][-1] == "q = 1 below p = 2"
+
+    def test_equal_specs_make_one_task(self, tmp_path, capsys, monkeypatch):
+        # the disk as an int, as a float and repeated is one domain: one solve
+        # per p, one cache entry, one row per (p, q); --max-rows counts those rows
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(cache))
+        solved, solve = [], cli._solve_domain
+
+        def counted(spec, p, *args):
+            solved.append(p)
+            return solve(spec, p, *args)
+
+        monkeypatch.setattr(cli, "_solve_domain", counted)
+        disk = '{"shape": "disk", "radius": 1.0}'
+        assert run("table", "--spec", '{"shape": "disk", "radius": 1}', "--spec", disk,
+                   "--spec", disk, "-p", "1", "-q", "1", "-q", "2", "--h", "0.0625",
+                   "--max-rows", "2", "--out", str(tmp_path / "out")) == 0
+        capsys.readouterr()
+        columns, *rows = self.read_back(tmp_path / "out")
+        assert [(row[columns.index("domain")], row[columns.index("q")]) for row in rows] == [
+            ("disk_radius1", "1.0"), ("disk_radius1", "2.0")]
+        assert solved == [1.0]
+        assert len(list(cache.iterdir())) == 1
 
     def read_back(self, out):
         """The column row and the rows of sweep.csv, as Python's csv module reads them."""
