@@ -244,6 +244,13 @@ def _table_group(task: dict) -> list[dict]:
             for row in flat["rows"]]
 
 
+def _place_worker(cpus, allowed: set) -> None:
+    """Pool initializer: move to the next CPU of the queue, then allow the
+    parent's CPUs again, so the kernel can still move the worker."""
+    os.sched_setaffinity(0, {cpus.get()})
+    os.sched_setaffinity(0, allowed)
+
+
 TABLE_COLUMNS = ["domain", "p", "q", "h", "cp", "rho", "khat", "K",
                  "lhs", "rhs", "margin", "error"]
 
@@ -286,7 +293,17 @@ def cmd_table(args: argparse.Namespace) -> int:
             # then share its pages rather than each importing numpy
             vars(chiti)  # any attribute access runs a lazy module's code
             import concurrent.futures  # only a pool needs it; it loads logging
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            placement = {}
+            if hasattr(os, "sched_setaffinity"):
+                # a forked worker starts on its parent's CPU, where the kernel
+                # may leave it: give each worker its own first CPU
+                import multiprocessing
+                allowed = sorted(os.sched_getaffinity(0))
+                cpus = multiprocessing.SimpleQueue()
+                for i in range(jobs):
+                    cpus.put(allowed[i % len(allowed)])
+                placement = {"initializer": _place_worker, "initargs": (cpus, set(allowed))}
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, **placement) as pool:
                 fresh = list(pool.map(_table_group, [t for t, _ in pending]))
         else:
             fresh = [_table_group(t) for t, _ in pending]

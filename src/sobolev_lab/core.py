@@ -89,9 +89,10 @@ def admissible(n: int, p: float) -> bool:
 
     Requires n >= 2 and p >= 1, and for n >= 3 the subcritical bound p < 2n/(n-2).
     In two dimensions every p >= 1 is admissible.  Total: out-of-range
-    inputs return False rather than raising.
+    inputs, an n or p past float range too, return False rather than raising.
     """
-    if not 1.0 <= p <= sys.float_info.max:  # math.isfinite raises past float range
+    # math.isfinite raises past float range, and so does 2.0 * n
+    if not (1.0 <= p <= sys.float_info.max and n <= sys.float_info.max):
         return False
     if n == 2:
         return True
@@ -107,6 +108,7 @@ def check_exponents(n: int, p: float, qs=None, allow_supercritical: bool = False
     """
     if not admissible(n, p):
         bound = ("n >= 2" if n < 2 else "any p >= 1" if n == 2
+                 else "n in float range" if n > sys.float_info.max
                  else f"1 <= p < 2n/(n-2) = {2.0 * n / (n - 2.0):g}")
         raise AdmissibilityError(f"(n, p) = ({n}, {p}) is not admissible; need {bound}")
     if p > 2.0 and (qs is not None or not allow_supercritical):
@@ -331,7 +333,9 @@ class DomainSpec:
 
     @classmethod
     def polygon(cls, vertices, scale: float = 1.0) -> "DomainSpec":
-        return cls("polygon", {"vertices": [list(v) for v in vertices]}, scale)
+        # rows of an array become lists; an entry that is no pair meets the gate as it is
+        vertices = [list(v) if hasattr(v, "__iter__") else v for v in vertices]
+        return cls("polygon", {"vertices": vertices}, scale)
 
     @classmethod
     def from_json(cls, obj) -> "DomainSpec":

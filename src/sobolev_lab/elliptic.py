@@ -97,9 +97,11 @@ def build_grid(spec: DomainSpec, h: float) -> GriddedField:
         raise GridError(f"grid of {nx}x{ny} nodes exceeds the budget of {NODE_BUDGET}")
     X, Y = np.meshgrid(x0 + h * np.arange(nx), y0 + h * np.arange(ny))
     mask = spec.contains(X, Y)
+    if mask[-1].any() or mask[:, -1].any():  # rounding left them inside: append one outside
+        mask = np.pad(mask, ((0, int(mask[-1].any())), (0, int(mask[:, -1].any()))))
     if not np.any(mask):
         raise GridError(f"domain {spec.describe()} is unresolved at h = {h:g}")
-    return GriddedField(h=h, origin=(x0, y0), mask=mask, values=np.zeros((ny, nx)), spec=spec)
+    return GriddedField(h=h, origin=(x0, y0), mask=mask, values=np.zeros(mask.shape), spec=spec)
 
 
 class _Level:
@@ -114,7 +116,7 @@ class _Level:
     u = 0.
     Neighbors are flat offsets dy * nx + dx into the row-major arrays; an
     offset that wraps around a row end meets a zero coefficient, or on the
-    finest level is undone.
+    finest level a frame node, outside the mask (see minimize_quotient).
     """
 
     def __init__(self, mask: np.ndarray, stencil: np.ndarray | None = None,
@@ -125,26 +127,21 @@ class _Level:
         ny, nx = mask.shape
         if stencil is None:
             self.scale = mask / h**2
-            diag = 4.0 * self.scale
-            # damped Jacobi in closed form:
-            # x <- (1 - omega) x + dinv b + (omega / 4) * sum of neighbors
+            # damped Jacobi in closed form, c = dinv b kept for the later sweeps:
+            # x <- (1 - omega) x + dinv b + (omega / 4) * sum of neighbors; the
+            # diagonal is constant, so dinv is a scalar (b is zero off the mask)
+            self.dinv = MG_OMEGA / (4.0 * (1.0 / h**2))
             self.weight = mask * (MG_OMEGA / 4.0)
-            # a flat +-1 shift wraps around row ends; that reads zeros unless
-            # the first or last column holds mask nodes
-            self.wraps = bool(mask[:, 0].any() or mask[:, -1].any())
+            self.c = np.zeros(mask.shape)
         else:
-            diag = stencil[0].reshape(mask.shape)
             n = mask.size
             self.neighbors = [(k, slice(0, n - off), slice(off, n))
                               for k, off in enumerate((1, nx - 1, nx, nx + 1), start=1)]
-        self.dinv = np.divide(MG_OMEGA, diag, out=np.zeros(mask.shape), where=mask)
-        # work arrays: the iterate, two temporaries, and on the finest level
-        # dinv b, on a coarser one its restricted right-hand side b
+            self.dinv = np.divide(MG_OMEGA, stencil[0].reshape(mask.shape),
+                                  out=np.zeros(mask.shape), where=mask)
+            self.b = np.zeros(mask.shape)  # the restricted right-hand side
+        # work arrays: the iterate and two temporaries
         self.x, self.t, self.w = (np.zeros(mask.shape) for _ in range(3))
-        if stencil is None:
-            self.c = np.zeros(mask.shape)
-        else:
-            self.b = np.zeros(mask.shape)
 
     def neighbor_sum(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = sum of the four 5-point neighbors of x (finest level)."""
@@ -155,9 +152,6 @@ class _Level:
         of[-n:] = xf[-2 * n:-n]
         of[1:] += xf[:-1]
         of[:-1] += xf[1:]
-        if self.wraps:
-            out[1:, 0] -= x[:-1, -1]
-            out[:-1, -1] -= x[1:, 0]
         return out
 
     def apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -200,35 +194,41 @@ class _Level:
             x += t
 
 
-def _restrict(r: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = P^T r onto the nodes (2i, 2j): weights 1, 1/2, 1/4, one axis at a time."""
-    t = r[:, ::2].copy()
-    half = 0.5 * r[:, 1::2]
+def _restrict(r: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """out = P^T r onto the nodes (2i, 2j): weights 1, 1/2, 1/4, one axis at a
+    time, with the intermediates in work, an array of r's shape."""
+    ny, n = r.shape[0], (r.shape[1] + 1) // 2
+    flat = work.reshape(-1)  # two contiguous blocks run faster than side-by-side columns
+    t, half = flat[:ny * n].reshape(ny, n), flat[ny * n:].reshape(ny, -1)
+    np.copyto(t, r[:, ::2])
+    np.multiply(r[:, 1::2], 0.5, out=half)
     t[:, :half.shape[1]] += half
-    t[:, 1:] += half[:, :t.shape[1] - 1]
+    t[:, 1:] += half[:, :n - 1]
     out[:] = t[::2]
-    half = 0.5 * t[1::2]
+    half = t[1::2]
+    half *= 0.5
     out[:half.shape[0]] += half
     out[1:] += half[:out.shape[0] - 1]
     return out
 
 
-def _prolong(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _prolong(c: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """out = P c: bilinear interpolation from the nodes (2i, 2j), one axis at a time.
 
     A fine node takes weight 1/2 per odd coordinate from each of its one,
-    two or four coarse corners; corners outside the array carry zero.
+    two or four coarse corners; corners outside the array carry zero.  The
+    intermediate lives in the top rows of work, an array of out's shape.
     """
     ny, nx = out.shape
-    t = np.empty((c.shape[0], nx))
+    t = work[:c.shape[0]]
+    half = np.multiply(c, 0.5, out=out[:c.shape[0], :c.shape[1]])  # until out is written
     t[:, ::2] = c
-    half = 0.5 * c
     t[:, 1::2] = half[:, :nx // 2]
     t[:, 1::2][:, :c.shape[1] - 1] += half[:, 1:]
     out[::2] = t
-    half = 0.5 * t
-    out[1::2] = half[:ny // 2]
-    out[1::2][:t.shape[0] - 1] += half[1:]
+    t *= 0.5
+    out[1::2] = t[:ny // 2]
+    out[1::2][:t.shape[0] - 1] += t[1:]
     return out
 
 
@@ -253,8 +253,8 @@ def _galerkin(fine: _Level, coarse: np.ndarray) -> np.ndarray:
     """Stencil of the Galerkin operator P^T A P on the coarse mask."""
     def op(e):
         e *= coarse
-        fine.apply(np.multiply(_prolong(e, fine.x), fine.mask, out=fine.x), fine.t)
-        return _restrict(fine.t, np.empty(coarse.shape)) * coarse
+        fine.apply(np.multiply(_prolong(e, fine.x, fine.w), fine.mask, out=fine.x), fine.t)
+        return _restrict(fine.t, np.empty(coarse.shape), fine.w) * coarse
     return _probe(op, coarse.shape)
 
 
@@ -346,14 +346,15 @@ class _VCycle:
         self.fine, self.bottom, self.levels = levels[0], levels[-1], levels[:-1]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        """The V-cycle applied to a residual array r; the result is a work
-        array of the finest level, valid until the next call."""
+        """The V-cycle applied to a residual array r that is zero outside
+        the mask, as cg's and the Rayleigh-Ritz steps' are; the result is a
+        work array of the finest level, valid until the next call."""
         rhs, b = [], r
         for level, coarse in zip(self.levels, self.levels[1:] + [self.bottom]):
             level.presmooth(b)
             t = np.subtract(b, level.apply(level.x, level.t), out=level.t)
             rhs.append(b)
-            b = np.multiply(_restrict(t, coarse.b), coarse.mask, out=coarse.b)
+            b = np.multiply(_restrict(t, coarse.b, level.w), coarse.mask, out=coarse.b)
         bottom = self.bottom
         if self.inverse is None:
             bottom.presmooth(b)
@@ -362,7 +363,7 @@ class _VCycle:
             bottom.x[bottom.mask] = np.einsum("ij,j->i", self.inverse, b[bottom.mask])
         x = bottom.x
         for level, b in zip(reversed(self.levels), reversed(rhs)):
-            level.x += np.multiply(_prolong(x, level.t), level.mask, out=level.t)
+            level.x += np.multiply(_prolong(x, level.t, level.w), level.mask, out=level.t)
             level.smooth(b, MG_SMOOTH)
             x = level.x
         return x
@@ -418,11 +419,26 @@ def quotient(fld: GriddedField, p: float) -> float:
     dimensions the h factors in the energy cancel.
     """
     v = fld.values
-    energy = float(np.sum(np.diff(v, axis=0) ** 2) + np.sum(np.diff(v, axis=1) ** 2))
-    mass = float(np.sum(np.abs(v[fld.mask]) ** p)) * fld.h**2
+    energy = 0.0
+    for axis in (0, 1):  # one difference array at a time, squared in place
+        dv = np.diff(v, axis=axis)
+        energy += float(np.sum(np.square(dv, out=dv)))
+        del dv
+    m = v[fld.mask]
+    np.abs(m, out=m)
+    m **= p
+    mass = float(np.sum(m)) * fld.h**2
     if mass == 0.0:
         raise ValueError("quotient of the zero function is undefined")
     return energy / mass ** (2.0 / p)
+
+
+def _lp_scale(v: np.ndarray, p: float, h2: float, out: np.ndarray) -> float:
+    """The L^p norm of max(v, 0) by node sums times h2, worked out in out.  The
+    in-place **= keeps the bits of ** (a square at p = 2); np.power may not."""
+    np.maximum(v, 0.0, out=out)
+    out **= p
+    return (np.sum(out) * h2) ** (1.0 / p)
 
 
 def _eigh(S: list) -> tuple:
@@ -508,27 +524,29 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     whose sweep is no better either keeps u, and then the stop rule holds.
     So does a step whose candidate reads at most 4 ulps above Q: the
     quotient has converged to roundoff, and no sweep is paid to confirm
-    it.  iterations counts the steps.
+    it.  iterations counts the steps.  A mask with a node on its array's
+    frame is an InputError (build_grid never makes one): the operator's
+    flat offsets wrap around row ends, and quotient counts no edge past it.
     """
     check_exponents(2, p, allow_supercritical=allow_supercritical)
     if not (0 < tol < np.inf and max_iter >= 1):
         raise InputError(f"need a finite tol > 0 and max_iter >= 1, got {tol} and {max_iter}")
     mask = grid.mask
+    if mask[[0, -1]].any() or mask[:, [0, -1]].any():
+        raise InputError("the mask has a node on its array's frame; pad it by one node")
     M = _VCycle(mask, grid.h)
     A = M.fine.apply
+    t = M.fine.t  # scratch of _lp_scale and the inner products, free between V-cycles
     h2 = grid.h**2
     trajectory = []
-
-    def lp_scale(v):
-        return (np.sum(np.maximum(v, 0.0) ** p) * h2) ** (1.0 / p)
 
     def as_field(v):
         return GriddedField(grid.h, grid.origin, mask, v, grid.spec)
 
-    def sweep(it, x0):
-        """The exact step normalize_p(A^-1 u^(p-1)), clipped at 0 for p > 1, and its quotient."""
+    def sweep(it, b, x0):
+        """The exact step normalize_p(A^-1 b), clipped at 0 for p > 1, and its quotient."""
         try:
-            x, _ = cg(A, np.maximum(u, 0.0) ** (p - 1.0) * mask, x0, M)
+            x, _ = cg(A, b, x0, M)
         except SolverError as exc:
             raise SolverError(f"inner CG solve failed to converge at step {it}: {exc}",
                               trajectory=trajectory) from exc
@@ -536,18 +554,17 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
             np.maximum(x, 0.0, out=x)
         # the field is a fresh array: scaled in place, the solve's own x left
         # the heap so that a later verify at p = 1 peaked 3-4 MB higher in RSS
-        x = x / lp_scale(x)
+        x = x / _lp_scale(x, p, h2, t)
         return x, quotient(as_field(x), p)
 
-    u = mask / (np.count_nonzero(mask) * h2) ** (1.0 / p)
-    if p == 1.0:
-        x, cp = sweep(1, None)
+    if p == 1.0:  # u^0 is 1 on the mask, whatever u
+        x, cp = sweep(1, mask * 1.0, None)
         return SobolevResult(field=as_field(x), cp=cp, iterations=1, residual=0.0, p=p,
                              trajectory=[cp])
-    # u, the previous step d, the product buffer Au, r and then W in s, the
-    # candidate v and t for the products of the inner products; w is the
-    # V-cycle's own work array
-    d, Au, s, v, t = (np.empty_like(u) for _ in range(5))
+    u = mask / (np.count_nonzero(mask) * h2) ** (1.0 / p)
+    # u, the previous step d, A u then r then W in s, the candidate v (and
+    # Q u^(p-1) while v is free); w = M(r) is the V-cycle's own work array
+    d, s, v = (np.empty_like(u) for _ in range(3))
     have_d = False
 
     def dot(x, y):
@@ -555,13 +572,13 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
 
     cp = quotient(as_field(u), p)
     for it in range(1, max_iter + 1):
-        A(u, Au)
-        np.subtract(Au, np.multiply(np.power(u, p - 1.0, out=s), cp, out=s), out=s)
-        basis = [u, M(s)] + [d] * have_d
-        k = len(basis)
+        k = 2 + have_d  # the basis u, w and, when there is one, d
         a, b = [[0.0] * k for _ in range(k)], [[0.0] * k for _ in range(k)]
-        for j, x in enumerate(basis):
-            y = A(x, s) if j else Au
+        a[0][0] = dot(u, A(u, s))
+        np.subtract(s, np.multiply(np.power(u, p - 1.0, out=v), cp, out=v), out=s)
+        basis = [u, M(s)] + [d] * have_d
+        for j, x in enumerate(basis[1:], start=1):
+            y = A(x, s)
             for i in range(j + 1):
                 a[i][j] = a[j][i] = dot(basis[i], y)
         np.power(np.maximum(u, W_FLOOR * float(u.max()), out=s), p - 2.0, out=s)
@@ -578,7 +595,8 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
             np.multiply(u, c[0], out=v)
             for ci, x in zip(c[1:], basis[1:]):
                 v += np.multiply(x, ci, out=t)
-            scale = lp_scale(np.maximum(v, np.multiply(u, W_FLOOR * max(c[0], 0.0), out=t), out=v))
+            np.maximum(v, np.multiply(u, W_FLOOR * max(c[0], 0.0), out=t), out=v)
+            scale = _lp_scale(v, p, h2, t)
             if scale > 0.0:
                 v /= scale
                 cp_v = quotient(as_field(v), p)
@@ -586,7 +604,7 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
             np.subtract(v, u, out=d)
             have_d = True
         elif cp_v > cp + 4.0 * math.ulp(cp):  # else Q has converged to roundoff
-            v, cp_v = sweep(it, np.divide(u, cp, out=v))
+            v, cp_v = sweep(it, np.maximum(u, 0.0) ** (p - 1.0) * mask, np.divide(u, cp, out=v))
             have_d = False
         if cp_v <= cp:
             u, v = v, u

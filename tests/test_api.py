@@ -36,11 +36,12 @@ BAD = {
     "q-inf": (2, 1.0, [math.inf], ["finite", "inf"]),
     # ints past float range: out of range, not an OverflowError
     "p-past-float": (2, 10**400, None, ["not admissible"]),
+    "n-past-float": (10**400, 1.0, None, ["not admissible", "need n in float range"]),
     "q-past-float": (2, 1.0, [10**400], ["finite"]),
 }
 NON_FINITE_Q = {"q-nan", "q-inf", "q-past-float"}
 # the cases of an entry point that takes the dimension n
-BAD_N = {"critical", "dimension-one"}
+BAD_N = {"critical", "dimension-one", "n-past-float"}
 
 
 def _grid():

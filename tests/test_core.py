@@ -265,6 +265,10 @@ class TestDomainSpec:
             with pytest.raises(SpecError) as err:
                 DomainSpec(*args)
             assert str(err.value) == message
+        # the constructor hands entries that are not pairs to the same gate
+        with pytest.raises(SpecError) as err:
+            DomainSpec.polygon([1, 2, 3])
+        assert str(err.value) == poly + "[1, 2, 3]"
 
     def test_equal_specs_share_one_form(self, tmp_path, monkeypatch):
         # one JSON form, so one slug, one cache key and one table task

@@ -767,7 +767,7 @@ class TestCliTable:
         asked = []
 
         class Recorder:  # stands in for the pool: records its size, runs the groups here
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **placement):
                 asked.append(max_workers)
 
             def __enter__(self):
@@ -790,6 +790,37 @@ class TestCliTable:
         capsys.readouterr()
         assert asked == [2]  # every group cached, then one group: no pool
         assert self.read_sweep(tmp_path / "cold") == self.read_sweep(tmp_path / "warm")
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs CPU affinity and at least two CPUs")
+    def test_workers_start_on_distinct_cpus(self, tmp_path):
+        # a fresh interpreter records every affinity call, the forked
+        # workers' too: each worker moves to one CPU of its own, then is
+        # allowed the parent's CPUs again
+        code = ("import os, sys\n"
+                "real = os.sched_setaffinity\n"
+                "def recording(pid, cpus):\n"
+                "    with open(sys.argv[1], 'a') as fh:\n"
+                "        fh.write(f'{os.getpid()} {sorted(cpus)}\\n')\n"
+                "    real(pid, cpus)\n"
+                "os.sched_setaffinity = recording\n"
+                "from sobolev_lab.cli import main\n"
+                "sys.exit(main(sys.argv[2:]))\n")
+        log = tmp_path / "affinity.log"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(log), *self.ARGS, "--jobs", "2",
+             "--out", str(tmp_path / "out")], capture_output=True, text=True,
+            env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path),
+                              "SOBOLEV_LAB_CACHE": str(tmp_path / "cache")})
+        assert proc.returncode == 0, proc.stderr
+        calls = {}
+        for line in log.read_text().splitlines():
+            pid, cpus = line.split(" ", 1)
+            calls.setdefault(pid, []).append(json.loads(cpus))
+        allowed = sorted(os.sched_getaffinity(0))
+        assert len(calls) == 2  # the two workers; the parent makes no call
+        assert all(len(first) == 1 and rest == [allowed] for first, *rest in calls.values())
+        assert len({first[0] for first, *_ in calls.values()}) == 2
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected_at_parse(self, tmp_path, capsys, jobs):
