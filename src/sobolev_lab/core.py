@@ -99,6 +99,17 @@ def admissible(n: int, p: float) -> bool:
     return n > 2 and p < 2.0 * n / (n - 2.0)
 
 
+def _shown(val) -> str:
+    """str(val), or for an int too long for str() its length."""
+    try:
+        return str(val)
+    except ValueError:  # past the interpreter's int string limit
+        digits = int(math.log10(abs(val))) - 1  # at most the count
+        while abs(val) >= 10**digits:
+            digits += 1
+        return f"an int of {digits} digits"
+
+
 def check_exponents(n: int, p: float, qs=None, allow_supercritical: bool = False):
     """The one admissibility gate for exponents; raises AdmissibilityError.
 
@@ -107,10 +118,12 @@ def check_exponents(n: int, p: float, qs=None, allow_supercritical: bool = False
     is given, that it is non-empty with every q finite and q >= p.
     """
     if not admissible(n, p):
-        bound = ("n >= 2" if n < 2 else "any p >= 1" if n == 2
-                 else "n in float range" if n > sys.float_info.max
+        bound = ("n >= 2" if n < 2 else "n in float range" if n > sys.float_info.max
+                 else "p in float range" if p > sys.float_info.max
+                 else "any p >= 1" if n == 2
                  else f"1 <= p < 2n/(n-2) = {2.0 * n / (n - 2.0):g}")
-        raise AdmissibilityError(f"(n, p) = ({n}, {p}) is not admissible; need {bound}")
+        raise AdmissibilityError(
+            f"(n, p) = ({_shown(n)}, {_shown(p)}) is not admissible; need {bound}")
     if p > 2.0 and (qs is not None or not allow_supercritical):
         lift = ("no flag lifts khat's gate" if qs is not None else "allow_supercritical=True"
                 " lifts it, as --experimental-supercritical does for ball and domain")
@@ -120,7 +133,8 @@ def check_exponents(n: int, p: float, qs=None, allow_supercritical: bool = False
         if len(qs) == 0:
             raise AdmissibilityError("need at least one exponent q")
         if not all(abs(q) <= sys.float_info.max for q in qs):
-            raise AdmissibilityError(f"every q must be finite; got {list(qs)}")
+            raise AdmissibilityError(
+                f"every q must be finite; got [{', '.join(map(_shown, qs))}]")
         if min(qs) < p:
             raise AdmissibilityError(
                 f"every q must be >= p = {p:g}; q = {min(qs):g} is below p")

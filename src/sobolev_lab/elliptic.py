@@ -4,10 +4,12 @@ Domains are rasterized onto a uniform grid; the Dirichlet Laplacian A is
 the 5-point stencil with zero boundary values, and the quotient
 int |grad u|^2 / (int |u|^p)^(2/p) is minimized.  At p = 1 the minimizer
 solves one linear system, by conjugate gradients preconditioned with a
-geometric multigrid V-cycle built once per grid.  For p > 1 each step
-preconditions the residual A u - Q u^(p-1) with one V-cycle and takes a
-safeguarded Rayleigh-Ritz step on three vectors, LOBPCG at p = 2; conjugate
-gradients only serve its fallback (see minimize_quotient).  Both work
+geometric multigrid V-cycle built once per grid, and stopped once a
+certified lower bound puts the quotient within tol of the discrete
+minimum.  For p > 1 each step preconditions the residual A u - Q u^(p-1)
+with one V-cycle and takes a safeguarded Rayleigh-Ritz step on three
+vectors, LOBPCG at p = 2; conjugate gradients only serve its fallback (see
+minimize_quotient).  Both work
 matrix-free on full (ny, nx) arrays that are zero outside the mask, with
 numpy alone: every inner product is a pairwise np.sum, never a BLAS call,
 and the small Ritz pencils are solved in Python floats, so results do not
@@ -71,7 +73,13 @@ class GriddedField:
 
 @dataclass(eq=False)
 class SobolevResult:
-    """Converged extremal: field normalized to ||u||_Lp = 1 and its quotient."""
+    """Converged extremal: field normalized to ||u||_Lp = 1 and its quotient.
+
+    iterations counts the steps (1 at p = 1).  residual is, for p > 1, the
+    relative change of the quotient in the last step; at p = 1 it is the
+    certified gap 1 - cp_lower / cp, so cp (1 - residual) <= cp_h <= cp for
+    the discrete minimum cp_h (see minimize_quotient).
+    """
 
     field: GriddedField
     cp: float
@@ -369,17 +377,24 @@ class _VCycle:
         return x
 
 
-def cg(A, b: np.ndarray, x0: np.ndarray | None, M):
+def cg(A, b: np.ndarray, x0: np.ndarray | None, M, work: np.ndarray | None = None,
+       stop=None):
     """Preconditioned conjugate gradients on arrays; the one linear-solver call.
 
     A(x, out) applies the operator and M(r) the preconditioner.  Stops when
     the unpreconditioned residual ||b - A x|| (updated recursively) falls
     below CG_RTOL ||b||, so the preconditioner changes the cost, not the
-    accuracy.  Returns the solution and its iteration count.  Inner
+    accuracy, or, from the first iteration on, when stop(x, r, r . r)
+    holds for the iterate x and its recursive residual r.  Returns the
+    solution and its iteration count.  It works in the caller's arrays: b
+    becomes the residual, x0 (a float array), when given, the iterate, and
+    work, when given, the inner products' scratch; beyond those it
+    allocates only the search direction and the operator's image.  Inner
     products are np.sum of products, pairwise sums that do not go through
     BLAS, so x has the same bits at any BLAS thread count.
     """
-    work = np.empty_like(b)
+    if work is None:
+        work = np.empty_like(b)
 
     def dot(u, v):
         return float(np.sum(np.multiply(u, v, out=work)))
@@ -387,11 +402,13 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M):
     bnorm = np.sqrt(dot(b, b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - A(x, work) if x.any() else b.copy()
-    q = np.empty_like(b)
+    x = np.zeros_like(b) if x0 is None else x0
+    r, q = b, np.empty_like(b)
+    if x.any():
+        r -= A(x, q)
     for it in range(CG_MAXITER):
-        if np.sqrt(dot(r, r)) < CG_RTOL * bnorm:
+        rr = dot(r, r)
+        if np.sqrt(rr) < CG_RTOL * bnorm or (it and stop is not None and stop(x, r, rr)):
             return x, it
         z = M(r)
         rho = dot(r, z)
@@ -404,8 +421,7 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M):
         x += np.multiply(p, alpha, out=work)
         r -= np.multiply(q, alpha, out=work)
         rho_prev = rho
-    r = b - A(x, q)
-    res = np.sqrt(dot(r, r)) / max(bnorm, 1e-300)
+    res = np.sqrt(dot(r, r)) / bnorm
     raise SolverError(
         f"conjugate gradients did not reach rtol={CG_RTOL:g} in {CG_MAXITER} "
         f"iterations (relative residual {res:.3e})", trajectory=[res])
@@ -500,9 +516,24 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
                       max_iter: int = 300, allow_supercritical: bool = False) -> SobolevResult:
     """Drive the quotient to its minimum over the masked grid.
 
-    Stops when the relative change of the quotient between steps falls
-    below tol.  At p = 1 the right-hand side is constant, so the first
-    solve, run to CG_RTOL, is the answer: one step, residual 0.
+    For p > 1 it stops when the relative change of the quotient between
+    steps falls below tol.  At p = 1 the right-hand side does not depend
+    on u, so the answer is one solve of A x = b, b = 1 on the mask, stopped
+    once a certified bound puts cp within tol of the discrete minimum cp_h.
+    For any x with true residual r = b - A x the Dirichlet principle gives
+        b . x* = max_y (2 b . y - y . A y) = b . x + r . x + r . A^-1 r
+               <= b . x + r . x + |r|^2 / mu,
+    mu = (4 sin^2(pi / (2 (nx + 1))) + 4 sin^2(pi / (2 (ny + 1)))) / h^2 being
+    at most lambda_1(A) by Cauchy interlacing: A is a principal submatrix of
+    the 5-point matrix on the nx x ny bounding box of the mask's nodes (the
+    sine form avoids cancellation).  As cp_h = 1 / (h^2 b . x*),
+    cp_lower = 1 / (h^2 (b . x + r . x + |r|^2 / mu)) <= cp_h <= cp = Q(x),
+    and residual = max(0, 1 - cp_lower / cp).  cg stops when that gap is at
+    most tol, first with its recursive r and x . A x = b . x - r . x (one
+    sum and one inner product per iteration), then with the true r (one
+    operator apply, two inner products); or at CG_RTOL, if that comes
+    first.  The bound covers the field: for v = x / (h^2 sum x) the cross
+    term vanishes, so h^2 (v - v*) . A (v - v*) = Q(v) - cp_h <= cp residual.
 
     For p > 1 each step starts from u >= 0 with ||u||_p = 1 and quotient Q.
     It forms the residual r = A u - Q u^(p-1), preconditions it with one
@@ -543,32 +574,62 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     def as_field(v):
         return GriddedField(grid.h, grid.origin, mask, v, grid.spec)
 
-    def sweep(it, b, x0):
-        """The exact step normalize_p(A^-1 b), clipped at 0 for p > 1, and its quotient."""
+    def dot(x, y):
+        return float(np.sum(np.multiply(x, y, out=t)))
+
+    def solve(it, b, x0, stop=None):
+        """A^-1 b by cg, which consumes b and x0; stop may end it early."""
         try:
-            x, _ = cg(A, b, x0, M)
+            return cg(A, b, x0, M, t, stop)[0]
         except SolverError as exc:
             raise SolverError(f"inner CG solve failed to converge at step {it}: {exc}",
                               trajectory=trajectory) from exc
-        if p > 1.0:
-            np.maximum(x, 0.0, out=x)
-        # the field is a fresh array: scaled in place, the solve's own x left
-        # the heap so that a later verify at p = 1 peaked 3-4 MB higher in RSS
+
+    def normalized(x):
+        """normalize_p(x) and its quotient.  The field is a fresh array, made
+        after cg has freed its own: scaled in place, the solve's x left the
+        heap so that a later verify at p = 1 peaked 3-4 MB higher in RSS."""
         x = x / _lp_scale(x, p, h2, t)
         return x, quotient(as_field(x), p)
 
-    if p == 1.0:  # u^0 is 1 on the mask, whatever u
-        x, cp = sweep(1, mask * 1.0, None)
-        return SobolevResult(field=as_field(x), cp=cp, iterations=1, residual=0.0, p=p,
-                             trajectory=[cp])
+    if p == 1.0:  # u^0 is 1 on the mask, whatever u: solve A x = 1 there
+        # mu <= lambda_1(A): the least eigenvalue of the 5-point matrix on the
+        # bounding box of the mask's nodes, m nodes along each axis
+        sides = (int(np.ptp(np.flatnonzero(mask.any(axis)))) + 1 for axis in (0, 1))
+        mu = sum(4.0 * math.sin(math.pi / (2.0 * (m + 1))) ** 2 for m in sides) / h2
+        certified = []  # cp_lower at the iterate where the certificate stopped cg
+
+        def bound(x, r, rr):
+            """cp_lower for the iterate x with residual r (r . r = rr), and
+            its gap 1 - cp_lower / cp, cp read off x . A x = b . x - r . x."""
+            bx, rx = float(np.sum(x)), dot(r, x)
+            cp_lower = 1.0 / (h2 * (bx + rx + rr / mu))
+            return cp_lower, 1.0 - cp_lower * h2 * bx * bx / (bx - rx)
+
+        def true_bound(x):
+            """bound with the true residual, in the V-cycle's output array,
+            which is free between cycles."""
+            r = np.subtract(mask, A(x, M.fine.x), out=M.fine.x)
+            return bound(x, r, dot(r, r))
+
+        def stop(x, r, rr):
+            if bound(x, r, rr)[1] > tol:
+                return False
+            cp_lower, gap = true_bound(x)
+            if gap <= tol:
+                certified.append(cp_lower)
+            return gap <= tol
+
+        x = solve(1, mask * 1.0, None, stop)
+        cp_lower = certified[0] if certified else true_bound(x)[0]
+        x, cp = normalized(x)
+        return SobolevResult(field=as_field(x), cp=cp, iterations=1,
+                             residual=max(0.0, 1.0 - cp_lower / cp), p=p, trajectory=[cp])
     u = mask / (np.count_nonzero(mask) * h2) ** (1.0 / p)
     # u, the previous step d, A u then r then W in s, the candidate v (and
     # Q u^(p-1) while v is free); w = M(r) is the V-cycle's own work array
     d, s, v = (np.empty_like(u) for _ in range(3))
     have_d = False
-
-    def dot(x, y):
-        return float(np.sum(np.multiply(x, y, out=t)))
 
     cp = quotient(as_field(u), p)
     for it in range(1, max_iter + 1):
@@ -604,7 +665,8 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
             np.subtract(v, u, out=d)
             have_d = True
         elif cp_v > cp + 4.0 * math.ulp(cp):  # else Q has converged to roundoff
-            v, cp_v = sweep(it, np.maximum(u, 0.0) ** (p - 1.0) * mask, np.divide(u, cp, out=v))
+            x = solve(it, np.maximum(u, 0.0) ** (p - 1.0) * mask, np.divide(u, cp, out=v))
+            v, cp_v = normalized(np.maximum(x, 0.0, out=x))
             have_d = False
         if cp_v <= cp:
             u, v = v, u

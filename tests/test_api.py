@@ -35,13 +35,20 @@ BAD = {
     "q-nan": (2, 1.0, [math.nan], ["finite", "nan"]),
     "q-inf": (2, 1.0, [math.inf], ["finite", "inf"]),
     # ints past float range: out of range, not an OverflowError
-    "p-past-float": (2, 10**400, None, ["not admissible"]),
+    "p-past-float": (2, 10**400, None, ["not admissible", "need p in float range"]),
     "n-past-float": (10**400, 1.0, None, ["not admissible", "need n in float range"]),
     "q-past-float": (2, 1.0, [10**400], ["finite"]),
+    # ints past str()'s digit limit (the API's alone: the CLI's parser refuses
+    # them): the message names their length
+    "n-past-str": (10**5000, 1.0, None, ["not admissible", "an int of 5001 digits"]),
+    "p-past-str": (2, 10**5000, None, ["need p in float range", "an int of 5001 digits"]),
+    "q-past-str": (2, 1.5, [10**5000], ["finite", "an int of 5001 digits"]),
 }
 NON_FINITE_Q = {"q-nan", "q-inf", "q-past-float"}
 # the cases of an entry point that takes the dimension n
 BAD_N = {"critical", "dimension-one", "n-past-float"}
+# p past float range, and an int p past str()'s limit
+HUGE_P = {"p-past-float", "p-past-str"}
 
 
 def _grid():
@@ -60,31 +67,33 @@ def _q_flags(p, qs):
 # error class is None for a CLI exit code and "row" for a table row's error
 ENTRY = {
     "alpha": (lambda n, p, qs, out: alpha(n, p),
-              {*BAD_N, "p-below-one", "p-past-float"}, AdmissibilityError, None),
+              {*BAD_N, "n-past-str", "p-below-one", *HUGE_P}, AdmissibilityError, None),
     "shoot": (lambda n, p, qs, out: shoot(n, p),
-              {*BAD_N, "p-below-one", "p-past-float", "supercritical"}, AdmissibilityError, None),
+              {*BAD_N, "n-past-str", "p-below-one", *HUGE_P, "supercritical"},
+              AdmissibilityError, None),
     "unit_ball_profile": (lambda n, p, qs, out: unit_ball_profile(n, p),
-                          {*BAD_N, "p-below-one", "p-past-float", "supercritical"},
+                          {*BAD_N, "n-past-str", "p-below-one", *HUGE_P, "supercritical"},
                           AdmissibilityError, None),
     "cp_ball": (lambda n, p, qs, out: cp_ball(n, p, 0.5),
-                {*BAD_N, "p-below-one", "p-past-float", "supercritical"},
+                {*BAD_N, "n-past-str", "p-below-one", *HUGE_P, "supercritical"},
                 AdmissibilityError, None),
     "minimize_quotient": (lambda n, p, qs, out: minimize_quotient(_grid(), p),
-                          {"p-below-one", "p-past-float", "supercritical"},
+                          {"p-below-one", *HUGE_P, "supercritical"},
                           AdmissibilityError, None),
     "constant_K": (lambda n, p, qs, out: constant_K(n, p, _q(p, qs), 1.0),
-                   {*BAD_N, "p-below-one", "p-past-float", "supercritical", "q-below-p",
-                    *NON_FINITE_Q},
+                   {*BAD_N, "n-past-str", "p-below-one", *HUGE_P, "supercritical", "q-below-p",
+                    *NON_FINITE_Q, "q-past-str"},
                    AdmissibilityError, None),
     "khat": (lambda n, p, qs, out: khat(n, p, _q(p, qs)),
-             {*BAD_N, "p-below-one", "p-past-float", "supercritical", "q-below-p",
-              *NON_FINITE_Q},
+             {*BAD_N, "n-past-str", "p-below-one", *HUGE_P, "supercritical", "q-below-p",
+              *NON_FINITE_Q, "q-past-str"},
              AdmissibilityError, None),
     "verify_reverse_holder": (
         lambda n, p, qs, out: verify_reverse_holder(
             SobolevResult(field=_grid(), cp=1.0, iterations=0, residual=0.0, p=p),
             [p] if qs is None else qs),
-        {"p-below-one", "p-past-float", "supercritical", "q-below-p", "empty-q", *NON_FINITE_Q},
+        {"p-below-one", *HUGE_P, "supercritical", "q-below-p", "empty-q", *NON_FINITE_Q,
+         "q-past-str"},
         VerificationError, "preconditions"),
     "cli verify": (lambda n, p, qs, out: cli_main(
         ["verify", "--spec", SQUARE, "-p", repr(p), *_q_flags(p, qs), "--out", out]),

@@ -111,8 +111,8 @@ class CountingCG:
         self.cg = cg
         self.iterations = []
 
-    def __call__(self, A, b, x0, M):
-        x, iterations = self.cg(A, b, x0, M)
+    def __call__(self, A, b, x0, M, *args):
+        x, iterations = self.cg(A, b, x0, M, *args)
         self.iterations.append(iterations)
         return x, iterations
 
@@ -583,10 +583,31 @@ class TestMinimizeQuotient:
         assert res.cp == pytest.approx(oracles.DISK_EIGENVALUE, rel=0.04)
 
 
+# the shapes of the p = 1 certificate's checks, two thin ones among them
+P1_SHAPES = {
+    "disk": DomainSpec.disk(1.0),
+    "ellipse": DomainSpec.ellipse(1.0, 0.5),
+    "lshape": DomainSpec.l_shape(1.0, 0.45),
+    "square": DomainSpec.rectangle(1.0, 1.0),
+    "strip": DomainSpec.rectangle(1.0, 0.05),
+    "thin-ellipse": DomainSpec.ellipse(1.0, 0.1),
+}
+
+
+def direct_torsion(grid):
+    """The discrete minimizer at p = 1 by a sparse direct solve of A x = 1,
+    normalized to h^2 sum x = 1, over the mask's nodes, and the matrix A."""
+    A = kronecker_laplacian(grid)
+    x = spsolve(A.tocsc(), np.ones(A.shape[0]))
+    return x / (np.sum(x) * grid.h**2), A
+
+
 class TestInexactSweeps:
-    """The p = 1 solve is one cg call, to CG_RTOL, and the field is the
-    normalized direct solve of A u = 1.  (The class is named for the loose
-    inner solves of p > 1 that the Rayleigh-Ritz steps replaced.)"""
+    """The p = 1 solve is one cg call, stopped once a certified lower bound
+    puts cp within tol of the discrete minimum, and the field is the
+    normalized solve of A u = 1 to within that bound's energy.  (The class
+    is named for the loose inner solves of p > 1 that the Rayleigh-Ritz
+    steps replaced.)"""
 
     def test_p1_solves_exactly(self, monkeypatch):
         grid = build_grid(SHAPES["disk"], 1.0 / 64)
@@ -594,12 +615,43 @@ class TestInexactSweeps:
         monkeypatch.setattr(elliptic, "cg", counting)
         res = minimize_quotient(grid, 1.0)
         assert len(counting.iterations) == res.iterations == 1
-        # 6e-14 and 4e-16 off measured
-        x = spsolve(kronecker_laplacian(grid).tocsc(), np.ones(np.count_nonzero(grid.mask)))
-        x /= np.sum(x) * grid.h**2
-        assert np.max(np.abs(res.field.values[grid.mask] - x)) <= 1e-10 * np.max(x)
+        x, A = direct_torsion(grid)
         direct = GriddedField(grid.h, grid.origin, grid.mask, on_grid(grid, x), grid.spec)
+        # 2.0e-13 off measured
         assert res.cp == pytest.approx(quotient(direct, 1.0), rel=1e-12)
+        # the certified stop leaves the field off the direct solve by more
+        # than roundoff in max norm, but within cp's bound in energy
+        e = res.field.values[grid.mask] - x
+        assert grid.h**2 * (e @ (A @ e)) <= res.cp * res.residual + 4 * math.ulp(res.cp)
+
+    @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 64, 1.0 / 128])
+    @pytest.mark.parametrize("shape", P1_SHAPES)
+    def test_p1_bound_is_sound(self, shape, h):
+        # cp (1 - residual) <= cp_h <= cp, with cp_h the quotient of the
+        # direct solve; and since the cross term vanishes on h^2 sum v = 1,
+        # h^2 (v - v*) . A (v - v*) = Q(v) - cp_h <= cp residual
+        grid = build_grid(P1_SHAPES[shape], h)
+        res = minimize_quotient(grid, 1.0)
+        assert 0.0 <= res.residual <= 1e-8
+        x, A = direct_torsion(grid)
+        cp_h = quotient(GriddedField(grid.h, grid.origin, grid.mask, on_grid(grid, x)), 1.0)
+        ulps = 4 * math.ulp(res.cp)  # the roundoff of two quotients
+        assert res.cp * (1.0 - res.residual) <= cp_h + ulps
+        assert cp_h <= res.cp + ulps
+        e = res.field.values[grid.mask] - x
+        assert grid.h**2 * (e @ (A @ e)) <= res.cp * res.residual + ulps
+
+    @pytest.mark.parametrize("h", [1.0 / 64, 1.0 / 128])
+    @pytest.mark.parametrize("shape", ["disk", "ellipse", "lshape"])
+    def test_p1_stops_on_the_certificate(self, monkeypatch, shape, h):
+        # 4 V-cycles measured on each; cg to CG_RTOL alone takes 8
+        grid = build_grid(P1_SHAPES[shape], h)
+        cycles = count_vcycles(monkeypatch)
+        poisson_solve(grid, np.ones(grid.mask.shape))
+        rtol_cycles = len(cycles)
+        cycles.clear()
+        minimize_quotient(grid, 1.0)
+        assert len(cycles) <= min(rtol_cycles, 5)
 
 
 class TestAndersonSweeps:
@@ -655,11 +707,12 @@ class TestAndersonSweeps:
         counting = CountingCG(elliptic.cg)
         monkeypatch.setattr(elliptic, "cg", counting)
         res = minimize_quotient(build_grid(SHAPES["disk"], 1.0 / 32), 1.0)
-        assert (res.iterations, res.residual, len(counting.iterations)) == (1, 0.0, 1)
+        assert (res.iterations, len(counting.iterations)) == (1, 1)
+        assert 0.0 <= res.residual <= 1e-8  # the certified gap of cp, within tol
         assert res.trajectory == [res.cp]
         assert main(["domain", "--spec", '{"shape": "disk", "radius": 1.0}', "-p", "1",
                      "--h", str(1.0 / 32), "--out", str(tmp_path)]) == 0
-        assert "iterations = 1   residual = 0.000e+00" in capsys.readouterr().out
+        assert f"iterations = 1   residual = {res.residual:.3e}" in capsys.readouterr().out
 
 
 class TestRayleighRitzSteps:
@@ -744,11 +797,12 @@ class TestRayleighRitzSteps:
         assert _ritz([[1.0, 0.0], [0.0, 2.0]], [[1.0, 1.0], [1.0, 1.0]]) is None
         assert _ritz([[1.0, 0.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, 0.0]]) is None
 
-    @pytest.mark.parametrize("p,most", [(1.0, 17), (1.5, 16), (2.0, 16)],
+    @pytest.mark.parametrize("p,most", [(1.0, 15), (1.5, 16), (2.0, 16)],
                              ids=["p1", "p1.5", "p2"])
     def test_memory_peak(self, monkeypatch, p, most):
         # the memo is cleared, so the peak includes the hierarchy's build;
-        # 15.98, 14.85 and 14.86 arrays measured
+        # 13.98, 14.85 and 14.86 arrays measured (at p = 1 cg works in the
+        # right-hand side and the V-cycle's scratch)
         grid = build_grid(SHAPES["disk"], 1.0 / 128)
         monkeypatch.setattr(elliptic, "_last_operators", None)
         tracemalloc.start()
@@ -805,15 +859,16 @@ class TestNumpyOnlyRuntime:
 
     def test_bits_independent_of_blas_threads(self):
         # the thin rectangle's Ritz pencils are made singular, so each of its
-        # steps takes the exact-sweep fallback; each line leads with the
-        # steps, then the cg calls so far
+        # steps takes the exact-sweep fallback, and p = 1 is one cg call with
+        # the certified stop; each line leads with the steps, then the cg
+        # calls so far
         code = (
             "import hashlib, sobolev_lab as sl\n"
             "from sobolev_lab import elliptic\n"
             "cg, calls = elliptic.cg, []\n"
             "elliptic.cg = lambda *args: calls.append(args) or cg(*args)\n"
             "for spec, p in ((sl.DomainSpec.disk(1.0), 2.0), (sl.DomainSpec.ellipse(1.0, 0.5), 1.5),\n"
-            "                (sl.DomainSpec.rectangle(1.0, 0.05), 1.5)):\n"
+            "                (sl.DomainSpec.rectangle(1.0, 0.05), 1.5), (sl.DomainSpec.disk(1.0), 1.0)):\n"
             "    if spec.shape == 'rectangle':\n"
             "        elliptic._ritz = lambda a, b: None\n"
             "    res = sl.minimize_quotient(sl.build_grid(spec, 1 / 64), p)\n"
@@ -829,4 +884,5 @@ class TestNumpyOnlyRuntime:
         lines = [line.split() for line in runs[0].splitlines()]
         assert [line[1] for line in lines[:2]] == ["0", "0"]
         assert lines[2][1] == lines[2][0] != "0"
+        assert lines[3][:2] == ["1", str(int(lines[2][1]) + 1)]
         assert runs[0] == runs[1]

@@ -555,6 +555,29 @@ class TestCliTable:
         assert warm == self.read_sweep(tmp_path / "cold")
         assert b"no flag lifts khat's gate" in warm and old.encode() not in warm
 
+    def test_entry_before_the_certified_p1_stop_not_replayed(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # p = 1 rows changed digits when the solve began to stop on its
+        # certified bound; an entry written under the salt of that time is
+        # not read back
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(cache))
+        tasks, path = [], cli._cache_path
+        monkeypatch.setattr(cli, "_cache_path", lambda task: tasks.append(task) or path(task))
+        args = ("table", "--spec", SQUARE, "-p", "1", "-q", "2", "--h", "0.125")
+        assert run(*args, "--out", str(tmp_path / "cold")) == 0
+        (entry,) = cache.iterdir()
+        rows = json.loads(entry.read_text(encoding="utf-8"))
+        entry.unlink()
+        key = hashlib.sha256(canonical_json(
+            {**tasks[0], "version": FORMAT_VERSION, "salt": 2}).encode())
+        (cache / f"{key.hexdigest()}.json").write_text(
+            json.dumps([{**r, "cp": 1.0} for r in rows]), encoding="utf-8")
+        assert run(*args, "--out", str(tmp_path / "warm")) == 0
+        capsys.readouterr()
+        assert self.read_sweep(tmp_path / "warm") == self.read_sweep(tmp_path / "cold")
+        assert len(list(cache.iterdir())) == 2  # the group was solved and written again
+
     @pytest.mark.parametrize("p,qs,solved", [
         ("2", ["1"], None),
         ("2.5", ["1"], None),
