@@ -48,7 +48,7 @@ class ComparisonBall:
 
     rho: float
     bstar_volume: float
-    phi_star: VolumeProfile         # sampled at the given volume nodes, 0 past |B*|
+    phi_star: VolumeProfile         # on the given cell edges, read at the midpoints; 0 past |B*|
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +58,7 @@ class CrossingAnalysis:
     s1: float
     crossing_count: int
     band: float
-    s: np.ndarray
+    s: np.ndarray           # u*'s cell midpoints, one per value of D
     difference: np.ndarray
     identical: bool = False
 
@@ -66,15 +66,16 @@ class CrossingAnalysis:
 def comparison_ball(cp_omega: float, n: int, p: float, s) -> ComparisonBall:
     """Build B* with C_p(B*) = cp_omega via the dilation law rho = (cp/cp_B)^(1/alpha).
 
-    phi* is radial.volume_profile of the ball extremal at the increasing
-    volume nodes s from 0 to |Omega| (the domain profile's own nodes).
+    phi* is radial.volume_profile of the ball extremal on the increasing
+    cell edges s from 0 to |Omega| (the domain profile's own cells), one
+    value per cell, read at its midpoint.
     |B*| may not exceed |Omega| = s[-1] beyond rasterization slack
     (FK_TOL), since a larger comparison ball would contradict the
     isoperimetric ordering of the constants.
     """
     s = np.asarray(s, dtype=float)
     if cp_omega <= 0 or s[-1] <= 0:
-        raise ValueError("cp_omega and the volume nodes must be positive")
+        raise ValueError("cp_omega and the domain volume s[-1] must be positive")
     prof = unit_ball_profile(n, p)
     rho = (cp_omega / prof.cp_ball) ** (1.0 / alpha(n, p))
     bvol = unit_ball_volume(n) * rho**n
@@ -87,47 +88,45 @@ def comparison_ball(cp_omega: float, n: int, p: float, s) -> ComparisonBall:
                           phi_star=volume_profile(prof, s, radius=rho))
 
 
-def _check_nodes(u_star: VolumeProfile, ball: ComparisonBall) -> None:
+def _check_cells(u_star: VolumeProfile, ball: ComparisonBall) -> None:
     if not np.array_equal(ball.phi_star.s, u_star.s):
-        raise ValueError("phi* is not sampled at u*'s volume nodes")
+        raise ValueError("phi* is not a step profile on u*'s cells")
 
 
 def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall) -> CrossingAnalysis:
-    """Locate the single crossing of D = phi* - u* on u*'s volume nodes.
+    """Locate the single crossing of D = phi* - u* on u*'s cells.
 
-    phi* must be sampled there (ValueError otherwise).  Values of |D|
-    below the noise band are treated as zero.  The band is three times
-    the largest increment of D between adjacent grid nodes: a genuine
+    phi* must be a step profile on those cells (ValueError otherwise);
+    D holds one value per cell, placed at the cell's midpoint.  Values of
+    |D| below the noise band are treated as zero.  The band is three
+    times the largest jump of D between adjacent cells: a genuine
     profile difference varies smoothly in s while the staircase
     rearrangement jumps by O(h) wherever a level set sweeps a whole
-    lattice row, so the worst single-node jump measures the
+    lattice row, so the worst single-cell jump measures the
     discretization noise floor without looking at D's magnitude itself.
     max |D| < band over the whole interval reports identical profiles
     (the ball equality case) rather than an error; any other sign pattern
-    than one downward crossing raises a CrossingError carrying D.  A step
-    u* reads its last cell value again at its end node.
+    than one downward crossing raises a CrossingError carrying D.
     """
-    _check_nodes(u_star, ball)
-    nodes = u_star.s
-    phi, u = ball.phi_star.values, u_star.values
-    D = np.empty(nodes.size)
-    np.subtract(phi[:u.size], u, out=D[:u.size])
-    D[u.size:] = phi[u.size:] - u[-1]  # a step u*'s end node reads its last cell
-    band = 3.0 * float(np.max(np.abs(np.diff(D))))
+    _check_cells(u_star, ball)
+    mids = np.add(u_star.s[:-1], u_star.s[1:])
+    mids *= 0.5  # the cell midpoints, in place
+    D = ball.phi_star.values - u_star.values
+    band = 3.0 * float(np.max(np.abs(np.diff(D)), initial=0.0))  # 0 on one cell
     if float(np.max(np.abs(D))) <= band:
         return CrossingAnalysis(s1=math.nan, crossing_count=0, band=band,
-                                s=nodes, difference=D, identical=True)
+                                s=mids, difference=D, identical=True)
 
     pos = D > band
     neg = D < -band
     if neg.any() and not pos.any() and float(np.max(D)) <= 0.0:
         raise CrossingError(
             "domain profile dominates the ball profile everywhere; the two "
-            "cannot share the unit L^p normalization", s=nodes, difference=D)
+            "cannot share the unit L^p normalization", s=mids, difference=D)
     if not neg.any():
         raise CrossingError(
             "ball profile never falls below the domain profile; no crossing found",
-            s=nodes, difference=D)
+            s=mids, difference=D)
 
     signs = np.where(pos, 1, np.where(neg, -1, 0))
     nz = signs[signs != 0]
@@ -136,7 +135,7 @@ def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall) -> CrossingAn
         if flips != 1 or nz[0] != 1:
             raise CrossingError(
                 f"suppressed difference changes sign {flips} times; expected a "
-                f"single downward crossing", s=nodes, difference=D)
+                f"single downward crossing", s=mids, difference=D)
         i_last_pos = int(np.max(np.nonzero(pos)[0]))
         i_first_neg = int(np.min(np.nonzero(neg[i_last_pos:])[0])) + i_last_pos
     else:
@@ -146,28 +145,30 @@ def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall) -> CrossingAn
         nonneg_prefix = np.nonzero(D[:i_first_neg] >= 0.0)[0]
         if nonneg_prefix.size == 0:
             raise CrossingError("no non-negative prefix before the downward crossing",
-                                s=nodes, difference=D)
+                                s=mids, difference=D)
         i_last_pos = int(nonneg_prefix[-1])
 
     # root of the raw difference at its first sign change in the bracket,
     # where D[i_last_pos] >= 0 > D[i_first_neg]: D[j - 1] >= 0 > D[j]
     j = i_last_pos + int(np.nonzero(D[i_last_pos:i_first_neg + 1] < 0)[0][0])
     d0, d1 = D[j - 1], D[j]
-    s1 = float(nodes[j - 1] + (nodes[j] - nodes[j - 1]) * (d0 / (d0 - d1)))
-    return CrossingAnalysis(s1=s1, crossing_count=1, band=band, s=nodes,
+    s1 = float(mids[j - 1] + (mids[j] - mids[j - 1]) * (d0 / (d0 - d1)))
+    return CrossingAnalysis(s1=s1, crossing_count=1, band=band, s=mids,
                             difference=D, identical=False)
 
 
 def dominance_check(u_star: VolumeProfile, ball: ComparisonBall, p: float,
                     norm_tol: float = 1e-4) -> float:
-    """min over u*'s volume nodes s of I(s) = int_0^s (phi*)^p - int_0^s (u*)^p.
+    """min over u*'s cell edges s of I(s) = int_0^s (phi*)^p - int_0^s (u*)^p.
 
-    phi* must be sampled there (ValueError otherwise).  Both profiles
-    must carry the unit L^p normalization (checked to norm_tol at the ends
-    of the cumulative integrals); the single-crossing structure forces
-    I >= 0 up to discretization, with I(0) = I(|Omega|) = 0.
+    phi* must be a step profile on u*'s cells (ValueError otherwise), so
+    I is compared edge by edge.  Both profiles must carry the unit L^p
+    normalization (checked to norm_tol at the ends of the cumulative
+    integrals); the single-crossing structure forces I >= 0 up to
+    discretization.  I(0) = 0, while I(|Omega|) is phi*'s quadrature
+    deficit, the midpoint rule's error in its unit mass, not exactly 0.
     """
-    _check_nodes(u_star, ball)
+    _check_cells(u_star, ball)
     cum_u, cum_phi = u_star.cumulative(p), ball.phi_star.cumulative(p)
     for name, mass in (("domain", cum_u[-1]), ("ball", cum_phi[-1])):
         if abs(mass - 1.0) > norm_tol:

@@ -67,8 +67,8 @@ class VerificationError(RuntimeError):
 class CrossingError(VerificationError):
     """Crossing analysis could not certify a single sign change.
 
-    The offending difference profile (float arrays of the volume nodes s
-    and the difference there) is attached for diagnostics.
+    The offending difference profile (float arrays of u*'s cell midpoints
+    s and the difference there) is attached for diagnostics.
     """
 
     def __init__(self, message: str, s=None, difference=None):

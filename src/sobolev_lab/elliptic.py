@@ -89,21 +89,17 @@ class SobolevResult:
     trajectory: list = field(default_factory=list)
 
 
-def _axis_count(span: float, h: float) -> int:
-    m = span / h
-    return max(1, int(np.ceil(m - 1e-9)))
-
-
 def build_grid(spec: DomainSpec, h: float) -> GriddedField:
     """Rasterize a domain: nodes on a uniform lattice, masked strictly inside."""
     if not (h > 0):
         raise GridError(f"grid spacing must be positive, got {h}")
     (x0, y0), (x1, y1) = spec.bounding_box()
-    nx = _axis_count(x1 - x0, h) + 1
-    ny = _axis_count(y1 - y0, h) + 1
+    # node counts as floats, judged before any int(): an h that small reads inf
+    nx, ny = (max(1.0, float(np.ceil(span / h - 1e-9))) + 1.0 for span in (x1 - x0, y1 - y0))
     if nx * ny > NODE_BUDGET:
-        raise GridError(f"grid of {nx}x{ny} nodes exceeds the budget of {NODE_BUDGET}")
-    X, Y = np.meshgrid(x0 + h * np.arange(nx), y0 + h * np.arange(ny))
+        raise GridError(f"grid of {nx:g} by {ny:g} nodes at h = {h:g} exceeds the budget "
+                        f"of {NODE_BUDGET}")
+    X, Y = np.meshgrid(x0 + h * np.arange(int(nx)), y0 + h * np.arange(int(ny)))
     mask = spec.contains(X, Y)
     if mask[-1].any() or mask[:, -1].any():  # rounding left them inside: append one outside
         mask = np.pad(mask, ((0, int(mask[-1].any())), (0, int(mask[:, -1].any()))))

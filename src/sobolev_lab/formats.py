@@ -56,20 +56,17 @@ def write_volume_profile(path: str, vp: VolumeProfile,
                          config: Mapping[str, Any] | None = None) -> None:
     """Volume-profile CSV: JSON header line, then `s,value` rows.
 
-    Step profiles write one row per cell (left breakpoint, value); the
-    closing breakpoint is the total_volume header field.  Sampled
-    profiles write their nodes one to one.
+    One row per cell (left edge, value); the closing edge is the
+    total_volume header field.
     """
     fields: dict[str, Any] = {
         "kind": "volume",
-        "step": vp.step,
         "total_volume": vp.total_volume,
         "samples": int(vp.values.size),
     }
     if meta:
         fields.update(meta)
-    s = vp.s[:-1] if vp.step else vp.s
-    write_csv(path, "profile", fields, config, ("s", "value"), zip(s, vp.values))
+    write_csv(path, "profile", fields, config, ("s", "value"), zip(vp.s[:-1], vp.values))
 
 
 def write_field(path: str, field: GriddedField, p: float | None = None,

@@ -87,21 +87,15 @@ class RadialProfile:
 
 @dataclass(frozen=True, eq=False)
 class VolumeProfile:
-    """Non-increasing profile over set volume s in [0, total_volume].
+    """Non-increasing step profile over set volume s in [0, total_volume].
 
-    Two sampling semantics share the type:
-
-    * ``step=False``: point samples of a continuous profile, linear
-      interpolation between them (radial rearrangements phi*).
-    * ``step=True``: ``s`` holds len(values)+1 breakpoints and the profile
-      is constant on each cell (discrete rearrangements u*).  Power
-      integrals are then exact cell sums, which is the trapezoid rule on
-      the step representation.
+    ``s`` holds len(values)+1 cell edges and the profile is constant on
+    each cell: the discrete rearrangement u* of a grid, or phi* read at
+    u*'s cell midpoints.  Power integrals are exact cell sums.
     """
 
     s: np.ndarray
     values: np.ndarray
-    step: bool = False
     _widths: np.ndarray = field(init=False, repr=False)  # np.diff(s), once per profile
     _cell_integrals: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -110,8 +104,7 @@ class VolumeProfile:
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "values", v)
-        expected = s.size - 1 if self.step else s.size
-        if v.size != expected or s.size < 2:
+        if v.size != s.size - 1 or s.size < 2:
             raise ValueError("sample-count mismatch between s and values")
         widths = np.diff(s)
         if s[0] != 0.0 or np.any(widths <= 0):
@@ -128,18 +121,15 @@ class VolumeProfile:
         return float(self.s[-1])
 
     def _cells(self, power: float) -> np.ndarray:
-        """Integral of values**power on each cell by the profile's rule.
+        """Integral of values**power on each cell.
 
         The cells of a power that `cumulative` read are kept and reused;
         any other power is computed for its one sum and not held.
         """
         cells = self._cell_integrals.get(power)
         if cells is None:
-            y = self.values**power
-            cells = y if self.step else y[1:] + y[:-1]
+            cells = self.values**power
             cells *= self._widths  # in place in the fresh power array
-            if not self.step:
-                cells /= 2.0
         return cells
 
     def power_integral(self, power: float = 1.0) -> float:
@@ -147,7 +137,7 @@ class VolumeProfile:
         return float(np.sum(self._cells(power)))
 
     def cumulative(self, power: float = 1.0) -> np.ndarray:
-        """Integral of values**power over [0, s] at each node s, from 0."""
+        """Integral of values**power over [0, s] at each edge s, from 0."""
         cells = self._cell_integrals.setdefault(power, self._cells(power))
         out = np.empty(cells.size + 1)
         out[0] = 0.0
@@ -333,11 +323,12 @@ def cp_ball(n: int, p: float, radius: float = 1.0) -> float:
 
 
 def volume_profile(profile: RadialProfile, s, radius: float = 1.0) -> VolumeProfile:
-    """Rearrangement phi*(s) of the ball extremal at the increasing volume nodes s from 0.
+    """Rearrangement phi* of the ball extremal as a step profile on the cell edges s.
 
-    With R = profile.radius, the radius-rho extremal
+    s increases from 0; each cell holds phi* at its midpoint.  With
+    R = profile.radius, the radius-rho extremal
     phi_rho(x) = (rho/R)^(-n/p) phi(x R/rho) keeps ||phi_rho||_Lp = 1; at
-    volume s it is read at r = (s/|B_rho|)^(1/n) (in units of rho, clipped
+    volume m it is read at r = (m/|B_rho|)^(1/n) (in units of rho, clipped
     to [0, 1]) and is 0 from |B_rho| on.
     """
     if not (radius > 0):
@@ -345,7 +336,9 @@ def volume_profile(profile: RadialProfile, s, radius: float = 1.0) -> VolumeProf
     n, p = profile.n, profile.p
     s = np.asarray(s, dtype=float)
     bvol = unit_ball_volume(n) * radius**n
-    r = np.clip((s / bvol) ** (1.0 / n), 0.0, 1.0)
-    vals = np.where(s < bvol, (radius / profile.radius) ** (-n / p)
+    mid = np.add(s[:-1], s[1:])
+    mid *= 0.5  # the cell midpoints, in place
+    r = np.clip((mid / bvol) ** (1.0 / n), 0.0, 1.0)
+    vals = np.where(mid < bvol, (radius / profile.radius) ** (-n / p)
                     * profile.phi(r * profile.radius), 0.0)
-    return VolumeProfile(s=s, values=vals, step=False)
+    return VolumeProfile(s=s, values=vals)

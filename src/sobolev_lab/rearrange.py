@@ -31,4 +31,4 @@ def decreasing_rearrangement(fld: GriddedField) -> VolumeProfile:
     vals.sort()
     np.negative(vals, out=vals)
     breaks = h2 * np.arange(vals.size + 1, dtype=float)
-    return VolumeProfile(s=breaks, values=vals, step=True)
+    return VolumeProfile(s=breaks, values=vals)

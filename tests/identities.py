@@ -71,12 +71,10 @@ def poisson_solve(grid: GriddedField, rhs, x0: np.ndarray | None = None) -> Grid
 # ------------------------------------------------------------- profiles
 
 def evaluate(vp: VolumeProfile, s_query):
-    """Profile value at s_query; step profiles use left-cell values."""
-    sq = np.asarray(s_query, dtype=float)
-    if vp.step:
-        idx = np.searchsorted(vp.s, sq, side="right") - 1
-        return vp.values[np.clip(idx, 0, vp.values.size - 1)]
-    return np.interp(sq, vp.s, vp.values)
+    """Profile value at s_query: the value of the cell that holds it, cells
+    closed on the left."""
+    idx = np.searchsorted(vp.s, np.asarray(s_query, dtype=float), side="right") - 1
+    return vp.values[np.clip(idx, 0, vp.values.size - 1)]
 
 
 def cumulative_at(vp: VolumeProfile, s_query, power: float = 1.0):
@@ -88,8 +86,8 @@ def cumulative_at(vp: VolumeProfile, s_query, power: float = 1.0):
 def read_profile(path: str) -> tuple[dict, np.ndarray, np.ndarray]:
     """Read a profile CSV back: (header, first column, second column).
 
-    For step volume profiles the first column holds left breakpoints;
-    rebuild the full breakpoint vector by appending total_volume.
+    For volume profiles the first column holds the cells' left edges;
+    rebuild the full edge vector by appending total_volume.
     """
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
@@ -105,9 +103,8 @@ def read_volume_profile(path: str) -> tuple[dict, VolumeProfile]:
     header, s, v = read_profile(path)
     if header.get("kind") != "volume":
         raise ValueError("not a volume-profile file")
-    if header["step"]:  # the closing breakpoint
-        s = np.append(s, float(header["total_volume"]))
-    return header, VolumeProfile(s=s, values=v, step=header["step"])
+    s = np.append(s, float(header["total_volume"]))  # the closing edge
+    return header, VolumeProfile(s=s, values=v)
 
 
 # ------------------------------------------------------- rearrangements
@@ -215,16 +212,17 @@ def verify_integro_differential(vp: VolumeProfile, cp: float, n: int, p: float,
 
         (phi*)'(s) = -cp n^-2 omega_n^(-2/n) s^(-2+2/n) int_0^s (phi*)^(p-1) dt,
 
-    max |LHS - RHS| over s >= s_min, with LHS by one-sided backward
-    differences and RHS by cumulative trapezoid.  The default s_min is
-    max(1% of the total volume, two grid cells) for n <= 2 and 10% for
-    n >= 3: ball profiles behave like max - const*s^(2/n) near s = 0,
-    so for n >= 3 the curvature blows up at the origin and first-order
-    differences need a wider berth from the singular prefactor.  Step
-    profiles (discrete rearrangements) are checked by verify_talenti.
+    max |LHS - RHS| over s >= s_min, for phi* read at the cell midpoints
+    (as radial.volume_profile gives it).  LHS is the slope between adjacent
+    midpoints; RHS is taken at the later one, its integral the exact step
+    integral to that cell's left edge plus half the cell.  The default
+    s_min is max(1% of the total volume, two grid cells) for n <= 2 and
+    10% for n >= 3: ball profiles behave like max - const*s^(2/n) near
+    s = 0, so for n >= 3 the curvature blows up at the origin and
+    first-order differences need a wider berth from the singular
+    prefactor.  Discrete rearrangements u* have no pointwise slope; they
+    are checked by verify_talenti.
     """
-    if vp.step:
-        raise ValueError("step profiles have no pointwise slope; use verify_talenti")
     s, v = vp.s, vp.values
     if s_min is None:
         frac = 0.01 if n <= 2 else 0.10
@@ -232,11 +230,13 @@ def verify_integro_differential(vp: VolumeProfile, cp: float, n: int, p: float,
     if np.all(v == 0.0):
         return 0.0
     omega = unit_ball_volume(n)
-    lhs = np.diff(v) / np.diff(s)
+    mids = 0.5 * (s[:-1] + s[1:])
+    lhs = np.diff(v) / np.diff(mids)
     cum = vp.cumulative(p - 1.0)
-    mid = s[1:]
-    rhs = -cp * n**-2.0 * omega ** (-2.0 / n) * mid ** (-2.0 + 2.0 / n) * cum[1:]
-    keep = mid >= s_min
+    later = mids[1:]
+    rhs = (-cp * n**-2.0 * omega ** (-2.0 / n) * later ** (-2.0 + 2.0 / n)
+           * 0.5 * (cum[1:-1] + cum[2:]))
+    keep = later >= s_min
     if not np.any(keep):
         raise ValueError("s_min excludes every sample")
     return float(np.max(np.abs(lhs[keep] - rhs[keep])))

@@ -187,8 +187,8 @@ def test_criterion_07_hlp_property_suite():
             breaks = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, m))])
             g_vals = np.sort(rng.uniform(0.0, 3.0, m))[::-1]
             f_vals = np.sort(g_vals * rng.uniform(0.3, 1.05, m))[::-1]
-            f = VolumeProfile(s=breaks, values=f_vals, step=True)
-            g = VolumeProfile(s=breaks, values=g_vals, step=True)
+            f = VolumeProfile(s=breaks, values=f_vals)
+            g = VolumeProfile(s=breaks, values=g_vals)
             if not hlp_dominates(f, g, q1):
                 continue
             accepted += 1
@@ -198,8 +198,8 @@ def test_criterion_07_hlp_property_suite():
         accepted_total += accepted
     # the hand-computed pair
     breaks, f_vals, g_vals = oracles.hand_hlp_pair()
-    f = VolumeProfile(s=breaks, values=f_vals, step=True)
-    g = VolumeProfile(s=breaks, values=g_vals, step=True)
+    f = VolumeProfile(s=breaks, values=f_vals)
+    g = VolumeProfile(s=breaks, values=g_vals)
     hand_ok = (hlp_dominates(f, g, 1.0)
                and hlp_conclusion_check(f, g, 1.0, 2.0))
     elapsed = time.perf_counter() - t0

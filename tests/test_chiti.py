@@ -14,6 +14,7 @@ from sobolev_lab.chiti import (ComparisonBall, comparison_ball, constant_K,
                                verify_reverse_holder)
 from sobolev_lab.core import (CrossingError, DomainSpec, VerificationError,
                               alpha)
+from sobolev_lab.elliptic import build_grid, minimize_quotient
 from sobolev_lab.radial import VolumeProfile, unit_ball_profile
 from sobolev_lab.rearrange import decreasing_rearrangement
 
@@ -21,6 +22,11 @@ from sobolev_lab.rearrange import decreasing_rearrangement
 def synthetic_ball(phi: VolumeProfile) -> ComparisonBall:
     """Wrap a hand-built profile so crossing/dominance code can consume it."""
     return ComparisonBall(rho=1.0, bstar_volume=phi.total_volume, phi_star=phi)
+
+
+def midpoints(s: np.ndarray) -> np.ndarray:
+    """The midpoints of the cells with edges s, where hand-built profiles are read."""
+    return 0.5 * (s[:-1] + s[1:])
 
 
 class TestComparisonBall:
@@ -40,9 +46,9 @@ class TestComparisonBall:
         rho = ball.rho
         assert abs(rho - 2.0) < 1e-9
         assert abs(ball.bstar_volume - 4.0 * math.pi) < 1e-8
-        # phi* is read off the dense output at the given nodes, 0 past |B*|
+        # phi* is read off the dense output at the given cells' midpoints, 0 past |B*|
         np.testing.assert_array_equal(ball.phi_star.s, s)
-        expected = rho**-2 * oracles.disk_p1_volume_profile(s / rho**2)
+        expected = rho**-2 * oracles.disk_p1_volume_profile(midpoints(s) / rho**2)
         assert np.max(np.abs(ball.phi_star.values - expected)) < 1e-12
 
     def test_oversized_ball_rejected(self):
@@ -69,13 +75,41 @@ class TestComparisonBall:
             comparison_ball(1.0, n=2, p=1.0, s=np.array([0.0, -1.0]))
 
 
+class TestStepRule:
+    """phi* is a step profile on u*'s cells, read at their midpoints, so the
+    crossing compares one value per cell and dominance one per edge."""
+
+    @pytest.mark.parametrize("spec,p,bound", [
+        (DomainSpec.ellipse(1.0, 0.5), 1.5, 1e-9),   # p-mass error -4.23e-10 measured
+        (DomainSpec.l_shape(1.0, 0.45), 1.7, 1e-8),  # -3.09e-9 measured
+    ], ids=["ellipse", "l-shape"])
+    def test_phi_star_on_cells(self, spec, p, bound):
+        res = minimize_quotient(build_grid(spec, 1.0 / 128), p)
+        u_star = decreasing_rearrangement(res.field)
+        ball = comparison_ball(res.cp, n=2, p=p, s=u_star.s)
+        mid = midpoints(u_star.s)
+        r = np.clip((mid / ball.bstar_volume) ** 0.5, 0.0, 1.0)
+        phi = ball.rho ** (-2.0 / p) * unit_ball_profile(2, p).phi(r)
+        np.testing.assert_array_equal(ball.phi_star.s, u_star.s)
+        np.testing.assert_array_equal(ball.phi_star.values,
+                                      np.where(mid < ball.bstar_volume, phi, 0.0))
+        cross = crossing_analysis(u_star, ball)
+        assert cross.crossing_count == 1
+        assert cross.difference.shape == (u_star.values.size,)
+        np.testing.assert_array_equal(cross.s, mid)
+        I = ball.phi_star.cumulative(p) - u_star.cumulative(p)
+        assert I.shape == u_star.s.shape and I[0] == 0.0
+        assert dominance_check(u_star, ball, p) == I.min()
+        assert abs(ball.phi_star.power_integral(p) - 1.0) <= bound
+
+
 class TestCrossingAnalysis:
     def test_square_crosses_once(self, solve):
         res = solve("square", 2.0)
         u_star = decreasing_rearrangement(res.field)
         ball = comparison_ball(res.cp, n=2, p=2.0, s=u_star.s)
         cross = crossing_analysis(u_star, ball)
-        np.testing.assert_array_equal(cross.s, u_star.s)
+        np.testing.assert_array_equal(cross.s, midpoints(u_star.s))
         assert not cross.identical
         assert cross.crossing_count == 1
         assert 0.0 < cross.s1 < ball.bstar_volume
@@ -91,60 +125,69 @@ class TestCrossingAnalysis:
 
     def test_domain_dominating_everywhere_rejected(self):
         s = np.linspace(0.0, 1.0, 101)
-        phi = VolumeProfile(s=s, values=1.0 - s)
-        u = VolumeProfile(s=s, values=1.05 - s)
+        m = midpoints(s)
+        phi = VolumeProfile(s=s, values=1.0 - m)
+        u = VolumeProfile(s=s, values=1.05 - m)
         with pytest.raises(CrossingError, match="cannot share") as exc:
             crossing_analysis(u, synthetic_ball(phi))
         assert exc.value.difference.shape == exc.value.s.shape
 
+    def test_one_cell_rejected(self):
+        # a single cell has no jump to set a band, and no room for a crossing
+        u = VolumeProfile(s=np.array([0.0, 1.0]), values=np.array([1.0]))
+        with pytest.raises(CrossingError, match="cannot share"):
+            crossing_analysis(u, synthetic_ball(VolumeProfile(s=u.s, values=np.array([0.9]))))
+
     def test_no_crossing_rejected(self):
         s = np.linspace(0.0, 1.0, 101)
-        phi = VolumeProfile(s=s, values=1.0 - s)
-        u = VolumeProfile(s=s, values=0.5 * (1.0 - s))
+        m = midpoints(s)
+        phi = VolumeProfile(s=s, values=1.0 - m)
+        u = VolumeProfile(s=s, values=0.5 * (1.0 - m))
         with pytest.raises(CrossingError, match="no crossing"):
             crossing_analysis(u, synthetic_ball(phi))
 
     def test_multiple_crossings_rejected(self):
         s = np.linspace(0.0, 1.0, 401)
-        phi = VolumeProfile(s=s, values=1.05 - s)
-        u = VolumeProfile(s=s, values=1.05 - s + 0.05 * np.cos(3 * np.pi * s))
+        m = midpoints(s)
+        phi = VolumeProfile(s=s, values=1.05 - m)
+        u = VolumeProfile(s=s, values=1.05 - m + 0.05 * np.cos(3 * np.pi * m))
         with pytest.raises(CrossingError, match="changes sign"):
             crossing_analysis(u, synthetic_ball(phi))
 
     def test_identical_profiles(self):
         s = np.linspace(0.0, 1.0, 101)
-        phi = VolumeProfile(s=s, values=1.0 - s)
+        phi = VolumeProfile(s=s, values=1.0 - midpoints(s))
         cross = crossing_analysis(phi, synthetic_ball(phi))
         assert cross.identical and cross.crossing_count == 0
 
     def test_ball_on_other_nodes_rejected(self, solve):
-        # both stages read phi* and u* on u*'s own nodes, with no resampling
+        # both stages read phi* and u* on u*'s own cells, with no resampling
         res = solve("square", 2.0)
         u_star = decreasing_rearrangement(res.field)
         ball = comparison_ball(res.cp, n=2, p=2.0,
                                s=np.linspace(0.0, u_star.total_volume, 257))
-        with pytest.raises(ValueError, match="volume nodes"):
+        with pytest.raises(ValueError, match="u\\*'s cells"):
             crossing_analysis(u_star, ball)
-        with pytest.raises(ValueError, match="volume nodes"):
+        with pytest.raises(ValueError, match="u\\*'s cells"):
             dominance_check(u_star, ball, p=2.0, norm_tol=1.0)
 
     def test_no_non_negative_prefix_rejected(self):
         # D = phi* - u* climbs from -1 to +0.005, inside its band of 0.015: no
-        # sample lies above the band, and none before the first one below it is >= 0
+        # cell lies above the band, and none before the first one below it is >= 0
         n = 200
         i = np.arange(n)
-        u = VolumeProfile(s=np.arange(n + 1.0), values=3.0 - 2.0 * i / n, step=True)
-        phi_head = u.values - 1.0 + 1.01 * i / n
-        phi = VolumeProfile(s=u.s, values=np.append(phi_head, phi_head[-1]))
+        u = VolumeProfile(s=np.arange(n + 1.0), values=3.0 - 2.0 * i / n)
+        phi = VolumeProfile(s=u.s, values=u.values - 1.0 + 1.01 * i / n)
         with pytest.raises(CrossingError, match="no non-negative prefix") as exc:
             crossing_analysis(u, synthetic_ball(phi))
-        assert exc.value.difference.shape == exc.value.s.shape == (n + 1,)
+        assert exc.value.difference.shape == exc.value.s.shape == (n,)
 
     def test_hand_crossing_location(self):
         # phi = 1 - s and u = 0.75 - 0.5 s cross at s = 0.5 exactly
         s = np.linspace(0.0, 1.0, 101)
-        phi = VolumeProfile(s=s, values=1.0 - s)
-        u = VolumeProfile(s=s, values=0.75 - 0.5 * s)
+        m = midpoints(s)
+        phi = VolumeProfile(s=s, values=1.0 - m)
+        u = VolumeProfile(s=s, values=0.75 - 0.5 * m)
         cross = crossing_analysis(u, synthetic_ball(phi))
         assert cross.crossing_count == 1
         assert abs(cross.s1 - 0.5) < 1e-9
@@ -153,23 +196,23 @@ class TestCrossingAnalysis:
 class TestDominance:
     def test_identical_profiles_give_zero(self):
         s = np.linspace(0.0, 1.0, 101)
-        phi = VolumeProfile(s=s, values=2.0 * (1.0 - s))  # unit L^1 mass
+        phi = VolumeProfile(s=s, values=2.0 * (1.0 - midpoints(s)))  # unit L^1 mass
         assert dominance_check(phi, synthetic_ball(phi), p=1.0) == 0.0
 
     def test_early_excess_detected(self):
         # u carries more mass than phi near s = 0, so I dips negative; u is
-        # 3 on [0, 0.1) and 0.7/0.9 after, as cells on phi's nodes
+        # 3 on [0, 0.1) and 0.7/0.9 after, on phi's cells
         s = np.linspace(0.0, 1.0, 101)
-        phi = VolumeProfile(s=s, values=2.0 * (1.0 - s))
-        u = VolumeProfile(s=s, values=np.where(np.arange(100) < 10, 3.0, 0.7 / 0.9),
-                          step=True)
+        phi = VolumeProfile(s=s, values=2.0 * (1.0 - midpoints(s)))
+        u = VolumeProfile(s=s, values=np.where(np.arange(100) < 10, 3.0, 0.7 / 0.9))
         assert abs(u.power_integral(1.0) - 1.0) < 1e-12
         assert dominance_check(u, synthetic_ball(phi), p=1.0) < -0.05
 
     def test_normalization_gate(self):
         s = np.linspace(0.0, 1.0, 101)
-        phi = VolumeProfile(s=s, values=2.0 * (1.0 - s))
-        bad = VolumeProfile(s=s, values=2.4 * (1.0 - s))
+        m = midpoints(s)
+        phi = VolumeProfile(s=s, values=2.0 * (1.0 - m))
+        bad = VolumeProfile(s=s, values=2.4 * (1.0 - m))
         with pytest.raises(VerificationError, match="L\\^p mass") as exc:
             dominance_check(bad, synthetic_ball(phi), p=1.0)
         assert exc.value.stage == "dominance"

@@ -178,6 +178,14 @@ class TestBuildGrid:
         with pytest.raises(GridError):
             build_grid(DomainSpec.rectangle(1.0, 1.0), h=1e-5)
 
+    @pytest.mark.parametrize("h", [1e-300, 1e-320, 5e-324])
+    def test_spacing_past_any_node_count_rejected(self, h):
+        # span / h passes float range (or nearly): a GridError with short counts,
+        # not an OverflowError from int()
+        with pytest.raises(GridError, match="exceeds the budget") as exc:
+            build_grid(DomainSpec.disk(1.0), h=h)
+        assert len(str(exc.value)) < 100
+
     @pytest.mark.parametrize("h", [0.0, -0.125])
     def test_nonpositive_spacing_rejected(self, h):
         with pytest.raises(GridError, match="grid spacing must be positive"):

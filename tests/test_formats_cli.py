@@ -46,25 +46,14 @@ class TestProfileFiles:
         np.testing.assert_array_equal(r, grid)
         np.testing.assert_array_equal(phi, prof.phi(grid))
 
-    def test_volume_roundtrip_sampled(self, tmp_path):
-        s = np.linspace(0.0, 2.0, 40)
-        vp = VolumeProfile(s=s, values=np.exp(-s))
-        path = str(tmp_path / "vp.csv")
-        write_volume_profile(path, vp)
-        header, back = read_volume_profile(path)
-        assert not header["step"]
-        np.testing.assert_array_equal(back.s, vp.s)
-        np.testing.assert_array_equal(back.values, vp.values)
-        assert back.power_integral(2.0) == vp.power_integral(2.0)
-
     def test_volume_roundtrip_step(self, tmp_path):
         vp = VolumeProfile(s=np.array([0.0, 0.25, 1.0, 1.5]),
-                           values=np.array([3.0, 1.0, 0.25]), step=True)
+                           values=np.array([3.0, 1.0, 0.25]))
         path = str(tmp_path / "vps.csv")
         write_volume_profile(path, vp, meta={"p": 2.0})
         header, back = read_volume_profile(path)
-        assert header["step"] and header["p"] == 2.0
-        assert back.step
+        assert "step" not in header and header["p"] == 2.0
+        assert header["samples"] == 3
         np.testing.assert_array_equal(back.s, vp.s)
         np.testing.assert_array_equal(back.values, vp.values)
         assert back.total_volume == 1.5
@@ -235,6 +224,16 @@ class TestCliDomain:
                    "--out", str(tmp_path)) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("h", ["1e-300", "1e-320"])
+    def test_spacing_past_any_node_count(self, h, tmp_path, capsys):
+        # span / h at or past float range: exit 2 with short counts, no traceback
+        out = tmp_path / "out"
+        assert run("domain", "--spec", '{"shape":"disk","radius":1.0}', "-p", "1",
+                   "--h", h, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exceeds the budget" in err and len(err) < 100
+        assert not out.exists()
+
     def test_malformed_spec(self, tmp_path, capsys):
         assert run("domain", "--spec", '{"shape": "heptagon"}', "-p", "1",
                    "--out", str(tmp_path)) == 2
@@ -322,7 +321,7 @@ class TestCliVerify:
         # main raises instead of returning exit code 2
         def scrambled(fld):
             u_star = decreasing_rearrangement(fld)
-            return VolumeProfile(u_star.s, u_star.values[::-1], step=True)
+            return VolumeProfile(u_star.s, u_star.values[::-1])
         monkeypatch.setattr(chiti, "decreasing_rearrangement", scrambled)
         with pytest.raises(ValueError, match="non-increasing"):
             run("verify", "--spec", SQUARE, "-p", "1", "-q", "2",
@@ -385,7 +384,7 @@ class TestCliRearrange:
         upath = os.path.join(out, "rectangle_height1_width1_p2_h16.ustar.csv")
         assert os.path.exists(upath)
         header, u_star = read_volume_profile(upath)
-        assert header["step"] is True
+        assert "step" not in header
         assert header["source"] == os.path.basename(fpath)
         _, fld = read_field(fpath)
         direct = decreasing_rearrangement(fld)

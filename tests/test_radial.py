@@ -22,8 +22,13 @@ SHOOT_CASES = [(2, 1.0), (2, 1.3), (2, 1.5), (2, 1.8), (2, 2.0),
 
 
 def volume_nodes(n, radius=1.0, num=DEFAULT_GRID):
-    """num equispaced volume nodes from 0 to the volume of the radius ball in R^n."""
+    """num equispaced cell edges from 0 to the volume of the radius ball in R^n."""
     return np.linspace(0.0, unit_ball_volume(n) * radius**n, num)
+
+
+def midpoints(s):
+    """The midpoints of the cells with edges s, where volume_profile reads phi*."""
+    return 0.5 * (s[:-1] + s[1:])
 
 
 class TestShoot:
@@ -190,24 +195,29 @@ class TestScalingLaw:
 
 class TestVolumeProfile:
     def test_endpoints(self):
+        # the first and last cells hold phi at their midpoints' radii
         prof = unit_ball_profile(2, 2.0)
         vp = volume_profile(prof, volume_nodes(2))
+        r = (midpoints(vp.s)[[0, -1]] / math.pi) ** 0.5
         assert vp.s[0] == 0.0
-        assert vp.values[0] == pytest.approx(float(prof.phi(0.0)), rel=1e-12)
-        assert vp.values[-1] == 0.0
+        assert vp.values.size == vp.s.size - 1
+        assert vp.values[0] == pytest.approx(float(prof.phi(r[0])), rel=1e-12)
+        assert vp.values[-1] == pytest.approx(float(prof.phi(r[1])), rel=1e-12)
+        assert vp.values[-1] > 0.0
         assert vp.total_volume == pytest.approx(math.pi, rel=1e-12)
 
     def test_disk_p1_closed_form(self):
         vp = volume_profile(unit_ball_profile(2, 1.0), volume_nodes(2))
-        expected = oracles.disk_p1_volume_profile(vp.s)
+        expected = oracles.disk_p1_volume_profile(midpoints(vp.s))
         assert np.max(np.abs(vp.values - expected)) < 2e-14
 
     def test_scaled_ball(self):
         prof = unit_ball_profile(2, 1.0)
         vp = volume_profile(prof, volume_nodes(2, radius=2.0), radius=2.0)
         assert vp.total_volume == pytest.approx(4 * math.pi, rel=1e-12)
-        # phi_rho(0) = rho^(-n/p) phi(0)
-        assert vp.values[0] == pytest.approx(0.25 * float(prof.phi(0.0)), rel=1e-12)
+        # phi_rho(x) = rho^(-n/p) phi(x / rho), read at the first cell's midpoint
+        r0 = (midpoints(vp.s)[0] / (4 * math.pi)) ** 0.5
+        assert vp.values[0] == pytest.approx(0.25 * float(prof.phi(r0)), rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_profile_of_any_radius(self, p):
@@ -222,34 +232,28 @@ class TestVolumeProfile:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            VolumeProfile(s=np.array([0.1, 1.0]), values=np.array([1.0]), step=True)
+            VolumeProfile(s=np.array([0.1, 1.0]), values=np.array([1.0]))
         with pytest.raises(ValueError):  # increasing values
             VolumeProfile(s=np.array([0.0, 1.0, 2.0]),
-                          values=np.array([0.5, 1.0]), step=True)
+                          values=np.array([0.5, 1.0]))
         with pytest.raises(ValueError):  # non-increasing breakpoints
             VolumeProfile(s=np.array([0.0, 1.0, 1.0]),
-                          values=np.array([1.0, 0.5]), step=True)
+                          values=np.array([1.0, 0.5]))
         with pytest.raises(ValueError, match="sample-count mismatch"):
             VolumeProfile(s=np.array([0.0, 1.0, 2.0]),
-                          values=np.array([1.0, 0.5, 0.0]), step=True)
+                          values=np.array([1.0, 0.5, 0.0]))
         with pytest.raises(ValueError, match="non-negative"):
             VolumeProfile(s=np.array([0.0, 1.0, 2.0]),
-                          values=np.array([0.5, -1.0]), step=True)
+                          values=np.array([0.5, -1.0]))
 
     def test_step_integrals_exact(self):
         vp = VolumeProfile(s=np.array([0.0, 1.0, 3.0]),
-                           values=np.array([2.0, 0.5]), step=True)
+                           values=np.array([2.0, 0.5]))
         assert vp.power_integral(1.0) == pytest.approx(3.0, rel=1e-14)
         assert vp.power_integral(2.0) == pytest.approx(4.5, rel=1e-14)
         assert evaluate(vp, [0.5, 2.0]) == pytest.approx([2.0, 0.5])
         assert cumulative_at(vp, [1.0, 2.0], power=1.0) == pytest.approx([2.0, 2.5])
         assert cumulative_at(vp, [3.0, 5.0], power=2.0) == pytest.approx([4.5, 4.5])
-
-    def test_sampled_semantics(self):
-        vp = VolumeProfile(s=np.array([0.0, 1.0, 2.0]),
-                           values=np.array([1.0, 0.5, 0.0]), step=False)
-        assert evaluate(vp, 0.5) == pytest.approx(0.75)
-        assert vp.power_integral(1.0) == pytest.approx(1.0)
 
 
 class TestIntegroDifferentialCheck:
@@ -269,7 +273,7 @@ class TestIntegroDifferentialCheck:
         assert res[2049] / res[4097] == pytest.approx(2.0, abs=0.4)
 
     def test_zero_profile(self):
-        vp = VolumeProfile(s=np.linspace(0, 1, 33), values=np.zeros(33), step=False)
+        vp = VolumeProfile(s=np.linspace(0, 1, 33), values=np.zeros(32))
         assert verify_integro_differential(vp, 1.0, 2, 2.0) == 0.0
 
     def test_wrong_constant_detected(self):
@@ -278,12 +282,6 @@ class TestIntegroDifferentialCheck:
         good = verify_integro_differential(vp, prof.cp_ball, 2, 2.0)
         bad = verify_integro_differential(vp, 1.1 * prof.cp_ball, 2, 2.0)
         assert bad > 10 * good
-
-    def test_step_profile_rejected(self):
-        vp = VolumeProfile(s=np.array([0.0, 1.0, 3.0]),
-                           values=np.array([2.0, 0.5]), step=True)
-        with pytest.raises(ValueError, match="verify_talenti"):
-            verify_integro_differential(vp, 1.0, 2, 2.0)
 
     def test_s_min_excluding_all_samples_rejected(self):
         prof = unit_ball_profile(2, 2.0)

@@ -53,7 +53,6 @@ class TestDistribution:
 class TestDecreasingRearrangement:
     def test_hand_case(self):
         us = decreasing_rearrangement(tiny_field())
-        assert us.step
         np.testing.assert_allclose(us.values, [3.0, 2.0, 1.0])
         np.testing.assert_allclose(us.s, 0.25 * np.arange(4))
         assert us.total_volume == pytest.approx(0.75)
@@ -128,29 +127,29 @@ class TestVerifyTalenti:
 class TestHLP:
     def test_hand_pair(self):
         breaks, f_vals, g_vals = oracles.hand_hlp_pair()
-        f = VolumeProfile(s=breaks, values=f_vals, step=True)
-        g = VolumeProfile(s=breaks, values=g_vals, step=True)
+        f = VolumeProfile(s=breaks, values=f_vals)
+        g = VolumeProfile(s=breaks, values=g_vals)
         assert hlp_dominates(f, g, q1=1.0)
         assert not hlp_dominates(g, f, q1=1.0)
         assert hlp_conclusion_check(f, g, q1=1.0, q2=2.0)
 
     def test_precondition_failure_distinct(self):
         breaks, f_vals, g_vals = oracles.hand_hlp_pair()
-        f = VolumeProfile(s=breaks, values=f_vals, step=True)
-        g = VolumeProfile(s=breaks, values=g_vals, step=True)
+        f = VolumeProfile(s=breaks, values=f_vals)
+        g = VolumeProfile(s=breaks, values=g_vals)
         with pytest.raises(ValueError, match="dominance precondition"):
             hlp_conclusion_check(g, f, q1=1.0, q2=2.0)
 
     def test_increasing_profile_unrepresentable(self):
         with pytest.raises(ValueError):
             VolumeProfile(s=np.array([0.0, 1.0, 2.0]),
-                          values=np.array([0.5, 1.0]), step=True)
+                          values=np.array([0.5, 1.0]))
 
     def test_mismatched_grids(self):
         f = VolumeProfile(s=np.array([0.0, 0.7, 1.9]),
-                          values=np.array([2.0, 1.0]), step=True)
+                          values=np.array([2.0, 1.0]))
         g = VolumeProfile(s=np.array([0.0, 1.0, 1.5, 2.0]),
-                          values=np.array([1.8, 1.2, 0.3]), step=True)
+                          values=np.array([1.8, 1.2, 0.3]))
         # no assertion on the outcome beyond consistency of the two calls
         if hlp_dominates(f, g, q1=1.0):
             assert hlp_conclusion_check(f, g, q1=1.0, q2=2.0)
@@ -162,10 +161,8 @@ class TestHLP:
         while checked < 100:
             m = int(rng.integers(2, 12))
             breaks = np.concatenate(([0.0], np.sort(rng.uniform(0.1, 4.0, m))))
-            f = VolumeProfile(s=breaks, values=np.sort(rng.uniform(0, 2, m))[::-1],
-                              step=True)
-            g = VolumeProfile(s=breaks, values=np.sort(rng.uniform(0, 2, m))[::-1],
-                              step=True)
+            f = VolumeProfile(s=breaks, values=np.sort(rng.uniform(0, 2, m))[::-1])
+            g = VolumeProfile(s=breaks, values=np.sort(rng.uniform(0, 2, m))[::-1])
             for q1 in (0.5, 1.0, 2.0):
                 if hlp_dominates(f, g, q1):
                     checked += 1
