@@ -67,22 +67,23 @@ def comparison_ball(cp_omega: float, n: int, p: float, s) -> ComparisonBall:
     """Build B* with C_p(B*) = cp_omega via the dilation law rho = (cp/cp_B)^(1/alpha).
 
     phi* is radial.volume_profile of the ball extremal on the increasing
-    cell edges s from 0 to |Omega| (the domain profile's own cells), one
-    value per cell, read at its midpoint.
+    cell edges s from 0 to |Omega|, one value per cell, read at its
+    midpoint; s may be the domain profile u* itself, whose edge and width
+    arrays phi* then shares.
     |B*| may not exceed |Omega| = s[-1] beyond rasterization slack
     (FK_TOL), since a larger comparison ball would contradict the
     isoperimetric ordering of the constants.
     """
-    s = np.asarray(s, dtype=float)
-    if cp_omega <= 0 or s[-1] <= 0:
+    volume = np.asarray(s.s if isinstance(s, VolumeProfile) else s, dtype=float)[-1]
+    if cp_omega <= 0 or volume <= 0:
         raise ValueError("cp_omega and the domain volume s[-1] must be positive")
     prof = unit_ball_profile(n, p)
     rho = (cp_omega / prof.cp_ball) ** (1.0 / alpha(n, p))
     bvol = unit_ball_volume(n) * rho**n
-    if bvol > s[-1] * (1.0 + FK_TOL):
+    if bvol > volume * (1.0 + FK_TOL):
         raise VerificationError(
             f"comparison ball volume {bvol:.6g} exceeds the domain volume "
-            f"{s[-1]:.6g}: the constant is below the ball value, which "
+            f"{volume:.6g}: the constant is below the ball value, which "
             f"violates the isoperimetric ordering", stage="comparison_ball")
     return ComparisonBall(rho=rho, bstar_volume=bvol,
                           phi_star=volume_profile(prof, s, radius=rho))
@@ -269,7 +270,7 @@ def verify_reverse_holder(result: SobolevResult, q_list) -> ReverseHolderReport:
     fld = result.field
     h = fld.h
     u_star = decreasing_rearrangement(fld)
-    ball = comparison_ball(result.cp, 2, p, u_star.s)
+    ball = comparison_ball(result.cp, 2, p, u_star)
     crossing = crossing_analysis(u_star, ball)
     tau_I = DOMINANCE_FACTOR * h
     # the mass gate tracks the stage budget: a truncated ball profile

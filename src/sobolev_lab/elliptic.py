@@ -111,8 +111,14 @@ def build_grid(spec: DomainSpec, h: float) -> GriddedField:
 class _Level:
     """One grid of the multigrid hierarchy, with its operator and work arrays.
 
-    The finest level applies the 5-point Dirichlet Laplacian (stencil None);
-    a coarser level applies its Galerkin operator, a symmetric 9-point
+    The finest level applies the 5-point Dirichlet Laplacian (stencil None)
+    and holds no array of constants: A x = (4 x - sum of neighbors) / h^2 on
+    the mask, with the scalar 1 / h^2, and 0 off it.  The sum of neighbors
+    of an array that is zero off the mask is nonzero only on the mask and
+    its halo, the flat indices of the off-mask nodes with a 5-point
+    neighbor on it, so the halo alone is multiplied by 0 (which keeps the
+    signs of the zeros a mask product leaves).
+    A coarser level applies its Galerkin operator, a symmetric 9-point
     stencil given by its upper half, a read-only (5, ny * nx) array: flat
     coefficients of the centre and the neighbors at (0, 1), (1, -1),
     (1, 0), (1, 1), that vanish outside the mask.
@@ -130,13 +136,14 @@ class _Level:
         self.stencil = stencil
         ny, nx = mask.shape
         if stencil is None:
-            self.scale = mask / h**2
-            # damped Jacobi in closed form, c = dinv b kept for the later sweeps:
+            self.inv_h2 = 1.0 / h**2
+            # damped Jacobi in closed form:
             # x <- (1 - omega) x + dinv b + (omega / 4) * sum of neighbors; the
             # diagonal is constant, so dinv is a scalar (b is zero off the mask)
-            self.dinv = MG_OMEGA / (4.0 * (1.0 / h**2))
-            self.weight = mask * (MG_OMEGA / 4.0)
-            self.c = np.zeros(mask.shape)
+            self.dinv = MG_OMEGA / (4.0 * self.inv_h2)
+            near = self.neighbor_sum(mask, np.empty_like(mask))  # a bool sum is an or
+            near[mask] = False
+            self.halo = np.flatnonzero(near)
         else:
             n = mask.size
             self.neighbors = [(k, slice(0, n - off), slice(off, n))
@@ -165,7 +172,9 @@ class _Level:
             s = self.neighbor_sum(x, self.w)
             np.multiply(x, 4.0, out=out)
             out -= s
-            return np.multiply(out, self.scale, out=out)
+            out *= self.inv_h2
+            out.ravel()[self.halo] *= 0.0
+            return out
         xf, of, wf = x.ravel(), out.ravel(), self.w.ravel()
         np.multiply(S[0], xf, out=of)
         for k, dst, src in self.neighbors:
@@ -178,18 +187,22 @@ class _Level:
     def presmooth(self, b: np.ndarray) -> None:
         """MG_SMOOTH damped Jacobi sweeps on A x = b from x = 0 (the first gives dinv b)."""
         np.multiply(self.dinv, b, out=self.x)
-        if self.stencil is None:
-            np.copyto(self.c, self.x)
         self.smooth(b, MG_SMOOTH - 1)
 
     def smooth(self, b: np.ndarray, sweeps: int) -> None:
-        """Damped Jacobi sweeps x += dinv (b - A x) on self.x (after presmooth(b))."""
+        """Damped Jacobi sweeps x += dinv (b - A x) on self.x (after presmooth(b)).
+
+        On the finest level dinv b is formed once per call, in w, which no
+        sweep there uses otherwise."""
         x, t = self.x, self.t
+        if self.stencil is None:
+            c = np.multiply(self.dinv, b, out=self.w)
         for _ in range(sweeps):
             if self.stencil is None:
                 t = self.neighbor_sum(x, t)
-                t *= self.weight
-                t += self.c
+                t *= MG_OMEGA / 4.0
+                t.ravel()[self.halo] *= 0.0
+                t += c
                 x *= 1.0 - MG_OMEGA
             else:
                 t = self.apply(x, t)

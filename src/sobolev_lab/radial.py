@@ -91,13 +91,15 @@ class VolumeProfile:
 
     ``s`` holds len(values)+1 cell edges and the profile is constant on
     each cell: the discrete rearrangement u* of a grid, or phi* read at
-    u*'s cell midpoints.  Power integrals are exact cell sums.
+    u*'s cell midpoints, which shares u*'s edge and width arrays.  Power
+    integrals are exact cell sums.
     """
 
     s: np.ndarray
     values: np.ndarray
-    _widths: np.ndarray = field(init=False, repr=False)  # np.diff(s), once per profile
-    _cell_integrals: dict = field(default_factory=dict, init=False, repr=False)
+    # np.diff(s), or the widths of the profile whose edges s are passed
+    _widths: np.ndarray | None = field(default=None, repr=False)
+    _integrals: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
@@ -106,14 +108,18 @@ class VolumeProfile:
         object.__setattr__(self, "values", v)
         if v.size != s.size - 1 or s.size < 2:
             raise ValueError("sample-count mismatch between s and values")
-        widths = np.diff(s)
-        if s[0] != 0.0 or np.any(widths <= 0):
-            raise ValueError("s must increase strictly from 0")
+        widths = np.diff(s) if self._widths is None else self._widths
+        # negated tests, so that a nan fails them; a finite s[-1] and positive
+        # widths make every edge finite
+        if s[0] != 0.0 or not math.isfinite(s[-1]) or not np.all(widths > 0):
+            raise ValueError("s must increase strictly from 0 to a finite volume")
         object.__setattr__(self, "_widths", widths)
         slack = 1e-10 * max(float(np.max(np.abs(v))), 1.0)
-        if np.any(np.diff(v) > slack):
+        if not math.isfinite(slack):
+            raise ValueError("profile values must be finite")
+        if not np.all(np.diff(v) <= slack):
             raise ValueError("profile values must be non-increasing")
-        if np.any(v < -slack):
+        if not np.all(v >= -slack):
             raise ValueError("profile values must be non-negative")
 
     @property
@@ -121,24 +127,23 @@ class VolumeProfile:
         return float(self.s[-1])
 
     def _cells(self, power: float) -> np.ndarray:
-        """Integral of values**power on each cell.
-
-        The cells of a power that `cumulative` read are kept and reused;
-        any other power is computed for its one sum and not held.
-        """
-        cells = self._cell_integrals.get(power)
-        if cells is None:
-            cells = self.values**power
-            cells *= self._widths  # in place in the fresh power array
+        """Integral of values**power on each cell, in a fresh array."""
+        cells = self.values**power
+        cells *= self._widths  # in place in the fresh power array
         return cells
 
     def power_integral(self, power: float = 1.0) -> float:
-        """Integral of values**power over [0, total_volume]."""
-        return float(np.sum(self._cells(power)))
+        """Integral of values**power over [0, total_volume]; a power that
+        `cumulative` took is not taken again."""
+        total = self._integrals.get(power)
+        return float(np.sum(self._cells(power))) if total is None else total
 
     def cumulative(self, power: float = 1.0) -> np.ndarray:
-        """Integral of values**power over [0, s] at each edge s, from 0."""
-        cells = self._cell_integrals.setdefault(power, self._cells(power))
+        """Integral of values**power over [0, s] at each edge s, from 0.
+
+        Its cells' sum is kept as the power's integral; the cells are not."""
+        cells = self._cells(power)
+        self._integrals[power] = float(np.sum(cells))
         out = np.empty(cells.size + 1)
         out[0] = 0.0
         np.cumsum(cells, out=out[1:])
@@ -325,20 +330,27 @@ def cp_ball(n: int, p: float, radius: float = 1.0) -> float:
 def volume_profile(profile: RadialProfile, s, radius: float = 1.0) -> VolumeProfile:
     """Rearrangement phi* of the ball extremal as a step profile on the cell edges s.
 
-    s increases from 0; each cell holds phi* at its midpoint.  With
+    s increases from 0, or is a VolumeProfile, whose edge and width arrays
+    phi* then shares; each cell holds phi* at its midpoint.  With
     R = profile.radius, the radius-rho extremal
     phi_rho(x) = (rho/R)^(-n/p) phi(x R/rho) keeps ||phi_rho||_Lp = 1; at
-    volume m it is read at r = (m/|B_rho|)^(1/n) (in units of rho, clipped
-    to [0, 1]) and is 0 from |B_rho| on.
+    volume m it is read at r = (m/|B_rho|)^(1/n) (in units of rho) and is 0
+    from |B_rho| on.  The midpoints are written into the output array, and
+    phi is read only on the cells whose midpoint lies below |B_rho|, a
+    prefix, since s increases; the rest are set to 0.
     """
     if not (radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
     n, p = profile.n, profile.p
-    s = np.asarray(s, dtype=float)
+    widths = s._widths if isinstance(s, VolumeProfile) else None
+    s = np.asarray(s.s if widths is not None else s, dtype=float)
     bvol = unit_ball_volume(n) * radius**n
-    mid = np.add(s[:-1], s[1:])
-    mid *= 0.5  # the cell midpoints, in place
-    r = np.clip((mid / bvol) ** (1.0 / n), 0.0, 1.0)
-    vals = np.where(mid < bvol, (radius / profile.radius) ** (-n / p)
-                    * profile.phi(r * profile.radius), 0.0)
-    return VolumeProfile(s=s, values=vals)
+    vals = np.add(s[:-1], s[1:])
+    vals *= 0.5  # the cell midpoints, in place
+    inside = vals[:int(np.searchsorted(vals, bvol))]
+    inside /= bvol
+    inside **= 1.0 / n  # r in [0, 1]
+    inside *= profile.radius
+    np.multiply((radius / profile.radius) ** (-n / p), profile.phi(inside), out=inside)
+    vals[inside.size:] = 0.0
+    return VolumeProfile(s=s, values=vals, _widths=widths)

@@ -246,6 +246,28 @@ class TestVolumeProfile:
             VolumeProfile(s=np.array([0.0, 1.0, 2.0]),
                           values=np.array([0.5, -1.0]))
 
+    @pytest.mark.parametrize("s,values", [
+        ([0.0, 1.0, 2.0], [np.nan, 1.0]),
+        ([0.0, 1.0, 2.0], [1.0, np.nan]),
+        ([0.0, 1.0, 2.0], [np.inf, 1.0]),
+        ([0.0, 1.0, np.inf], [1.0, 0.5]),
+        ([0.0, np.nan, 2.0], [1.0, 0.5]),
+    ], ids=["nan-value", "nan-tail", "inf-value", "inf-edge", "nan-edge"])
+    def test_rejects_non_finite(self, s, values):
+        # a nan fails every comparison, so the checks are negated passes
+        with pytest.raises(ValueError):
+            VolumeProfile(s=np.array(s), values=np.array(values))
+
+    def test_on_a_profiles_cells(self):
+        # phi* on another profile's cells shares its edge and width arrays
+        # and has the bits it has on those edges
+        prof = unit_ball_profile(2, 1.5)
+        s = volume_nodes(2)
+        cells = VolumeProfile(s=s, values=np.zeros(s.size - 1))
+        vp = volume_profile(prof, cells)
+        assert vp.s is cells.s and vp._widths is cells._widths
+        assert vp.values.tobytes() == volume_profile(prof, s).values.tobytes()
+
     def test_step_integrals_exact(self):
         vp = VolumeProfile(s=np.array([0.0, 1.0, 3.0]),
                            values=np.array([2.0, 0.5]))
