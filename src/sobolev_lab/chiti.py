@@ -53,14 +53,13 @@ class ComparisonBall:
 
 @dataclass(frozen=True, eq=False)
 class CrossingAnalysis:
-    """Sign structure of D = phi* - u* after noise-band suppression."""
+    """Sign structure of D = phi* - u* after noise-band suppression, in scalars."""
 
     s1: float
     crossing_count: int
     band: float
-    s: np.ndarray           # u*'s cell midpoints, one per value of D
-    difference: np.ndarray
-    identical: bool = False
+    max_abs_difference: float
+    identical: bool
 
 
 def comparison_ball(cp_omega: float, n: int, p: float, s) -> ComparisonBall:
@@ -74,9 +73,10 @@ def comparison_ball(cp_omega: float, n: int, p: float, s) -> ComparisonBall:
     (FK_TOL), since a larger comparison ball would contradict the
     isoperimetric ordering of the constants.
     """
-    volume = np.asarray(s.s if isinstance(s, VolumeProfile) else s, dtype=float)[-1]
-    if cp_omega <= 0 or volume <= 0:
-        raise ValueError("cp_omega and the domain volume s[-1] must be positive")
+    volume = float(np.asarray(s.s if isinstance(s, VolumeProfile) else s, dtype=float)[-1])
+    if not (0 < cp_omega < math.inf and 0 < volume < math.inf):
+        raise ValueError(f"cp_omega and the domain volume s[-1] must be finite and "
+                         f"positive, got {cp_omega!r} and {volume!r}")
     prof = unit_ball_profile(n, p)
     rho = (cp_omega / prof.cp_ball) ** (1.0 / alpha(n, p))
     bvol = unit_ball_volume(n) * rho**n
@@ -94,6 +94,11 @@ def _check_cells(u_star: VolumeProfile, ball: ComparisonBall) -> None:
         raise ValueError("phi* is not a step profile on u*'s cells")
 
 
+def _crossing_error(message: str, s: np.ndarray, D: np.ndarray) -> CrossingError:
+    """A CrossingError carrying D at the midpoints of the cells with edges s."""
+    return CrossingError(message, s=0.5 * (s[:-1] + s[1:]), difference=D)
+
+
 def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall) -> CrossingAnalysis:
     """Locate the single crossing of D = phi* - u* on u*'s cells.
 
@@ -105,57 +110,51 @@ def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall) -> CrossingAn
     rearrangement jumps by O(h) wherever a level set sweeps a whole
     lattice row, so the worst single-cell jump measures the
     discretization noise floor without looking at D's magnitude itself.
-    max |D| < band over the whole interval reports identical profiles
+    max |D| <= band over the whole interval reports identical profiles
     (the ball equality case) rather than an error; any other sign pattern
-    than one downward crossing raises a CrossingError carrying D.
+    than one downward crossing raises a CrossingError carrying D.  D and
+    its temporaries are freed on return; the record keeps scalars.
     """
     _check_cells(u_star, ball)
-    mids = np.add(u_star.s[:-1], u_star.s[1:])
-    mids *= 0.5  # the cell midpoints, in place
+    s = u_star.s
     D = ball.phi_star.values - u_star.values
     band = 3.0 * float(np.max(np.abs(np.diff(D)), initial=0.0))  # 0 on one cell
-    if float(np.max(np.abs(D))) <= band:
+    max_abs = max(float(np.max(D)), -float(np.min(D)))  # max |D|, with no copy of D
+    if max_abs <= band:
         return CrossingAnalysis(s1=math.nan, crossing_count=0, band=band,
-                                s=mids, difference=D, identical=True)
+                                max_abs_difference=max_abs, identical=True)
 
     pos = D > band
     neg = D < -band
-    if neg.any() and not pos.any() and float(np.max(D)) <= 0.0:
-        raise CrossingError(
-            "domain profile dominates the ball profile everywhere; the two "
-            "cannot share the unit L^p normalization", s=mids, difference=D)
     if not neg.any():
-        raise CrossingError(
-            "ball profile never falls below the domain profile; no crossing found",
-            s=mids, difference=D)
-
-    signs = np.where(pos, 1, np.where(neg, -1, 0))
-    nz = signs[signs != 0]
-    flips = int(np.count_nonzero(np.diff(nz) != 0))
+        raise _crossing_error(
+            "ball profile never falls below the domain profile; no crossing found", s, D)
     if pos.any():
-        if flips != 1 or nz[0] != 1:
-            raise CrossingError(
-                f"suppressed difference changes sign {flips} times; expected a "
-                f"single downward crossing", s=mids, difference=D)
-        i_last_pos = int(np.max(np.nonzero(pos)[0]))
-        i_first_neg = int(np.min(np.nonzero(neg[i_last_pos:])[0])) + i_last_pos
+        i_last_pos = int(np.flatnonzero(pos)[-1])
+        if neg[:i_last_pos].any():  # not one downward crossing: count the sign changes
+            signs = pos.view(np.int8) - neg.view(np.int8)  # +1, -1, or 0 inside the band
+            flips = int(np.count_nonzero(np.diff(signs[signs != 0])))
+            raise _crossing_error(f"suppressed difference changes sign {flips} times; "
+                                  f"expected a single downward crossing", s, D)
+    elif float(np.max(D)) <= 0.0:
+        raise _crossing_error("domain profile dominates the ball profile everywhere; the "
+                              "two cannot share the unit L^p normalization", s, D)
     else:
-        # positive part smaller than the band but genuinely present:
-        # the crossing hides at the top; take the last non-negative sample
-        i_first_neg = int(np.min(np.nonzero(neg)[0]))
-        nonneg_prefix = np.nonzero(D[:i_first_neg] >= 0.0)[0]
+        # a positive part inside the band: the crossing hides at the top, after
+        # the last non-negative sample before the first one below the band
+        nonneg_prefix = np.flatnonzero(D[:int(np.argmax(neg))] >= 0.0)
         if nonneg_prefix.size == 0:
-            raise CrossingError("no non-negative prefix before the downward crossing",
-                                s=mids, difference=D)
+            raise _crossing_error("no non-negative prefix before the downward crossing", s, D)
         i_last_pos = int(nonneg_prefix[-1])
 
-    # root of the raw difference at its first sign change in the bracket,
-    # where D[i_last_pos] >= 0 > D[i_first_neg]: D[j - 1] >= 0 > D[j]
-    j = i_last_pos + int(np.nonzero(D[i_last_pos:i_first_neg + 1] < 0)[0][0])
+    # root of the raw difference at its first sign change after i_last_pos,
+    # where D[i_last_pos] >= 0 and a cell below the band follows: D[j - 1] >= 0 > D[j]
+    j = i_last_pos + int(np.argmax(D[i_last_pos:] < 0))
     d0, d1 = D[j - 1], D[j]
-    s1 = float(mids[j - 1] + (mids[j] - mids[j - 1]) * (d0 / (d0 - d1)))
-    return CrossingAnalysis(s1=s1, crossing_count=1, band=band, s=mids,
-                            difference=D, identical=False)
+    m0, m1 = (s[j - 1] + s[j]) * 0.5, (s[j] + s[j + 1]) * 0.5  # the two cells' midpoints
+    s1 = float(m0 + (m1 - m0) * (d0 / (d0 - d1)))
+    return CrossingAnalysis(s1=s1, crossing_count=1, band=band,
+                            max_abs_difference=max_abs, identical=False)
 
 
 def dominance_check(u_star: VolumeProfile, ball: ComparisonBall, p: float,
@@ -188,8 +187,8 @@ def constant_K(n: int, p: float, q: float, cp_omega: float) -> float:
     The two must agree to TWO_PATH_RTOL or the computation aborts.
     """
     check_exponents(n, p, [q])
-    if cp_omega <= 0:
-        raise ValueError("cp_omega must be positive")
+    if not 0 < cp_omega < math.inf:
+        raise ValueError(f"cp_omega must be finite and positive, got {cp_omega!r}")
     prof = unit_ball_profile(n, p)
     a = alpha(n, p)
     expo = (n / a) * (1.0 / p - 1.0 / q)
@@ -268,11 +267,10 @@ def verify_reverse_holder(result: SobolevResult, q_list) -> ReverseHolderReport:
         raise VerificationError(str(exc), stage="preconditions") from exc
     qs = [float(q) for q in qs]
     fld = result.field
-    h = fld.h
     u_star = decreasing_rearrangement(fld)
     ball = comparison_ball(result.cp, 2, p, u_star)
     crossing = crossing_analysis(u_star, ball)
-    tau_I = DOMINANCE_FACTOR * h
+    tau_I = DOMINANCE_FACTOR * fld.h
     # the mass gate tracks the stage budget: a truncated ball profile
     # (B* spilling past |Omega| by rasterization slack) shifts I by at
     # most its mass deficit, which tau_I absorbs
@@ -287,7 +285,7 @@ def verify_reverse_holder(result: SobolevResult, q_list) -> ReverseHolderReport:
                                      margin=norm[p] - rhs))
     return ReverseHolderReport(
         domain=fld.spec.to_json() if fld.spec is not None else None,
-        n=2, p=p, h=h, cp=result.cp, rho=ball.rho,
+        n=2, p=p, h=fld.h, cp=result.cp, rho=ball.rho,
         omega_volume=u_star.total_volume, bstar_volume=ball.bstar_volume,
         crossing=crossing, dominance_min=dom_min, tau_margin=MARGIN_TOL,
         tau_dominance=tau_I, rows=rows)

@@ -68,7 +68,8 @@ class CrossingError(VerificationError):
     """Crossing analysis could not certify a single sign change.
 
     The offending difference profile (float arrays of u*'s cell midpoints
-    s and the difference there) is attached for diagnostics.
+    s and the difference there) is attached for diagnostics, built only on
+    this path, which ends the run: a CrossingAnalysis keeps scalars.
     """
 
     def __init__(self, message: str, s=None, difference=None):

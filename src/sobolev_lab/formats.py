@@ -146,7 +146,7 @@ def report_to_dict(report) -> dict:
             "count": cr.crossing_count,
             "s1": cr.s1,
             "band": cr.band,
-            "max_abs_difference": float(np.max(np.abs(cr.difference))),
+            "max_abs_difference": cr.max_abs_difference,
         },
         "dominance_min": report.dominance_min,
         "tau_margin": report.tau_margin,

@@ -70,8 +70,10 @@ class TestComparisonBall:
         assert ball.phi_star.total_volume == total
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            comparison_ball(0.0, n=2, p=1.0, s=np.linspace(0.0, 1.0, 5))
+        # a nan or infinite constant is refused by name, not met later as a radius
+        for cp in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="cp_omega"):
+                comparison_ball(cp, n=2, p=1.0, s=np.linspace(0.0, 1.0, 5))
         with pytest.raises(ValueError):
             comparison_ball(1.0, n=2, p=1.0, s=np.array([0.0, -1.0]))
 
@@ -96,8 +98,8 @@ class TestStepRule:
                                       np.where(mid < ball.bstar_volume, phi, 0.0))
         cross = crossing_analysis(u_star, ball)
         assert cross.crossing_count == 1
-        assert cross.difference.shape == (u_star.values.size,)
-        np.testing.assert_array_equal(cross.s, mid)
+        # max |D| of D = phi* - u* on u*'s cells, one value per cell
+        assert cross.max_abs_difference == np.max(np.abs(ball.phi_star.values - u_star.values))
         I = ball.phi_star.cumulative(p) - u_star.cumulative(p)
         assert I.shape == u_star.s.shape and I[0] == 0.0
         assert dominance_check(u_star, ball, p) == I.min()
@@ -110,10 +112,15 @@ class TestCrossingAnalysis:
         u_star = decreasing_rearrangement(res.field)
         ball = comparison_ball(res.cp, n=2, p=2.0, s=u_star.s)
         cross = crossing_analysis(u_star, ball)
-        np.testing.assert_array_equal(cross.s, midpoints(u_star.s))
+        D = ball.phi_star.values - u_star.values
+        assert cross.max_abs_difference == np.max(np.abs(D))
         assert not cross.identical
         assert cross.crossing_count == 1
         assert 0.0 < cross.s1 < ball.bstar_volume
+        # s1 interpolates D between two adjacent cell midpoints where it turns negative
+        mid = midpoints(u_star.s)
+        k = int(np.searchsorted(mid, cross.s1)) - 1
+        assert mid[k] <= cross.s1 < mid[k + 1] and D[k] >= 0.0 > D[k + 1]
 
     def test_disk_reports_identical(self, solve):
         res = solve("disk", 2.0)
@@ -256,8 +263,10 @@ class TestConstantK:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="must be >="):
             constant_K(2, 2.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="positive"):
-            constant_K(2, 1.0, 2.0, 0.0)
+        # nan would fail the two-path check silently (nan != nan) and inf give K = 0
+        for cp in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="cp_omega must be finite and positive"):
+                constant_K(2, 1.0, 2.0, cp)
         with pytest.raises(ValueError):
             khat(2, 2.0, 1.5)
 
@@ -339,13 +348,12 @@ class TestVerifyReverseHolder:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0], ids=["p1", "p1.5", "p2"])
     def test_memory_stays_under_the_solve(self, monkeypatch, p):
-        # a cold solve on the disk at h = 1/128, then verify on its result,
-        # counting what the solve left behind (the field and the kept coarse
-        # operators): 9.93, 9.97 and 9.94 arrays measured against the solve's
-        # 11.00, 11.87 and 11.86.  phi* shares u*'s cells, and a power's
-        # integral is kept as a float, not as an array of cells.
-        grid = build_grid(DomainSpec.disk(1.0), 1.0 / 128)
-        monkeypatch.setattr(elliptic, "_last_operators", None)
+        # a cold solve at h = 1/128, then verify on its result, counting what
+        # the solve left behind (the field and the kept coarse operators).
+        # Measured at p = 1, 1.5 and 2, in grid arrays: the disk 9.25, 9.29
+        # and 9.26, the ellipse 9.13, 8.99 and 8.87, the l-shape 8.76, 8.57 and
+        # 8.44, against the solves' 11.00 to 12.79.  phi* shares u*'s cells,
+        # a power's integral is kept as a float, and the reports hold no array.
         profiles = []
 
         def kept(profile):
@@ -356,24 +364,31 @@ class TestVerifyReverseHolder:
                             lambda fld: kept(decreasing_rearrangement(fld)))
         monkeypatch.setattr(chiti, "comparison_ball",
                             lambda *args: kept(comparison_ball(*args)))
-        tracemalloc.start()
-        try:
-            res = minimize_quotient(grid, p)
-            solve_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            verify_reverse_holder(res, [p, 3.0, 4.0])
-            verify_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert verify_peak <= 10.5 * grid.values.nbytes
-        assert verify_peak < solve_peak
-        u_star, ball = profiles
-        assert np.shares_memory(ball.phi_star._widths, u_star._widths)
-        for profile in (u_star, ball.phi_star):
-            arrays = [v for v in vars(profile).values() if isinstance(v, np.ndarray)]
-            assert len(arrays) == 3  # s, values and the widths
-            assert profile._integrals and all(type(v) is float
-                                              for v in profile._integrals.values())
+        for spec in (DomainSpec.disk(1.0), DomainSpec.ellipse(1.0, 0.5),
+                     DomainSpec.l_shape(1.0, 0.45)):
+            grid = build_grid(spec, 1.0 / 128)
+            monkeypatch.setattr(elliptic, "_last_operators", None)
+            profiles.clear()
+            tracemalloc.start()
+            try:
+                res = minimize_quotient(grid, p)
+                solve_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                report = verify_reverse_holder(res, [p, 3.0, 4.0])
+                verify_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert verify_peak <= 9.5 * grid.values.nbytes, spec
+            assert verify_peak < solve_peak, spec
+            for record in (report, report.crossing):
+                assert not any(isinstance(v, np.ndarray) for v in vars(record).values())
+            u_star, ball = profiles
+            assert np.shares_memory(ball.phi_star._widths, u_star._widths)
+            for profile in (u_star, ball.phi_star):
+                arrays = [v for v in vars(profile).values() if isinstance(v, np.ndarray)]
+                assert len(arrays) == 3  # s, values and the widths
+                assert profile._integrals and all(type(v) is float
+                                                  for v in profile._integrals.values())
 
     def test_each_power_taken_once(self, solve, monkeypatch):
         # u* is raised to p and to every other q once, phi* to p once
