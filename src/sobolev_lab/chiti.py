@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AdmissibilityError, CrossingError, VerificationError, alpha,
-                   check_exponents, unit_ball_volume)
+                   check_exponents, checked_power, unit_ball_volume)
 from .elliptic import SobolevResult
 from .radial import VolumeProfile, unit_ball_profile, volume_profile
 from .rearrange import decreasing_rearrangement
@@ -78,8 +78,9 @@ def comparison_ball(cp_omega: float, n: int, p: float, s) -> ComparisonBall:
         raise ValueError(f"cp_omega and the domain volume s[-1] must be finite and "
                          f"positive, got {cp_omega!r} and {volume!r}")
     prof = unit_ball_profile(n, p)
-    rho = (cp_omega / prof.cp_ball) ** (1.0 / alpha(n, p))
-    bvol = unit_ball_volume(n) * rho**n
+    what = f"the comparison ball of cp_omega = {cp_omega!r}"
+    rho = checked_power(cp_omega / prof.cp_ball, 1.0 / alpha(n, p), f"the radius of {what}")
+    bvol = unit_ball_volume(n) * checked_power(rho, n, f"the volume of {what}")
     if bvol > volume * (1.0 + FK_TOL):
         raise VerificationError(
             f"comparison ball volume {bvol:.6g} exceeds the domain volume "
@@ -192,10 +193,12 @@ def constant_K(n: int, p: float, q: float, cp_omega: float) -> float:
     prof = unit_ball_profile(n, p)
     a = alpha(n, p)
     expo = (n / a) * (1.0 / p - 1.0 / q)
-    rho = (cp_omega / prof.cp_ball) ** (1.0 / a)
+    what = f"cp_omega = {cp_omega!r}"
+    rho = checked_power(cp_omega / prof.cp_ball, 1.0 / a, f"the ball radius of {what}")
     # ||phi_rho||_q = rho^(n/q - n/p) ||phi||_q on the unit ball
-    direct = rho ** (n * (1.0 / p - 1.0 / q)) * prof.lp_norm(p) / prof.lp_norm(q)
-    via_power = khat(n, p, q) * cp_omega**expo
+    direct = (checked_power(rho, n * (1.0 / p - 1.0 / q), f"K of {what}")
+              * prof.lp_norm(p) / prof.lp_norm(q))
+    via_power = khat(n, p, q) * checked_power(cp_omega, expo, f"K of {what}")
     if abs(direct - via_power) > TWO_PATH_RTOL * abs(direct):
         raise VerificationError(
             f"two-path constant mismatch: {direct!r} vs {via_power!r}", stage="constant")

@@ -150,6 +150,20 @@ def alpha(n: int, p: float) -> float:
     return n - 2.0 - 2.0 * n / p
 
 
+def checked_power(base: float, exponent: float, what: str) -> float:
+    """base ** exponent, or a ValueError naming what unless it is finite and
+    positive: out of float range a Python float power raises
+    ZeroDivisionError or OverflowError, or underflows to 0, so numpy
+    scalars are taken as Python floats, whose power warns of nothing."""
+    try:
+        value = float(base) ** float(exponent)
+    except (ZeroDivisionError, OverflowError):
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} is out of float range")
+    return value
+
+
 def _real(val) -> bool:
     """A real number, not a bool, within float range (so not nan or infinite)."""
     return (isinstance(val, numbers.Real) and not isinstance(val, bool)

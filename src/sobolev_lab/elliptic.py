@@ -123,14 +123,17 @@ class _Level:
     coefficients of the centre and the neighbors at (0, 1), (1, -1),
     (1, 0), (1, 1), that vanish outside the mask.
     Either way A x is zero outside the mask, and neighbors outside it carry
-    u = 0.
+    u = 0.  A level's temporaries t and w are dead whenever another level
+    works, so a coarse level given the finest level fine works in
+    contiguous prefixes of fine's t and w; only its iterate x and
+    right-hand side b are its own.
     Neighbors are flat offsets dy * nx + dx into the row-major arrays; an
     offset that wraps around a row end meets a zero coefficient, or on the
     finest level a frame node, outside the mask (see minimize_quotient).
     """
 
     def __init__(self, mask: np.ndarray, stencil: np.ndarray | None = None,
-                 h: float | None = None):
+                 h: float | None = None, fine: _Level | None = None):
         self.mask = mask
         self.size = int(np.count_nonzero(mask))
         self.stencil = stencil
@@ -152,7 +155,12 @@ class _Level:
                                   out=np.zeros(mask.shape), where=mask)
             self.b = np.zeros(mask.shape)  # the restricted right-hand side
         # work arrays: the iterate and two temporaries
-        self.x, self.t, self.w = (np.zeros(mask.shape) for _ in range(3))
+        self.x = np.zeros(mask.shape)
+        if fine is None:
+            self.t, self.w = np.zeros(mask.shape), np.zeros(mask.shape)
+        else:
+            self.t, self.w = (a.reshape(-1)[:mask.size].reshape(mask.shape)
+                              for a in (fine.t, fine.w))
 
     def neighbor_sum(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = sum of the four 5-point neighbors of x (finest level)."""
@@ -300,7 +308,8 @@ def _coarse_operators(fine: _Level, h: float) -> tuple:
     Levels coarsen by mask[::2, ::2] with bilinear prolongation P and
     Galerkin operators P^T A P while a level has more than MG_COARSE_SIZE
     nodes (or until the coarse mask is empty); the first is probed on fine
-    itself, whose work arrays it overwrites.  They depend on the mask and
+    itself, whose work arrays it overwrites, and each coarser one on a
+    level that works in fine's temporaries.  They depend on the mask and
     h alone, so the last grid's operators are kept, as copies set read-only,
     and a solve on the same mask and h reuses them.  The slot is emptied
     before any other grid's build, so two grids' operators never coexist.
@@ -321,7 +330,7 @@ def _coarse_operators(fine: _Level, h: float) -> tuple:
         stencil = _galerkin(level, coarse)[4:].copy()
         coarse.flags.writeable = stencil.flags.writeable = False
         galerkin.append((coarse, stencil))
-        level = _Level(coarse, stencil)
+        level = _Level(coarse, stencil, fine=fine)
     inverse = None
     if level.size <= MG_COARSE_SIZE:
         # the bottom operator is symmetric, so its image of unit vector k is row k
@@ -350,16 +359,17 @@ class _VCycle:
     correction, keeps the cycle a symmetric positive definite operator, as
     conjugate gradients requires.  Each cycle wraps the shared read-only
     operators in levels of its own, so concurrent solves share nothing
-    they write.  The cycle is a plain loop over the levels, not a
-    recursive closure, so it holds no reference cycle: its levels are
-    freed as soon as its solve is done, while the last grid's read-only
-    operators are kept until another grid's build.
+    they write; its coarse levels work in its finest level's temporaries.
+    The cycle is a plain loop over the levels, not a recursive closure,
+    so it holds no reference cycle: its levels are freed as soon as its
+    solve is done, while the last grid's read-only operators are kept
+    until another grid's build.
     """
 
     def __init__(self, mask: np.ndarray, h: float):
         fine = _Level(mask, h=h)
         galerkin, self.inverse = _coarse_operators(fine, h)
-        levels = [fine] + [_Level(m, stencil) for m, stencil in galerkin]
+        levels = [fine] + [_Level(m, stencil, fine=fine) for m, stencil in galerkin]
         self.fine, self.bottom, self.levels = levels[0], levels[-1], levels[:-1]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
@@ -397,8 +407,10 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M, work: np.ndarray | None = Non
     holds for the iterate x and its recursive residual r.  Returns the
     solution and its iteration count.  It works in the caller's arrays: b
     becomes the residual, x0 (a float array), when given, the iterate, and
-    work, when given, the inner products' scratch; beyond those it
-    allocates only the search direction and the operator's image.  Inner
+    work, when given, the inner products' scratch.  It writes the
+    operator's image A p over M's output, which is dead once the search
+    direction holds it, so M(r) must return an array other than r; beyond
+    those it allocates only the search direction, one grid array.  Inner
     products are np.sum of products, pairwise sums that do not go through
     BLAS, so x has the same bits at any BLAS thread count.
     """
@@ -412,9 +424,9 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M, work: np.ndarray | None = Non
     if bnorm == 0.0:
         return np.zeros_like(b), 0
     x = np.zeros_like(b) if x0 is None else x0
-    r, q = b, np.empty_like(b)
+    r, p = b, np.empty_like(b)
     if x.any():
-        r -= A(x, q)
+        r -= A(x, p)
     for it in range(CG_MAXITER):
         rr = dot(r, r)
         if np.sqrt(rr) < CG_RTOL * bnorm or (it and stop is not None and stop(x, r, rr)):
@@ -425,8 +437,9 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M, work: np.ndarray | None = Non
             p *= rho / rho_prev
             p += z
         else:
-            p = z.copy()
-        alpha = rho / dot(p, A(p, q))
+            np.copyto(p, z)
+        q = A(p, z)  # z is dead once p holds it
+        alpha = rho / dot(p, q)
         x += np.multiply(p, alpha, out=work)
         r -= np.multiply(q, alpha, out=work)
         rho_prev = rho
@@ -436,20 +449,30 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M, work: np.ndarray | None = Non
         f"iterations (relative residual {res:.3e})", trajectory=[res])
 
 
-def quotient(fld: GriddedField, p: float) -> float:
+def quotient(fld: GriddedField, p: float, work: np.ndarray | None = None) -> float:
     """Discrete Sobolev quotient of a field.
 
     Dirichlet energy by forward differences over all cell edges (zero
     outside the mask); the L^p norm by node sums times h^2.  In two
-    dimensions the h factors in the energy cancel.
+    dimensions the h factors in the energy cancel.  Everything is worked
+    out in work, a float array of the field's size (a fresh one if None):
+    each difference array, squared in place, and then the mask's values,
+    gathered a sixteenth of the rows at a time, in contiguous prefixes of
+    it, so the sums are those of np.diff's and v[mask]'s arrays.  Given
+    work, it allocates at most a sixteenth of a grid array.
     """
-    v = fld.values
+    v, mask = fld.values, fld.mask
+    flat = np.empty(v.size) if work is None else work.reshape(-1)
     energy = 0.0
-    for axis in (0, 1):  # one difference array at a time, squared in place
-        dv = np.diff(v, axis=axis)
+    for hi, lo in ((v[1:], v[:-1]), (v[:, 1:], v[:, :-1])):
+        dv = np.subtract(hi, lo, out=flat[:hi.size].reshape(hi.shape))
         energy += float(np.sum(np.square(dv, out=dv)))
-        del dv
-    m = v[fld.mask]
+    n, rows = 0, -(-v.shape[0] // 16)
+    for i in range(0, v.shape[0], rows):
+        block = v[i:i + rows][mask[i:i + rows]]
+        flat[n:n + block.size] = block
+        n += block.size
+    m = flat[:n]
     np.abs(m, out=m)
     m **= p
     mass = float(np.sum(m)) * fld.h**2
@@ -599,7 +622,7 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
         after cg has freed its own: scaled in place, the solve's x left the
         heap so that a later verify at p = 1 peaked 3-4 MB higher in RSS."""
         x = x / _lp_scale(x, p, h2, t)
-        return x, quotient(as_field(x), p)
+        return x, quotient(as_field(x), p, t)
 
     if p == 1.0:  # u^0 is 1 on the mask, whatever u: solve A x = 1 there
         # mu <= lambda_1(A): the least eigenvalue of the 5-point matrix on the
@@ -635,17 +658,19 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
         return SobolevResult(field=as_field(x), cp=cp, iterations=1,
                              residual=max(0.0, 1.0 - cp_lower / cp), p=p, trajectory=[cp])
     u = mask / (np.count_nonzero(mask) * h2) ** (1.0 / p)
-    # u, the previous step d, A u then r then W in s, the candidate v (and
-    # Q u^(p-1) while v is free); w = M(r) is the V-cycle's own work array
-    d, s, v = (np.empty_like(u) for _ in range(3))
+    # u, the previous step d, and s: A u, then r, then W, then the candidate;
+    # w = M(r) is the V-cycle's output, and the finest level's own w, free
+    # outside A and M, takes Q u^(p-1) and the products W x
+    d, s = np.empty_like(u), np.empty_like(u)
+    fw = M.fine.w
     have_d = False
 
-    cp = quotient(as_field(u), p)
+    cp = quotient(as_field(u), p, t)
     for it in range(1, max_iter + 1):
         k = 2 + have_d  # the basis u, w and, when there is one, d
         a, b = [[0.0] * k for _ in range(k)], [[0.0] * k for _ in range(k)]
         a[0][0] = dot(u, A(u, s))
-        np.subtract(s, np.multiply(np.power(u, p - 1.0, out=v), cp, out=v), out=s)
+        np.subtract(s, np.multiply(np.power(u, p - 1.0, out=fw), cp, out=fw), out=s)
         basis = [u, M(s)] + [d] * have_d
         for j, x in enumerate(basis[1:], start=1):
             y = A(x, s)
@@ -653,7 +678,7 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
                 a[i][j] = a[j][i] = dot(basis[i], y)
         np.power(np.maximum(u, W_FLOOR * float(u.max()), out=s), p - 2.0, out=s)
         for j, x in enumerate(basis):
-            y = np.multiply(s, x, out=v)
+            y = np.multiply(s, x, out=fw)
             for i in range(j + 1):
                 b[i][j] = b[j][i] = dot(basis[i], y)
         # B = (p - 1) W + (2 - p) g g^T / (u . g), and u . W x = g . x
@@ -662,23 +687,23 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
         c = _ritz(a, b)
         cp_v = math.inf  # the candidate's quotient; inf if there is none
         if c is not None:
-            np.multiply(u, c[0], out=v)
+            np.multiply(u, c[0], out=s)
             for ci, x in zip(c[1:], basis[1:]):
-                v += np.multiply(x, ci, out=t)
-            np.maximum(v, np.multiply(u, W_FLOOR * max(c[0], 0.0), out=t), out=v)
-            scale = _lp_scale(v, p, h2, t)
+                s += np.multiply(x, ci, out=t)
+            np.maximum(s, np.multiply(u, W_FLOOR * max(c[0], 0.0), out=t), out=s)
+            scale = _lp_scale(s, p, h2, t)
             if scale > 0.0:
-                v /= scale
-                cp_v = quotient(as_field(v), p)
+                s /= scale
+                cp_v = quotient(as_field(s), p, t)
         if cp_v <= cp:
-            np.subtract(v, u, out=d)
+            np.subtract(s, u, out=d)
             have_d = True
         elif cp_v > cp + 4.0 * math.ulp(cp):  # else Q has converged to roundoff
-            x = solve(it, np.maximum(u, 0.0) ** (p - 1.0) * mask, np.divide(u, cp, out=v))
-            v, cp_v = normalized(np.maximum(x, 0.0, out=x))
+            x = solve(it, np.maximum(u, 0.0) ** (p - 1.0) * mask, np.divide(u, cp, out=s))
+            s, cp_v = normalized(np.maximum(x, 0.0, out=x))
             have_d = False
-        if cp_v <= cp:
-            u, v = v, u
+        if cp_v <= cp:  # the candidate becomes u, and u the scratch s
+            u, s = s, u
         else:  # nothing lowered Q: u stays, and the stop rule holds
             cp_v = cp
         delta = (cp - cp_v) / cp

@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InputError, SolverError, alpha, check_exponents, unit_ball_volume
+from .core import (InputError, SolverError, alpha, check_exponents, checked_power,
+                   unit_ball_volume)
 
 __all__ = [
     "RawShot",
@@ -53,10 +54,10 @@ def _gauss_legendre(n: int, f: Callable, knots: np.ndarray, power: float) -> flo
 class RawShot:
     """Un-normalized shot: y(0) = 1, y'(0) = 0, first zero at R0.
 
-    y is strictly decreasing on [0, R0]; `dense` evaluates y anywhere on
-    that interval (series below SERIES_RADIUS, the stepper's quintic
-    Hermite interpolant above).  `nodes` are the accepted step ends, the
-    last one the first at or past R0.
+    y is strictly decreasing on [0, R0]; `dense(r, out=None)` evaluates y
+    anywhere on that interval (series below SERIES_RADIUS, the stepper's
+    quintic Hermite interpolant above), into out if given.  `nodes` are
+    the accepted step ends, the last one the first at or past R0.
     """
 
     n: int
@@ -220,7 +221,8 @@ def _quintic_hermite(r, y, dy, d2y):
                      -15.0 * d + 8.0 * hv0 + 7.0 * hv1 + 1.5 * ha0 - ha1,
                      6.0 * d - 3.0 * hv0 - 3.0 * hv1 - 0.5 * ha0 + 0.5 * ha1])
 
-    def evaluate(x):
+    def evaluate(x, out=None):
+        """The interpolant at x, in out (which may be x) if given."""
         if x.ndim == 1 and x.size > h.size and np.all(x[1:] >= x[:-1]):
             # piece k holds the run of queries in [r[k], r[k + 1]), end pieces extended
             runs = np.diff(np.searchsorted(x, r[1:-1]), prepend=0, append=x.size)
@@ -228,8 +230,10 @@ def _quintic_hermite(r, y, dy, d2y):
         else:
             i = np.clip(np.searchsorted(r, x, side="right") - 1, 0, h.size - 1)
             take = functools.partial(np.take, indices=i)
-        t = (x - take(r[:-1])) / take(h)
-        out = take(coef[5])  # 1-D takes: several times faster than coef[k, i]
+        t = x - take(r[:-1])  # taken before out is written
+        t /= take(h)
+        out = np.empty(x.shape) if out is None else out
+        out[...] = take(coef[5])  # 1-D takes: several times faster than coef[k, i]
         for k in (4, 3, 2, 1, 0):
             out *= t
             out += take(coef[k])
@@ -261,11 +265,13 @@ def shoot(n: int, p: float, tol: float = 1e-12, allow_supercritical: bool = Fals
         raise SolverError(f"{exc} for (n, p) = ({n}, {p})") from None
     hermite = _quintic_hermite(rs, ys, dys, d2ys)
 
-    def y_of(r):
+    def y_of(r, out=None):
+        """y at r, in out (which may be r) if given, else in a fresh array."""
         r = np.asarray(r, dtype=float)
-        y = np.asarray(hermite(r))  # a fresh array, 0-d for a 0-d r
         near = r < eps  # the series start, evaluated only where it applies
-        y[near] = 1.0 - r[near] ** 2 / (2.0 * n)
+        series = 1.0 - r[near] ** 2 / (2.0 * n)
+        y = hermite(r, out)
+        y[near] = series
         return y
 
     # bisection on the bracketing step
@@ -288,6 +294,8 @@ def normalize_to_unit_ball(shot: RawShot, radius: float = 1.0) -> RadialProfile:
     Gauss-Legendre on each accepted step below R0; the step holding R0 is
     cut there and halved 10 times toward it, since y^p has a (R0 - t)^p
     endpoint at non-integer p.  lp_norm integrates on the same pieces.
+    The profile's phi(r, out=None) evaluates into out, which may be r
+    itself, or into a fresh array.
     """
     if not (radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
@@ -299,9 +307,16 @@ def normalize_to_unit_ball(shot: RawShot, radius: float = 1.0) -> RadialProfile:
     A = float(I_r ** (-1.0 / p))
     Lambda = float((R0 / radius) ** 2 * A ** (2.0 - p))
 
-    def phi(r):  # 0 past the radius, where the dense output extrapolates
+    def phi(r, out=None):
+        """phi at r, 0 past the radius (where the dense output extrapolates), in out if given."""
         r = np.asarray(r, dtype=float)
-        return A * np.where(r > radius, 0.0, np.clip(shot.dense(r * (R0 / radius)), 0.0, None))
+        out = np.empty(r.shape) if out is None else out
+        past = r > radius  # before out, which may be r, is written
+        y = shot.dense(np.multiply(r, R0 / radius, out=out), out)
+        np.clip(y, 0.0, None, out=y)
+        y[past] = 0.0
+        y *= A
+        return y
 
     return RadialProfile(n=n, p=p, radius=radius, cp_ball=Lambda, phi=phi,
                          knots=knots * (radius / R0))
@@ -324,7 +339,8 @@ def cp_ball(n: int, p: float, radius: float = 1.0) -> float:
     if not (radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
     unit = unit_ball_profile(n, p)
-    return unit.cp_ball * radius ** alpha(n, p)
+    return unit.cp_ball * checked_power(radius, alpha(n, p),
+                                        f"C_p of the ball of radius {radius!r}")
 
 
 def volume_profile(profile: RadialProfile, s, radius: float = 1.0) -> VolumeProfile:
@@ -337,7 +353,8 @@ def volume_profile(profile: RadialProfile, s, radius: float = 1.0) -> VolumeProf
     volume m it is read at r = (m/|B_rho|)^(1/n) (in units of rho) and is 0
     from |B_rho| on.  The midpoints are written into the output array, and
     phi is read only on the cells whose midpoint lies below |B_rho|, a
-    prefix, since s increases; the rest are set to 0.
+    prefix, since s increases, and evaluated in place there; the rest are
+    set to 0.
     """
     if not (radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
@@ -351,6 +368,7 @@ def volume_profile(profile: RadialProfile, s, radius: float = 1.0) -> VolumeProf
     inside /= bvol
     inside **= 1.0 / n  # r in [0, 1]
     inside *= profile.radius
-    np.multiply((radius / profile.radius) ** (-n / p), profile.phi(inside), out=inside)
+    profile.phi(inside, out=inside)
+    inside *= (radius / profile.radius) ** (-n / p)
     vals[inside.size:] = 0.0
     return VolumeProfile(s=s, values=vals, _widths=widths)

@@ -70,10 +70,12 @@ class TestComparisonBall:
         assert ball.phi_star.total_volume == total
 
     def test_invalid_arguments(self):
-        # a nan or infinite constant is refused by name, not met later as a radius
-        for cp in (0.0, math.nan, math.inf):
+        # a nan or infinite constant is refused by name, not met later as a
+        # radius, and so is a subnormal one, whose ball radius is past float range
+        for cp, p in ((0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (5e-324, 2.0),
+                      (np.float64(5e-324), 2.0)):
             with pytest.raises(ValueError, match="cp_omega"):
-                comparison_ball(cp, n=2, p=1.0, s=np.linspace(0.0, 1.0, 5))
+                comparison_ball(cp, n=2, p=p, s=np.linspace(0.0, 1.0, 5))
         with pytest.raises(ValueError):
             comparison_ball(1.0, n=2, p=1.0, s=np.array([0.0, -1.0]))
 
@@ -267,6 +269,14 @@ class TestConstantK:
         for cp in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="cp_omega must be finite and positive"):
                 constant_K(2, 1.0, 2.0, cp)
+        # finite and positive, but cp_omega / cp_ball underflows to 0 before
+        # a negative power: the ball radius is past float range, for a
+        # numpy scalar too, whose power would only warn
+        for p, q in ((2.0, 3.0), (1.0, 3.0)):
+            with pytest.raises(ValueError, match=r"cp_omega = 5e-324 is out of float range"):
+                constant_K(2, p, q, 5e-324)
+            with pytest.raises(ValueError, match=r"cp_omega = .*5e-324\)? is out of float range"):
+                constant_K(2, p, q, np.float64(5e-324))
         with pytest.raises(ValueError):
             khat(2, 2.0, 1.5)
 
@@ -350,10 +360,11 @@ class TestVerifyReverseHolder:
     def test_memory_stays_under_the_solve(self, monkeypatch, p):
         # a cold solve at h = 1/128, then verify on its result, counting what
         # the solve left behind (the field and the kept coarse operators).
-        # Measured at p = 1, 1.5 and 2, in grid arrays: the disk 9.25, 9.29
-        # and 9.26, the ellipse 9.13, 8.99 and 8.87, the l-shape 8.76, 8.57 and
-        # 8.44, against the solves' 11.00 to 12.79.  phi* shares u*'s cells,
-        # a power's integral is kept as a float, and the reports hold no array.
+        # Measured at p = 1, 1.5 and 2, in grid arrays: the disk 8.37, 8.41
+        # and 8.39, the ellipse 8.57, 8.58 and 8.58, the l-shape 8.43, 8.44 and
+        # 8.44, against the solves' 9.32 to 10.12.  phi* shares u*'s cells and
+        # is evaluated in its own midpoint array, a power's integral is kept
+        # as a float, and the reports hold no array.
         profiles = []
 
         def kept(profile):
@@ -378,7 +389,7 @@ class TestVerifyReverseHolder:
                 verify_peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert verify_peak <= 9.5 * grid.values.nbytes, spec
+            assert verify_peak <= 9.0 * grid.values.nbytes, spec
             assert verify_peak < solve_peak, spec
             for record in (report, report.crossing):
                 assert not any(isinstance(v, np.ndarray) for v in vars(record).values())

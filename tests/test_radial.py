@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -90,6 +91,26 @@ class TestShoot:
             got = prof.phi(r)
             ref = np.array([prof.phi(x) for x in r])
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_in_place_matches_fresh(self):
+        # phi(r, out) evaluates into out, which may be r itself, as
+        # volume_profile does; it must give phi(r)'s bits on every path:
+        # the sorted lookup, the per-query search, the series start and the
+        # zeros past the radius
+        prof = unit_ball_profile(2, 1.5)
+        rng = np.random.default_rng(17)
+        sorted_r = np.linspace(0.0, prof.radius, 4097)
+        sorted_r[1] = 0.5 * SERIES_RADIUS
+        for r in (sorted_r, rng.permutation(sorted_r),
+                  np.concatenate([sorted_r, prof.radius * np.array([1.0 + 1e-9, 1.5, 3.0])]),
+                  np.array(0.25), np.array(0.0), np.array(2.0)):
+            fresh = np.asarray(prof.phi(r))
+            out = r.copy()
+            got = prof.phi(out, out=out)
+            assert got is out
+            assert got.shape == fresh.shape and got.tobytes() == fresh.tobytes()
+            other = np.full(r.shape, np.nan)
+            assert prof.phi(r, out=other).tobytes() == fresh.tobytes()
 
     def test_no_zero_before_r_max(self, monkeypatch):
         monkeypatch.setattr(radial, "R_MAX", 1.0)
@@ -185,6 +206,12 @@ class TestScalingLaw:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             cp_ball(2, 2.0, radius=0.0)
+        # positive radii whose power r^alpha is past float range, as Python
+        # floats and as numpy scalars
+        for radius in (5e-324, 1e308, np.float64(5e-324), np.float64(1e308)):
+            message = f"radius {radius!r} is out of float range"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                cp_ball(2, 2.0, radius=radius)
         prof = unit_ball_profile(2, 2.0)
         for radius in (0.0, -1.0):
             with pytest.raises(ValueError, match="radius must be positive"):
