@@ -6,8 +6,10 @@ ball B* is the ball sharing that constant.  The rearranged profiles phi*
 p-th powers then yields ||u||_p >= K ||u||_q with the ball-extremal
 constant K, sharp because balls achieve equality.  verify_reverse_holder
 runs that chain on a solved extremal, one stage function per step:
-comparison_ball, crossing_analysis, dominance_check, then constant_K and
-khat for the norm inequality.
+comparison_ball, dominance_check (which forms the cumulative difference
+I once), crossing_analysis on that I, then constant_K and khat for the
+norm inequality.  Every gate on I is judged in one grid unit c, the
+p-mass h^2 u*(0)^p of u*'s fullest cell.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
 TWO_PATH_RTOL = 1e-8
 FK_TOL = 0.05          # slack on |B*| <= |Omega| for rasterization error
 MARGIN_TOL = 1e-3      # relative slack on reported margins
-DOMINANCE_FACTOR = 5.0 # tau_I = 5 h, calibrated on the disk self-test
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,13 +54,16 @@ class ComparisonBall:
 
 @dataclass(frozen=True, eq=False)
 class CrossingAnalysis:
-    """Sign structure of D = phi* - u* after noise-band suppression, in scalars."""
+    """Where I = int_0^s (phi*)^p - int_0^s (u*)^p peaks, in scalars."""
 
     s1: float
-    crossing_count: int
-    band: float
-    max_abs_difference: float
-    identical: bool
+    crossing_count: int     # 0 for identical profiles, else 1
+    max_I: float
+    wrong_way: float    # I's total fall before its argmax plus its total rise after
+
+    @property
+    def identical(self) -> bool:  # phi* = u* within the grid unit: the ball
+        return self.crossing_count == 0
 
 
 def comparison_ball(cp_omega: float, n: int, p: float, s) -> ComparisonBall:
@@ -90,94 +94,56 @@ def comparison_ball(cp_omega: float, n: int, p: float, s) -> ComparisonBall:
                           phi_star=volume_profile(prof, s, radius=rho))
 
 
-def _check_cells(u_star: VolumeProfile, ball: ComparisonBall) -> None:
-    if not np.array_equal(ball.phi_star.s, u_star.s):
-        raise ValueError("phi* is not a step profile on u*'s cells")
+def crossing_analysis(s: np.ndarray, I: np.ndarray, c: float) -> CrossingAnalysis:
+    """Locate the single downward crossing of phi* and u* from I on u*'s cell edges s.
 
-
-def _crossing_error(message: str, s: np.ndarray, D: np.ndarray) -> CrossingError:
-    """A CrossingError carrying D at the midpoints of the cells with edges s."""
-    return CrossingError(message, s=0.5 * (s[:-1] + s[1:]), difference=D)
-
-
-def crossing_analysis(u_star: VolumeProfile, ball: ComparisonBall) -> CrossingAnalysis:
-    """Locate the single crossing of D = phi* - u* on u*'s cells.
-
-    phi* must be a step profile on those cells (ValueError otherwise);
-    D holds one value per cell, placed at the cell's midpoint.  Values of
-    |D| below the noise band are treated as zero.  The band is three
-    times the largest jump of D between adjacent cells: a genuine
-    profile difference varies smoothly in s while the staircase
-    rearrangement jumps by O(h) wherever a level set sweeps a whole
-    lattice row, so the worst single-cell jump measures the
-    discretization noise floor without looking at D's magnitude itself.
-    max |D| <= band over the whole interval reports identical profiles
-    (the ball equality case) rather than an error; any other sign pattern
-    than one downward crossing raises a CrossingError carrying D.  D and
-    its temporaries are freed on return; the record keeps scalars.
+    I is dominance_check's I(s) = int_0^s (phi*)^p - int_0^s (u*)^p, with
+    I(0) = 0.  Its slope on each cell has the sign of D = phi* - u*, so
+    one downward crossing of D is where I peaks, and I is linear on each
+    cell, so that peak sits at an edge.  c is the run's grid unit.
+    max |I| <= c reports identical profiles (the ball equality case).
+    Else a wrong-way variation (I's total fall before its argmax plus its
+    total rise after) below max I reports one crossing at the argmax
+    edge (a second lobe of D that swings back less is not counted), and
+    any other I raises a CrossingError naming both numbers.
     """
-    _check_cells(u_star, ball)
-    s = u_star.s
-    D = ball.phi_star.values - u_star.values
-    band = 3.0 * float(np.max(np.abs(np.diff(D)), initial=0.0))  # 0 on one cell
-    max_abs = max(float(np.max(D)), -float(np.min(D)))  # max |D|, with no copy of D
-    if max_abs <= band:
-        return CrossingAnalysis(s1=math.nan, crossing_count=0, band=band,
-                                max_abs_difference=max_abs, identical=True)
-
-    pos = D > band
-    neg = D < -band
-    if not neg.any():
-        raise _crossing_error(
-            "ball profile never falls below the domain profile; no crossing found", s, D)
-    if pos.any():
-        i_last_pos = int(np.flatnonzero(pos)[-1])
-        if neg[:i_last_pos].any():  # not one downward crossing: count the sign changes
-            signs = pos.view(np.int8) - neg.view(np.int8)  # +1, -1, or 0 inside the band
-            flips = int(np.count_nonzero(np.diff(signs[signs != 0])))
-            raise _crossing_error(f"suppressed difference changes sign {flips} times; "
-                                  f"expected a single downward crossing", s, D)
-    elif float(np.max(D)) <= 0.0:
-        raise _crossing_error("domain profile dominates the ball profile everywhere; the "
-                              "two cannot share the unit L^p normalization", s, D)
-    else:
-        # a positive part inside the band: the crossing hides at the top, after
-        # the last non-negative sample before the first one below the band
-        nonneg_prefix = np.flatnonzero(D[:int(np.argmax(neg))] >= 0.0)
-        if nonneg_prefix.size == 0:
-            raise _crossing_error("no non-negative prefix before the downward crossing", s, D)
-        i_last_pos = int(nonneg_prefix[-1])
-
-    # root of the raw difference at its first sign change after i_last_pos,
-    # where D[i_last_pos] >= 0 and a cell below the band follows: D[j - 1] >= 0 > D[j]
-    j = i_last_pos + int(np.argmax(D[i_last_pos:] < 0))
-    d0, d1 = D[j - 1], D[j]
-    m0, m1 = (s[j - 1] + s[j]) * 0.5, (s[j] + s[j + 1]) * 0.5  # the two cells' midpoints
-    s1 = float(m0 + (m1 - m0) * (d0 / (d0 - d1)))
-    return CrossingAnalysis(s1=s1, crossing_count=1, band=band,
-                            max_abs_difference=max_abs, identical=False)
+    k = int(np.argmax(I))
+    max_I = float(I[k])
+    step = np.diff(I)  # I's change across each cell
+    wrong_way = (float(np.sum(step[k:], where=step[k:] > 0.0))
+                 - float(np.sum(step[:k], where=step[:k] < 0.0)))
+    if max_I <= c and -float(np.min(I)) <= c:
+        return CrossingAnalysis(s1=math.nan, crossing_count=0, max_I=max_I,
+                                wrong_way=wrong_way)
+    if wrong_way >= max_I:
+        raise CrossingError(f"I moves the wrong way by {wrong_way:.6g} against its maximum "
+                            f"{max_I:.6g}; expected a single downward crossing")
+    return CrossingAnalysis(s1=float(s[k]), crossing_count=1, max_I=max_I,
+                            wrong_way=wrong_way)
 
 
 def dominance_check(u_star: VolumeProfile, ball: ComparisonBall, p: float,
-                    norm_tol: float = 1e-4) -> float:
-    """min over u*'s cell edges s of I(s) = int_0^s (phi*)^p - int_0^s (u*)^p.
+                    c: float) -> np.ndarray:
+    """I(s) = int_0^s (phi*)^p - int_0^s (u*)^p at u*'s cell edges, formed once.
 
     phi* must be a step profile on u*'s cells (ValueError otherwise), so
     I is compared edge by edge.  Both profiles must carry the unit L^p
-    normalization (checked to norm_tol at the ends of the cumulative
-    integrals); the single-crossing structure forces I >= 0 up to
-    discretization.  I(0) = 0, while I(|Omega|) is phi*'s quadrature
-    deficit, the midpoint rule's error in its unit mass, not exactly 0.
+    mass within the grid unit c, read at the ends of the two cumulatives
+    before I is formed in place from them.  The single-crossing
+    structure forces I >= 0 up to discretization: I(0) = 0, while
+    I(|Omega|) is phi*'s quadrature deficit, the midpoint rule's error in
+    its unit mass (a B* spilling past |Omega| adds its cut-off mass).
     """
-    _check_cells(u_star, ball)
-    cum_u, cum_phi = u_star.cumulative(p), ball.phi_star.cumulative(p)
-    for name, mass in (("domain", cum_u[-1]), ("ball", cum_phi[-1])):
-        if abs(mass - 1.0) > norm_tol:
+    if not np.array_equal(ball.phi_star.s, u_star.s):
+        raise ValueError("phi* is not a step profile on u*'s cells")
+    cum_u, I = u_star.cumulative(p), ball.phi_star.cumulative(p)
+    for name, mass in (("domain", cum_u[-1]), ("ball", I[-1])):
+        if abs(mass - 1.0) > c:
             raise VerificationError(
-                f"{name} profile has L^p mass {mass:.8f}, expected 1 within {norm_tol:g}",
+                f"{name} profile has L^p mass {mass:.8f}, expected 1 within {c:.3g}",
                 stage="dominance")
-    cum_phi -= cum_u  # I(s), in place in a fresh array
-    return float(np.min(cum_phi))
+    I -= cum_u
+    return I
 
 
 def constant_K(n: int, p: float, q: float, cp_omega: float) -> float:
@@ -242,11 +208,10 @@ class ReverseHolderReport:
     rows: list
 
     def failed_gates(self) -> list:
-        """The gates this run fails, by name: margins, crossing, dominance."""
+        """The gates this run fails, by name (a crossing that is not single raises)."""
         gates = {
             "margins": all(row.margin >= -self.tau_margin * max(row.lhs, 1e-300)
                            for row in self.rows),
-            "crossing": self.crossing.identical or self.crossing.crossing_count == 1,
             "dominance": self.dominance_min >= -self.tau_dominance,
         }
         return [name for name, ok in gates.items() if not ok]
@@ -259,8 +224,9 @@ def verify_reverse_holder(result: SobolevResult, q_list) -> ReverseHolderReport:
     """Run the full comparison pipeline on a solved extremal.
 
     Stages: rearrange the field, build the comparison ball from the
-    computed constant, locate the single crossing, check cumulative
-    dominance, then tabulate margins ||u||_p - K ||u||_q for each q.
+    computed constant, form the cumulative difference I under the mass
+    gate, locate the single crossing on it, read its minimum for the
+    dominance gate, then tabulate margins ||u||_p - K ||u||_q for each q.
     Stage failures surface as VerificationError with the stage tag.
     """
     p, qs = result.p, sorted(set(q_list))
@@ -272,23 +238,23 @@ def verify_reverse_holder(result: SobolevResult, q_list) -> ReverseHolderReport:
     fld = result.field
     u_star = decreasing_rearrangement(fld)
     ball = comparison_ball(result.cp, 2, p, u_star)
-    crossing = crossing_analysis(u_star, ball)
-    tau_I = DOMINANCE_FACTOR * fld.h
-    # the mass gate tracks the stage budget: a truncated ball profile
-    # (B* spilling past |Omega| by rasterization slack) shifts I by at
-    # most its mass deficit, which tau_I absorbs
-    dom_min = dominance_check(u_star, ball, p, norm_tol=tau_I)
+    c = fld.h**2 * float(u_star.values[0]) ** p  # the p-mass of u*'s fullest cell
+    I = dominance_check(u_star, ball, p, c)
+    crossing = crossing_analysis(u_star.s, I, c)
+    dom_min = float(np.min(I))
+    del I  # before the norms raise u* to each power
 
-    norm = {q: u_star.power_integral(q) ** (1.0 / q) for q in {p, *qs}}
+    # u*'s p-th powers sum to its unit mass; other q go through u*/u*(0)
+    lhs = u_star.power_integral(p) ** (1.0 / p)
     rows = []
     for q in qs:
         K = constant_K(2, p, q, result.cp)
-        rhs = K * norm[q]
-        rows.append(ReverseHolderRow(q=q, khat=khat(2, p, q), K=K, lhs=norm[p], rhs=rhs,
-                                     margin=norm[p] - rhs))
+        rhs = K * (lhs if q == p else u_star.lp_norm(q))
+        rows.append(ReverseHolderRow(q=q, khat=khat(2, p, q), K=K, lhs=lhs, rhs=rhs,
+                                     margin=lhs - rhs))
     return ReverseHolderReport(
         domain=fld.spec.to_json() if fld.spec is not None else None,
         n=2, p=p, h=fld.h, cp=result.cp, rho=ball.rho,
         omega_volume=u_star.total_volume, bstar_volume=ball.bstar_volume,
         crossing=crossing, dominance_min=dom_min, tau_margin=MARGIN_TOL,
-        tau_dominance=tau_I, rows=rows)
+        tau_dominance=c, rows=rows)

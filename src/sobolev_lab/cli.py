@@ -119,6 +119,8 @@ def cmd_ball(args: argparse.Namespace) -> int:
                     allow_supercritical=args.experimental_supercritical)
     prof = radial.unit_ball_profile(args.n, args.p, tol=args.tol,
                                     allow_supercritical=args.experimental_supercritical)
+    # before any file: a q too large for the ball's L^q norm is an input error
+    khats = [(q, chiti.khat(args.n, args.p, q, tol=args.tol)) for q in sorted(set(args.q or ()))]
     print(f"C_p(B) = {prof.cp_ball!r}   (n={args.n}, p={_fmt(args.p)})")
     print(f"Lambda  = {prof.cp_ball!r}")
     print(f"phi(0)  = {float(prof.phi(0.0))!r}")
@@ -129,8 +131,7 @@ def cmd_ball(args: argparse.Namespace) -> int:
     print(f"profile -> {ppath}")
     if args.q:
         kpath = os.path.join(args.out, f"khat_n{args.n}_p{_fmt(args.p)}.csv")
-        write_csv(kpath, "khat", {}, cfg, ("q", "khat"),
-                  [(q, chiti.khat(args.n, args.p, q, tol=args.tol)) for q in sorted(set(args.q))])
+        write_csv(kpath, "khat", {}, cfg, ("q", "khat"), khats)
         print(f"khat    -> {kpath}")
     return 0
 

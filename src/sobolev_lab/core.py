@@ -65,17 +65,10 @@ class VerificationError(RuntimeError):
 
 
 class CrossingError(VerificationError):
-    """Crossing analysis could not certify a single sign change.
+    """Crossing analysis could not certify a single downward crossing."""
 
-    The offending difference profile (float arrays of u*'s cell midpoints
-    s and the difference there) is attached for diagnostics, built only on
-    this path, which ends the run: a CrossingAnalysis keeps scalars.
-    """
-
-    def __init__(self, message: str, s=None, difference=None):
+    def __init__(self, message: str):
         super().__init__(message, stage="crossing")
-        self.s = s
-        self.difference = difference
 
 
 def unit_ball_volume(n: int) -> float:

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 __all__ = ["FORMAT_VERSION", "canonical_json", "csv_text", "write_csv"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def canonical_json(obj: object) -> str:

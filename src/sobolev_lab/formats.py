@@ -145,8 +145,8 @@ def report_to_dict(report) -> dict:
             "identical": cr.identical,
             "count": cr.crossing_count,
             "s1": cr.s1,
-            "band": cr.band,
-            "max_abs_difference": cr.max_abs_difference,
+            "max_I": cr.max_I,
+            "wrong_way": cr.wrong_way,
         },
         "dominance_min": report.dominance_min,
         "tau_margin": report.tau_margin,
@@ -157,6 +157,7 @@ def report_to_dict(report) -> dict:
             for r in report.rows
         ],
         "passed": report.passed(),
+        "failed_gates": report.failed_gates(),
     }
 
 
@@ -172,11 +173,10 @@ def report_to_table(report) -> str:
     d = report_to_dict(report)
     cr = d["crossing"]
     if cr["identical"]:
-        crossing_line = (f"identical within band {cr['band']:.3e} "
-                         f"(max|phi*-u*| = {cr['max_abs_difference']:.3e})")
+        crossing_line = f"identical: max|I| <= c  (max I = {cr['max_I']:.3e})"
     else:
         crossing_line = (f"count={cr['count']}  s1={cr['s1']:.6f}  "
-                         f"band={cr['band']:.3e}")
+                         f"max I={cr['max_I']:.3e}  wrong way={cr['wrong_way']:.3e}")
     if d["domain"] is None:
         label = "(unspecified)"
     else:
@@ -189,7 +189,7 @@ def report_to_table(report) -> str:
         f"  |Omega|={d['omega_volume']:.6f}",
         f"crossing      {crossing_line}",
         f"dominance     min I(s) = {d['dominance_min']:+.3e}"
-        f"  (tau_I = {d['tau_dominance']:.3e})",
+        f"  (c = {d['tau_dominance']:.3e})",
         f"equality      {'yes (ball)' if d['equality_case'] else 'no'}",
         "",
         f"{'q':>8}  {'khat':>12}  {'K':>12}  {'|u|_p':>12}  "

@@ -80,9 +80,18 @@ class RadialProfile:
     _lp_norms: dict = field(default_factory=dict, init=False, repr=False)
 
     def lp_norm(self, q: float) -> float:
-        """||phi||_Lq on the profile's ball, Gauss-Legendre on the knots; memoized per q."""
+        """||phi||_Lq on the profile's ball, Gauss-Legendre on the knots; memoized per q.
+
+        The rule sums (phi/phi(0))^q, phi(0) being phi's maximum, and phi(0) multiplies
+        back after the 1/q root; a q at which even that sum underflows raises InputError.
+        """
         if q not in self._lp_norms:
-            self._lp_norms[q] = _gauss_legendre(self.n, self.phi, self.knots, q) ** (1.0 / q)
+            top = float(self.phi(0.0))
+            scaled = _gauss_legendre(self.n, lambda r: self.phi(r) / top, self.knots, q)
+            if not scaled > 0.0:
+                raise InputError(f"q = {q!r} is too large: the L^q norm of the ball "
+                                 f"extremal underflows")
+            self._lp_norms[q] = top * scaled ** (1.0 / q)
         return self._lp_norms[q]
 
 
@@ -138,6 +147,14 @@ class VolumeProfile:
         `cumulative` took is not taken again."""
         total = self._integrals.get(power)
         return float(np.sum(self._cells(power))) if total is None else total
+
+    def lp_norm(self, q: float) -> float:
+        """||values||_Lq over [0, total_volume], as top * (sum of (values/top)^q
+        widths)^(1/q) with top = values[0], the largest: no q over- or underflows."""
+        top = float(self.values[0])
+        cells = (self.values / top) ** q
+        cells *= self._widths  # in place in the fresh power array
+        return top * float(np.sum(cells)) ** (1.0 / q)
 
     def cumulative(self, power: float = 1.0) -> np.ndarray:
         """Integral of values**power over [0, s] at each edge s, from 0.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -98,116 +99,148 @@ class TestStepRule:
         np.testing.assert_array_equal(ball.phi_star.s, u_star.s)
         np.testing.assert_array_equal(ball.phi_star.values,
                                       np.where(mid < ball.bstar_volume, phi, 0.0))
-        cross = crossing_analysis(u_star, ball)
-        assert cross.crossing_count == 1
-        # max |D| of D = phi* - u* on u*'s cells, one value per cell
-        assert cross.max_abs_difference == np.max(np.abs(ball.phi_star.values - u_star.values))
+        c = res.field.h**2 * float(u_star.values[0]) ** p
         I = ball.phi_star.cumulative(p) - u_star.cumulative(p)
         assert I.shape == u_star.s.shape and I[0] == 0.0
-        assert dominance_check(u_star, ball, p) == I.min()
+        np.testing.assert_array_equal(dominance_check(u_star, ball, p, c), I)
+        cross = crossing_analysis(u_star.s, I, c)
+        assert cross.crossing_count == 1
+        # the crossing is the edge where I peaks, read with no interpolation
+        assert cross.max_I == I.max() and cross.s1 == u_star.s[np.argmax(I)]
         assert abs(ball.phi_star.power_integral(p) - 1.0) <= bound
 
 
+def stage_inputs(res):
+    """u*, the comparison ball, the grid unit c and I, as verify forms them."""
+    p = res.p
+    u_star = decreasing_rearrangement(res.field)
+    ball = comparison_ball(res.cp, n=2, p=p, s=u_star.s)
+    c = res.field.h**2 * float(u_star.values[0]) ** p
+    return u_star, ball, c, dominance_check(u_star, ball, p, c)
+
+
 class TestCrossingAnalysis:
+    """I = int_0^s (phi*)^p - int_0^s (u*)^p rises, then falls, once per crossing."""
+
     def test_square_crosses_once(self, solve):
-        res = solve("square", 2.0)
-        u_star = decreasing_rearrangement(res.field)
-        ball = comparison_ball(res.cp, n=2, p=2.0, s=u_star.s)
-        cross = crossing_analysis(u_star, ball)
-        D = ball.phi_star.values - u_star.values
-        assert cross.max_abs_difference == np.max(np.abs(D))
+        u_star, ball, c, I = stage_inputs(solve("square", 2.0))
+        cross = crossing_analysis(u_star.s, I, c)
         assert not cross.identical
         assert cross.crossing_count == 1
         assert 0.0 < cross.s1 < ball.bstar_volume
-        # s1 interpolates D between two adjacent cell midpoints where it turns negative
-        mid = midpoints(u_star.s)
-        k = int(np.searchsorted(mid, cross.s1)) - 1
-        assert mid[k] <= cross.s1 < mid[k + 1] and D[k] >= 0.0 > D[k + 1]
+        # s1 is the edge where I peaks: D = phi* - u* is >= 0 on the cell
+        # before it and <= 0 on the cell after
+        k = int(np.searchsorted(u_star.s, cross.s1))
+        assert u_star.s[k] == cross.s1 and cross.max_I == I[k] == I.max()
+        D = ball.phi_star.values - u_star.values
+        assert D[k - 1] >= 0.0 >= D[k]
+        assert 0.0 <= cross.wrong_way < cross.max_I
 
     def test_disk_reports_identical(self, solve):
-        res = solve("disk", 2.0)
-        u_star = decreasing_rearrangement(res.field)
-        ball = comparison_ball(res.cp, n=2, p=2.0, s=u_star.s)
-        cross = crossing_analysis(u_star, ball)
+        u_star, _, c, I = stage_inputs(solve("disk", 2.0))
+        cross = crossing_analysis(u_star.s, I, c)
         assert cross.identical
         assert cross.crossing_count == 0
         assert math.isnan(cross.s1)
-
-    def test_domain_dominating_everywhere_rejected(self):
-        s = np.linspace(0.0, 1.0, 101)
-        m = midpoints(s)
-        phi = VolumeProfile(s=s, values=1.0 - m)
-        u = VolumeProfile(s=s, values=1.05 - m)
-        with pytest.raises(CrossingError, match="cannot share") as exc:
-            crossing_analysis(u, synthetic_ball(phi))
-        assert exc.value.difference.shape == exc.value.s.shape
-
-    def test_one_cell_rejected(self):
-        # a single cell has no jump to set a band, and no room for a crossing
-        u = VolumeProfile(s=np.array([0.0, 1.0]), values=np.array([1.0]))
-        with pytest.raises(CrossingError, match="cannot share"):
-            crossing_analysis(u, synthetic_ball(VolumeProfile(s=u.s, values=np.array([0.9]))))
-
-    def test_no_crossing_rejected(self):
-        s = np.linspace(0.0, 1.0, 101)
-        m = midpoints(s)
-        phi = VolumeProfile(s=s, values=1.0 - m)
-        u = VolumeProfile(s=s, values=0.5 * (1.0 - m))
-        with pytest.raises(CrossingError, match="no crossing"):
-            crossing_analysis(u, synthetic_ball(phi))
-
-    def test_multiple_crossings_rejected(self):
-        s = np.linspace(0.0, 1.0, 401)
-        m = midpoints(s)
-        phi = VolumeProfile(s=s, values=1.05 - m)
-        u = VolumeProfile(s=s, values=1.05 - m + 0.05 * np.cos(3 * np.pi * m))
-        with pytest.raises(CrossingError, match="changes sign"):
-            crossing_analysis(u, synthetic_ball(phi))
+        assert cross.max_I == I.max() <= c
 
     def test_identical_profiles(self):
+        # I within one grid unit of 0 everywhere: the ball equality case
         s = np.linspace(0.0, 1.0, 101)
-        phi = VolumeProfile(s=s, values=1.0 - midpoints(s))
-        cross = crossing_analysis(phi, synthetic_ball(phi))
+        I = 1e-3 * np.sin(np.pi * s) ** 2
+        cross = crossing_analysis(s, I, c=1e-3)
         assert cross.identical and cross.crossing_count == 0
+        assert cross.max_I == I.max()
+
+    def test_hand_crossing_location(self):
+        # phi = 1 - s and u = 0.75 - 0.5 s cross at s = 0.5, where
+        # I(s) = s/4 - s^2/4 peaks; the edge holds the crossing exactly
+        s = np.linspace(0.0, 1.0, 101)
+        m = midpoints(s)
+        phi = VolumeProfile(s=s, values=1.0 - m)
+        u = VolumeProfile(s=s, values=0.75 - 0.5 * m)
+        I = phi.cumulative(1.0) - u.cumulative(1.0)
+        cross = crossing_analysis(s, I, c=1e-3)
+        assert cross.crossing_count == 1 and not cross.identical
+        assert cross.s1 == s[50] and abs(cross.s1 - 0.5) < 1e-15
+        assert cross.wrong_way == 0.0
+
+    def test_multiple_crossings_rejected(self):
+        # D = -0.05 cos(3 pi s) crosses three times: I falls to -k, rises to
+        # +k and falls to -k again, so it moves the wrong way by 2k against k
+        s = np.linspace(0.0, 1.0, 601)  # the extremes 1/6, 1/2 and 5/6 are edges
+        k = 0.05 / (3.0 * np.pi)
+        I = -k * np.sin(3.0 * np.pi * s)
+        with pytest.raises(CrossingError, match="wrong way") as exc:
+            crossing_analysis(s, I, c=1e-4)
+        assert exc.value.stage == "crossing"
+        wrong_way, max_I = map(float, re.findall(r"\d\.\d+(?:e-\d+)?", str(exc.value)))
+        assert math.isclose(wrong_way, 2 * k, rel_tol=1e-5)
+        assert math.isclose(max_I, k, rel_tol=1e-5)
+        assert not hasattr(exc.value, "difference")
+
+    def test_upward_crossing_rejected(self):
+        # I within c above 0 but dipping to -2c and back: D crosses upward, so
+        # this is no ball; the dip's rise back is the wrong-way variation
+        s = np.linspace(0.0, 1.0, 101)
+        with pytest.raises(CrossingError, match="wrong way"):
+            crossing_analysis(s, -2e-3 * np.sin(np.pi * s), c=1e-3)
+
+    def test_second_lobe_below_the_peak(self):
+        # I goes 0 -> 10c -> 2c -> 9c -> 0: D changes sign three times, but the
+        # wrong-way rise 7c stays below max I = 10c, so the rule counts the
+        # dominant crossing alone, at the first peak
+        c = 1e-3
+        s = np.linspace(0.0, 1.0, 5)
+        cross = crossing_analysis(s, c * np.array([0.0, 10.0, 2.0, 9.0, 0.0]), c)
+        assert cross.crossing_count == 1 and cross.s1 == 0.25
+        assert math.isclose(cross.wrong_way, 7 * c) and cross.max_I == 10 * c
+
+    def test_domain_dominating_everywhere_rejected(self):
+        # u above phi on every cell: the two cannot share the unit L^p mass
+        s = np.linspace(0.0, 1.0, 101)
+        m = midpoints(s)
+        phi = VolumeProfile(s=s, values=2.0 * (1.0 - m))
+        u = VolumeProfile(s=s, values=2.0 * (1.05 - m))
+        with pytest.raises(VerificationError, match="domain profile has L\\^p mass") as exc:
+            dominance_check(u, synthetic_ball(phi), p=1.0, c=0.02)
+        assert exc.value.stage == "dominance"
+
+    def test_no_crossing_rejected(self):
+        # phi above u on every cell: u has the unit mass, so phi cannot
+        s = np.linspace(0.0, 1.0, 101)
+        m = midpoints(s)
+        phi = VolumeProfile(s=s, values=4.0 * (1.0 - m))
+        u = VolumeProfile(s=s, values=2.0 * (1.0 - m))
+        with pytest.raises(VerificationError, match="ball profile has L\\^p mass"):
+            dominance_check(u, synthetic_ball(phi), p=1.0, c=0.02)
+
+    def test_one_cell_rejected(self):
+        # a single cell has no room for a crossing: equal masses are the
+        # ball, and unequal ones are refused by the mass gate
+        u = VolumeProfile(s=np.array([0.0, 1.0]), values=np.array([1.0]))
+        I = dominance_check(u, synthetic_ball(u), p=1.0, c=1.0)
+        assert crossing_analysis(u.s, I, c=1.0).identical
+        with pytest.raises(VerificationError, match="ball profile has L\\^p mass"):
+            dominance_check(u, synthetic_ball(VolumeProfile(s=u.s, values=np.array([0.9]))),
+                            p=1.0, c=0.01)
 
     def test_ball_on_other_nodes_rejected(self, solve):
-        # both stages read phi* and u* on u*'s own cells, with no resampling
+        # I is formed on u*'s own cells, with no resampling
         res = solve("square", 2.0)
         u_star = decreasing_rearrangement(res.field)
         ball = comparison_ball(res.cp, n=2, p=2.0,
                                s=np.linspace(0.0, u_star.total_volume, 257))
         with pytest.raises(ValueError, match="u\\*'s cells"):
-            crossing_analysis(u_star, ball)
-        with pytest.raises(ValueError, match="u\\*'s cells"):
-            dominance_check(u_star, ball, p=2.0, norm_tol=1.0)
-
-    def test_no_non_negative_prefix_rejected(self):
-        # D = phi* - u* climbs from -1 to +0.005, inside its band of 0.015: no
-        # cell lies above the band, and none before the first one below it is >= 0
-        n = 200
-        i = np.arange(n)
-        u = VolumeProfile(s=np.arange(n + 1.0), values=3.0 - 2.0 * i / n)
-        phi = VolumeProfile(s=u.s, values=u.values - 1.0 + 1.01 * i / n)
-        with pytest.raises(CrossingError, match="no non-negative prefix") as exc:
-            crossing_analysis(u, synthetic_ball(phi))
-        assert exc.value.difference.shape == exc.value.s.shape == (n,)
-
-    def test_hand_crossing_location(self):
-        # phi = 1 - s and u = 0.75 - 0.5 s cross at s = 0.5 exactly
-        s = np.linspace(0.0, 1.0, 101)
-        m = midpoints(s)
-        phi = VolumeProfile(s=s, values=1.0 - m)
-        u = VolumeProfile(s=s, values=0.75 - 0.5 * m)
-        cross = crossing_analysis(u, synthetic_ball(phi))
-        assert cross.crossing_count == 1
-        assert abs(cross.s1 - 0.5) < 1e-9
+            dominance_check(u_star, ball, p=2.0, c=1.0)
 
 
 class TestDominance:
     def test_identical_profiles_give_zero(self):
         s = np.linspace(0.0, 1.0, 101)
         phi = VolumeProfile(s=s, values=2.0 * (1.0 - midpoints(s)))  # unit L^1 mass
-        assert dominance_check(phi, synthetic_ball(phi), p=1.0) == 0.0
+        I = dominance_check(phi, synthetic_ball(phi), p=1.0, c=1e-12)
+        assert I.shape == s.shape and not I.any()
 
     def test_early_excess_detected(self):
         # u carries more mass than phi near s = 0, so I dips negative; u is
@@ -216,23 +249,87 @@ class TestDominance:
         phi = VolumeProfile(s=s, values=2.0 * (1.0 - midpoints(s)))
         u = VolumeProfile(s=s, values=np.where(np.arange(100) < 10, 3.0, 0.7 / 0.9))
         assert abs(u.power_integral(1.0) - 1.0) < 1e-12
-        assert dominance_check(u, synthetic_ball(phi), p=1.0) < -0.05
+        assert dominance_check(u, synthetic_ball(phi), p=1.0, c=0.03).min() < -0.05
 
     def test_normalization_gate(self):
         s = np.linspace(0.0, 1.0, 101)
         m = midpoints(s)
         phi = VolumeProfile(s=s, values=2.0 * (1.0 - m))
-        bad = VolumeProfile(s=s, values=2.4 * (1.0 - m))
+        bad = VolumeProfile(s=s, values=2.4 * (1.0 - m))  # mass 1.2
         with pytest.raises(VerificationError, match="L\\^p mass") as exc:
-            dominance_check(bad, synthetic_ball(phi), p=1.0)
+            dominance_check(bad, synthetic_ball(phi), p=1.0, c=0.199)
         assert exc.value.stage == "dominance"
+        assert dominance_check(bad, synthetic_ball(phi), p=1.0, c=0.201).min() < 0.0
 
     def test_square_extremal_dominated(self, solve):
-        res = solve("square", 1.0)
-        u_star = decreasing_rearrangement(res.field)
-        ball = comparison_ball(res.cp, n=2, p=1.0, s=u_star.s)
-        h = res.field.h
-        assert dominance_check(u_star, ball, p=1.0, norm_tol=5 * h) >= -5 * h
+        _, _, c, I = stage_inputs(solve("square", 1.0))
+        assert -c <= I.min() <= 0.0 == I[0]
+
+
+class TestGridUnitVerdicts:
+    """Verdicts of the gates read in the grid unit c = h^2 u*(0)^p."""
+
+    @pytest.mark.parametrize("spec,h,p,edge", [
+        # the one-row strip, whose D changes sign once
+        (DomainSpec.rectangle(1.0, 0.05), 1 / 32, 2.0, 5),
+        (DomainSpec.ellipse(1.0, 0.95), 1 / 128, 1.0, None),
+        # the unit square at a coarse h: argmax I at s = 0.6016, 0.4922, 0.4033
+        (DomainSpec.rectangle(1.0, 1.0), 1 / 32, 1.0, 616),
+        (DomainSpec.rectangle(1.0, 1.0), 1 / 32, 1.5, 504),
+        (DomainSpec.rectangle(1.0, 1.0), 1 / 32, 2.0, 413),
+        # the ball equality case
+        (DomainSpec.disk(1.0), 1 / 256, 1.0, 0),
+    ], ids=["strip-p2", "ellipse0.95-p1", "square32-p1", "square32-p1.5", "square32-p2",
+            "disk256-p1"])
+    def test_verdict(self, spec, h, p, edge):
+        res = minimize_quotient(build_grid(spec, h), p)
+        report = verify_reverse_holder(res, [p, 3.0])
+        assert report.failed_gates() == []
+        assert report.tau_dominance == h**2 * float(np.max(res.field.values)) ** p
+        cross = report.crossing
+        if edge == 0:
+            assert cross.identical and cross.max_I <= report.tau_dominance
+        else:
+            assert cross.crossing_count == 1 and not cross.identical
+            assert cross.wrong_way < cross.max_I and cross.max_I > report.tau_dominance
+            if edge is not None:  # the argmax edge counts whole h^2 cells
+                assert cross.s1 == edge * h**2
+
+
+class TestMassGateHeadroom:
+    """The ball's L^p mass on [0, |Omega|] falls short of 1 by the part of phi*
+    cut off past |Omega| when |B*| spills over it; the mass gate allows c.
+    At p = 1 that cut-off is largest: measured over disks and ellipses
+    (a, 0.98 a), a = 0.90 to 1.10 by 0.01, it reads 0.84 c to 0.905 c at
+    h = 1/16 and 1/32 alike, and below 0.11 c at p = 1.5 and 2."""
+
+    @pytest.mark.parametrize("h", [1 / 16, 1 / 32], ids=["h16", "h32"])
+    @pytest.mark.parametrize("shape", ["disk", "ellipse"])
+    def test_near_circles(self, shape, h):
+        worst = 0.0
+        for a in np.round(np.arange(0.90, 1.105, 0.01), 2):
+            spec = DomainSpec.disk(a) if shape == "disk" else DomainSpec.ellipse(a, 0.98 * a)
+            res = minimize_quotient(build_grid(spec, h), 1.0)
+            try:
+                report = verify_reverse_holder(res, [1.0, 2.0])
+            except VerificationError as exc:  # |B*| past the FK_TOL slack
+                assert exc.stage == "comparison_ball"
+                continue
+            deficit = -report.dominance_min / report.tau_dominance
+            assert report.failed_gates() in ([], ["margins"]), (a, deficit)
+            worst = max(worst, deficit)
+        assert 0.8 < worst < 0.91
+
+    def test_worst_case(self):
+        # the unit disk at h = 1/16, p = 1: I's minimum is its last edge, the
+        # ball's mass deficit at |Omega|, 0.905 c
+        res = minimize_quotient(build_grid(DomainSpec.disk(1.0), 1 / 16), 1.0)
+        u_star, ball, c, I = stage_inputs(res)
+        assert ball.bstar_volume > u_star.total_volume
+        deficit = 1.0 - ball.phi_star.cumulative(1.0)[-1]
+        assert I.min() == I[-1] and math.isclose(-I[-1], deficit, rel_tol=1e-9)
+        assert 0.90 * c < deficit < 0.91 * c
+        assert verify_reverse_holder(res, [1.0, 2.0]).crossing.identical
 
 
 class TestConstantK:
@@ -442,9 +539,26 @@ class TestVerifyReverseHolder:
         assert not report.passed()
         assert report.failed_gates() == ["margins"]
 
+    @staticmethod
+    def planted_dip(monkeypatch, depth):
+        """Plant I's last edge at -depth c, where the gate reads -min I <= c."""
+        def planted(u_star, ball, p, c):
+            I = dominance_check(u_star, ball, p, c)
+            I[-1] = -depth * c
+            return I
+
+        monkeypatch.setattr(chiti, "dominance_check", planted)
+
     def test_planted_dominance_failure(self, solve, monkeypatch):
-        monkeypatch.setattr(chiti, "dominance_check", lambda *args, **kwargs: -1.0)
+        self.planted_dip(monkeypatch, 1.001)
         report = verify_reverse_holder(solve("square", 2.0), [2.0, 4.0])
-        assert report.dominance_min == -1.0 < -report.tau_dominance
+        assert report.dominance_min == -1.001 * report.tau_dominance
+        assert report.crossing.crossing_count == 1
         assert not report.passed()
         assert report.failed_gates() == ["dominance"]
+
+    def test_planted_dip_within_c_passes(self, solve, monkeypatch):
+        self.planted_dip(monkeypatch, 0.999)
+        report = verify_reverse_holder(solve("square", 2.0), [2.0, 4.0])
+        assert report.dominance_min == -0.999 * report.tau_dominance
+        assert report.passed()

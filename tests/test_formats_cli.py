@@ -14,7 +14,7 @@ import pytest
 
 from identities import read_profile, read_volume_profile
 from sobolev_lab import chiti, cli
-from sobolev_lab.chiti import verify_reverse_holder
+from sobolev_lab.chiti import dominance_check, verify_reverse_holder
 from sobolev_lab.cli import main
 from sobolev_lab.core import DomainSpec
 from sobolev_lab.elliptic import build_grid, minimize_quotient
@@ -113,7 +113,7 @@ class TestReportRendering:
         payload = json.loads(text)
         assert text == canonical_json(payload)
         assert payload["format"] == "sobolev-lab/report"
-        assert payload["passed"] is True
+        assert payload["passed"] is True and payload["failed_gates"] == []
         assert payload["config"] == {"command": "verify"}
         assert [r["q"] for r in payload["rows"]] == [2.0, 4.0]
 
@@ -121,7 +121,10 @@ class TestReportRendering:
         d = report_to_dict(report)
         assert d["cp"] == report.cp
         assert d["crossing"]["count"] == report.crossing.crossing_count
+        assert d["crossing"]["max_I"] == report.crossing.max_I
+        assert d["crossing"]["wrong_way"] == report.crossing.wrong_way
         assert d["dominance_min"] == report.dominance_min
+        assert d["failed_gates"] == report.failed_gates()
 
     def test_table_rendering(self, report):
         table = report_to_table(report)
@@ -137,11 +140,11 @@ class TestReportRendering:
         assert "(unspecified)" in report_to_table(bare)
 
     def test_table_line_for_a_real_crossing(self):
-        # the h = 1/32 square of the fixture lies inside its band (equality
-        # case); at h = 1/64 the profiles cross once, outside the band
+        # at h = 1/64 the square's I peaks at the edge of 1,622 cells
         res = minimize_quotient(build_grid(DomainSpec.rectangle(1.0, 1.0), 1 / 64), 2.0)
         lines = report_to_table(verify_reverse_holder(res, [2.0, 4.0])).splitlines()
-        assert "crossing      count=1  s1=0.616874  band=5.193e-02" in lines
+        assert ("crossing      count=1  s1=0.395996  max I=5.861e-03  wrong way=4.658e-04"
+                in lines)
         assert "equality      no" in lines
 
 
@@ -181,6 +184,26 @@ class TestCliBall:
         assert captured.out == "" and not out.exists()
         assert "no flag lifts khat's gate" in captured.err
         assert "allow_supercritical" not in captured.err
+
+    def test_large_q(self, tmp_path, capsys):
+        # khat reads ||phi||_q as phi(0) times a sum of (phi/phi(0))^q, so a
+        # large q is fine until that sum underflows, an input error
+        assert run("ball", "-n", "2", "-p", "1.01", "-q", "1e10",
+                   "--out", str(tmp_path / "fine")) == 0
+        out = tmp_path / "out"
+        assert run("ball", "-n", "2", "-p", "1.01", "-q", "1e300", "--out", str(out)) == 2
+        assert "q = 1e+300 is too large" in capsys.readouterr().err
+        assert not out.exists()
+        # the domain's ||u*||_q is scaled by u*(0) too: u*(0) = 0.637 at p = 1.01,
+        # whose 2000th power underflows, and 1.087 at p = 2, whose 1e5th overflows
+        for p, q in (("1.01", 2000.0), ("2", 1e5)):
+            assert run("verify", "--spec", '{"shape": "disk", "radius": 1}', "-p", p,
+                       "-q", repr(q), "--h", str(1 / 32), "--format", "json",
+                       "--out", str(tmp_path / "v")) == 0
+            payload = json.loads(capsys.readouterr().out.splitlines()[0])
+            row, = payload["rows"]
+            assert row["q"] == q and 0.0 < row["rhs"] < math.inf
+            assert payload["failed_gates"] == []
 
     def test_supercritical_needs_flag(self, tmp_path, capsys):
         assert run("ball", "-n", "3", "-p", "6", "--out", str(tmp_path)) == 2
@@ -310,7 +333,12 @@ class TestCliVerify:
         assert payload["config"]["command"] == "verify"
 
     def test_dominance_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(chiti, "dominance_check", lambda *args, **kwargs: -1.0)
+        def planted(u_star, ball, p, c):  # I dips below -c at its last edge
+            I = dominance_check(u_star, ball, p, c)
+            I[-1] = -2.0 * c
+            return I
+
+        monkeypatch.setattr(chiti, "dominance_check", planted)
         assert run("verify", "--spec", SQUARE, "-p", "1", "-q", "2",
                    "--h", str(1 / 32), "--out", str(tmp_path)) == 4
         err = capsys.readouterr().err

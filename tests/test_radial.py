@@ -12,7 +12,8 @@ import pytest
 import oracles
 from identities import cumulative_at, evaluate, verify_integro_differential
 from sobolev_lab import AdmissibilityError, cp_ball, radial
-from sobolev_lab.core import SolverError, alpha, unit_ball_volume
+from sobolev_lab.chiti import khat
+from sobolev_lab.core import InputError, SolverError, alpha, unit_ball_volume
 from sobolev_lab.formats import DEFAULT_GRID
 from sobolev_lab.radial import (SERIES_RADIUS, RawShot, VolumeProfile, normalize_to_unit_ball,
                                 shoot, unit_ball_profile, volume_profile)
@@ -182,6 +183,19 @@ class TestUnitBallProfile:
         first = [prof.lp_norm(q) for q in (1.5, 3.0, 4.0)]
         assert [prof.lp_norm(q) for q in (4.0, 3.0, 1.5)] == first[::-1]
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_lp_norm_at_large_q(self, p):
+        # ||phi||_q tends to phi(0) = max phi, where phi^q alone underflows
+        # (phi(0) < 1) or overflows (phi(0) > 1) long before q = 1e10
+        prof = unit_ball_profile(2, p)
+        top = float(prof.phi(0.0))
+        assert abs(prof.lp_norm(1e10) - top) < 3e-9
+        assert prof.lp_norm(2000.0) < top
+
+    def test_lp_norm_past_underflow_is_an_input_error(self):
+        with pytest.raises(InputError, match=r"q = 1e\+300 is too large"):
+            khat(2, 1.01, 1e300)
 
     def test_gauss_legendre_rule_is_leggauss(self):
         # written out from one LAPACK build; another may differ in the last bit
