@@ -22,7 +22,7 @@ import numpy as np
 from .core import (AdmissibilityError, CrossingError, VerificationError, alpha,
                    check_exponents, checked_power, unit_ball_volume)
 from .elliptic import SobolevResult
-from .radial import VolumeProfile, unit_ball_profile, volume_profile
+from .radial import RadialProfile, VolumeProfile, unit_ball_profile, volume_profile
 from .rearrange import decreasing_rearrangement
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 TWO_PATH_RTOL = 1e-8
-FK_TOL = 0.05          # slack on |B*| <= |Omega| for rasterization error
 MARGIN_TOL = 1e-3      # relative slack on reported margins
 
 
@@ -66,30 +65,31 @@ class CrossingAnalysis:
         return self.crossing_count == 0
 
 
+def _ball_radius(n: int, p: float, cp_omega: float) -> tuple[RadialProfile, float]:
+    """The unit-ball profile and, by the dilation law rho = (cp/cp_B)^(1/alpha),
+    the radius of the ball whose constant is cp_omega."""
+    if not 0 < cp_omega < math.inf:
+        raise ValueError(f"cp_omega must be finite and positive, got {cp_omega!r}")
+    prof = unit_ball_profile(n, p)
+    return prof, checked_power(cp_omega / prof.cp_ball, 1.0 / alpha(n, p),
+                               f"the ball radius of cp_omega = {cp_omega!r}")
+
+
 def comparison_ball(cp_omega: float, n: int, p: float, s) -> ComparisonBall:
-    """Build B* with C_p(B*) = cp_omega via the dilation law rho = (cp/cp_B)^(1/alpha).
+    """Build B* with C_p(B*) = cp_omega.
 
     phi* is radial.volume_profile of the ball extremal on the increasing
     cell edges s from 0 to |Omega|, one value per cell, read at its
     midpoint; s may be the domain profile u* itself, whose edge and width
-    arrays phi* then shares.
-    |B*| may not exceed |Omega| = s[-1] beyond rasterization slack
-    (FK_TOL), since a larger comparison ball would contradict the
-    isoperimetric ordering of the constants.
+    arrays phi* then shares.  A B* larger than |Omega| = s[-1] is cut off
+    there, and dominance_check's mass gate bounds the mass cut off.
     """
     volume = float(np.asarray(s.s if isinstance(s, VolumeProfile) else s, dtype=float)[-1])
-    if not (0 < cp_omega < math.inf and 0 < volume < math.inf):
-        raise ValueError(f"cp_omega and the domain volume s[-1] must be finite and "
-                         f"positive, got {cp_omega!r} and {volume!r}")
-    prof = unit_ball_profile(n, p)
-    what = f"the comparison ball of cp_omega = {cp_omega!r}"
-    rho = checked_power(cp_omega / prof.cp_ball, 1.0 / alpha(n, p), f"the radius of {what}")
-    bvol = unit_ball_volume(n) * checked_power(rho, n, f"the volume of {what}")
-    if bvol > volume * (1.0 + FK_TOL):
-        raise VerificationError(
-            f"comparison ball volume {bvol:.6g} exceeds the domain volume "
-            f"{volume:.6g}: the constant is below the ball value, which "
-            f"violates the isoperimetric ordering", stage="comparison_ball")
+    if not 0 < volume < math.inf:
+        raise ValueError(f"the domain volume s[-1] must be finite and positive, got {volume!r}")
+    prof, rho = _ball_radius(n, p, cp_omega)
+    bvol = unit_ball_volume(n) * checked_power(
+        rho, n, f"the volume of the comparison ball of cp_omega = {cp_omega!r}")
     return ComparisonBall(rho=rho, bstar_volume=bvol,
                           phi_star=volume_profile(prof, s, radius=rho))
 
@@ -154,13 +154,9 @@ def constant_K(n: int, p: float, q: float, cp_omega: float) -> float:
     The two must agree to TWO_PATH_RTOL or the computation aborts.
     """
     check_exponents(n, p, [q])
-    if not 0 < cp_omega < math.inf:
-        raise ValueError(f"cp_omega must be finite and positive, got {cp_omega!r}")
-    prof = unit_ball_profile(n, p)
-    a = alpha(n, p)
-    expo = (n / a) * (1.0 / p - 1.0 / q)
+    prof, rho = _ball_radius(n, p, cp_omega)
+    expo = (n / alpha(n, p)) * (1.0 / p - 1.0 / q)
     what = f"cp_omega = {cp_omega!r}"
-    rho = checked_power(cp_omega / prof.cp_ball, 1.0 / a, f"the ball radius of {what}")
     # ||phi_rho||_q = rho^(n/q - n/p) ||phi||_q on the unit ball
     direct = (checked_power(rho, n * (1.0 / p - 1.0 / q), f"K of {what}")
               * prof.lp_norm(p) / prof.lp_norm(q))

@@ -203,9 +203,10 @@ def _cache_path(task: dict) -> str | None:
     os.makedirs(root, exist_ok=True)
     # the salt changes whenever a task's rows change text (failed gates named
     # in `error`, then the p > 2 gate's wording, then the digits of p = 1's
-    # certified stop), so no older entry replays
+    # certified stop, then the verdicts of balls past |Omega|), so no older
+    # entry replays
     key = hashlib.sha256(canonical_json(
-        {**task, "version": FORMAT_VERSION, "salt": 3}).encode())
+        {**task, "version": FORMAT_VERSION, "salt": 4}).encode())
     return os.path.join(root, key.hexdigest() + ".json")
 
 

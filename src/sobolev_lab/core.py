@@ -72,10 +72,17 @@ class CrossingError(VerificationError):
 
 
 def unit_ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n, pi^(n/2) / Gamma(n/2 + 1)."""
+    """Volume of the unit ball in R^n, pi^(n/2) / Gamma(n/2 + 1).
+
+    An InputError names n once Gamma(n/2 + 1) leaves float range (from n = 342).
+    """
     if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    try:
+        return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    except OverflowError:  # n / 2.0 raises it too, for an n past float range
+        raise InputError(f"dimension n = {_shown(n)} is past float range for the unit "
+                         f"ball volume: Gamma(n/2 + 1) overflows") from None
 
 
 def admissible(n: int, p: float) -> bool:

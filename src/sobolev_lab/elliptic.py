@@ -101,11 +101,15 @@ def build_grid(spec: DomainSpec, h: float) -> GriddedField:
                         f"of {NODE_BUDGET}")
     X, Y = np.meshgrid(x0 + h * np.arange(int(nx)), y0 + h * np.arange(int(ny)))
     mask = spec.contains(X, Y)
-    if mask[-1].any() or mask[:, -1].any():  # rounding left them inside: append one outside
-        mask = np.pad(mask, ((0, int(mask[-1].any())), (0, int(mask[:, -1].any()))))
-    if not np.any(mask):
+    # one outside node past each side of the frame where rounding left a node inside
+    rows, cols = mask.any(axis=1), mask.any(axis=0)
+    pads = ((int(rows[0]), int(rows[-1])), (int(cols[0]), int(cols[-1])))
+    if any(pads[0] + pads[1]):
+        mask = np.pad(mask, pads)
+    if not rows.any():
         raise GridError(f"domain {spec.describe()} is unresolved at h = {h:g}")
-    return GriddedField(h=h, origin=(x0, y0), mask=mask, values=np.zeros(mask.shape), spec=spec)
+    return GriddedField(h=h, origin=(x0 - h * pads[1][0], y0 - h * pads[0][0]), mask=mask,
+                        values=np.zeros(mask.shape), spec=spec)
 
 
 class _Level:

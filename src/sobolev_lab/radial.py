@@ -43,11 +43,15 @@ GL_WEIGHTS = np.array([
 
 
 def _gauss_legendre(n: int, f: Callable, knots: np.ndarray, power: float) -> float:
-    """n * omega_n * int max(f, 0)^power r^(n-1) dr, 8-point Gauss-Legendre per knot piece."""
+    """n * omega_n * int max(f, 0)^power r^(n-1) dr, 8-point Gauss-Legendre per knot piece.
+
+    Past float range the sum reads inf or nan without a warning; the caller judges it.
+    """
     half = 0.5 * np.diff(knots)[:, None]
     r = knots[:-1, None] + half * (1.0 + GL_NODES)
     y = np.clip(f(r.ravel()), 0.0, None).reshape(r.shape)
-    return n * unit_ball_volume(n) * float(np.sum(half * GL_WEIGHTS * y**power * r ** (n - 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return n * unit_ball_volume(n) * float(np.sum(half * GL_WEIGHTS * y**power * r ** (n - 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,6 +324,9 @@ def normalize_to_unit_ball(shot: RawShot, radius: float = 1.0) -> RadialProfile:
     below = shot.nodes[shot.nodes < R0]
     knots = np.concatenate(([0.0], below, R0 - (R0 - below[-1]) * 0.5 ** np.arange(1, 11), [R0]))
     I1 = _gauss_legendre(n, shot.dense, knots, p)
+    if not 0.0 < I1 < math.inf:  # r^(n-1) overflows from about n = 250
+        raise InputError(f"dimension n = {n} is past float range for the ball extremal: "
+                         f"its normalization integral is {I1!r}")
     I_r = (radius / R0) ** n * I1
     A = float(I_r ** (-1.0 / p))
     Lambda = float((R0 / radius) ** 2 * A ** (2.0 - p))

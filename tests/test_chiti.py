@@ -53,22 +53,28 @@ class TestComparisonBall:
         expected = rho**-2 * oracles.disk_p1_volume_profile(midpoints(s) / rho**2)
         assert np.max(np.abs(ball.phi_star.values - expected)) < 1e-12
 
-    def test_oversized_ball_rejected(self):
-        # constant below the ball value forces |B*| > |Omega|
-        cp1 = oracles.torsion_cp(2)
-        with pytest.raises(VerificationError, match="isoperimetric") as exc:
-            comparison_ball(cp1, n=2, p=1.0, s=np.linspace(0.0, 1.0, 5))
-        assert exc.value.stage == "comparison_ball"
+    def test_oversized_ball_fails_the_mass_gate(self):
+        # a constant below the domain's puts |B*| past |Omega|: the ball is
+        # built, and the mass of phi* cut off past |Omega| is judged in c
+        for p, factor in ((1.0, 0.5), (2.0, 0.5), (1.0, 0.97)):
+            res = minimize_quotient(build_grid(DomainSpec.disk(1.0), 1 / 32), p)
+            small = dataclasses.replace(res, cp=factor * res.cp)
+            u_star = decreasing_rearrangement(res.field)
+            ball = comparison_ball(small.cp, n=2, p=p, s=u_star.s)
+            assert ball.bstar_volume > u_star.total_volume
+            with pytest.raises(VerificationError, match="ball profile has L\\^p mass") as exc:
+                verify_reverse_holder(small, [p, 2.0])
+            assert exc.value.stage == "dominance"
 
     def test_truncation_within_slack(self):
-        # |B*| exceeding |Omega| by less than fk_tol truncates the profile
+        # a B* larger than |Omega| is cut off there, at any size: |B*| = pi
         cp1 = oracles.torsion_cp(2)
-        total = 0.97 * math.pi
-        ball = comparison_ball(cp1, n=2, p=1.0, s=np.linspace(0.0, total, 129))
-        assert ball.bstar_volume > total
-        assert ball.phi_star.s[-1] == total
-        assert ball.phi_star.values[-1] >= 0.0
-        assert ball.phi_star.total_volume == total
+        for total in (0.97 * math.pi, 1.0):
+            ball = comparison_ball(cp1, n=2, p=1.0, s=np.linspace(0.0, total, 129))
+            assert ball.bstar_volume > total
+            assert ball.phi_star.s[-1] == total
+            assert ball.phi_star.values[-1] >= 0.0
+            assert ball.phi_star.total_volume == total
 
     def test_invalid_arguments(self):
         # a nan or infinite constant is refused by name, not met later as a
@@ -309,12 +315,7 @@ class TestMassGateHeadroom:
         worst = 0.0
         for a in np.round(np.arange(0.90, 1.105, 0.01), 2):
             spec = DomainSpec.disk(a) if shape == "disk" else DomainSpec.ellipse(a, 0.98 * a)
-            res = minimize_quotient(build_grid(spec, h), 1.0)
-            try:
-                report = verify_reverse_holder(res, [1.0, 2.0])
-            except VerificationError as exc:  # |B*| past the FK_TOL slack
-                assert exc.stage == "comparison_ball"
-                continue
+            report = verify_reverse_holder(minimize_quotient(build_grid(spec, h), 1.0), [1.0, 2.0])
             deficit = -report.dominance_min / report.tau_dominance
             assert report.failed_gates() in ([], ["margins"]), (a, deficit)
             worst = max(worst, deficit)

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from sobolev_lab import (AdmissibilityError, DomainSpec, SpecError, admissible, alpha,
                          unit_ball_volume)
+from sobolev_lab.core import InputError
 from sobolev_lab import cli
 from sobolev_lab.cli import _spec_slug
 from sobolev_lab.elliptic import build_grid
@@ -25,6 +26,14 @@ class TestUnitBallVolume:
     def test_matches_oracle(self):
         for n in range(1, 9):
             assert unit_ball_volume(n) == pytest.approx(oracles.ball_volume(n), rel=1e-12)
+
+    def test_gamma_past_float_range(self):
+        # the direct formula where it is finite (pi itself at n = 2), an
+        # InputError naming n from n = 342, where Gamma(n/2 + 1) overflows
+        assert unit_ball_volume(2) == math.pi and 0.0 < unit_ball_volume(341) < 1e-200
+        for n in (342, 10**400):
+            with pytest.raises(InputError, match="past float range for the unit ball volume"):
+                unit_ball_volume(n)
 
     def test_rejects_bad_dimension(self):
         for bad in (0, -1, 2.5, True):

@@ -1,6 +1,7 @@
 """Masked grids, the 5-point operator, and quotient minimization."""
 
 import gc
+import json
 import math
 import os
 import subprocess
@@ -665,6 +666,23 @@ class TestMinimizeQuotient:
         assert not (grid.mask[[0, -1]].any() or grid.mask[:, [0, -1]].any())
         lam = eigsh(kronecker_laplacian(grid), k=1, sigma=0, which="LM")[0][0]
         assert minimize_quotient(grid, 2.0).cp == pytest.approx(lam, rel=1e-8)
+
+    @pytest.mark.parametrize("k", [8, 96])
+    def test_rounding_on_the_leading_frame_padded(self, k, tmp_path, capsys):
+        # a regular k-gon from cos and sin: its vertex (-1, 1.2e-16) leaves the
+        # node (-1, 0) of the lattice's first column inside, so build_grid
+        # pads that side too and moves the origin by -h
+        turn = 2 * math.pi / k
+        vertices = [[math.cos(j * turn), math.sin(j * turn)] for j in range(k)]
+        spec = DomainSpec.polygon(vertices)
+        grid = build_grid(spec, 1 / 16)
+        assert not (grid.mask[[0, -1]].any() or grid.mask[:, [0, -1]].any())
+        assert grid.origin == (-1.0 - 1 / 16, -1.0) and grid.mask[16, 1]
+        np.testing.assert_array_equal(grid.mask, spec.contains(*node_coordinates(grid)))
+        for p in ("1", "2"):
+            assert main(["verify", "--spec", json.dumps(spec.to_json()), "-p", p, "-q", "2",
+                         "--h", "0.0625", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
 
     def test_scaling_against_radial_disk(self):
         # staircase disk at h=1/64 should sit within O(h) of the radial value

@@ -26,6 +26,7 @@ from sobolev_lab.radial import VolumeProfile, unit_ball_profile
 from sobolev_lab.rearrange import decreasing_rearrangement
 
 SQUARE = '{"shape": "rectangle", "width": 1.0, "height": 1.0, "scale": 1.0}'
+DISK = '{"shape": "disk", "radius": 1.0}'
 
 
 def run(*argv) -> int:
@@ -204,6 +205,18 @@ class TestCliBall:
             row, = payload["rows"]
             assert row["q"] == q and 0.0 < row["rhs"] < math.inf
             assert payload["failed_gates"] == []
+
+    def test_dimension_past_float_range(self, tmp_path, capsys):
+        # r^(n-1) in the normalization integral overflows from about n = 250,
+        # and Gamma(n/2 + 1) in the unit ball volume from n = 342
+        for n, what in (("250", "normalization integral"), ("400", "Gamma(n/2 + 1)")):
+            out = tmp_path / n
+            assert run("ball", "-n", n, "-p", "1.001", "--out", str(out)) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert f"dimension n = {n} is past float range" in captured.err and what in captured.err
+        assert run("ball", "-n", "200", "-p", "1.001", "--out", str(tmp_path / "200")) == 0
+        assert "C_p(B) = 4.413072300280988e+112" in capsys.readouterr().out
 
     def test_supercritical_needs_flag(self, tmp_path, capsys):
         assert run("ball", "-n", "3", "-p", "6", "--out", str(tmp_path)) == 2
@@ -392,12 +405,14 @@ class TestCliVerify:
         assert not out.exists()
 
     def test_verification_error_exit_code(self, tmp_path, capsys, monkeypatch):
-        # a negative slack makes every comparison ball too large for its domain
-        monkeypatch.setattr(chiti, "FK_TOL", -0.5)
+        # khat off by 1e-6 relative puts the two paths to K past TWO_PATH_RTOL
+        khat = chiti.khat
+        monkeypatch.setattr(chiti, "khat", lambda *args: (1 + 1e-6) * khat(*args))
         out = tmp_path / "v"
         assert run("verify", "--spec", SQUARE, "-p", "2", "-q", "3",
                    "--h", str(1 / 32), "--out", str(out)) == 4
-        assert "verification error [stage: comparison_ball]" in capsys.readouterr().err
+        assert ("verification error [stage: constant]: two-path constant mismatch"
+                in capsys.readouterr().err)
         assert not out.exists() or list(out.iterdir()) == []
 
 
@@ -605,14 +620,17 @@ class TestCliTable:
         assert self.read_sweep(tmp_path / "warm") == self.read_sweep(tmp_path / "cold")
         assert len(list(cache.iterdir())) == 2  # the group was solved and written again
 
-    @pytest.mark.parametrize("p,qs,solved", [
-        ("2", ["1"], None),
-        ("2.5", ["1"], None),
-        ("2.5", ["1", "3"], "AdmissibilityError: p = 2.5 lies outside 1 <= p <= 2"
-                            " and is gated as experimental; no flag lifts khat's gate"),
-        ("2", ["1", "2"], "VerificationError: comparison ball volume 3.2549 exceeds"),
-    ], ids=["p2-q1", "p2.5-q1", "p2.5-q1-q3", "p2-q1-q2"])
-    def test_rows_below_p_need_no_solve(self, p, qs, solved, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("spec,p,qs,solved", [
+        (DISK, "2", ["1"], None),
+        (DISK, "2.5", ["1"], None),
+        (DISK, "2.5", ["1", "3"], "AdmissibilityError: p = 2.5 lies outside 1 <= p <= 2"
+                                  " and is gated as experimental; no flag lifts khat's gate"),
+        # the grid of one node at h = 1/16, whose q = 3 row fails its margin
+        ('{"shape": "polygon", "vertices": [[0, 0], [0.09375, 0], [0.09375, 0.09375],'
+         ' [0, 0.09375]]}', "2", ["1", "3"], "verification failed: margins out of tolerance"),
+    ], ids=["p2-q1", "p2.5-q1", "p2.5-q1-q3", "one-node-p2-q1-q3"])
+    def test_rows_below_p_need_no_solve(self, spec, p, qs, solved, tmp_path, capsys,
+                                        monkeypatch):
         # a q below p is decided before its group: no solve, no cache entry,
         # and the group's own error stays off its row
         cache = tmp_path / "cache"
@@ -622,7 +640,7 @@ class TestCliTable:
                 raise AssertionError("a group with no q >= p was solved")
             monkeypatch.setattr(cli, "_solve_domain", no_solve)
         q_flags = [flag for q in qs for flag in ("-q", q)]
-        assert run("table", "--spec", '{"shape": "disk", "radius": 1.0}', "-p", p, *q_flags,
+        assert run("table", "--spec", spec, "-p", p, *q_flags,
                    "--h", "0.0625", "--out", str(tmp_path / "out")) == 0
         assert f"{len(qs)} of {len(qs)} rows failed" in capsys.readouterr().err
         columns, *rows = self.read_back(tmp_path / "out")

@@ -4,8 +4,9 @@ For random valid parameters and scales, each shape must round-trip
 through JSON, rasterize inside its bounding box, and rasterize to a node
 area within the boundary-layer bound of its exact area.  On random
 ellipses, l-shapes and convex polygons the whole verify pipeline must
-pass, keep its rearrangement equimeasurable, keep |B*| within FK_TOL of
-|Omega|, obey the dilation law, and rerun byte-identically.
+pass, keep its rearrangement equimeasurable, keep |B*| within 5% of
+|Omega|, obey the dilation law, and rerun byte-identically.  Grids of a
+few nodes fail their q > p margins.
 """
 
 import json
@@ -18,9 +19,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from identities import equimeasurability_residual, node_coordinates  # noqa: E402
-from sobolev_lab import (DomainSpec, VerificationError, alpha, build_grid,  # noqa: E402
+from sobolev_lab import (DomainSpec, alpha, build_grid,  # noqa: E402
                          minimize_quotient, verify_reverse_holder)
-from sobolev_lab.chiti import FK_TOL  # noqa: E402
 from sobolev_lab.core import _SHAPES, GridError  # noqa: E402
 from sobolev_lab.formats import report_to_json  # noqa: E402
 
@@ -79,10 +79,9 @@ def test_shape_invariants(shape, data):
 
 
 # Pipeline properties run at h = 1/32 on grids of at least MIN_NODES nodes.
-# |B*| <= |Omega|(1 + FK_TOL) is a rasterization allowance, and the disk,
-# where it is tightest, needs about 900 nodes at this h: its grid constant
-# puts |B*|/|Omega| near 1 + 1.4/sqrt(N), 1.051 at 793 nodes and 1.043 at
-# 969 (p = 2).  Coarser grids are the under-resolved side, pinned below.
+# There |B*| <= 1.05 |Omega|: the disk, where the grid constant puts
+# |B*|/|Omega| nearest 1 + 1.4/sqrt(N), reads 1.051 at 793 nodes and 1.043
+# at 969 (p = 2).  Coarser grids are the under-resolved side, pinned below.
 PIPELINE_H = 1 / 32
 MIN_NODES = 1000
 
@@ -124,20 +123,25 @@ def test_pipeline_invariants(shape, data):
         for row in report.rows:
             mass = float(np.sum(u**row.q)) * PIPELINE_H**2
             assert equimeasurability_residual(res.field, row.q) <= 1e-12 * mass
-        assert report.bstar_volume <= report.omega_volume * (1 + FK_TOL)
+        assert report.bstar_volume <= report.omega_volume * 1.05
         # doubling the domain and h together gives the same lattice, scaled
         big = minimize_quotient(build_grid(doubled, 2 * PIPELINE_H), p)
         assert big.cp == pytest.approx(res.cp * 2.0 ** alpha(2, p), rel=1e-12, abs=0)
         assert report_to_json(_verify(spec, p)[1]) == report_to_json(report)
 
 
-# rectangles of m x k interior nodes (side (m + 1/2) h): convex and under-resolved
-@pytest.mark.parametrize("nodes", [(1, 1), (2, 1), (3, 1), (2, 2)])
+# rectangles of m x k interior nodes (side (m + 1/2) h): convex and
+# under-resolved.  No gate bounds |B*| against |Omega| (1.79 and 1.77 at 3
+# and 4 nodes, p = 1); the c-gates pass, since c is the p-mass of one of a
+# few nodes (all of it at one node), and the q = p row has margin 0 by
+# construction, so the q > p rows are what refuse these grids.
+@pytest.mark.parametrize("nodes", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 3), (5, 5)])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_under_resolved_polygon_rejected(nodes, p):
     w, t = ((m + 0.5) * PIPELINE_H for m in nodes)
     spec = DomainSpec.polygon([[0, 0], [w, 0], [w, t], [0, t]])
     assert np.count_nonzero(build_grid(spec, PIPELINE_H).mask) == nodes[0] * nodes[1]
-    with pytest.raises(VerificationError) as exc:
-        _verify(spec, p)
-    assert exc.value.stage == "comparison_ball"
+    _, report = _verify(spec, p)
+    assert report.failed_gates() == ["margins"]
+    assert report.rows[0].margin == 0.0
+    assert all(row.margin < -report.tau_margin * row.lhs for row in report.rows[1:])
