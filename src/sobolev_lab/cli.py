@@ -26,7 +26,7 @@ the pool machinery.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import binascii
 import importlib.util
 import json
 import math
@@ -84,6 +84,7 @@ def _spec_slug(spec: DomainSpec) -> str:
     for key in sorted(spec.params):
         val = spec.params[key]
         if isinstance(val, list):  # vertex count plus a digest, so polygons differ
+            import hashlib  # only here: it loads OpenSSL's libcrypto
             digest = hashlib.sha256(json.dumps(val).encode()).hexdigest()[:8]
             parts.append(f"{key}{len(val)}-{digest}")
         else:
@@ -94,10 +95,11 @@ def _spec_slug(spec: DomainSpec) -> str:
 
 
 def _h_slug(h: float) -> str:
-    """h{k} when h is exactly 1.0 / k for an integer k; else h{h!r} for a
-    whole h of 2 or more (h3.0, since h3 is 1/3), and h{_fmt(h)} otherwise."""
+    """h{k} when h is exactly 1.0 / k for an integer k <= 2**53, the last
+    integer a float holds exactly; else h{h!r} for a whole h of 2 or more
+    (h3.0, since h3 is 1/3), and h{_fmt(h)} otherwise (h6.25e-102)."""
     k = round(1.0 / h)
-    if k and 1.0 / k == h:
+    if 0 < k <= 2**53 and 1.0 / k == h:
         return f"h{k}"
     return f"h{float(h)!r}" if float(h).is_integer() else f"h{_fmt(h)}"
 
@@ -195,29 +197,41 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- table
 
-def _cache_path(task: dict) -> str | None:
-    """The task's cache entry, keyed by the task and the format version."""
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
+def _cache_task(task: dict) -> dict:
+    """The task as its cache entry is named by and stores it: with the format
+    version and a salt."""
     # the salt changes whenever a task's rows change text (failed gates named
     # in `error`, then the p > 2 gate's wording, then the digits of p = 1's
     # certified stop, then the verdicts of balls past |Omega|), so no older
     # entry replays
-    key = hashlib.sha256(canonical_json(
-        {**task, "version": FORMAT_VERSION, "salt": 4}).encode())
-    return os.path.join(root, key.hexdigest() + ".json")
+    return {**task, "version": FORMAT_VERSION, "salt": 4}
+
+
+def _cache_path(task: dict) -> str | None:
+    """The task's cache entry, named by a CRC-32 of its _cache_task's
+    canonical JSON: 32 bits suffice, since a read replays only an entry that
+    stores the same task."""
+    root = os.environ.get(CACHE_ENV)
+    if not root:
+        return None
+    os.makedirs(root, exist_ok=True)
+    name = binascii.crc32(canonical_json(_cache_task(task)).encode())
+    return os.path.join(root, f"{name:08x}.json")
 
 
 def _cached_rows(cpath: str, task: dict) -> list[dict] | None:
     """The task's rows from its cache entry; None, a miss, when the entry is
-    absent or truncated or is not one row per q keyed as the task's."""
+    absent or truncated, stores another task (a stale entry or a name
+    collision), or is not one row per q keyed as the task's."""
     try:
         with open(cpath, encoding="utf-8") as fh:
-            rows = json.load(fh)
+            entry = json.load(fh)
     except (FileNotFoundError, ValueError):
         return None
+    if not (isinstance(entry, dict)
+            and canonical_json(entry.get("task")) == canonical_json(_cache_task(task))):
+        return None
+    rows = entry.get("rows")
     keys = [{"domain": task["label"], "p": task["p"], "h": task["h"], "q": q}
             for q in task["qs"]]
     if isinstance(rows, list) and len(rows) == len(keys) and all(
@@ -310,12 +324,12 @@ def cmd_table(args: argparse.Namespace) -> int:
                 fresh = list(pool.map(_table_group, [t for t, _ in pending]))
         else:
             fresh = [_table_group(t) for t, _ in pending]
-        for (_, cpath), rows in zip(pending, fresh):
+        for (task, cpath), rows in zip(pending, fresh):
             flat += rows
             if cpath:  # write then rename, so a killed run leaves no partial entry
                 tmp = f"{cpath}.{os.getpid()}.tmp"
                 with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(rows, fh, sort_keys=True)
+                    json.dump({"rows": rows, "task": _cache_task(task)}, fh, sort_keys=True)
                 os.replace(tmp, cpath)
 
     flat.sort(key=lambda r: (r["domain"], r["p"], r["q"]))

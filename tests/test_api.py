@@ -299,6 +299,27 @@ def test_warm_table_loads_no_numpy(tmp_path):
     assert cold == warm
 
 
+# what loads OpenSSL's libcrypto: only a polygon's label imports it
+OPENSSL = {"hashlib", "_hashlib"}
+
+
+def test_cli_and_cached_table_load_no_openssl(tmp_path):
+    # cache entries are named by a CRC-32, with binascii, not by a sha256
+    modules = _fresh("import json, sys, sobolev_lab.cli; print(json.dumps(sorted(sys.modules)))")
+    assert OPENSSL.isdisjoint(modules)
+    code = ("import json, sys, sobolev_lab.cli; "
+            "rc = sobolev_lab.cli.main(sys.argv[1:]); "
+            "print(json.dumps([rc, sorted(sys.modules)]))")
+    argv = ["table", "--spec", '{"shape": "disk", "radius": 1.0}', "--spec", SQUARE,
+            "-p", "1", "-q", "2", "--h", "0.0625", "--jobs", "1"]
+    cache = str(tmp_path / "cache")
+    rc, cold = _fresh(code, *argv, "--out", str(tmp_path / "cold"), SOBOLEV_LAB_CACHE=cache)
+    assert rc == 0 and "numpy" in cold and OPENSSL.isdisjoint(cold)
+    rc, warm = _fresh(code, *argv, "--out", str(tmp_path / "warm"), SOBOLEV_LAB_CACHE=cache)
+    assert rc == 0 and "numpy" not in warm and OPENSSL.isdisjoint(warm)  # every group read
+    assert len(os.listdir(cache)) == 2
+
+
 def test_verify_loads_no_numpy_polynomial(tmp_path):
     # the Gauss-Legendre rule of the radial norms is constants, not leggauss(8)
     code = ("import json, sys, sobolev_lab.cli; "

@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import csv
-import hashlib
 import json
 import math
 import os
@@ -502,6 +501,19 @@ class TestCliTable:
         with open(os.path.join(out, "sweep.csv"), "rb") as fh:
             return fh.read()
 
+    @staticmethod
+    def replant(cache, old_task, old_row):
+        """Rewrite the one entry in cache under its own name, which the next
+        identical run looks up, with old_task of its stored task and old_row
+        of each of its rows; the entry's path and its bytes before."""
+        (entry,) = cache.iterdir()
+        written = entry.read_bytes()
+        stored = json.loads(written)
+        entry.write_text(json.dumps({"task": old_task(stored["task"]),
+                                     "rows": [old_row(r) for r in stored["rows"]]}),
+                         encoding="utf-8")
+        return entry, written
+
     def test_sweep_rows_and_error_column(self, tmp_path, capsys):
         out = str(tmp_path / "a")
         assert run(*self.ARGS, "--out", out) == 0
@@ -530,24 +542,21 @@ class TestCliTable:
         assert failed in capsys.readouterr().err
         cache = tmp_path / "cache"
         monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(cache))
-        tasks, path = [], cli._cache_path
-        monkeypatch.setattr(cli, "_cache_path", lambda task: tasks.append(task) or path(task))
         assert run("table", *group, "--out", str(tmp_path / "cold")) == 0
         assert "1 of 1 rows failed" in capsys.readouterr().err
         cold = self.read_sweep(tmp_path / "cold")
         row = cold.decode().splitlines()[2].split(",")
         assert row[-1] == failed and float(row[10]) < 0  # the numbers are kept
-        # the entry as it was written before rows named failed gates, under
-        # the key of that time, holds the group as a pass; it is not read
-        (entry,) = cache.iterdir()
-        rows = json.loads(entry.read_text(encoding="utf-8"))
-        entry.unlink()
-        key = hashlib.sha256(canonical_json({**tasks[0], "version": FORMAT_VERSION}).encode())
-        (cache / f"{key.hexdigest()}.json").write_text(
-            json.dumps([{**r, "error": ""} for r in rows]), encoding="utf-8")
+        # the entry as it was written before rows named failed gates, keyed
+        # with no salt, holds the group as a pass; under this run's name it
+        # is not read, and the group is solved and written again
+        entry, written = self.replant(
+            cache, lambda task: {k: v for k, v in task.items() if k != "salt"},
+            lambda row: {**row, "error": ""})
         assert run("table", *group, "--out", str(tmp_path / "warm")) == 0
         assert "1 of 1 rows failed" in capsys.readouterr().err
         assert self.read_sweep(tmp_path / "warm") == cold
+        assert entry.read_bytes() == written
 
     @pytest.mark.parametrize("spec,failed", [
         ('{"shape": "ellipse", "a": 1.0, "b": 0.6}', []),
@@ -575,50 +584,67 @@ class TestCliTable:
                 f"verification failed: {', '.join(failed)} out of tolerance" if failed else "")
 
     def test_old_gate_wording_not_replayed(self, tmp_path, capsys, monkeypatch):
-        # an entry written when p > 2 rows named allow_supercritical, under
-        # the key of that time, is not read back
+        # an entry written when p > 2 rows named allow_supercritical, keyed
+        # by a `gates` key in place of the salt, is not read back, even
+        # under this run's name
         cache = tmp_path / "cache"
         monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(cache))
-        tasks, path = [], cli._cache_path
-        monkeypatch.setattr(cli, "_cache_path", lambda task: tasks.append(task) or path(task))
         args = ("table", "--spec", SQUARE, "-p", "2.5", "-q", "3", "--h", "0.125")
         assert run(*args, "--out", str(tmp_path / "cold")) == 0
-        (entry,) = cache.iterdir()
-        rows = json.loads(entry.read_text(encoding="utf-8"))
-        entry.unlink()
         old = "pass allow_supercritical=True to lift"
-        key = hashlib.sha256(canonical_json(
-            {**tasks[0], "version": FORMAT_VERSION, "gates": "error"}).encode())
-        (cache / f"{key.hexdigest()}.json").write_text(
-            json.dumps([{**r, "error": old} for r in rows]), encoding="utf-8")
+        entry, written = self.replant(
+            cache, lambda task: {**{k: v for k, v in task.items() if k != "salt"},
+                                 "gates": "error"},
+            lambda row: {**row, "error": old})
         assert run(*args, "--out", str(tmp_path / "warm")) == 0
         capsys.readouterr()
         warm = self.read_sweep(tmp_path / "warm")
         assert warm == self.read_sweep(tmp_path / "cold")
         assert b"no flag lifts khat's gate" in warm and old.encode() not in warm
+        assert entry.read_bytes() == written
 
     def test_entry_before_the_certified_p1_stop_not_replayed(self, tmp_path, capsys,
                                                              monkeypatch):
         # p = 1 rows changed digits when the solve began to stop on its
-        # certified bound; an entry written under the salt of that time is
-        # not read back
+        # certified bound; an entry that stores the salt of that time is not
+        # read back, even under this run's name
         cache = tmp_path / "cache"
         monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(cache))
-        tasks, path = [], cli._cache_path
-        monkeypatch.setattr(cli, "_cache_path", lambda task: tasks.append(task) or path(task))
         args = ("table", "--spec", SQUARE, "-p", "1", "-q", "2", "--h", "0.125")
         assert run(*args, "--out", str(tmp_path / "cold")) == 0
-        (entry,) = cache.iterdir()
-        rows = json.loads(entry.read_text(encoding="utf-8"))
-        entry.unlink()
-        key = hashlib.sha256(canonical_json(
-            {**tasks[0], "version": FORMAT_VERSION, "salt": 2}).encode())
-        (cache / f"{key.hexdigest()}.json").write_text(
-            json.dumps([{**r, "cp": 1.0} for r in rows]), encoding="utf-8")
+        entry, written = self.replant(cache, lambda task: {**task, "salt": 2},
+                                      lambda row: {**row, "cp": 1.0})
         assert run(*args, "--out", str(tmp_path / "warm")) == 0
         capsys.readouterr()
         assert self.read_sweep(tmp_path / "warm") == self.read_sweep(tmp_path / "cold")
-        assert len(list(cache.iterdir())) == 2  # the group was solved and written again
+        assert entry.read_bytes() == written  # the group was solved and written again
+
+    def test_entry_of_another_task_is_a_miss(self, tmp_path, capsys, monkeypatch):
+        # a forced name collision: the entry of the same group at another
+        # --max-iter, whose SolverError rows pass the per-row check, under
+        # this group's name
+        args = ("table", "--spec", SQUARE, "-p", "2", "-q", "2", "--h", "0.0625")
+        other = tmp_path / "other"
+        monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(other))
+        assert run(*args, "--max-iter", "2", "--out", str(tmp_path / "stopped")) == 0
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SOBOLEV_LAB_CACHE", str(cache))
+        assert run(*args, "--out", str(tmp_path / "cold")) == 0
+        capsys.readouterr()
+        cold = self.read_sweep(tmp_path / "cold")
+        assert b"SolverError" in self.read_sweep(tmp_path / "stopped")
+        assert b"SolverError" not in cold
+        (entry,), (foreign,) = cache.iterdir(), other.iterdir()
+        written = entry.read_bytes()
+        entry.write_bytes(foreign.read_bytes())
+        solved, solve = [], cli._solve_domain
+        monkeypatch.setattr(cli, "_solve_domain",
+                            lambda *args: solved.append(args[1]) or solve(*args))
+        assert run(*args, "--out", str(tmp_path / "warm")) == 0
+        capsys.readouterr()
+        assert solved == [2.0]
+        assert self.read_sweep(tmp_path / "warm") == cold
+        assert entry.read_bytes() == written
 
     @pytest.mark.parametrize("spec,p,qs,solved", [
         (DISK, "2", ["1"], None),
@@ -916,6 +942,11 @@ class TestCliTable:
         rows = self.read_sweep(out).decode().splitlines()[2:]
         assert {row.split(",")[0] for row in rows} == slugs
 
+    def test_polygon_label_keeps_its_digest(self):
+        # the vertex count and the first 8 hex digits of the vertices' sha256
+        unit = '{"shape": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}'
+        assert cli._spec_slug(DomainSpec.from_json(unit)) == "polygon_vertices4-7f0936ec"
+
     def test_close_values_get_distinct_names(self, tmp_path, capsys):
         # :g keeps six significant digits, which would print 1.0000001 as 1
         one = '{"shape": "disk", "radius": 1.0}'
@@ -941,7 +972,10 @@ class TestCliTable:
         assert cli._h_slug(h) == f"h{h!r}"
         cases = {1 / 64: "h64", 1 / 3: "h3", 0.1: "h10", 0.01: "h100",
                  0.003: "h0.003", 2.5: "h2.5",  # round(1 / 2.5) = 0
-                 1.0: "h1", 0.5: "h2", 2.0: "h2.0", 3.0: "h3.0"}  # h3 names 1/3
+                 1.0: "h1", 0.5: "h2", 2.0: "h2.0", 3.0: "h3.0",  # h3 names 1/3
+                 # 1/k names h only while a float holds k exactly, up to 2**53
+                 2.0**-53: "h9007199254740992", 2.0**-54: "h5.551115123125783e-17",
+                 1e-20: "h1e-20", 1e-100 / 16: "h6.25e-102"}
         assert {h: cli._h_slug(h) for h in cases} == cases
 
     def test_stdout_when_no_out(self, capsys):
