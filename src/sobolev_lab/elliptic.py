@@ -125,7 +125,11 @@ class _Level:
     A coarser level applies its Galerkin operator, a symmetric 9-point
     stencil given by its upper half, a read-only (5, ny * nx) array: flat
     coefficients of the centre and the neighbors at (0, 1), (1, -1),
-    (1, 0), (1, 1), that vanish outside the mask.
+    (1, 0), (1, 1), that vanish outside the mask.  Node I's upper row
+    reads the level below only within Chebyshev distance 2 of its node
+    2I, so where all of that is interior it is one interior row per level,
+    to the last bit, and only the rows near the mask's edge are computed
+    one by one (see _coarse_operators).
     Either way A x is zero outside the mask, and neighbors outside it carry
     u = 0.  A level's temporaries t and w are dead whenever another level
     works, so a coarse level given the finest level fine works in
@@ -261,30 +265,95 @@ def _prolong(c: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     return out
 
 
-def _probe(op, shape: tuple) -> np.ndarray:
-    """The 9-point stencil of a linear map on arrays of this shape, as a
-    (9, ny * nx) array: row 3 (dy + 1) + dx + 1 holds each node's
-    coefficient of its neighbor at (dy, dx).
+# the offsets (dy, dx) of an upper-half stencil's rows, and for each the
+# bilinear hat P e of the unit vector at J = I + o on the 5 x 5 fine window
+# around 2I: per axis, its weights at window offsets -2..2 for a centre 2J
+# at offset -2, 0 or 2
+_UPPER = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+_AXIS = {-1: (1.0, 0.5, 0.0, 0.0, 0.0), 0: (0.0, 0.5, 1.0, 0.5, 0.0), 1: (0.0, 0.0, 0.0, 0.5, 1.0)}
+_HATS = [np.multiply.outer(_AXIS[dy], _AXIS[dx])[:, :, None] for dy, dx in _UPPER]
 
-    Nine probes, each the indicator of the nodes of one colour (i mod 3,
-    j mod 3): a node's 3x3 neighborhood holds exactly one node of each
-    colour, so each probe's image gives one stencil entry at every node.
+
+def _everywhere(a: np.ndarray, r: int, shape: tuple) -> np.ndarray:
+    """Whether a holds at every node within Chebyshev distance r of the node
+    2I, for each node I of an array of this shape; nodes past a's array
+    read False."""
+    p = np.pad(a, r)
+    cols = p[:, :2 * shape[1]:2].copy()
+    for d in range(1, 2 * r + 1):
+        cols &= p[:, d:d + 2 * shape[1]:2]
+    out = cols[:2 * shape[0]:2].copy()
+    for d in range(1, 2 * r + 1):
+        out &= cols[d:d + 2 * shape[0]:2]
+    return out
+
+
+def _rows(m: np.ndarray, S: np.ndarray | None, inv_h2: float | None) -> np.ndarray:
+    """Upper-half rows (5, B) of P^T A P at B coarse nodes I, from the fine
+    level's 5 x 5 windows around the nodes 2I: m, (5, 5, B), its mask as 0
+    and 1, and S, (5, 5, 5, B), its upper-half stencil, or None on the
+    finest level, whose operator is the 5-point one with 1 / h^2 = inv_h2.
+
+    Each entry is (P^T A P e)(I), e the unit vector at I + o, in the
+    operations that _prolong, apply and _restrict do at these nodes: the
+    hat's values 1, 1/2 and 1/4 and the restriction's halves make every
+    product by them exact, and the sums run in those functions' order.
     """
-    i, j = np.ogrid[:shape[0], :shape[1]]
-    S = np.zeros((3, 3) + shape)
-    for a in range(3):
-        for b in range(3):
-            S[(a - i + 1) % 3, (b - j + 1) % 3, i, j] = op(((i % 3 == a) & (j % 3 == b)) * 1.0)
-    return S.reshape(9, -1)
+    out = np.empty((5, m.shape[2]))
+    for k, (oy, ox) in enumerate(_UPPER):
+        x = _HATS[k] * m * m[2 + 2 * oy, 2 + 2 * ox]  # P e on the mask
+        if S is None:  # (4 x - (((up + down) + left) + right)) / h^2, exact but the product
+            y = x[1:4, 1:4] * 4.0
+            y -= ((x[:3, 1:4] + x[2:, 1:4]) + x[1:4, :3]) + x[1:4, 2:]
+            y *= inv_h2
+            y *= m[1:4, 1:4]  # the halo's product by 0
+        else:  # the centre, then +o and -o for each upper offset o, as apply adds them
+            y = S[0, 1:4, 1:4] * x[1:4, 1:4]
+            for j, (dy, dx) in enumerate(_UPPER[1:], start=1):
+                y += S[j, 1:4, 1:4] * x[1 + dy:4 + dy, 1 + dx:4 + dx]
+                y += S[j, 1 - dy:4 - dy, 1 - dx:4 - dx] * x[1 - dy:4 - dy, 1 - dx:4 - dx]
+        t = (y[:, 1] + y[:, 2] * 0.5) + y[:, 0] * 0.5  # columns, then rows
+        out[k] = (t[1] + t[2] * 0.5) + t[0] * 0.5
+    return out
 
 
-def _galerkin(fine: _Level, coarse: np.ndarray) -> np.ndarray:
-    """Stencil of the Galerkin operator P^T A P on the coarse mask."""
-    def op(e):
-        e *= coarse
-        fine.apply(np.multiply(_prolong(e, fine.x, fine.w), fine.mask, out=fine.x), fine.t)
-        return _restrict(fine.t, np.empty(coarse.shape), fine.w) * coarse
-    return _probe(op, coarse.shape)
+def _assemble(fine: _Level, coarse: np.ndarray, regular: np.ndarray | None,
+              row: np.ndarray | None) -> tuple:
+    """The upper-half stencil of P^T A P on the coarse mask, row by row.
+
+    Above the finest level, regular marks fine's nodes whose upper row is
+    its interior row, row; on the finest level both are None.  Returns the
+    stencil, the coarse nodes whose upper row is the coarse interior row,
+    and that row: the regular nodes get the interior row, the other nodes
+    of the mask rows of their own from fine windows, and the nodes off it
+    zeros (see _coarse_operators).
+    """
+    if fine.stencil is None:
+        regular, inv_h2 = _everywhere(fine.mask, 2, coarse.shape), fine.inv_h2
+    else:  # full rows: the node's upper row and those of its four lower neighbors
+        r = np.pad(regular, 1)
+        full = r[1:-1, 1:-1] & r[1:-1, :-2] & r[:-2, 2:] & r[:-2, 1:-1] & r[:-2, :-2]
+        regular, inv_h2 = _everywhere(full, 1, coarse.shape), None
+    # the 5 x 5 fine windows around the nodes 2I, the first one a synthetic
+    # interior window (all of it in the mask, every row the interior row),
+    # then one per coarse node that is not regular; nodes past the array read 0
+    edge = np.flatnonzero(coarse & ~regular)
+    ny, nx = fine.mask.shape
+    iy = np.concatenate(([2], 2 * (edge // coarse.shape[1]))) + np.arange(-2, 3)[:, None]
+    ix = np.concatenate(([2], 2 * (edge % coarse.shape[1]))) + np.arange(-2, 3)[:, None]
+    past = ((iy < 0) | (iy >= ny))[:, None] | ((ix < 0) | (ix >= nx))[None]
+    flat = np.where(past, 0, iy[:, None] * nx + ix[None])
+    m = fine.mask.reshape(-1)[flat] & ~past
+    m[..., 0] = True
+    S = None
+    if fine.stencil is not None:
+        S = np.where(past, 0.0, fine.stencil[:, flat])
+        S[..., 0] = row[:, None, None]
+    rows = _rows(m * 1.0, S, inv_h2)
+    row = rows[:, 0].copy()
+    stencil = np.where(regular.reshape(-1), row[:, None], 0.0)
+    stencil[:, edge] = rows[:, 1:]
+    return stencil, regular, row
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:
@@ -311,12 +380,35 @@ def _coarse_operators(fine: _Level, h: float) -> tuple:
 
     Levels coarsen by mask[::2, ::2] with bilinear prolongation P and
     Galerkin operators P^T A P while a level has more than MG_COARSE_SIZE
-    nodes (or until the coarse mask is empty); the first is probed on fine
-    itself, whose work arrays it overwrites, and each coarser one on a
-    level that works in fine's temporaries.  They depend on the mask and
-    h alone, so the last grid's operators are kept, as copies set read-only,
-    and a solve on the same mask and h reuses them.  The slot is emptied
-    before any other grid's build, so two grids' operators never coexist.
+    nodes (or until the coarse mask is empty), each assembled row by row
+    (_assemble) from the level below's mask and stencil alone; only the
+    bottom's inverse works in fine's arrays.
+
+    The radius rule.  Entry o of coarse node I's upper row is
+    (P^T A P e)(I), e the unit vector at J = I + o: P e is J's hat on the
+    fine nodes within Chebyshev distance 1 of 2J, on the fine mask (and 0
+    if 2J is off it); the restriction reads A P e within distance 1 of 2I,
+    and A at a fine node r reads P e and r's full row within distance 1 of
+    r.  On the first level A is the masked 5-point operator, so the row
+    reads the fine mask within distance 2 of 2I (the centres 2I + 2o
+    included).  Above it r's full row is r's upper row and, for its lower
+    half, the upper rows of r - o for the four off-centre o; an interior
+    upper row couples r to all four upper neighbors, which puts them in
+    the mask, since a coefficient to a node off it is 0.  So a coarse node
+    is regular when all 25 fine nodes within distance 2 of 2I are in the
+    mask (first level), or when the nine full rows around 2I are all made
+    of interior rows (above it).  A regular row reads the operands of a
+    window deep inside the domain, in the same operations, and IEEE
+    arithmetic rounds equal operands equally: it is the interior row, bit
+    for bit, computed once per level from a synthetic window.  Only the
+    other nodes of the mask (about 2% at h = 1/256) get rows from their
+    own windows, which read 0 past the array (mask[::2, ::2] can leave a
+    node on its array's last row or column); rows off the mask are zeros.
+
+    The operators depend on the mask and h alone, so the last grid's are
+    kept, set read-only, and a solve on the same mask and h reuses them.
+    The slot is emptied before any other grid's build, so two grids'
+    operators never coexist.
     """
     global _last_operators
     key = (fine.mask.shape, h, fine.mask.tobytes())
@@ -325,13 +417,12 @@ def _coarse_operators(fine: _Level, h: float) -> tuple:
         return last[1]
     _last_operators = None
     galerkin = []
-    level = fine
+    level, regular, row = fine, None, None
     while level.size > MG_COARSE_SIZE:
         coarse = level.mask[::2, ::2].copy()
         if not coarse.any():
             break
-        # the operator is symmetric, so its upper half holds it all
-        stencil = _galerkin(level, coarse)[4:].copy()
+        stencil, regular, row = _assemble(level, coarse, regular, row)
         coarse.flags.writeable = stencil.flags.writeable = False
         galerkin.append((coarse, stencil))
         level = _Level(coarse, stencil, fine=fine)

@@ -5,7 +5,10 @@ the package under test: closed forms via math/scipy.special, an
 independent Bessel-zero root finder, and scipy's DOP853 for the ball
 shot.  Run as a script to print the frozen constants; the test modules
 hard-code these literals and assert agreement with both this module and
-the package.
+the package.  The one exception is the Galerkin probe, the multigrid's
+former build: it runs the package's own prolongation, fine operator and
+restriction on whole grids, and so pins the bits of the row-wise
+assembly that replaced it, not the values of P^T A P.
 """
 
 import math
@@ -98,6 +101,54 @@ def dop853_ball_shot(n: int, p: float):
         return np.where(r < start, 1.0 - r**2 / (2.0 * n), sol.sol(np.maximum(r, start))[0])
 
     return float(sol.t_events[0][0]), y_of, sol.t
+
+
+def probe(op, shape: tuple) -> np.ndarray:
+    """The 9-point stencil of a linear map on arrays of this shape, as a
+    (9, ny * nx) array: row 3 (dy + 1) + dx + 1 holds each node's
+    coefficient of its neighbor at (dy, dx).
+
+    Nine probes, each the indicator of the nodes of one colour (i mod 3,
+    j mod 3): a node's 3x3 neighborhood holds exactly one node of each
+    colour, so each probe's image gives one stencil entry at every node.
+    """
+    i, j = np.ogrid[:shape[0], :shape[1]]
+    S = np.zeros((3, 3) + shape)
+    for a in range(3):
+        for b in range(3):
+            S[(a - i + 1) % 3, (b - j + 1) % 3, i, j] = op(((i % 3 == a) & (j % 3 == b)) * 1.0)
+    return S.reshape(9, -1)
+
+
+def galerkin_probe(fine, coarse: np.ndarray) -> np.ndarray:
+    """Stencil of the Galerkin operator P^T A P on the coarse mask, probed
+    with the package's _prolong, the fine level's apply and _restrict, in
+    the fine level's work arrays."""
+    from sobolev_lab.elliptic import _prolong, _restrict
+
+    def op(e):
+        e *= coarse
+        fine.apply(np.multiply(_prolong(e, fine.x, fine.w), fine.mask, out=fine.x), fine.t)
+        return _restrict(fine.t, np.empty(coarse.shape), fine.w) * coarse
+    return probe(op, coarse.shape)
+
+
+def galerkin_levels(mask: np.ndarray, h: float) -> list:
+    """The (coarse mask, upper-half stencil) pairs of the multigrid levels
+    above the finest, each probed on the level below, as the package built
+    them before its row-wise assembly."""
+    from sobolev_lab.elliptic import MG_COARSE_SIZE, _Level
+
+    fine = level = _Level(mask, h=h)
+    levels = []
+    while level.size > MG_COARSE_SIZE:
+        coarse = level.mask[::2, ::2].copy()
+        if not coarse.any():
+            break
+        stencil = galerkin_probe(level, coarse)[4:].copy()
+        levels.append((coarse, stencil))
+        level = _Level(coarse, stencil, fine=fine)
+    return levels
 
 
 def k_constant_25(factor: float) -> float:

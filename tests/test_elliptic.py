@@ -22,9 +22,9 @@ from sobolev_lab import AdmissibilityError, DomainSpec, build_grid, minimize_quo
 from sobolev_lab import elliptic
 from sobolev_lab.core import GridError, InputError, SolverError
 from sobolev_lab.cli import main
-from sobolev_lab.elliptic import (MG_COARSE_SIZE, MG_OMEGA, GriddedField, _coarse_operators,
-                                  _galerkin, _inverse, _Level, _lp_scale, _ritz, _VCycle,
-                                  quotient)
+from sobolev_lab.elliptic import (MG_COARSE_SIZE, MG_OMEGA, GriddedField, _assemble,
+                                  _coarse_operators, _inverse, _Level, _lp_scale, _ritz,
+                                  _VCycle, quotient)
 
 SHAPES = {
     "disk": DomainSpec.disk(1.0),
@@ -73,19 +73,24 @@ def bilinear_prolongation(mask):
 
 
 def stencil_matrix(S, mask):
-    """The sparse matrix of a (9, ny * nx) stencil on the mask's nodes."""
+    """The sparse symmetric matrix of a (5, ny * nx) upper-half stencil on the
+    mask's nodes: rows for the offsets (0, 0), (0, 1), (1, -1), (1, 0) and
+    (1, 1), each off-centre entry also standing for its mirror."""
     index = np.full(mask.shape, -1)
     index[mask] = np.arange(np.count_nonzero(mask))
     pad = np.pad(index, 1, constant_values=-1)
-    S = S.reshape((3, 3) + mask.shape)
+    S = S.reshape((5,) + mask.shape)
     rows, cols, vals = [], [], []
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            nb = pad[1 + dy:1 + dy + mask.shape[0], 1 + dx:1 + dx + mask.shape[1]]
-            keep = mask & (nb >= 0)
-            rows.append(index[keep])
-            cols.append(nb[keep])
-            vals.append(S[dy + 1, dx + 1][keep])
+    for k, (dy, dx) in enumerate(((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))):
+        nb = pad[1 + dy:1 + dy + mask.shape[0], 1 + dx:1 + dx + mask.shape[1]]
+        keep = mask & (nb >= 0)
+        rows.append(index[keep])
+        cols.append(nb[keep])
+        vals.append(S[k][keep])
+        if k:  # the lower half: the same coefficient seen from the neighbor
+            rows.append(nb[keep])
+            cols.append(index[keep])
+            vals.append(S[k][keep])
     n = np.count_nonzero(mask)
     return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(n, n))
@@ -287,7 +292,8 @@ class TestMultigrid:
         coarse = grid.mask[::2, ::2]
         A, P = kronecker_laplacian(grid), bilinear_prolongation(grid.mask)
         ref = (P.T @ A @ P).toarray()
-        got = stencil_matrix(_galerkin(_Level(grid.mask, h=grid.h), coarse), coarse).toarray()
+        stencil = _assemble(_Level(grid.mask, h=grid.h), coarse, None, None)[0]
+        got = stencil_matrix(stencil, coarse).toarray()
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 64, 1.0 / 128])
@@ -365,15 +371,96 @@ class TestMultigrid:
             gc.enable()
 
 
+# the shapes whose Galerkin levels are checked against the probe
+ASSEMBLY_SHAPES = {
+    "disk": DomainSpec.disk(1.0),
+    "ellipse": DomainSpec.ellipse(1.0, 0.5),
+    "seeded-ellipse": DomainSpec.ellipse(0.604566, 0.41352),  # verify-fine's seed 3
+    "lshape": DomainSpec.l_shape(1.0, 0.45),
+    "strip": DomainSpec.rectangle(1.0, 0.05),
+    # coarsening stops above MG_COARSE_SIZE, at an empty coarse mask, and the
+    # bottom is smoothed (at all but h = 0.0123)
+    "wide-strip": DomainSpec.rectangle(5.0, 0.05),
+    "concave": DomainSpec.polygon([(0, 0), (1, 0), (1, 1), (0.5, 0.3), (0, 1)]),
+}
+
+
+def assembled_levels(monkeypatch, mask, h):
+    """A cold build's Galerkin levels, each (coarse mask, stencil, regular
+    nodes), and its bottom inverse."""
+    levels = []
+
+    def record(fine, coarse, regular, row):
+        out = _assemble(fine, coarse, regular, row)
+        levels.append((coarse, out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(elliptic, "_last_operators", None)
+    monkeypatch.setattr(elliptic, "_assemble", record)
+    inverse = _coarse_operators(_Level(mask, h=h), h)[1]
+    return levels, inverse
+
+
+class TestGalerkinAssembly:
+    """The row-wise Galerkin operators are the probe's (oracles.galerkin_levels),
+    entry for entry, on every level."""
+
+    def check(self, got, want):
+        assert len(got) == len(want)
+        for (mask, stencil, regular), (ref_mask, ref) in zip(got, want):
+            assert np.array_equal(mask, ref_mask)
+            assert np.array_equal(stencil, ref)
+            # on the mask, signed zeros too; off it the probe's zeros carry
+            # the signs of the products that it multiplied by 0
+            on = mask.reshape(-1)
+            assert stencil[:, on].tobytes() == ref[:, on].tobytes()
+            assert not (regular & ~mask).any()
+
+    @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 64, 1.0 / 256, 0.0123, 0.017, 0.00731])
+    @pytest.mark.parametrize("shape", list(ASSEMBLY_SHAPES))
+    def test_every_level_equals_the_probe(self, monkeypatch, shape, h):
+        grid = build_grid(ASSEMBLY_SHAPES[shape], h)
+        got, inverse = assembled_levels(monkeypatch, grid.mask, h)
+        self.check(got, oracles.galerkin_levels(grid.mask, h))
+        if shape == "wide-strip" and h != 0.0123:
+            assert inverse is None
+
+    def test_window_past_the_arrays_last_row(self, monkeypatch):
+        # mask[::2, ::2] drops an odd last row, so this level's mask has nodes
+        # on its array's last row: their windows reach past the array, where
+        # they must read 0 (a window clipped to the array reads its last row
+        # twice)
+        grid = build_grid(ASSEMBLY_SHAPES["seeded-ellipse"], 1.0 / 256)
+        got, _ = assembled_levels(monkeypatch, grid.mask, grid.h)
+        level = [m.shape for m, _, _ in got].index((14, 20))
+        assert got[level][0][-1].any()
+        self.check(got, oracles.galerkin_levels(grid.mask, grid.h))
+
+    def test_no_interior_row(self, monkeypatch):
+        # three rows in the mask: no coarse node has all 25 fine nodes around
+        # it inside, so every row of the mask is computed from its own window
+        grid = build_grid(ASSEMBLY_SHAPES["strip"], 1.0 / 64)
+        got, _ = assembled_levels(monkeypatch, grid.mask, grid.h)
+        assert got and not any(regular.any() for _, _, regular in got)
+        self.check(got, oracles.galerkin_levels(grid.mask, grid.h))
+
+    def test_interior_rows_are_most_rows(self, monkeypatch):
+        grid = build_grid(ASSEMBLY_SHAPES["disk"], 1.0 / 256)
+        got, _ = assembled_levels(monkeypatch, grid.mask, grid.h)
+        mask, _, regular = got[0]
+        assert mask.sum() == 51_429 and (mask & ~regular).sum() == 1_016
+
+
 class CountingGalerkin:
-    """Stand-in for elliptic._galerkin that counts its calls."""
+    """Stand-in for elliptic._assemble, the Galerkin operators' builder,
+    that counts its calls."""
 
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, fine, coarse):
+    def __call__(self, fine, coarse, regular, row):
         self.calls += 1
-        return _galerkin(fine, coarse)
+        return _assemble(fine, coarse, regular, row)
 
 
 class TestHierarchyMemo:
@@ -383,7 +470,7 @@ class TestHierarchyMemo:
     def galerkin(self, monkeypatch):
         monkeypatch.setattr(elliptic, "_last_operators", None)
         counting = CountingGalerkin()
-        monkeypatch.setattr(elliptic, "_galerkin", counting)
+        monkeypatch.setattr(elliptic, "_assemble", counting)
         return counting
 
     def test_hit_is_bit_identical(self, galerkin):
@@ -422,19 +509,21 @@ class TestHierarchyMemo:
 
         monkeypatch.setattr(elliptic, "_Level", level)
         grid = build_grid(SHAPES["disk"], 1.0 / 64)
-        cold = minimize_quotient(grid, 1.5)  # the probe runs on the solve's own fine level
+        cold = minimize_quotient(grid, 1.5)  # the build reads the solve's own fine level
         assert len(finest) == 1 and galerkin.calls > 0
         built = galerkin.calls
         warm = minimize_quotient(grid, 1.5)  # a memo hit
         assert len(finest) == 2 and galerkin.calls == built
-        # the probe leaves data in the fine level's work arrays; the V-cycle must
-        # write them before it reads them, so a cold solve matches a warm one
+        # the bottom's inverse leaves data in the fine level's work arrays; the
+        # V-cycle must write them before it reads them, so a cold solve
+        # matches a warm one
         assert np.array_equal(cold.field.values, warm.field.values)
 
     def test_coarse_levels_borrow_the_finest_temporaries(self, galerkin, monkeypatch):
-        # every coarse level, those that probe the Galerkin operators and
-        # those of the V-cycle, works in prefixes of the finest level's t and
-        # w; its iterate and right-hand side are its own
+        # every coarse level, those the build makes for the next level's size
+        # and the bottom's inverse and those of the V-cycle, works in
+        # prefixes of the finest level's t and w; its iterate and right-hand
+        # side are its own
         levels = []
 
         def level(mask, stencil=None, h=None, fine=None):
@@ -446,7 +535,7 @@ class TestHierarchyMemo:
         M = _VCycle(grid.mask, grid.h)
         finest, coarse = levels[0], levels[1:]
         assert finest is M.fine and finest.stencil is None
-        assert len(coarse) == 2 * galerkin.calls > 2  # the probes' levels, then the cycle's
+        assert len(coarse) == 2 * galerkin.calls > 2  # the build's levels, then the cycle's
         assert all(level.stencil is not None for level in coarse)
         for level in coarse:
             for mine, borrowed in ((level.t, finest.t), (level.w, finest.w)):
