@@ -202,9 +202,9 @@ def _cache_task(task: dict) -> dict:
     version and a salt."""
     # the salt changes whenever a task's rows change text (failed gates named
     # in `error`, then the p > 2 gate's wording, then the digits of p = 1's
-    # certified stop, then the verdicts of balls past |Omega|), so no older
-    # entry replays
-    return {**task, "version": FORMAT_VERSION, "salt": 4}
+    # certified stop, then the verdicts of balls past |Omega|, then cp's last
+    # bits from the solve in lattice units), so no older entry replays
+    return {**task, "version": FORMAT_VERSION, "salt": 5}
 
 
 def _cache_path(task: dict) -> str | None:

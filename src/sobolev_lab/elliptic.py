@@ -8,16 +8,17 @@ geometric multigrid V-cycle built once per grid, and stopped once a
 certified lower bound puts the quotient within tol of the discrete
 minimum.  For p > 1 each step preconditions the residual A u - Q u^(p-1)
 with one V-cycle and takes a safeguarded Rayleigh-Ritz step on three
-vectors, LOBPCG at p = 2; conjugate gradients only serve its fallback (see
-minimize_quotient).  Both work
-matrix-free on full (ny, nx) arrays that are zero outside the mask, with
-numpy alone: every inner product is a pairwise np.sum, never a BLAS call,
-and the small Ritz pencils are solved in Python floats, so results do not
-depend on the BLAS thread count.
+vectors, LOBPCG at p = 2; conjugate gradients only serve its fallback.
+Both solve in lattice units, h = 1, matrix-free on full (ny, nx) arrays
+that are zero outside the mask, with numpy alone: every inner product is
+a pairwise np.sum, never a BLAS call, and the small Ritz pencils are
+solved in Python floats, so results do not depend on the BLAS thread
+count (see minimize_quotient).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -115,21 +116,17 @@ def build_grid(spec: DomainSpec, h: float) -> GriddedField:
 class _Level:
     """One grid of the multigrid hierarchy, with its operator and work arrays.
 
-    The finest level applies the 5-point Dirichlet Laplacian (stencil None)
-    and holds no array of constants: A x = (4 x - sum of neighbors) / h^2 on
-    the mask, with the scalar 1 / h^2, and 0 off it.  The sum of neighbors
-    of an array that is zero off the mask is nonzero only on the mask and
-    its halo, the flat indices of the off-mask nodes with a 5-point
-    neighbor on it, so the halo alone is multiplied by 0 (which keeps the
-    signs of the zeros a mask product leaves).
-    A coarser level applies its Galerkin operator, a symmetric 9-point
-    stencil given by its upper half, a read-only (5, ny * nx) array: flat
-    coefficients of the centre and the neighbors at (0, 1), (1, -1),
-    (1, 0), (1, 1), that vanish outside the mask.  Node I's upper row
-    reads the level below only within Chebyshev distance 2 of its node
-    2I, so where all of that is interior it is one interior row per level,
-    to the last bit, and only the rows near the mask's edge are computed
-    one by one (see _coarse_operators).
+    Levels are in lattice units (h = 1).  The finest level applies the
+    5-point Dirichlet Laplacian (stencil None) and holds no array of
+    constants: A x = 4 x - sum of neighbors on the mask, and 0 off it.  The
+    sum of neighbors of an array that is zero off the mask is nonzero only
+    on the mask and its halo, the flat indices of the off-mask nodes with a
+    5-point neighbor on it, so the halo alone is multiplied by 0 (which
+    keeps the signs of the zeros a mask product leaves).
+    A coarser level applies its Galerkin operator (see _coarse_operators),
+    a symmetric 9-point stencil given by its upper half, a read-only
+    (5, ny * nx) array: flat coefficients of the centre and the neighbors
+    at (0, 1), (1, -1), (1, 0), (1, 1), that vanish outside the mask.
     Either way A x is zero outside the mask, and neighbors outside it carry
     u = 0.  A level's temporaries t and w are dead whenever another level
     works, so a coarse level given the finest level fine works in
@@ -141,17 +138,15 @@ class _Level:
     """
 
     def __init__(self, mask: np.ndarray, stencil: np.ndarray | None = None,
-                 h: float | None = None, fine: _Level | None = None):
+                 fine: _Level | None = None):
         self.mask = mask
         self.size = int(np.count_nonzero(mask))
         self.stencil = stencil
         ny, nx = mask.shape
         if stencil is None:
-            self.inv_h2 = 1.0 / h**2
-            # damped Jacobi in closed form:
-            # x <- (1 - omega) x + dinv b + (omega / 4) * sum of neighbors; the
-            # diagonal is constant, so dinv is a scalar (b is zero off the mask)
-            self.dinv = MG_OMEGA / (4.0 * self.inv_h2)
+            # damped Jacobi in closed form, x <- (1 - omega) x + dinv (b + sum of
+            # neighbors): dinv = omega / 4 is a scalar, as b is 0 off the mask
+            self.dinv = MG_OMEGA / 4.0
             near = self.neighbor_sum(mask, np.empty_like(mask))  # a bool sum is an or
             near[mask] = False
             self.halo = np.flatnonzero(near)
@@ -188,7 +183,6 @@ class _Level:
             s = self.neighbor_sum(x, self.w)
             np.multiply(x, 4.0, out=out)
             out -= s
-            out *= self.inv_h2
             out.ravel()[self.halo] *= 0.0
             return out
         xf, of, wf = x.ravel(), out.ravel(), self.w.ravel()
@@ -216,7 +210,7 @@ class _Level:
         for _ in range(sweeps):
             if self.stencil is None:
                 t = self.neighbor_sum(x, t)
-                t *= MG_OMEGA / 4.0
+                t *= self.dinv
                 t.ravel()[self.halo] *= 0.0
                 t += c
                 x *= 1.0 - MG_OMEGA
@@ -288,11 +282,10 @@ def _everywhere(a: np.ndarray, r: int, shape: tuple) -> np.ndarray:
     return out
 
 
-def _rows(m: np.ndarray, S: np.ndarray | None, inv_h2: float | None) -> np.ndarray:
+def _rows(m: np.ndarray, S: np.ndarray | None) -> np.ndarray:
     """Upper-half rows (5, B) of P^T A P at B coarse nodes I, from the fine
     level's 5 x 5 windows around the nodes 2I: m, (5, 5, B), its mask as 0
-    and 1, and S, (5, 5, 5, B), its upper-half stencil, or None on the
-    finest level, whose operator is the 5-point one with 1 / h^2 = inv_h2.
+    and 1, and S, (5, 5, 5, B), its upper-half stencil (None: 5-point).
 
     Each entry is (P^T A P e)(I), e the unit vector at I + o, in the
     operations that _prolong, apply and _restrict do at these nodes: the
@@ -302,10 +295,9 @@ def _rows(m: np.ndarray, S: np.ndarray | None, inv_h2: float | None) -> np.ndarr
     out = np.empty((5, m.shape[2]))
     for k, (oy, ox) in enumerate(_UPPER):
         x = _HATS[k] * m * m[2 + 2 * oy, 2 + 2 * ox]  # P e on the mask
-        if S is None:  # (4 x - (((up + down) + left) + right)) / h^2, exact but the product
+        if S is None:  # 4 x - (((up + down) + left) + right), exact
             y = x[1:4, 1:4] * 4.0
             y -= ((x[:3, 1:4] + x[2:, 1:4]) + x[1:4, :3]) + x[1:4, 2:]
-            y *= inv_h2
             y *= m[1:4, 1:4]  # the halo's product by 0
         else:  # the centre, then +o and -o for each upper offset o, as apply adds them
             y = S[0, 1:4, 1:4] * x[1:4, 1:4]
@@ -319,21 +311,17 @@ def _rows(m: np.ndarray, S: np.ndarray | None, inv_h2: float | None) -> np.ndarr
 
 def _assemble(fine: _Level, coarse: np.ndarray, regular: np.ndarray | None,
               row: np.ndarray | None) -> tuple:
-    """The upper-half stencil of P^T A P on the coarse mask, row by row.
-
-    Above the finest level, regular marks fine's nodes whose upper row is
-    its interior row, row; on the finest level both are None.  Returns the
-    stencil, the coarse nodes whose upper row is the coarse interior row,
-    and that row: the regular nodes get the interior row, the other nodes
-    of the mask rows of their own from fine windows, and the nodes off it
-    zeros (see _coarse_operators).
-    """
+    """The upper-half stencil of P^T A P on the coarse mask, row by row, the
+    coarse nodes whose upper row is the coarse interior row, and that row.
+    regular and row are fine's (None on the finest level).  Regular nodes
+    get the interior row, the mask's other nodes rows from their own fine
+    windows, the rest zeros (see _coarse_operators)."""
     if fine.stencil is None:
-        regular, inv_h2 = _everywhere(fine.mask, 2, coarse.shape), fine.inv_h2
+        regular = _everywhere(fine.mask, 2, coarse.shape)
     else:  # full rows: the node's upper row and those of its four lower neighbors
         r = np.pad(regular, 1)
         full = r[1:-1, 1:-1] & r[1:-1, :-2] & r[:-2, 2:] & r[:-2, 1:-1] & r[:-2, :-2]
-        regular, inv_h2 = _everywhere(full, 1, coarse.shape), None
+        regular = _everywhere(full, 1, coarse.shape)
     # the 5 x 5 fine windows around the nodes 2I, the first one a synthetic
     # interior window (all of it in the mask, every row the interior row),
     # then one per coarse node that is not regular; nodes past the array read 0
@@ -349,7 +337,7 @@ def _assemble(fine: _Level, coarse: np.ndarray, regular: np.ndarray | None,
     if fine.stencil is not None:
         S = np.where(past, 0.0, fine.stencil[:, flat])
         S[..., 0] = row[:, None, None]
-    rows = _rows(m * 1.0, S, inv_h2)
+    rows = _rows(m * 1.0, S)
     row = rows[:, 0].copy()
     stencil = np.where(regular.reshape(-1), row[:, None], 0.0)
     stencil[:, edge] = rows[:, 1:]
@@ -373,7 +361,7 @@ def _inverse(a: np.ndarray) -> np.ndarray:
 _last_operators = None
 
 
-def _coarse_operators(fine: _Level, h: float) -> tuple:
+def _coarse_operators(fine: _Level) -> tuple:
     """The read-only part of the multigrid hierarchy above the finest level
     fine: its Galerkin levels, each a (coarse mask, upper-half stencil)
     pair, and the bottom level's dense inverse, or None if it is smoothed.
@@ -405,13 +393,13 @@ def _coarse_operators(fine: _Level, h: float) -> tuple:
     own windows, which read 0 past the array (mask[::2, ::2] can leave a
     node on its array's last row or column); rows off the mask are zeros.
 
-    The operators depend on the mask and h alone, so the last grid's are
-    kept, set read-only, and a solve on the same mask and h reuses them.
+    The operators depend on the mask alone, so the last grid's are kept,
+    set read-only, and a solve on the same mask, at any h, reuses them.
     The slot is emptied before any other grid's build, so two grids'
     operators never coexist.
     """
     global _last_operators
-    key = (fine.mask.shape, h, fine.mask.tobytes())
+    key = (fine.mask.shape, fine.mask.tobytes())
     last = _last_operators
     if last is not None and last[0] == key:
         return last[1]
@@ -445,25 +433,24 @@ class _VCycle:
     """One multigrid V-cycle for the Laplacian of a masked grid, the
     preconditioner of cg and of minimize_quotient's Rayleigh-Ritz steps.
 
-    The levels are those of _coarse_operators.  The last level is solved
-    exactly by its dense inverse when it has at most MG_COARSE_SIZE nodes,
-    so the bottom costs at most MG_COARSE_SIZE^3 whatever the domain's
-    shape; a level whose mask stops coarsening above that size (a one-row
-    strip) is smoothed instead, 2 * MG_SMOOTH damped Jacobi sweeps.
-    Damped Jacobi, MG_SMOOTH sweeps before and as many after the coarse
-    correction, keeps the cycle a symmetric positive definite operator, as
-    conjugate gradients requires.  Each cycle wraps the shared read-only
-    operators in levels of its own, so concurrent solves share nothing
-    they write; its coarse levels work in its finest level's temporaries.
+    The levels are those of _coarse_operators; the bottom is solved by its
+    dense inverse, at most MG_COARSE_SIZE^3 work whatever the domain's
+    shape, or where coarsening stops above that size (a one-row strip)
+    smoothed by 2 * MG_SMOOTH damped Jacobi sweeps.  Damped Jacobi, MG_SMOOTH
+    sweeps before and as many after the coarse correction, keeps the cycle
+    a symmetric positive definite operator, as conjugate gradients requires.
+    Each cycle wraps the shared read-only operators in levels of its own,
+    so concurrent solves share nothing they write; its coarse levels work
+    in its finest level's temporaries.
     The cycle is a plain loop over the levels, not a recursive closure,
     so it holds no reference cycle: its levels are freed as soon as its
     solve is done, while the last grid's read-only operators are kept
     until another grid's build.
     """
 
-    def __init__(self, mask: np.ndarray, h: float):
-        fine = _Level(mask, h=h)
-        galerkin, self.inverse = _coarse_operators(fine, h)
+    def __init__(self, mask: np.ndarray):
+        fine = _Level(mask)
+        galerkin, self.inverse = _coarse_operators(fine)
         levels = [fine] + [_Level(m, stencil, fine=fine) for m, stencil in galerkin]
         self.fine, self.bottom, self.levels = levels[0], levels[-1], levels[:-1]
 
@@ -496,19 +483,17 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M, work: np.ndarray | None = Non
     """Preconditioned conjugate gradients on arrays; the one linear-solver call.
 
     A(x, out) applies the operator and M(r) the preconditioner.  Stops when
-    the unpreconditioned residual ||b - A x|| (updated recursively) falls
-    below CG_RTOL ||b||, so the preconditioner changes the cost, not the
-    accuracy, or, from the first iteration on, when stop(x, r, r . r)
-    holds for the iterate x and its recursive residual r.  Returns the
-    solution and its iteration count.  It works in the caller's arrays: b
-    becomes the residual, x0 (a float array), when given, the iterate, and
-    work, when given, the inner products' scratch.  It writes the
-    operator's image A p over M's output, which is dead once the search
+    the recursive residual ||b - A x|| falls below CG_RTOL ||b|| (so the
+    preconditioner changes the cost, not the accuracy) or, from the first
+    iteration on, when stop(x, r, r . r) holds for the iterate x and its
+    recursive residual r.  Returns the solution and its iteration count.
+    It works in the caller's arrays: b becomes the residual, x0 (a float
+    array), when given, the iterate, and work, when given, the inner
+    products' scratch.  It writes A p over M's output, dead once the search
     direction holds it, so M(r) must return an array other than r; beyond
-    those it allocates only the search direction, one grid array.  Inner
-    products are np.sum of products, pairwise sums that do not go through
-    BLAS, so x has the same bits at any BLAS thread count.
-    """
+    those it allocates only the search direction.  Inner products are
+    np.sum of products, not BLAS, so x has the same bits at any BLAS
+    thread count."""
     if work is None:
         work = np.empty_like(b)
 
@@ -545,17 +530,14 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M, work: np.ndarray | None = Non
 
 
 def quotient(fld: GriddedField, p: float, work: np.ndarray | None = None) -> float:
-    """Discrete Sobolev quotient of a field.
-
-    Dirichlet energy by forward differences over all cell edges (zero
-    outside the mask); the L^p norm by node sums times h^2.  In two
-    dimensions the h factors in the energy cancel.  Everything is worked
-    out in work, a float array of the field's size (a fresh one if None):
-    each difference array, squared in place, and then the mask's values,
-    gathered a sixteenth of the rows at a time, in contiguous prefixes of
-    it, so the sums are those of np.diff's and v[mask]'s arrays.  Given
-    work, it allocates at most a sixteenth of a grid array.
-    """
+    """Discrete Sobolev quotient of a field: the Dirichlet energy by forward
+    differences over all cell edges (zero outside the mask), in which h
+    cancels in two dimensions, over the L^p norm by node sums times h^2.
+    Everything is worked out in prefixes of work, a float array of the
+    field's size (a fresh one if None): each difference array, squared in
+    place, then the mask's values, gathered a sixteenth of the rows at a
+    time, so the sums are those of np.diff's and v[mask]'s arrays.  Given
+    work, it allocates at most a sixteenth of a grid array."""
     v, mask = fld.values, fld.mask
     flat = np.empty(v.size) if work is None else work.reshape(-1)
     energy = 0.0
@@ -576,12 +558,12 @@ def quotient(fld: GriddedField, p: float, work: np.ndarray | None = None) -> flo
     return energy / mass ** (2.0 / p)
 
 
-def _lp_scale(v: np.ndarray, p: float, h2: float, out: np.ndarray) -> float:
-    """The L^p norm of max(v, 0) by node sums times h2, worked out in out.  The
+def _lp_scale(v: np.ndarray, p: float, out: np.ndarray) -> float:
+    """The lattice L^p norm of max(v, 0), by node sums, worked out in out.  The
     in-place **= keeps the bits of ** (a square at p = 2); np.power may not."""
     np.maximum(v, 0.0, out=out)
     out **= p
-    return (np.sum(out) * h2) ** (1.0 / p)
+    return np.sum(out) ** (1.0 / p)
 
 
 def _eigh(S: list) -> tuple:
@@ -643,24 +625,32 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
                       max_iter: int = 300, allow_supercritical: bool = False) -> SobolevResult:
     """Drive the quotient to its minimum over the masked grid.
 
+    It solves the mask at h = 1.  In two dimensions the 5-point energy does
+    not depend on h and the mass is h^2 sum |u|^p, so the lattice minimizer
+    u_1 with quotient cp_1 gives u = h^(-2/p) u_1 and cp = h^(-4/p) cp_1,
+    and every stop rule below reads a ratio that dilation leaves alone.  One
+    map-back at the return multiplies the field by f = h^(-2/p), and cp and
+    the trajectory by f twice, so that no power leaves float range where cp
+    does not; an InputError names cp or f unless it is a normal float.
+
     For p > 1 it stops when the relative change of the quotient between
     steps falls below tol.  At p = 1 the right-hand side does not depend
     on u, so the answer is one solve of A x = b, b = 1 on the mask, stopped
-    once a certified bound puts cp within tol of the discrete minimum cp_h.
+    once a certified bound puts cp within tol of the discrete minimum cp_1.
     For any x with true residual r = b - A x the Dirichlet principle gives
         b . x* = max_y (2 b . y - y . A y) = b . x + r . x + r . A^-1 r
                <= b . x + r . x + |r|^2 / mu,
-    mu = (4 sin^2(pi / (2 (nx + 1))) + 4 sin^2(pi / (2 (ny + 1)))) / h^2 being
-    at most lambda_1(A) by Cauchy interlacing: A is a principal submatrix of
+    mu = 4 sin^2(pi / (2 (nx + 1))) + 4 sin^2(pi / (2 (ny + 1))) being at
+    most lambda_1(A) by Cauchy interlacing: A is a principal submatrix of
     the 5-point matrix on the nx x ny bounding box of the mask's nodes (the
-    sine form avoids cancellation).  As cp_h = 1 / (h^2 b . x*),
-    cp_lower = 1 / (h^2 (b . x + r . x + |r|^2 / mu)) <= cp_h <= cp = Q(x),
+    sine form avoids cancellation).  As cp_1 = 1 / (b . x*),
+    cp_lower = 1 / (b . x + r . x + |r|^2 / mu) <= cp_1 <= cp = Q(x),
     and residual = max(0, 1 - cp_lower / cp).  cg stops when that gap is at
     most tol, first with its recursive r and x . A x = b . x - r . x (one
     sum and one inner product per iteration), then with the true r (one
     operator apply, two inner products); or at CG_RTOL, if that comes
-    first.  The bound covers the field: for v = x / (h^2 sum x) the cross
-    term vanishes, so h^2 (v - v*) . A (v - v*) = Q(v) - cp_h <= cp residual.
+    first.  The bound covers the field: for v = x / sum x the cross term
+    vanishes, so (v - v*) . A (v - v*) = Q(v) - cp_1 <= cp residual.
 
     For p > 1 each step starts from u >= 0 with ||u||_p = 1 and quotient Q.
     It forms the residual r = A u - Q u^(p-1), preconditions it with one
@@ -692,14 +682,25 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     mask = grid.mask
     if mask[[0, -1]].any() or mask[:, [0, -1]].any():
         raise InputError("the mask has a node on its array's frame; pad it by one node")
-    M = _VCycle(mask, grid.h)
+    M = _VCycle(mask)
     A = M.fine.apply
     t = M.fine.t  # scratch of _lp_scale and the inner products, free between V-cycles
-    h2 = grid.h**2
-    trajectory = []
+    trajectory = []  # of lattice quotients, each q at h = q f f
+    f = math.inf  # the field's factor h^(-2/p), inf where a Python float power raises
+    with contextlib.suppress(OverflowError):
+        f = float(grid.h) ** (-2.0 / p)
 
-    def as_field(v):
-        return GriddedField(grid.h, grid.origin, mask, v, grid.spec)
+    def lattice_quotient(v):
+        return quotient(GriddedField(1.0, grid.origin, mask, v), p, t)
+
+    def result(u, cp, iterations, residual):
+        """The one checked map-back, u scaled in place."""
+        for what, value in (("cp", cp * f * f), ("the field's factor h^(-2/p)", f)):
+            if not 2.0**-1022 <= value < math.inf:  # the normal floats
+                raise InputError(f"{what} = {value!r} at h = {grid.h:g} is not a normal float")
+        u *= f
+        return SobolevResult(GriddedField(grid.h, grid.origin, mask, u, grid.spec), cp * f * f,
+                             iterations, residual, p, [c * f * f for c in trajectory])
 
     def dot(x, y):
         return float(np.sum(np.multiply(x, y, out=t)))
@@ -710,28 +711,27 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
             return cg(A, b, x0, M, t, stop)[0]
         except SolverError as exc:
             raise SolverError(f"inner CG solve failed to converge at step {it}: {exc}",
-                              trajectory=trajectory) from exc
+                              trajectory=[c * f * f for c in trajectory]) from exc
 
     def normalized(x):
-        """normalize_p(x) and its quotient.  The field is a fresh array, made
-        after cg has freed its own: scaled in place, the solve's x left the
-        heap so that a later verify at p = 1 peaked 3-4 MB higher in RSS."""
-        x = x / _lp_scale(x, p, h2, t)
-        return x, quotient(as_field(x), p, t)
+        """normalize_p(x), a fresh array (cg's x scaled in place left the heap
+        so that a later verify at p = 1 peaked 3-4 MB higher), and its quotient."""
+        x = x / _lp_scale(x, p, t)
+        return x, lattice_quotient(x)
 
     if p == 1.0:  # u^0 is 1 on the mask, whatever u: solve A x = 1 there
         # mu <= lambda_1(A): the least eigenvalue of the 5-point matrix on the
         # bounding box of the mask's nodes, m nodes along each axis
         sides = (int(np.ptp(np.flatnonzero(mask.any(axis)))) + 1 for axis in (0, 1))
-        mu = sum(4.0 * math.sin(math.pi / (2.0 * (m + 1))) ** 2 for m in sides) / h2
+        mu = sum(4.0 * math.sin(math.pi / (2.0 * (m + 1))) ** 2 for m in sides)
         certified = []  # cp_lower at the iterate where the certificate stopped cg
 
         def bound(x, r, rr):
             """cp_lower for the iterate x with residual r (r . r = rr), and
             its gap 1 - cp_lower / cp, cp read off x . A x = b . x - r . x."""
             bx, rx = float(np.sum(x)), dot(r, x)
-            cp_lower = 1.0 / (h2 * (bx + rx + rr / mu))
-            return cp_lower, 1.0 - cp_lower * h2 * bx * bx / (bx - rx)
+            cp_lower = 1.0 / (bx + rx + rr / mu)
+            return cp_lower, 1.0 - cp_lower * bx * bx / (bx - rx)
 
         def true_bound(x):
             """bound with the true residual, in the V-cycle's output array,
@@ -750,9 +750,9 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
         x = solve(1, mask * 1.0, None, stop)
         cp_lower = certified[0] if certified else true_bound(x)[0]
         x, cp = normalized(x)
-        return SobolevResult(field=as_field(x), cp=cp, iterations=1,
-                             residual=max(0.0, 1.0 - cp_lower / cp), p=p, trajectory=[cp])
-    u = mask / (np.count_nonzero(mask) * h2) ** (1.0 / p)
+        trajectory.append(cp)
+        return result(x, cp, 1, max(0.0, 1.0 - cp_lower / cp))
+    u = mask / np.count_nonzero(mask) ** (1.0 / p)
     # u, the previous step d, and s: A u, then r, then W, then the candidate;
     # w = M(r) is the V-cycle's output, and the finest level's own w, free
     # outside A and M, takes Q u^(p-1) and the products W x
@@ -760,7 +760,7 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     fw = M.fine.w
     have_d = False
 
-    cp = quotient(as_field(u), p, t)
+    cp = lattice_quotient(u)
     for it in range(1, max_iter + 1):
         k = 2 + have_d  # the basis u, w and, when there is one, d
         a, b = [[0.0] * k for _ in range(k)], [[0.0] * k for _ in range(k)]
@@ -786,10 +786,10 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
             for ci, x in zip(c[1:], basis[1:]):
                 s += np.multiply(x, ci, out=t)
             np.maximum(s, np.multiply(u, W_FLOOR * max(c[0], 0.0), out=t), out=s)
-            scale = _lp_scale(s, p, h2, t)
+            scale = _lp_scale(s, p, t)
             if scale > 0.0:
                 s /= scale
-                cp_v = quotient(as_field(s), p, t)
+                cp_v = lattice_quotient(s)
         if cp_v <= cp:
             np.subtract(s, u, out=d)
             have_d = True
@@ -805,8 +805,8 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
         cp = cp_v
         trajectory.append(cp)
         if delta <= tol:
-            return SobolevResult(field=as_field(u), cp=cp, iterations=it, residual=delta,
-                                 p=p, trajectory=trajectory)
+            return result(u, cp, it, delta)
+    trajectory = [c * f * f for c in trajectory]
     tail = ", ".join(f"{v:.10g}" for v in trajectory[-5:])
     raise SolverError(
         f"quotient iteration did not converge in {max_iter} steps (tail: {tail})",

@@ -184,9 +184,9 @@ def report_to_table(report) -> str:
     lines = [
         f"domain        {label}",
         f"exponents     n={d['n']}  p={d['p']:g}  h={d['h']:.8g}",
-        f"C_p(Omega)    {d['cp']:.8f}",
-        f"ball B*       rho={d['rho']:.6f}  |B*|={d['bstar_volume']:.6f}"
-        f"  |Omega|={d['omega_volume']:.6f}",
+        f"C_p(Omega)    {d['cp']:.9g}",
+        f"ball B*       rho={d['rho']:.7g}  |B*|={d['bstar_volume']:.7g}"
+        f"  |Omega|={d['omega_volume']:.7g}",
         f"crossing      {crossing_line}",
         f"dominance     min I(s) = {d['dominance_min']:+.3e}"
         f"  (c = {d['tau_dominance']:.3e})",

@@ -60,12 +60,15 @@ def poisson_solve(grid: GriddedField, rhs, x0: np.ndarray | None = None) -> Grid
         out[mask] = values[mask] if values.shape == mask.shape else values
         return out
 
+    # the package's operator is the lattice one, A_1 = h^2 A_h, so
+    # A_h^-1 b = h^2 A_1^-1 b, and an x0 for A_h is x0 / h^2 for A_1
+    h2 = grid.h**2
     b = full(np.asarray(rhs.values if isinstance(rhs, GriddedField) else rhs, dtype=float))
     if x0 is not None:
-        x0 = full(np.asarray(x0, dtype=float))
-    M = elliptic._VCycle(mask, grid.h)
+        x0 = full(np.asarray(x0, dtype=float)) / h2
+    M = elliptic._VCycle(mask)
     x, _ = elliptic.cg(M.fine.apply, b, x0, M)
-    return GriddedField(grid.h, grid.origin, mask, x, grid.spec)
+    return GriddedField(grid.h, grid.origin, mask, x * h2, grid.spec)
 
 
 # ------------------------------------------------------------- profiles

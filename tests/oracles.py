@@ -133,13 +133,13 @@ def galerkin_probe(fine, coarse: np.ndarray) -> np.ndarray:
     return probe(op, coarse.shape)
 
 
-def galerkin_levels(mask: np.ndarray, h: float) -> list:
+def galerkin_levels(mask: np.ndarray) -> list:
     """The (coarse mask, upper-half stencil) pairs of the multigrid levels
     above the finest, each probed on the level below, as the package built
     them before its row-wise assembly."""
     from sobolev_lab.elliptic import MG_COARSE_SIZE, _Level
 
-    fine = level = _Level(mask, h=h)
+    fine = level = _Level(mask)
     levels = []
     while level.size > MG_COARSE_SIZE:
         coarse = level.mask[::2, ::2].copy()

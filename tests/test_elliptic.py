@@ -51,6 +51,11 @@ def kronecker_laplacian(grid):
     return L
 
 
+def lattice(grid):
+    """The grid's mask at h = 1, where the solver's operators work."""
+    return GriddedField(1.0, grid.origin, grid.mask, np.zeros(grid.mask.shape))
+
+
 def bilinear_prolongation(mask):
     """Bilinear interpolation from the nodes of mask[::2, ::2] to those of mask (CSR).
 
@@ -216,7 +221,7 @@ class TestLaplacian:
     def test_equals_kronecker_assembly(self, shape, h):
         # the matrix-free operator's matrix, column by column from basis vectors
         grid = build_grid(SHAPES[shape], h)
-        level = _Level(grid.mask, h=grid.h)
+        level = _Level(grid.mask)
         e, out = np.zeros(grid.mask.shape), np.empty(grid.mask.shape)
         cols = []
         for iy, ix in zip(*np.nonzero(grid.mask)):
@@ -227,7 +232,7 @@ class TestLaplacian:
             cols.append(sp.csc_matrix(column[grid.mask][:, None]))
         A = sp.hstack(cols).tocsr()
         A.sort_indices()
-        L = kronecker_laplacian(grid)
+        L = kronecker_laplacian(lattice(grid))
         assert np.array_equal(A.indptr, L.indptr)
         assert np.array_equal(A.indices, L.indices)
         assert np.array_equal(A.data, L.data)
@@ -236,9 +241,9 @@ class TestLaplacian:
         # a mask that fills its array up to the frame: flat +-1 shifts wrap
         # around row ends only between frame nodes, outside the mask
         mask = framed_block()
-        grid = GriddedField(0.25, (0.0, 0.0), mask, np.zeros(mask.shape))
+        grid = GriddedField(1.0, (0.0, 0.0), mask, np.zeros(mask.shape))
         x = np.random.default_rng(3).standard_normal(mask.shape) * mask
-        got = _Level(mask, h=grid.h).apply(x, np.empty(mask.shape))
+        got = _Level(mask).apply(x, np.empty(mask.shape))
         ref = kronecker_laplacian(grid) @ x[mask]
         assert not np.any(got[~mask])
         assert np.max(np.abs(got[mask] - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -253,7 +258,7 @@ class TestLaplacian:
         # zeros too, of the products with the full arrays
         grid = build_grid(spec, h)
         mask = grid.mask
-        level = _Level(mask, h=h)
+        level = _Level(mask)
         arrays = {k for k, v in vars(level).items() if isinstance(v, np.ndarray)}
         assert arrays == {"mask", "halo", "x", "t", "w"}
         around = np.zeros(mask.shape, bool)
@@ -265,7 +270,7 @@ class TestLaplacian:
         rng = np.random.default_rng(11)
         x, b = (rng.standard_normal(mask.shape) * mask for _ in range(2))
         s = level.neighbor_sum(x, np.empty(mask.shape))
-        ref = (4.0 * x - s) * (mask / h**2)
+        ref = (4.0 * x - s) * mask
         assert level.apply(x, np.empty(mask.shape)).tobytes() == ref.tobytes()
         ref = (1.0 - MG_OMEGA) * x + (s * (mask * (MG_OMEGA / 4.0)) + level.dinv * b)
         np.copyto(level.x, x)
@@ -277,7 +282,7 @@ class TestMultigrid:
     @pytest.mark.parametrize("shape,h", [("disk", 1.0 / 64), ("lshape", 1.0 / 128)])
     def test_preconditioner_symmetric_positive_definite(self, shape, h):
         grid = build_grid(SHAPES[shape], h)
-        M = _VCycle(grid.mask, grid.h)
+        M = _VCycle(grid.mask)
         assert len(M.levels) >= 1
         rng = np.random.default_rng(7)
         for _ in range(3):
@@ -290,9 +295,9 @@ class TestMultigrid:
     def test_galerkin_stencil_equals_sparse_product(self, shape, h):
         grid = build_grid(SHAPES[shape], h)
         coarse = grid.mask[::2, ::2]
-        A, P = kronecker_laplacian(grid), bilinear_prolongation(grid.mask)
+        A, P = kronecker_laplacian(lattice(grid)), bilinear_prolongation(grid.mask)
         ref = (P.T @ A @ P).toarray()
-        stencil = _assemble(_Level(grid.mask, h=grid.h), coarse, None, None)[0]
+        stencil = _assemble(_Level(grid.mask), coarse, None, None)[0]
         got = stencil_matrix(stencil, coarse).toarray()
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -321,7 +326,7 @@ class TestMultigrid:
     def test_degenerate_hierarchies_match_direct_solve(self, spec, h, levels):
         grid = build_grid(spec, h)
         A = kronecker_laplacian(grid)
-        M = _VCycle(grid.mask, grid.h)
+        M = _VCycle(grid.mask)
         assert len(M.levels) == levels
         if A.shape[0] > MG_COARSE_SIZE and levels == 0:
             assert not grid.mask[::2, ::2].any()
@@ -349,7 +354,7 @@ class TestMultigrid:
         # reader: it pins that A e_j taken as columns gives the rows' bits (the
         # operator is symmetric to the last bit) and that the inverse is byte-equal
         mask = framed_block() if spec is None else build_grid(spec, h).mask
-        M = _VCycle(mask, h)
+        M = _VCycle(mask)
         bottom, e, cols = M.bottom, np.zeros(M.bottom.mask.shape), []
         for k in np.flatnonzero(bottom.mask):
             e.flat[k] = 1.0
@@ -385,7 +390,7 @@ ASSEMBLY_SHAPES = {
 }
 
 
-def assembled_levels(monkeypatch, mask, h):
+def assembled_levels(monkeypatch, mask):
     """A cold build's Galerkin levels, each (coarse mask, stencil, regular
     nodes), and its bottom inverse."""
     levels = []
@@ -397,7 +402,7 @@ def assembled_levels(monkeypatch, mask, h):
 
     monkeypatch.setattr(elliptic, "_last_operators", None)
     monkeypatch.setattr(elliptic, "_assemble", record)
-    inverse = _coarse_operators(_Level(mask, h=h), h)[1]
+    inverse = _coarse_operators(_Level(mask))[1]
     return levels, inverse
 
 
@@ -420,8 +425,8 @@ class TestGalerkinAssembly:
     @pytest.mark.parametrize("shape", list(ASSEMBLY_SHAPES))
     def test_every_level_equals_the_probe(self, monkeypatch, shape, h):
         grid = build_grid(ASSEMBLY_SHAPES[shape], h)
-        got, inverse = assembled_levels(monkeypatch, grid.mask, h)
-        self.check(got, oracles.galerkin_levels(grid.mask, h))
+        got, inverse = assembled_levels(monkeypatch, grid.mask)
+        self.check(got, oracles.galerkin_levels(grid.mask))
         if shape == "wide-strip" and h != 0.0123:
             assert inverse is None
 
@@ -431,22 +436,22 @@ class TestGalerkinAssembly:
         # they must read 0 (a window clipped to the array reads its last row
         # twice)
         grid = build_grid(ASSEMBLY_SHAPES["seeded-ellipse"], 1.0 / 256)
-        got, _ = assembled_levels(monkeypatch, grid.mask, grid.h)
+        got, _ = assembled_levels(monkeypatch, grid.mask)
         level = [m.shape for m, _, _ in got].index((14, 20))
         assert got[level][0][-1].any()
-        self.check(got, oracles.galerkin_levels(grid.mask, grid.h))
+        self.check(got, oracles.galerkin_levels(grid.mask))
 
     def test_no_interior_row(self, monkeypatch):
         # three rows in the mask: no coarse node has all 25 fine nodes around
         # it inside, so every row of the mask is computed from its own window
         grid = build_grid(ASSEMBLY_SHAPES["strip"], 1.0 / 64)
-        got, _ = assembled_levels(monkeypatch, grid.mask, grid.h)
+        got, _ = assembled_levels(monkeypatch, grid.mask)
         assert got and not any(regular.any() for _, _, regular in got)
-        self.check(got, oracles.galerkin_levels(grid.mask, grid.h))
+        self.check(got, oracles.galerkin_levels(grid.mask))
 
     def test_interior_rows_are_most_rows(self, monkeypatch):
         grid = build_grid(ASSEMBLY_SHAPES["disk"], 1.0 / 256)
-        got, _ = assembled_levels(monkeypatch, grid.mask, grid.h)
+        got, _ = assembled_levels(monkeypatch, grid.mask)
         mask, _, regular = got[0]
         assert mask.sum() == 51_429 and (mask & ~regular).sum() == 1_016
 
@@ -464,7 +469,7 @@ class CountingGalerkin:
 
 
 class TestHierarchyMemo:
-    """The last grid's coarse operators are reused by solves on the same mask and h."""
+    """The last grid's coarse operators are reused by solves on the same mask."""
 
     @pytest.fixture
     def galerkin(self, monkeypatch):
@@ -486,26 +491,29 @@ class TestHierarchyMemo:
             assert np.array_equal(res.field.values, miss.field.values)
             assert res.cp == miss.cp and res.iterations == miss.iterations
 
-    def test_key_is_mask_and_spacing(self, galerkin):
+    def test_key_is_the_mask(self, galerkin):
+        # the operators are in lattice units, so they hold no h: the disk of
+        # twice the radius at twice the spacing has the same mask and reuses them
         grid = build_grid(SHAPES["disk"], 1.0 / 32)
-        operators = _coarse_operators(_Level(grid.mask, h=grid.h), grid.h)
+        operators = _coarse_operators(_Level(grid.mask))
         built = galerkin.calls
-        assert _coarse_operators(_Level(grid.mask.copy(), h=grid.h), grid.h) is operators
+        assert _coarse_operators(_Level(grid.mask.copy())) is operators
+        scaled = build_grid(DomainSpec.disk(2.0), 2.0 / 32).mask
+        assert np.array_equal(scaled, grid.mask)
+        assert _coarse_operators(_Level(scaled)) is operators
         assert galerkin.calls == built
         other = grid.mask.copy()
         other[tuple(np.argwhere(other)[0])] = False  # same shape, one node fewer
-        assert _coarse_operators(_Level(other, h=grid.h), grid.h) is not operators
+        assert _coarse_operators(_Level(other)) is not operators
         assert galerkin.calls == 2 * built
-        _coarse_operators(_Level(other, h=2 * grid.h), 2 * grid.h)  # same mask, another spacing
-        assert galerkin.calls == 3 * built
 
     def test_one_fine_level_per_cold_solve(self, galerkin, monkeypatch):
         finest = []
 
-        def level(mask, stencil=None, h=None, fine=None):
+        def level(mask, stencil=None, fine=None):
             if stencil is None:
                 finest.append(mask)
-            return _Level(mask, stencil, h, fine)
+            return _Level(mask, stencil, fine)
 
         monkeypatch.setattr(elliptic, "_Level", level)
         grid = build_grid(SHAPES["disk"], 1.0 / 64)
@@ -526,13 +534,13 @@ class TestHierarchyMemo:
         # side are its own
         levels = []
 
-        def level(mask, stencil=None, h=None, fine=None):
-            levels.append(_Level(mask, stencil, h, fine))
+        def level(mask, stencil=None, fine=None):
+            levels.append(_Level(mask, stencil, fine))
             return levels[-1]
 
         monkeypatch.setattr(elliptic, "_Level", level)
         grid = build_grid(SHAPES["lshape"], 1.0 / 64)
-        M = _VCycle(grid.mask, grid.h)
+        M = _VCycle(grid.mask)
         finest, coarse = levels[0], levels[1:]
         assert finest is M.fine and finest.stencil is None
         assert len(coarse) == 2 * galerkin.calls > 2  # the build's levels, then the cycle's
@@ -550,7 +558,7 @@ class TestHierarchyMemo:
     def test_operators_read_only_and_copied(self, galerkin):
         grid = build_grid(SHAPES["disk"], 1.0 / 64)
         poisson_solve(grid, np.ones(grid.mask.shape))
-        levels, inverse = _coarse_operators(_Level(grid.mask, h=grid.h), grid.h)
+        levels, inverse = _coarse_operators(_Level(grid.mask))
         assert galerkin.calls == len(levels)
         for array in [a for level in levels for a in level] + [inverse]:
             with pytest.raises(ValueError):
@@ -642,8 +650,8 @@ class TestQuotient:
             energy = float(np.sum(np.diff(v, axis=0) ** 2) + np.sum(np.diff(v, axis=1) ** 2))
             mass = float(np.sum(np.abs(v[mask]) ** p)) * h2
             assert quotient(fld, p) == energy / mass ** (2.0 / p)
-            scale = (np.sum(np.maximum(v, 0.0) ** p) * h2) ** (1.0 / p)
-            assert _lp_scale(v, p, h2, np.empty(mask.shape)) == scale
+            scale = np.sum(np.maximum(v, 0.0) ** p) ** (1.0 / p)
+            assert _lp_scale(v, p, np.empty(mask.shape)) == scale
 
     @pytest.mark.parametrize("case", ["disk", "thin-ellipse", "block-edge"])
     def test_scratch_array_keeps_the_bits(self, case):
@@ -699,6 +707,31 @@ class TestMinimizeQuotient:
         r2 = minimize_quotient(grid2, 1.5)
         assert r1.cp == r2.cp
         assert np.array_equal(r1.field.values, r2.field.values)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_dilation_law(self, p):
+        # the disk of radius 8 * 2^k at h = 2^k has one mask for every k, and
+        # the solve runs in lattice units, so each result is the k = 0 one
+        # mapped back: the field times f = 2^(-2k/p) and cp times f twice,
+        # bit for bit, f taken as the float (2^k)^(-2/p); at p = 1 and 2, f
+        # is an exact power of 2, so cp = 2^(-4k/p) cp(k = 0) exactly.  A cp
+        # past the normal floats (p = 1 at k = -300 and 300) is refused by name
+        base = minimize_quotient(build_grid(DomainSpec.disk(8.0), 1.0), p)
+        for k in list(range(-200, 201)) + [-300, 300]:
+            h = 2.0**k
+            grid = build_grid(DomainSpec.disk(8.0 * h), h)
+            f = h ** (-2.0 / p)
+            want = base.cp * f * f
+            if not sys.float_info.min <= want <= sys.float_info.max:
+                with pytest.raises(InputError, match="^cp = "):
+                    minimize_quotient(grid, p)
+                continue
+            if p != 1.5:
+                assert want == math.ldexp(base.cp, round(-4 * k / p))
+            res = minimize_quotient(grid, p)
+            assert res.cp == want and res.iterations == base.iterations, k
+            assert res.field.h == h
+            assert np.array_equal(res.field.values, base.field.values * f), k
 
     def test_gates(self):
         grid = build_grid(DomainSpec.rectangle(1.0, 1.0), h=0.25)
@@ -1018,7 +1051,7 @@ class TestRayleighRitzSteps:
         # numpy's fixed-size iteration buffers and the coarse levels' small
         # arrays: 0.38 arrays measured
         grid = build_grid(SHAPES["disk"], 1.0 / 128)
-        M = _VCycle(grid.mask, grid.h)
+        M = _VCycle(grid.mask)
         r = np.random.default_rng(5).standard_normal(grid.mask.shape) * grid.mask
         M(r)
         tracemalloc.start()

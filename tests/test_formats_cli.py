@@ -415,6 +415,32 @@ class TestCliVerify:
         assert not out.exists() or list(out.iterdir()) == []
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radius,p,code", [
+        ("1e80", "2", 0), ("1e-80", "2", 0), ("1e-100", "2", 0), ("1e-150", "2", 0),
+        ("1e80", "1", 2), ("1e-80", "1", 2), ("1e-100", "1", 2), ("1e-150", "1", 2)])
+    def test_far_scaled_disk(self, tmp_path, capsys, radius, p, code):
+        # the solve runs in lattice units and one checked map-back carries
+        # it to h = r/16, so under warnings as errors each run reaches a
+        # verdict or exits 2 naming cp where cp leaves the normal floats
+        # (C_1 of the disk is 8 / (pi r^4)); none ends in a traceback
+        out = tmp_path / "v"
+        assert run("verify", "--spec", f'{{"shape": "disk", "radius": {radius}}}',
+                   "-p", p, "-q", "2", "--h", repr(float(radius) / 16),
+                   "--out", str(out)) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.startswith("error: cp = ")
+            assert "is not a normal float" in captured.err
+            assert not out.exists()
+        else:
+            assert "PASS" in captured.out
+            (txt,) = out.glob("*.txt")
+            lines = txt.read_text(encoding="utf-8").splitlines()
+            # significant digits at any scale, where :.8f printed 162 digits
+            assert max(len(line) for line in lines[2:4]) <= 80, lines[2:4]
+
+
 class TestCliRearrange:
     def test_field_to_ustar(self, tmp_path, capsys):
         out = str(tmp_path)
