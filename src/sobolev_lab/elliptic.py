@@ -11,9 +11,8 @@ with one V-cycle and takes a safeguarded Rayleigh-Ritz step on three
 vectors, LOBPCG at p = 2; conjugate gradients only serve its fallback.
 Both solve in lattice units, h = 1, matrix-free on full (ny, nx) arrays
 that are zero outside the mask, with numpy alone: every inner product is
-a pairwise np.sum, never a BLAS call, and the small Ritz pencils are
-solved in Python floats, so results do not depend on the BLAS thread
-count (see minimize_quotient).
+_dot's, and the small Ritz pencils are solved in Python floats, so results
+do not depend on the BLAS thread count (see minimize_quotient).
 """
 
 from __future__ import annotations
@@ -123,10 +122,11 @@ class _Level:
     on the mask and its halo, the flat indices of the off-mask nodes with a
     5-point neighbor on it, so the halo alone is multiplied by 0 (which
     keeps the signs of the zeros a mask product leaves).
-    A coarser level applies its Galerkin operator (see _coarse_operators),
-    a symmetric 9-point stencil given by its upper half, a read-only
-    (5, ny * nx) array: flat coefficients of the centre and the neighbors
-    at (0, 1), (1, -1), (1, 0), (1, 1), that vanish outside the mask.
+    A coarser level applies its Galerkin operator, assembled row by row from
+    the level below (see _coarse_operators): a symmetric 9-point stencil
+    given by its upper half, a read-only (5, ny * nx) array of the flat
+    coefficients of the centre and the neighbors at (0, 1), (1, -1),
+    (1, 0), (1, 1), that vanish outside the mask.
     Either way A x is zero outside the mask, and neighbors outside it carry
     u = 0.  A level's temporaries t and w are dead whenever another level
     works, so a coarse level given the finest level fine works in
@@ -309,39 +309,30 @@ def _rows(m: np.ndarray, S: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _assemble(fine: _Level, coarse: np.ndarray, regular: np.ndarray | None,
-              row: np.ndarray | None) -> tuple:
-    """The upper-half stencil of P^T A P on the coarse mask, row by row, the
-    coarse nodes whose upper row is the coarse interior row, and that row.
-    regular and row are fine's (None on the finest level).  Regular nodes
-    get the interior row, the mask's other nodes rows from their own fine
-    windows, the rest zeros (see _coarse_operators)."""
-    if fine.stencil is None:
-        regular = _everywhere(fine.mask, 2, coarse.shape)
-    else:  # full rows: the node's upper row and those of its four lower neighbors
-        r = np.pad(regular, 1)
-        full = r[1:-1, 1:-1] & r[1:-1, :-2] & r[:-2, 2:] & r[:-2, 1:-1] & r[:-2, :-2]
-        regular = _everywhere(full, 1, coarse.shape)
-    # the 5 x 5 fine windows around the nodes 2I, the first one a synthetic
-    # interior window (all of it in the mask, every row the interior row),
-    # then one per coarse node that is not regular; nodes past the array read 0
+def _assemble(fine: _Level, coarse: np.ndarray, regular: np.ndarray) -> tuple:
+    """The upper-half stencil of P^T A P on the coarse mask, row by row, and
+    its regular nodes: those whose fine nodes within distance 2 of 2I are
+    all regular, given fine's regular nodes (the mask on the finest level).
+    Regular nodes get the interior row, read off one regular node's window,
+    the mask's other nodes rows from their own fine windows, the rest zeros
+    (see _coarse_operators)."""
+    regular = _everywhere(regular, 2, coarse.shape)
+    # the 5 x 5 fine windows around the nodes 2I: one per node of the mask
+    # that is not regular, then one regular node's, if there is one; nodes
+    # past the array read 0
     edge = np.flatnonzero(coarse & ~regular)
+    nodes = np.concatenate((edge, np.flatnonzero(regular)[:1]))
     ny, nx = fine.mask.shape
-    iy = np.concatenate(([2], 2 * (edge // coarse.shape[1]))) + np.arange(-2, 3)[:, None]
-    ix = np.concatenate(([2], 2 * (edge % coarse.shape[1]))) + np.arange(-2, 3)[:, None]
+    iy = 2 * (nodes // coarse.shape[1]) + np.arange(-2, 3)[:, None]
+    ix = 2 * (nodes % coarse.shape[1]) + np.arange(-2, 3)[:, None]
     past = ((iy < 0) | (iy >= ny))[:, None] | ((ix < 0) | (ix >= nx))[None]
     flat = np.where(past, 0, iy[:, None] * nx + ix[None])
     m = fine.mask.reshape(-1)[flat] & ~past
-    m[..., 0] = True
-    S = None
-    if fine.stencil is not None:
-        S = np.where(past, 0.0, fine.stencil[:, flat])
-        S[..., 0] = row[:, None, None]
+    S = None if fine.stencil is None else np.where(past, 0.0, fine.stencil[:, flat])
     rows = _rows(m * 1.0, S)
-    row = rows[:, 0].copy()
-    stencil = np.where(regular.reshape(-1), row[:, None], 0.0)
-    stencil[:, edge] = rows[:, 1:]
-    return stencil, regular, row
+    stencil = np.where(regular.reshape(-1), rows[:, -1:], 0.0)  # none if none is regular
+    stencil[:, edge] = rows[:, :edge.size]
+    return stencil, regular
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:
@@ -372,26 +363,22 @@ def _coarse_operators(fine: _Level) -> tuple:
     (_assemble) from the level below's mask and stencil alone; only the
     bottom's inverse works in fine's arrays.
 
-    The radius rule.  Entry o of coarse node I's upper row is
-    (P^T A P e)(I), e the unit vector at J = I + o: P e is J's hat on the
-    fine nodes within Chebyshev distance 1 of 2J, on the fine mask (and 0
-    if 2J is off it); the restriction reads A P e within distance 1 of 2I,
-    and A at a fine node r reads P e and r's full row within distance 1 of
-    r.  On the first level A is the masked 5-point operator, so the row
-    reads the fine mask within distance 2 of 2I (the centres 2I + 2o
-    included).  Above it r's full row is r's upper row and, for its lower
-    half, the upper rows of r - o for the four off-centre o; an interior
-    upper row couples r to all four upper neighbors, which puts them in
-    the mask, since a coefficient to a node off it is 0.  So a coarse node
-    is regular when all 25 fine nodes within distance 2 of 2I are in the
-    mask (first level), or when the nine full rows around 2I are all made
-    of interior rows (above it).  A regular row reads the operands of a
-    window deep inside the domain, in the same operations, and IEEE
-    arithmetic rounds equal operands equally: it is the interior row, bit
-    for bit, computed once per level from a synthetic window.  Only the
-    other nodes of the mask (about 2% at h = 1/256) get rows from their
-    own windows, which read 0 past the array (mask[::2, ::2] can leave a
-    node on its array's last row or column); rows off the mask are zeros.
+    The radius rule.  A node of the finest level is regular when it is in
+    the mask; a coarse node I is regular when every node within Chebyshev
+    distance 2 of its fine node 2I is regular on the level below.  Entry o
+    of I's upper row is (P^T A P e)(I), e the unit vector at I + o, and it
+    reads the level below only within distance 2 of 2I: the hat centres
+    2I + 2o; the hat's values at the nodes r within distance 1 of 2I that
+    the restriction reads, and at their neighbors; and r's upper row and
+    the upper rows of r - o (the 5-point operator reads the mask alone).
+    A regular node lies in the mask and carries the interior row, so a
+    regular node's window holds the operands of the interior window, in
+    the same operations, and IEEE arithmetic rounds equal operands
+    equally: its row is the interior row, bit for bit, read off one
+    regular node's window per level.  Only the other nodes of the mask
+    (about 2% at h = 1/256 on the first level) get rows from their own
+    windows, which read 0 past the array (mask[::2, ::2] can leave a node
+    on its array's last row or column); rows off the mask are zeros.
 
     The operators depend on the mask alone, so the last grid's are kept,
     set read-only, and a solve on the same mask, at any h, reuses them.
@@ -405,12 +392,12 @@ def _coarse_operators(fine: _Level) -> tuple:
         return last[1]
     _last_operators = None
     galerkin = []
-    level, regular, row = fine, None, None
+    level, regular = fine, fine.mask
     while level.size > MG_COARSE_SIZE:
         coarse = level.mask[::2, ::2].copy()
         if not coarse.any():
             break
-        stencil, regular, row = _assemble(level, coarse, regular, row)
+        stencil, regular = _assemble(level, coarse, regular)
         coarse.flags.writeable = stencil.flags.writeable = False
         galerkin.append((coarse, stencil))
         level = _Level(coarse, stencil, fine=fine)
@@ -478,6 +465,12 @@ class _VCycle:
         return x
 
 
+def _dot(u: np.ndarray, v: np.ndarray, work: np.ndarray) -> float:
+    """u . v, a pairwise np.sum of the products in work, never a BLAS call,
+    so it has the same bits at any BLAS thread count."""
+    return float(np.sum(np.multiply(u, v, out=work)))
+
+
 def cg(A, b: np.ndarray, x0: np.ndarray | None, M, work: np.ndarray | None = None,
        stop=None):
     """Preconditioned conjugate gradients on arrays; the one linear-solver call.
@@ -492,15 +485,10 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M, work: np.ndarray | None = Non
     products' scratch.  It writes A p over M's output, dead once the search
     direction holds it, so M(r) must return an array other than r; beyond
     those it allocates only the search direction.  Inner products are
-    np.sum of products, not BLAS, so x has the same bits at any BLAS
-    thread count."""
+    _dot's, so x has the same bits at any BLAS thread count."""
     if work is None:
         work = np.empty_like(b)
-
-    def dot(u, v):
-        return float(np.sum(np.multiply(u, v, out=work)))
-
-    bnorm = np.sqrt(dot(b, b))
+    bnorm = np.sqrt(_dot(b, b, work))
     if bnorm == 0.0:
         return np.zeros_like(b), 0
     x = np.zeros_like(b) if x0 is None else x0
@@ -508,22 +496,22 @@ def cg(A, b: np.ndarray, x0: np.ndarray | None, M, work: np.ndarray | None = Non
     if x.any():
         r -= A(x, p)
     for it in range(CG_MAXITER):
-        rr = dot(r, r)
+        rr = _dot(r, r, work)
         if np.sqrt(rr) < CG_RTOL * bnorm or (it and stop is not None and stop(x, r, rr)):
             return x, it
         z = M(r)
-        rho = dot(r, z)
+        rho = _dot(r, z, work)
         if it:
             p *= rho / rho_prev
             p += z
         else:
             np.copyto(p, z)
         q = A(p, z)  # z is dead once p holds it
-        alpha = rho / dot(p, q)
+        alpha = rho / _dot(p, q, work)
         x += np.multiply(p, alpha, out=work)
         r -= np.multiply(q, alpha, out=work)
         rho_prev = rho
-    res = np.sqrt(dot(r, r)) / bnorm
+    res = np.sqrt(_dot(r, r, work)) / bnorm
     raise SolverError(
         f"conjugate gradients did not reach rtol={CG_RTOL:g} in {CG_MAXITER} "
         f"iterations (relative residual {res:.3e})", trajectory=[res])
@@ -629,9 +617,10 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     not depend on h and the mass is h^2 sum |u|^p, so the lattice minimizer
     u_1 with quotient cp_1 gives u = h^(-2/p) u_1 and cp = h^(-4/p) cp_1,
     and every stop rule below reads a ratio that dilation leaves alone.  One
-    map-back at the return multiplies the field by f = h^(-2/p), and cp and
-    the trajectory by f twice, so that no power leaves float range where cp
-    does not; an InputError names cp or f unless it is a normal float.
+    map-back at the return multiplies the field by f = h^(-2/p) and cp by f
+    twice, so that no power leaves float range where cp does not; an
+    InputError names cp or f unless it is a normal float.  The trajectory
+    takes each step's quotient times f twice as it grows.
 
     For p > 1 it stops when the relative change of the quotient between
     steps falls below tol.  At p = 1 the right-hand side does not depend
@@ -685,7 +674,7 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     M = _VCycle(mask)
     A = M.fine.apply
     t = M.fine.t  # scratch of _lp_scale and the inner products, free between V-cycles
-    trajectory = []  # of lattice quotients, each q at h = q f f
+    trajectory = []  # of the quotients at the grid's h, each a lattice quotient times f f
     f = math.inf  # the field's factor h^(-2/p), inf where a Python float power raises
     with contextlib.suppress(OverflowError):
         f = float(grid.h) ** (-2.0 / p)
@@ -700,10 +689,7 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
                 raise InputError(f"{what} = {value!r} at h = {grid.h:g} is not a normal float")
         u *= f
         return SobolevResult(GriddedField(grid.h, grid.origin, mask, u, grid.spec), cp * f * f,
-                             iterations, residual, p, [c * f * f for c in trajectory])
-
-    def dot(x, y):
-        return float(np.sum(np.multiply(x, y, out=t)))
+                             iterations, residual, p, trajectory)
 
     def solve(it, b, x0, stop=None):
         """A^-1 b by cg, which consumes b and x0; stop may end it early."""
@@ -711,7 +697,7 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
             return cg(A, b, x0, M, t, stop)[0]
         except SolverError as exc:
             raise SolverError(f"inner CG solve failed to converge at step {it}: {exc}",
-                              trajectory=[c * f * f for c in trajectory]) from exc
+                              trajectory=trajectory) from exc
 
     def normalized(x):
         """normalize_p(x), a fresh array (cg's x scaled in place left the heap
@@ -729,7 +715,7 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
         def bound(x, r, rr):
             """cp_lower for the iterate x with residual r (r . r = rr), and
             its gap 1 - cp_lower / cp, cp read off x . A x = b . x - r . x."""
-            bx, rx = float(np.sum(x)), dot(r, x)
+            bx, rx = float(np.sum(x)), _dot(r, x, t)
             cp_lower = 1.0 / (bx + rx + rr / mu)
             return cp_lower, 1.0 - cp_lower * bx * bx / (bx - rx)
 
@@ -737,7 +723,7 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
             """bound with the true residual, in the V-cycle's output array,
             which is free between cycles."""
             r = np.subtract(mask, A(x, M.fine.x), out=M.fine.x)
-            return bound(x, r, dot(r, r))
+            return bound(x, r, _dot(r, r, t))
 
         def stop(x, r, rr):
             if bound(x, r, rr)[1] > tol:
@@ -750,7 +736,7 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
         x = solve(1, mask * 1.0, None, stop)
         cp_lower = certified[0] if certified else true_bound(x)[0]
         x, cp = normalized(x)
-        trajectory.append(cp)
+        trajectory.append(cp * f * f)
         return result(x, cp, 1, max(0.0, 1.0 - cp_lower / cp))
     u = mask / np.count_nonzero(mask) ** (1.0 / p)
     # u, the previous step d, and s: A u, then r, then W, then the candidate;
@@ -764,18 +750,18 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
     for it in range(1, max_iter + 1):
         k = 2 + have_d  # the basis u, w and, when there is one, d
         a, b = [[0.0] * k for _ in range(k)], [[0.0] * k for _ in range(k)]
-        a[0][0] = dot(u, A(u, s))
+        a[0][0] = _dot(u, A(u, s), t)
         np.subtract(s, np.multiply(np.power(u, p - 1.0, out=fw), cp, out=fw), out=s)
         basis = [u, M(s)] + [d] * have_d
         for j, x in enumerate(basis[1:], start=1):
             y = A(x, s)
             for i in range(j + 1):
-                a[i][j] = a[j][i] = dot(basis[i], y)
+                a[i][j] = a[j][i] = _dot(basis[i], y, t)
         np.power(np.maximum(u, W_FLOOR * float(u.max()), out=s), p - 2.0, out=s)
         for j, x in enumerate(basis):
             y = np.multiply(s, x, out=fw)
             for i in range(j + 1):
-                b[i][j] = b[j][i] = dot(basis[i], y)
+                b[i][j] = b[j][i] = _dot(basis[i], y, t)
         # B = (p - 1) W + (2 - p) g g^T / (u . g), and u . W x = g . x
         b = [[(p - 1.0) * b[i][j] + (2.0 - p) * b[i][0] * b[0][j] / b[0][0] for j in range(k)]
              for i in range(k)]
@@ -803,10 +789,9 @@ def minimize_quotient(grid: GriddedField, p: float, tol: float = 1e-8,
             cp_v = cp
         delta = (cp - cp_v) / cp
         cp = cp_v
-        trajectory.append(cp)
+        trajectory.append(cp * f * f)
         if delta <= tol:
             return result(u, cp, it, delta)
-    trajectory = [c * f * f for c in trajectory]
     tail = ", ".join(f"{v:.10g}" for v in trajectory[-5:])
     raise SolverError(
         f"quotient iteration did not converge in {max_iter} steps (tail: {tail})",

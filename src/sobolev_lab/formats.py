@@ -175,7 +175,7 @@ def report_to_table(report) -> str:
     if cr["identical"]:
         crossing_line = f"identical: max|I| <= c  (max I = {cr['max_I']:.3e})"
     else:
-        crossing_line = (f"count={cr['count']}  s1={cr['s1']:.6f}  "
+        crossing_line = (f"count={cr['count']}  s1={cr['s1']:.7g}  "
                          f"max I={cr['max_I']:.3e}  wrong way={cr['wrong_way']:.3e}")
     if d["domain"] is None:
         label = "(unspecified)"
@@ -197,7 +197,7 @@ def report_to_table(report) -> str:
     ]
     for r in d["rows"]:
         lines.append(
-            f"{r['q']:>8g}  {r['khat']:>12.8f}  {r['K']:>12.8f}  "
+            f"{r['q']:>8g}  {r['khat']:>12.8f}  {r['K']:>#12.9g}  "
             f"{r['lhs']:>12.8f}  {r['rhs']:>12.8f}  {r['margin']:>+12.3e}"
         )
     lines.append("")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import math
+
 import numpy as np
 
 from .core import InputError
@@ -23,10 +26,15 @@ def decreasing_rearrangement(fld: GriddedField) -> VolumeProfile:
 
     The values are one C-contiguous array, sorted in place in the masked
     copy (negate, sort ascending, negate back), so that powers of u* run
-    numpy's contiguous loops and no second full-size array is held.
+    numpy's contiguous loops and no second full-size array is held.  The
+    cell area h^2 must be a normal float, else an InputError names it.
     """
+    h2 = math.inf  # where a Python float power raises
+    with contextlib.suppress(OverflowError):
+        h2 = fld.h**2
+    if not 2.0**-1022 <= h2 < math.inf:  # the normal floats
+        raise InputError(f"the cell area h^2 = {h2!r} at h = {fld.h!r} is not a normal float")
     vals = _masked_values(fld)
-    h2 = fld.h**2
     np.negative(vals, out=vals)
     vals.sort()
     np.negative(vals, out=vals)

@@ -297,7 +297,7 @@ class TestMultigrid:
         coarse = grid.mask[::2, ::2]
         A, P = kronecker_laplacian(lattice(grid)), bilinear_prolongation(grid.mask)
         ref = (P.T @ A @ P).toarray()
-        stencil = _assemble(_Level(grid.mask), coarse, None, None)[0]
+        stencil = _assemble(_Level(grid.mask), coarse, grid.mask)[0]
         got = stencil_matrix(stencil, coarse).toarray()
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -395,8 +395,8 @@ def assembled_levels(monkeypatch, mask):
     nodes), and its bottom inverse."""
     levels = []
 
-    def record(fine, coarse, regular, row):
-        out = _assemble(fine, coarse, regular, row)
+    def record(fine, coarse, regular):
+        out = _assemble(fine, coarse, regular)
         levels.append((coarse, out[0], out[1]))
         return out
 
@@ -455,6 +455,18 @@ class TestGalerkinAssembly:
         mask, _, regular = got[0]
         assert mask.sum() == 51_429 and (mask & ~regular).sum() == 1_016
 
+    @pytest.mark.parametrize("shape,counts", [
+        ("disk", [(716, 12_849), (412, 3_205), (212, 793), (96, 193), (40, 45)]),
+        ("lshape", [(305, 3_185), (149, 765), (71, 176), (31, 40)]),
+    ])
+    def test_rows_from_windows_on_deeper_levels(self, monkeypatch, shape, counts):
+        # one regularity rule on every level (every node within distance 2 of
+        # 2I regular below, the mask on the finest level): on each level above
+        # the first, the rows computed from their own windows, of those on the mask
+        grid = build_grid(ASSEMBLY_SHAPES[shape], 1.0 / 256)
+        got, _ = assembled_levels(monkeypatch, grid.mask)
+        assert [((mask & ~regular).sum(), mask.sum()) for mask, _, regular in got[1:]] == counts
+
 
 class CountingGalerkin:
     """Stand-in for elliptic._assemble, the Galerkin operators' builder,
@@ -463,9 +475,9 @@ class CountingGalerkin:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, fine, coarse, regular, row):
+    def __call__(self, fine, coarse, regular):
         self.calls += 1
-        return _assemble(fine, coarse, regular, row)
+        return _assemble(fine, coarse, regular)
 
 
 class TestHierarchyMemo:

@@ -143,7 +143,7 @@ class TestReportRendering:
         # at h = 1/64 the square's I peaks at the edge of 1,622 cells
         res = minimize_quotient(build_grid(DomainSpec.rectangle(1.0, 1.0), 1 / 64), 2.0)
         lines = report_to_table(verify_reverse_holder(res, [2.0, 4.0])).splitlines()
-        assert ("crossing      count=1  s1=0.395996  max I=5.861e-03  wrong way=4.658e-04"
+        assert ("crossing      count=1  s1=0.3959961  max I=5.861e-03  wrong way=4.658e-04"
                 in lines)
         assert "equality      no" in lines
 
@@ -426,7 +426,7 @@ class TestCliVerify:
         # (C_1 of the disk is 8 / (pi r^4)); none ends in a traceback
         out = tmp_path / "v"
         assert run("verify", "--spec", f'{{"shape": "disk", "radius": {radius}}}',
-                   "-p", p, "-q", "2", "--h", repr(float(radius) / 16),
+                   "-p", p, "-q", "2", "-q", "3", "--h", repr(float(radius) / 16),
                    "--out", str(out)) == code
         captured = capsys.readouterr()
         if code:
@@ -439,6 +439,38 @@ class TestCliVerify:
             lines = txt.read_text(encoding="utf-8").splitlines()
             # significant digits at any scale, where :.8f printed 162 digits
             assert max(len(line) for line in lines[2:4]) <= 80, lines[2:4]
+            # so does each q row's K, where :.8f printed 36 digits at radius
+            # 1e80 and 0.00000000 at 1e-80
+            report = read_report(out)
+            for line, row in zip(lines[-4:-2], report["rows"]):
+                assert_keeps_digits(line.split()[2], row["K"], 1e-8)
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_scaled_crossing(self, tmp_path, capsys):
+        # a non-ball domain far below unit size: the crossing's s1 and K
+        # keep their digits in the .txt report (:.6f printed s1=0.000000)
+        out = tmp_path / "v"
+        assert run("verify", "--spec", '{"shape": "ellipse", "a": 1e-80, "b": 5e-81}',
+                   "-p", "1.5", "-q", "2", "--h", "6.25e-82", "--out", str(out)) == 0
+        assert "PASS" in capsys.readouterr().out
+        (txt,) = out.glob("*.txt")
+        lines = txt.read_text(encoding="utf-8").splitlines()
+        report = read_report(out)
+        crossing = dict(cell.split("=") for cell in lines[4].split()[1:3])
+        assert crossing["count"] == "1"
+        assert_keeps_digits(crossing["s1"], report["crossing"]["s1"], 1e-6)
+        assert_keeps_digits(lines[-3].split()[2], report["rows"][0]["K"], 1e-8)
+
+
+def read_report(out) -> dict:
+    """The one JSON report that a verify wrote into the directory out."""
+    (path,) = out.glob("*.json")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def assert_keeps_digits(cell: str, value: float, rel: float) -> None:
+    """A .txt cell reads back as value to rel, in at most 14 characters."""
+    assert len(cell) <= 14 and float(cell) == pytest.approx(value, rel=rel, abs=0.0), cell
 
 
 class TestCliRearrange:
@@ -496,6 +528,23 @@ class TestCliRearrange:
         assert run("rearrange", "--field", str(fpath), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("h", [1e-170, 1e200])
+    def test_cell_area_past_float_range_is_an_input_error(self, tmp_path, capsys, h):
+        # h is finite and positive, but h^2 underflows below the normal
+        # floats or overflows: the rearrangement names it, and nothing is written
+        assert run("domain", "--spec", SQUARE, "-p", "1", "--h", str(1 / 16),
+                   "--out", str(tmp_path)) == 0
+        fpath = tmp_path / "rectangle_height1_width1_p1_h16.field.csv"
+        first, rest = fpath.read_text(encoding="utf-8").split("\n", 1)
+        fpath.write_text(json.dumps({**json.loads(first), "h": h}) + "\n" + rest,
+                         encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run("rearrange", "--field", str(fpath), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the cell area h^2 = ") and f"at h = {h!r}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("body,message", [("inf", "infinite node value"),
