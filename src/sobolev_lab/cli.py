@@ -203,8 +203,9 @@ def _cache_task(task: dict) -> dict:
     # the salt changes whenever a task's rows change text (failed gates named
     # in `error`, then the p > 2 gate's wording, then the digits of p = 1's
     # certified stop, then the verdicts of balls past |Omega|, then cp's last
-    # bits from the solve in lattice units), so no older entry replays
-    return {**task, "version": FORMAT_VERSION, "salt": 5}
+    # bits from the solve in lattice units, then from the coarse levels'
+    # constant-stencil apply), so no older entry replays
+    return {**task, "version": FORMAT_VERSION, "salt": 6}
 
 
 def _cache_path(task: dict) -> str | None:

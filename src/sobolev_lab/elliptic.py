@@ -116,17 +116,21 @@ class _Level:
     """One grid of the multigrid hierarchy, with its operator and work arrays.
 
     Levels are in lattice units (h = 1).  The finest level applies the
-    5-point Dirichlet Laplacian (stencil None) and holds no array of
+    5-point Dirichlet Laplacian (op None) and holds no array of
     constants: A x = 4 x - sum of neighbors on the mask, and 0 off it.  The
     sum of neighbors of an array that is zero off the mask is nonzero only
     on the mask and its halo, the flat indices of the off-mask nodes with a
     5-point neighbor on it, so the halo alone is multiplied by 0 (which
     keeps the signs of the zeros a mask product leaves).
-    A coarser level applies its Galerkin operator, assembled row by row from
-    the level below (see _coarse_operators): a symmetric 9-point stencil
-    given by its upper half, a read-only (5, ny * nx) array of the flat
-    coefficients of the centre and the neighbors at (0, 1), (1, -1),
-    (1, 0), (1, 1), that vanish outside the mask.
+    A coarser level applies its Galerkin operator (see _coarse_operators),
+    kept as op = (row, edge, rows): a symmetric 9-point stencil whose upper
+    half, the centre and the neighbors at (0, 1), (1, -1), (1, 0), (1, 1),
+    is rows[:, k] at the mask's node edge[k] and the interior row at its
+    other nodes (see _upper_rows); a node's entry at -o is its neighbor's
+    entry o.  apply takes the interior row (c, e, d, e, d) everywhere as one
+    constant stencil times the mask, then overwrites the rows that differ,
+    those of the fix nodes (the edge nodes and the nodes with one at some
+    -o), from a table of their nine coefficients.
     Either way A x is zero outside the mask, and neighbors outside it carry
     u = 0.  A level's temporaries t and w are dead whenever another level
     works, so a coarse level given the finest level fine works in
@@ -137,13 +141,12 @@ class _Level:
     finest level a frame node, outside the mask (see minimize_quotient).
     """
 
-    def __init__(self, mask: np.ndarray, stencil: np.ndarray | None = None,
+    def __init__(self, mask: np.ndarray, op: tuple | None = None,
                  fine: _Level | None = None):
         self.mask = mask
         self.size = int(np.count_nonzero(mask))
-        self.stencil = stencil
-        ny, nx = mask.shape
-        if stencil is None:
+        self.op = op
+        if op is None:
             # damped Jacobi in closed form, x <- (1 - omega) x + dinv (b + sum of
             # neighbors): dinv = omega / 4 is a scalar, as b is 0 off the mask
             self.dinv = MG_OMEGA / 4.0
@@ -151,11 +154,25 @@ class _Level:
             near[mask] = False
             self.halo = np.flatnonzero(near)
         else:
-            n = mask.size
-            self.neighbors = [(k, slice(0, n - off), slice(off, n))
-                              for k, off in enumerate((1, nx - 1, nx, nx + 1), start=1)]
-            self.dinv = np.divide(MG_OMEGA, stencil[0].reshape(mask.shape),
-                                  out=np.zeros(mask.shape), where=mask)
+            row, edge, rows = op
+            nx, n = mask.shape[1], mask.size
+            upper = np.array([1, nx - 1, nx, nx + 1])
+            # no level has a node on its first row or column, so no neighbor
+            # at -o falls before the array; one past its end has entry 0
+            near = (edge + np.append(0, upper)[:, None]).ravel()
+            fix = np.zeros(n + nx + 1, dtype=bool)  # a mark, not np.unique (which loads numpy.ma)
+            fix[near] = True
+            self.fix = np.flatnonzero(fix[:n] & mask.reshape(-1))
+            self.index = self.fix + np.concatenate(([0], upper, -upper))[:, None]
+            np.minimum(self.index, n - 1, out=self.index)
+            self.table = np.empty(self.index.shape)
+            self.table[:5] = _upper_rows(mask, op, self.fix)
+            below = _upper_rows(mask, op, self.index[5:])  # each neighbor's entry toward it
+            self.table[5:] = below[np.arange(1, 5), np.arange(4)]
+            # omega over the diagonal: the interior row's (0 if no node is
+            # regular), and the edge nodes' own
+            self.dinv = MG_OMEGA / row[0] if row[0] else 0.0
+            self.edge_dinv = MG_OMEGA / rows[0]
             self.b = np.zeros(mask.shape)  # the restricted right-hand side
         # work arrays: the iterate and two temporaries
         self.x = np.zeros(mask.shape)
@@ -178,25 +195,49 @@ class _Level:
 
     def apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = A x for an array x that is zero outside the mask."""
-        S = self.stencil
-        if S is None:
+        if self.op is None:
             s = self.neighbor_sum(x, self.w)
             np.multiply(x, 4.0, out=out)
             out -= s
             out.ravel()[self.halo] *= 0.0
             return out
+        c, e, d = self.op[0][:3]
+        n = x.shape[1]
         xf, of, wf = x.ravel(), out.ravel(), self.w.ravel()
-        np.multiply(S[0], xf, out=of)
-        for k, dst, src in self.neighbors:
-            np.multiply(S[k][dst], xf[src], out=wf[dst])
-            of[dst] += wf[dst]
-            np.multiply(S[k][dst], xf[dst], out=wf[dst])
-            of[src] += wf[dst]
+        if not c:  # no regular node: every row of the mask is a fix row
+            of[:] = 0.0
+        else:
+            # w: the sum of the left and right neighbors; out: that sum a row
+            # above and a row below, the corners
+            np.add(xf[:-2], xf[2:], out=wf[1:-1])
+            wf[0], wf[-1] = xf[1], xf[-2]
+            np.add(wf[:-2 * n], wf[2 * n:], out=of[n:-n])
+            of[:n] = wf[n:2 * n]
+            of[-n:] = wf[-2 * n:-n]
+            of *= d
+            wf[n:] += xf[:-n]  # the sides: the neighbors below, then above
+            wf[:-n] += xf[n:]
+            wf *= e
+            of += wf
+            of += np.multiply(xf, c, out=wf)
+            of *= self.mask.ravel()
+        of[self.fix] = np.einsum("kf,kf->f", self.table, xf[self.index])
+        return out
+
+    def jacobi(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = dinv r for an array r that is zero outside the mask (r may be out)."""
+        if self.op is None:
+            return np.multiply(r, self.dinv, out=out)
+        edge = self.op[1]
+        keep = r.ravel()[edge]
+        np.multiply(r, self.dinv, out=out)
+        keep *= self.edge_dinv
+        out.ravel()[edge] = keep
         return out
 
     def presmooth(self, b: np.ndarray) -> None:
         """MG_SMOOTH damped Jacobi sweeps on A x = b from x = 0 (the first gives dinv b)."""
-        np.multiply(self.dinv, b, out=self.x)
+        self.jacobi(b, self.x)
         self.smooth(b, MG_SMOOTH - 1)
 
     def smooth(self, b: np.ndarray, sweeps: int) -> None:
@@ -205,10 +246,10 @@ class _Level:
         On the finest level dinv b is formed once per call, in w, which no
         sweep there uses otherwise."""
         x, t = self.x, self.t
-        if self.stencil is None:
-            c = np.multiply(self.dinv, b, out=self.w)
+        if self.op is None:
+            c = self.jacobi(b, self.w)
         for _ in range(sweeps):
-            if self.stencil is None:
+            if self.op is None:
                 t = self.neighbor_sum(x, t)
                 t *= self.dinv
                 t.ravel()[self.halo] *= 0.0
@@ -216,8 +257,7 @@ class _Level:
                 x *= 1.0 - MG_OMEGA
             else:
                 t = self.apply(x, t)
-                np.subtract(b, t, out=t)
-                t *= self.dinv
+                self.jacobi(np.subtract(b, t, out=t), t)
             x += t
 
 
@@ -285,12 +325,13 @@ def _everywhere(a: np.ndarray, r: int, shape: tuple) -> np.ndarray:
 def _rows(m: np.ndarray, S: np.ndarray | None) -> np.ndarray:
     """Upper-half rows (5, B) of P^T A P at B coarse nodes I, from the fine
     level's 5 x 5 windows around the nodes 2I: m, (5, 5, B), its mask as 0
-    and 1, and S, (5, 5, 5, B), its upper-half stencil (None: 5-point).
+    and 1, and S, (5, 5, 5, B), its upper-half rows (None: 5-point).
 
     Each entry is (P^T A P e)(I), e the unit vector at I + o, in the
-    operations that _prolong, apply and _restrict do at these nodes: the
-    hat's values 1, 1/2 and 1/4 and the restriction's halves make every
-    product by them exact, and the sums run in those functions' order.
+    operations that _prolong and _restrict do at these nodes, and the
+    fine operator in the order the upper-half stencil lists it: the hat's
+    values 1, 1/2 and 1/4 and the restriction's halves make every product
+    by them exact, and the sums run in those functions' order.
     """
     out = np.empty((5, m.shape[2]))
     for k, (oy, ox) in enumerate(_UPPER):
@@ -299,7 +340,7 @@ def _rows(m: np.ndarray, S: np.ndarray | None) -> np.ndarray:
             y = x[1:4, 1:4] * 4.0
             y -= ((x[:3, 1:4] + x[2:, 1:4]) + x[1:4, :3]) + x[1:4, 2:]
             y *= m[1:4, 1:4]  # the halo's product by 0
-        else:  # the centre, then +o and -o for each upper offset o, as apply adds them
+        else:  # the centre, then +o and -o for each upper offset o
             y = S[0, 1:4, 1:4] * x[1:4, 1:4]
             for j, (dy, dx) in enumerate(_UPPER[1:], start=1):
                 y += S[j, 1:4, 1:4] * x[1 + dy:4 + dy, 1 + dx:4 + dx]
@@ -309,30 +350,44 @@ def _rows(m: np.ndarray, S: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _assemble(fine: _Level, coarse: np.ndarray, regular: np.ndarray) -> tuple:
-    """The upper-half stencil of P^T A P on the coarse mask, row by row, and
-    its regular nodes: those whose fine nodes within distance 2 of 2I are
-    all regular, given fine's regular nodes (the mask on the finest level).
-    Regular nodes get the interior row, read off one regular node's window,
-    the mask's other nodes rows from their own fine windows, the rest zeros
-    (see _coarse_operators)."""
+def _upper_rows(mask: np.ndarray, op: tuple, nodes: np.ndarray) -> np.ndarray:
+    """The upper-half rows, (5,) + nodes.shape, of a coarse level's operator
+    op = (row, edge, rows) at the flat indices nodes: rows at the sorted edge
+    nodes, the interior row at the mask's other nodes, zeros off the mask.
+    A non-empty coarse mask has edge nodes (its last row's, at least)."""
+    row, edge, rows = op
+    out = np.where(mask.reshape(-1)[nodes], row.reshape((5,) + (1,) * nodes.ndim), 0.0)
+    k = np.minimum(np.searchsorted(edge, nodes), edge.size - 1)
+    hit = edge[k] == nodes
+    out[:, hit] = rows[:, k[hit]]
+    return out
+
+
+def _assemble(fine: tuple, coarse: np.ndarray, regular: np.ndarray) -> tuple:
+    """The Galerkin operator P^T A P on the coarse mask, row by row, as
+    (row, edge, rows) (see _Level), and its regular nodes: those whose fine
+    nodes within distance 2 of 2I are all regular, given the fine level
+    (mask, op) and its regular nodes (the mask on the finest level).
+    The interior row is read off one regular node's window (zeros if there
+    is none), and the mask's other nodes, edge, get rows from their own
+    fine windows (see _coarse_operators)."""
+    mask, op = fine
     regular = _everywhere(regular, 2, coarse.shape)
     # the 5 x 5 fine windows around the nodes 2I: one per node of the mask
     # that is not regular, then one regular node's, if there is one; nodes
     # past the array read 0
     edge = np.flatnonzero(coarse & ~regular)
     nodes = np.concatenate((edge, np.flatnonzero(regular)[:1]))
-    ny, nx = fine.mask.shape
+    ny, nx = mask.shape
     iy = 2 * (nodes // coarse.shape[1]) + np.arange(-2, 3)[:, None]
     ix = 2 * (nodes % coarse.shape[1]) + np.arange(-2, 3)[:, None]
     past = ((iy < 0) | (iy >= ny))[:, None] | ((ix < 0) | (ix >= nx))[None]
     flat = np.where(past, 0, iy[:, None] * nx + ix[None])
-    m = fine.mask.reshape(-1)[flat] & ~past
-    S = None if fine.stencil is None else np.where(past, 0.0, fine.stencil[:, flat])
+    m = mask.reshape(-1)[flat] & ~past
+    S = None if op is None else np.where(past, 0.0, _upper_rows(mask, op, flat))
     rows = _rows(m * 1.0, S)
-    stencil = np.where(regular.reshape(-1), rows[:, -1:], 0.0)  # none if none is regular
-    stencil[:, edge] = rows[:, :edge.size]
-    return stencil, regular
+    row = rows[:, -1].copy() if nodes.size > edge.size else np.zeros(5)
+    return (row, edge, rows[:, :edge.size]), regular
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:
@@ -354,14 +409,16 @@ _last_operators = None
 
 def _coarse_operators(fine: _Level) -> tuple:
     """The read-only part of the multigrid hierarchy above the finest level
-    fine: its Galerkin levels, each a (coarse mask, upper-half stencil)
-    pair, and the bottom level's dense inverse, or None if it is smoothed.
+    fine: its Galerkin levels, each a (coarse mask, (row, edge, rows)) pair
+    (see _Level), and the bottom level's dense inverse, or None if it is
+    smoothed.
 
     Levels coarsen by mask[::2, ::2] with bilinear prolongation P and
     Galerkin operators P^T A P while a level has more than MG_COARSE_SIZE
     nodes (or until the coarse mask is empty), each assembled row by row
-    (_assemble) from the level below's mask and stencil alone; only the
-    bottom's inverse works in fine's arrays.
+    (_assemble) from the level below's mask and rows alone; only the
+    bottom's inverse works in fine's arrays.  No (5, ny * nx) stencil is
+    formed.
 
     The radius rule.  A node of the finest level is regular when it is in
     the mask; a coarse node I is regular when every node within Chebyshev
@@ -378,7 +435,10 @@ def _coarse_operators(fine: _Level) -> tuple:
     regular node's window per level.  Only the other nodes of the mask
     (about 2% at h = 1/256 on the first level) get rows from their own
     windows, which read 0 past the array (mask[::2, ::2] can leave a node
-    on its array's last row or column); rows off the mask are zeros.
+    on its array's last row or column).  A regular node's eight neighbors
+    lie in the mask and in the array, and the interior row must read
+    (c, e, d, e, d), the symmetry apply relies on; a SolverError says so
+    if it does not (it holds on every level of every grid tested).
 
     The operators depend on the mask alone, so the last grid's are kept,
     set read-only, and a solve on the same mask, at any h, reuses them.
@@ -392,22 +452,28 @@ def _coarse_operators(fine: _Level) -> tuple:
         return last[1]
     _last_operators = None
     galerkin = []
-    level, regular = fine, fine.mask
-    while level.size > MG_COARSE_SIZE:
-        coarse = level.mask[::2, ::2].copy()
+    level, size, regular = (fine.mask, None), fine.size, fine.mask
+    while size > MG_COARSE_SIZE:
+        coarse = level[0][::2, ::2].copy()
         if not coarse.any():
             break
-        stencil, regular = _assemble(level, coarse, regular)
-        coarse.flags.writeable = stencil.flags.writeable = False
-        galerkin.append((coarse, stencil))
-        level = _Level(coarse, stencil, fine=fine)
+        op, regular = _assemble(level, coarse, regular)
+        row = op[0]
+        if not (row[1] == row[3] and row[2] == row[4]):
+            raise SolverError(f"Galerkin level {len(galerkin) + 1} has an interior row "
+                              f"{row.tolist()} that is not symmetric")
+        for a in (coarse,) + op:
+            a.flags.writeable = False
+        level, size = (coarse, op), int(np.count_nonzero(coarse))
+        galerkin.append(level)
     inverse = None
-    if level.size <= MG_COARSE_SIZE:
+    if size <= MG_COARSE_SIZE:
         # the bottom operator is symmetric, so its image of unit vector k is row k
-        a, e = np.empty((level.size, level.size)), np.zeros(level.mask.shape)
-        for i, k in enumerate(np.flatnonzero(level.mask)):
+        bottom = _Level(*level, fine=fine) if galerkin else fine
+        a, e = np.empty((size, size)), np.zeros(bottom.mask.shape)
+        for i, k in enumerate(np.flatnonzero(bottom.mask)):
             e.flat[k] = 1.0
-            a[i] = level.apply(e, level.t)[level.mask]
+            a[i] = bottom.apply(e, bottom.t)[bottom.mask]
             e.flat[k] = 0.0
         inverse = _inverse(a)
         inverse.flags.writeable = False
@@ -438,7 +504,7 @@ class _VCycle:
     def __init__(self, mask: np.ndarray):
         fine = _Level(mask)
         galerkin, self.inverse = _coarse_operators(fine)
-        levels = [fine] + [_Level(m, stencil, fine=fine) for m, stencil in galerkin]
+        levels = [fine] + [_Level(m, op, fine=fine) for m, op in galerkin]
         self.fine, self.bottom, self.levels = levels[0], levels[-1], levels[:-1]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:

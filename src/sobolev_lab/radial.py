@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -200,17 +201,17 @@ def _dopri5(accel, r, y, v, rtol, atol):
         h = min(h, R_MAX - r)
         ky, kv = [v], [a]
         for c, row in zip(_DP_C, _DP_A):
-            yi = y + h * sum(w * k for w, k in zip(row, ky))
-            vi = v + h * sum(w * k for w, k in zip(row, kv))
+            yi = y + h * sum(map(operator.mul, row, ky))
+            vi = v + h * sum(map(operator.mul, row, kv))
             ky.append(vi)
             kv.append(accel(r + c * h, yi, vi))
-        y1 = y + h * sum(w * k for w, k in zip(_DP_B, ky))
-        v1 = v + h * sum(w * k for w, k in zip(_DP_B, kv))
+        y1 = y + h * sum(map(operator.mul, _DP_B, ky))
+        v1 = v + h * sum(map(operator.mul, _DP_B, kv))
         a1 = accel(r + h, y1, v1)
         ky.append(v1)
         kv.append(a1)
-        ey = h * sum(w * k for w, k in zip(_DP_E, ky)) / (atol + rtol * max(abs(y), abs(y1)))
-        ev = h * sum(w * k for w, k in zip(_DP_E, kv)) / (atol + rtol * max(abs(v), abs(v1)))
+        ey = h * sum(map(operator.mul, _DP_E, ky)) / (atol + rtol * max(abs(y), abs(y1)))
+        ev = h * sum(map(operator.mul, _DP_E, kv)) / (atol + rtol * max(abs(v), abs(v1)))
         err = math.sqrt(0.5 * (ey * ey + ev * ev))
         if err < 1.0:
             r, y, v, a = r + h, y1, v1, a1
@@ -224,14 +225,17 @@ def _dopri5(accel, r, y, v, rtol, atol):
 
 
 def _quintic_hermite(r, y, dy, d2y):
-    """Piecewise quintic through (y, y', y'') at the nodes r, vectorised.
+    """Piecewise quintic through (y, y', y'') at the nodes r, vectorised,
+    and its last piece as a function of one Python float.
 
     Queries outside [r[0], r[-1]] extend the end pieces; a query equal to
     a node takes the piece that starts there.  A 1-D non-decreasing query
     array longer than the node list finds its pieces by searching the
     nodes into it and repeats each piece's coefficients over its run of
     queries: linear in the queries, and bit-identical to the per-query
-    binary search that every other input takes.
+    binary search that every other input takes.  The last piece runs
+    evaluate's operations in its order, on floats, so it has evaluate's
+    bits on [r[-2], r[-1]).
     """
     h = np.diff(r)
     d = np.diff(y)
@@ -260,14 +264,24 @@ def _quintic_hermite(r, y, dy, d2y):
             out += take(coef[k])
         return out
 
-    return evaluate
+    r0, h0, c = float(r[-2]), float(h[-1]), coef[:, -1].tolist()
+
+    def last(x: float) -> float:
+        t = (x - r0) / h0
+        out = c[5]
+        for k in (4, 3, 2, 1, 0):
+            out = out * t + c[k]
+        return out
+
+    return evaluate, last
 
 
 def shoot(n: int, p: float, tol: float = 1e-12, allow_supercritical: bool = False) -> RawShot:
     """Integrate the radial ODE from a series start until y first hits zero.
 
     The zero R0 is bracketed by the last two accepted steps and polished
-    by bisection on the dense output to ZERO_TOL.
+    by bisection to ZERO_TOL on the dense output's last piece, evaluated
+    on Python floats with the dense output's bits.
     """
     check_exponents(n, p, allow_supercritical=allow_supercritical)
     if not (0 < tol <= 1e-6):
@@ -284,7 +298,7 @@ def shoot(n: int, p: float, tol: float = 1e-12, allow_supercritical: bool = Fals
                                     tol, tol * 1e-2)
     except SolverError as exc:
         raise SolverError(f"{exc} for (n, p) = ({n}, {p})") from None
-    hermite = _quintic_hermite(rs, ys, dys, d2ys)
+    hermite, last = _quintic_hermite(rs, ys, dys, d2ys)
 
     def y_of(r, out=None):
         """y at r, in out (which may be r) if given, else in a fresh array."""
@@ -299,7 +313,7 @@ def shoot(n: int, p: float, tol: float = 1e-12, allow_supercritical: bool = Fals
     lo, hi = float(rs[-2]), float(rs[-1])
     while hi - lo > ZERO_TOL:
         mid = 0.5 * (lo + hi)
-        if y_of(np.array([mid]))[0] > 0.0:
+        if last(mid) > 0.0:
             lo = mid
         else:
             hi = mid

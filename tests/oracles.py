@@ -6,9 +6,10 @@ independent Bessel-zero root finder, and scipy's DOP853 for the ball
 shot.  Run as a script to print the frozen constants; the test modules
 hard-code these literals and assert agreement with both this module and
 the package.  The one exception is the Galerkin probe, the multigrid's
-former build: it runs the package's own prolongation, fine operator and
-restriction on whole grids, and so pins the bits of the row-wise
-assembly that replaced it, not the values of P^T A P.
+former build: it runs the package's own prolongation, finest operator
+and restriction on whole grids, and the former stencil apply on coarse
+levels, and so pins the bits of the row-wise assembly that replaced it,
+not the values of P^T A P.
 """
 
 import math
@@ -133,13 +134,37 @@ def galerkin_probe(fine, coarse: np.ndarray) -> np.ndarray:
     return probe(op, coarse.shape)
 
 
+class StencilLevel:
+    """A coarse level that applies a (5, ny * nx) upper-half stencil by flat
+    offsets, centre first, then for each upper offset o the products at +o
+    and at -o, as the package did before it kept its levels' rows."""
+
+    def __init__(self, mask: np.ndarray, stencil: np.ndarray):
+        self.mask, self.stencil = mask, stencil
+        self.size = int(np.count_nonzero(mask))
+        self.x, self.t, self.w = (np.zeros(mask.shape) for _ in range(3))
+
+    def apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        S, n, nx = self.stencil, self.mask.size, self.mask.shape[1]
+        xf, of, wf = x.ravel(), out.ravel(), self.w.ravel()
+        np.multiply(S[0], xf, out=of)
+        for k, off in enumerate((1, nx - 1, nx, nx + 1), start=1):
+            dst, src = slice(0, n - off), slice(off, n)
+            np.multiply(S[k][dst], xf[src], out=wf[dst])
+            of[dst] += wf[dst]
+            np.multiply(S[k][dst], xf[dst], out=wf[dst])
+            of[src] += wf[dst]
+        return out
+
+
 def galerkin_levels(mask: np.ndarray) -> list:
     """The (coarse mask, upper-half stencil) pairs of the multigrid levels
     above the finest, each probed on the level below, as the package built
-    them before its row-wise assembly."""
+    them before its row-wise assembly: the package's 5-point level, then
+    StencilLevel."""
     from sobolev_lab.elliptic import MG_COARSE_SIZE, _Level
 
-    fine = level = _Level(mask)
+    level = _Level(mask)
     levels = []
     while level.size > MG_COARSE_SIZE:
         coarse = level.mask[::2, ::2].copy()
@@ -147,7 +172,7 @@ def galerkin_levels(mask: np.ndarray) -> list:
             break
         stencil = galerkin_probe(level, coarse)[4:].copy()
         levels.append((coarse, stencil))
-        level = _Level(coarse, stencil, fine=fine)
+        level = StencilLevel(coarse, stencil)
     return levels
 
 

@@ -22,7 +22,7 @@ from sobolev_lab import AdmissibilityError, DomainSpec, build_grid, minimize_quo
 from sobolev_lab import elliptic
 from sobolev_lab.core import GridError, InputError, SolverError
 from sobolev_lab.cli import main
-from sobolev_lab.elliptic import (MG_COARSE_SIZE, MG_OMEGA, GriddedField, _assemble,
+from sobolev_lab.elliptic import (MG_COARSE_SIZE, MG_OMEGA, MG_SMOOTH, GriddedField, _assemble,
                                   _coarse_operators, _inverse, _Level, _lp_scale, _ritz,
                                   _VCycle, quotient)
 
@@ -99,6 +99,16 @@ def stencil_matrix(S, mask):
     n = np.count_nonzero(mask)
     return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(n, n))
+
+
+def expand(mask, op):
+    """The (5, ny * nx) upper-half stencil of a coarse level kept as
+    (row, edge, rows): the interior row on the mask's nodes outside edge,
+    rows on edge, zeros off the mask."""
+    row, edge, rows = op
+    S = np.where(mask.reshape(-1), row[:, None], 0.0)
+    S[:, edge] = rows
+    return S
 
 
 def framed_block():
@@ -297,8 +307,8 @@ class TestMultigrid:
         coarse = grid.mask[::2, ::2]
         A, P = kronecker_laplacian(lattice(grid)), bilinear_prolongation(grid.mask)
         ref = (P.T @ A @ P).toarray()
-        stencil = _assemble(_Level(grid.mask), coarse, grid.mask)[0]
-        got = stencil_matrix(stencil, coarse).toarray()
+        op = _assemble((grid.mask, None), coarse, grid.mask)[0]
+        got = stencil_matrix(expand(coarse, op), coarse).toarray()
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 64, 1.0 / 128])
@@ -391,8 +401,8 @@ ASSEMBLY_SHAPES = {
 
 
 def assembled_levels(monkeypatch, mask):
-    """A cold build's Galerkin levels, each (coarse mask, stencil, regular
-    nodes), and its bottom inverse."""
+    """A cold build's Galerkin levels, each (coarse mask, (row, edge, rows),
+    regular nodes), and its bottom inverse."""
     levels = []
 
     def record(fine, coarse, regular):
@@ -412,8 +422,9 @@ class TestGalerkinAssembly:
 
     def check(self, got, want):
         assert len(got) == len(want)
-        for (mask, stencil, regular), (ref_mask, ref) in zip(got, want):
+        for (mask, op, regular), (ref_mask, ref) in zip(got, want):
             assert np.array_equal(mask, ref_mask)
+            stencil = expand(mask, op)
             assert np.array_equal(stencil, ref)
             # on the mask, signed zeros too; off it the probe's zeros carry
             # the signs of the products that it multiplied by 0
@@ -466,6 +477,114 @@ class TestGalerkinAssembly:
         grid = build_grid(ASSEMBLY_SHAPES[shape], 1.0 / 256)
         got, _ = assembled_levels(monkeypatch, grid.mask)
         assert [((mask & ~regular).sum(), mask.sum()) for mask, _, regular in got[1:]] == counts
+
+
+class TestCompactLevels:
+    """Each coarse level is kept as its mask, its interior row and its edge
+    rows; its apply is P^T A P's, and no (5, ny * nx) stencil is formed."""
+
+    @pytest.mark.parametrize("h", [1.0 / 64, 0.0123, 1.0 / 256])
+    @pytest.mark.parametrize("shape", list(ASSEMBLY_SHAPES))
+    def test_apply_equals_sparse_product(self, monkeypatch, shape, h):
+        grid = build_grid(ASSEMBLY_SHAPES[shape], h)
+        monkeypatch.setattr(elliptic, "_last_operators", None)
+        fine = _Level(grid.mask)
+        galerkin, inverse = _coarse_operators(fine)
+        A, below, rng = kronecker_laplacian(lattice(grid)), grid.mask, np.random.default_rng(3)
+        for mask, op in galerkin:
+            P = bilinear_prolongation(below)
+            A, below = (P.T @ A @ P).tocsr(), mask
+            level = _Level(mask, op, fine=fine)
+            for _ in range(2):
+                x = np.zeros(mask.shape)
+                x[mask] = rng.standard_normal(level.size)
+                got = level.apply(x, np.full(mask.shape, np.nan))
+                ref = A @ x[mask]
+                assert not got[~mask].any()
+                assert np.max(np.abs(got[mask] - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the cases the fix-up rows must cover
+        if (shape, h) == ("strip", 1.0 / 64):  # no regular node on any level
+            assert all(op[1].size == np.count_nonzero(mask) for mask, op in galerkin)
+        if shape == "wide-strip" and h != 0.0123:  # a smoothed bottom of edge rows
+            assert inverse is None and np.count_nonzero(galerkin[-1][0]) > MG_COARSE_SIZE
+        if (shape, h) == ("seeded-ellipse", 1.0 / 256):  # a mask on its array's last row
+            assert any(mask[-1].any() for mask, _ in galerkin)
+
+    @pytest.mark.parametrize("shape,h", [("disk", 1.0 / 64), ("lshape", 1.0 / 128),
+                                         ("strip", 1.0 / 64), ("wide-strip", 1.0 / 64)])
+    def test_vcycle_equals_sparse_reference(self, shape, h):
+        # the V-cycle on scipy's Galerkin matrices, with damped Jacobi on
+        # their diagonals: the edge nodes' own, the interior row's elsewhere
+        grid = build_grid(ASSEMBLY_SHAPES[shape], h)
+        M = _VCycle(grid.mask)
+        masks, As, Ps = [grid.mask], [kronecker_laplacian(lattice(grid))], []
+        for level in M.levels[1:] + [M.bottom]:
+            Ps.append(bilinear_prolongation(masks[-1]))
+            As.append((Ps[-1].T @ As[-1] @ Ps[-1]).tocsr())
+            masks.append(level.mask)
+
+        def smooth(A, x, b, sweeps):
+            for _ in range(sweeps):
+                x = x + MG_OMEGA * (b - A @ x) / A.diagonal()
+            return x
+
+        def cycle(k, b):
+            A = As[k]
+            if k == len(As) - 1:
+                if M.inverse is not None:
+                    return M.inverse @ b
+                return smooth(A, MG_OMEGA * b / A.diagonal(), b, 2 * MG_SMOOTH - 1)
+            x = smooth(A, MG_OMEGA * b / A.diagonal(), b, MG_SMOOTH - 1)
+            x = x + Ps[k] @ cycle(k + 1, Ps[k].T @ (b - A @ x))
+            return smooth(A, x, b, MG_SMOOTH)
+
+        r = np.zeros(grid.mask.shape)
+        r[grid.mask] = np.random.default_rng(11).standard_normal(np.count_nonzero(grid.mask))
+        got, ref = M(r)[grid.mask], cycle(0, r[grid.mask])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_kept_form(self, monkeypatch):
+        grid = build_grid(ASSEMBLY_SHAPES["disk"], 1.0 / 256)
+        monkeypatch.setattr(elliptic, "_last_operators", None)
+        galerkin, inverse = _coarse_operators(_Level(grid.mask))
+        for mask, (row, edge, rows) in galerkin:
+            c, e, d = row[:3]
+            assert row.tolist() == [c, e, d, e, d] and c > 0 > e
+            assert np.all(np.diff(edge) > 0) and mask.reshape(-1)[edge].all()
+            assert rows.shape == (5, edge.size) and edge.size < np.count_nonzero(mask)
+        # 1,016 of the first level's 51,429 rows are edge rows; the kept
+        # masks, rows and bottom inverse take 8.5% of a first-level
+        # (5, ny * nx) stencil
+        assert galerkin[0][1][1].size == 1_016
+        kept = sum(a.nbytes for mask, op in galerkin for a in (mask, *op)) + inverse.nbytes
+        assert kept < 0.1 * 5 * galerkin[0][0].size * 8
+
+    def test_asymmetric_interior_row_refused(self, monkeypatch):
+        # apply reads the interior row as (c, e, d, e, d): a row that is not
+        # is refused at build time, not applied as a wrong operator
+        def skewed(fine, coarse, regular):
+            (row, edge, rows), regular = _assemble(fine, coarse, regular)
+            return (row * [1.0, 1.0, 1.0, 1.5, 1.0], edge, rows), regular
+
+        monkeypatch.setattr(elliptic, "_last_operators", None)
+        monkeypatch.setattr(elliptic, "_assemble", skewed)
+        with pytest.raises(SolverError, match="level 1 has an interior row .* not symmetric"):
+            _coarse_operators(_Level(build_grid(SHAPES["disk"], 1.0 / 64).mask))
+
+    def test_build_forms_no_full_stencil(self, monkeypatch):
+        # the build's traced peak stays under one (5, ny * nx) array of the
+        # first coarse level, which the kept stencils used to be (0.50 of it
+        # measured on the disk at h = 1/512)
+        grid = build_grid(ASSEMBLY_SHAPES["disk"], 1.0 / 512)
+        monkeypatch.setattr(elliptic, "_last_operators", None)
+        fine = _Level(grid.mask)
+        tracemalloc.start()
+        try:
+            galerkin = _coarse_operators(fine)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.7 * 5 * galerkin[0][0].size * 8
 
 
 class CountingGalerkin:
@@ -522,10 +641,10 @@ class TestHierarchyMemo:
     def test_one_fine_level_per_cold_solve(self, galerkin, monkeypatch):
         finest = []
 
-        def level(mask, stencil=None, fine=None):
-            if stencil is None:
+        def level(mask, op=None, fine=None):
+            if op is None:
                 finest.append(mask)
-            return _Level(mask, stencil, fine)
+            return _Level(mask, op, fine)
 
         monkeypatch.setattr(elliptic, "_Level", level)
         grid = build_grid(SHAPES["disk"], 1.0 / 64)
@@ -540,23 +659,22 @@ class TestHierarchyMemo:
         assert np.array_equal(cold.field.values, warm.field.values)
 
     def test_coarse_levels_borrow_the_finest_temporaries(self, galerkin, monkeypatch):
-        # every coarse level, those the build makes for the next level's size
-        # and the bottom's inverse and those of the V-cycle, works in
-        # prefixes of the finest level's t and w; its iterate and right-hand
-        # side are its own
+        # every coarse level, the one the build makes for the bottom's inverse
+        # and those of the V-cycle, works in prefixes of the finest level's t
+        # and w; its iterate and right-hand side are its own
         levels = []
 
-        def level(mask, stencil=None, fine=None):
-            levels.append(_Level(mask, stencil, fine))
+        def level(mask, op=None, fine=None):
+            levels.append(_Level(mask, op, fine))
             return levels[-1]
 
         monkeypatch.setattr(elliptic, "_Level", level)
         grid = build_grid(SHAPES["lshape"], 1.0 / 64)
         M = _VCycle(grid.mask)
         finest, coarse = levels[0], levels[1:]
-        assert finest is M.fine and finest.stencil is None
-        assert len(coarse) == 2 * galerkin.calls > 2  # the build's levels, then the cycle's
-        assert all(level.stencil is not None for level in coarse)
+        assert finest is M.fine and finest.op is None
+        assert len(coarse) == 1 + galerkin.calls > 2  # the build's bottom, then the cycle's
+        assert all(level.op is not None for level in coarse)
         for level in coarse:
             for mine, borrowed in ((level.t, finest.t), (level.w, finest.w)):
                 assert np.shares_memory(mine, borrowed)
@@ -572,7 +690,7 @@ class TestHierarchyMemo:
         poisson_solve(grid, np.ones(grid.mask.shape))
         levels, inverse = _coarse_operators(_Level(grid.mask))
         assert galerkin.calls == len(levels)
-        for array in [a for level in levels for a in level] + [inverse]:
+        for array in [a for mask, op in levels for a in (mask, *op)] + [inverse]:
             with pytest.raises(ValueError):
                 array.flat[0] = 1
         coarse = levels[0][0]
@@ -583,10 +701,10 @@ class TestHierarchyMemo:
 
     def test_old_grid_freed_by_another_grids_solve(self, galerkin):
         minimize_quotient(build_grid(SHAPES["disk"], 1.0 / 64), 1.0)
-        stencil = weakref.ref(elliptic._last_operators[1][0][0][1])
-        assert stencil() is not None
+        rows = weakref.ref(elliptic._last_operators[1][0][0][1][2])
+        assert rows() is not None
         minimize_quotient(build_grid(SHAPES["ellipse"], 1.0 / 64), 1.0)
-        assert stencil() is None
+        assert rows() is None
 
     def test_concurrent_solves_match_sequential(self, galerkin):
         grid = build_grid(SHAPES["disk"], 1.0 / 64)
@@ -1041,13 +1159,14 @@ class TestRayleighRitzSteps:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0], ids=["p1", "p1.5", "p2"])
     def test_memory_peak(self, monkeypatch, p):
         # the memo is cleared, so the peak includes the hierarchy's build.
-        # Measured at p = 1, 1.5 and 2, in grid arrays: the disk 9.32 at each
-        # p, the ellipse 9.95, the l-shape 10.11, 10.12 and 10.12 (the coarse
-        # levels borrow the finest level's temporaries, cg writes A p over
-        # the V-cycle's output, and quotient and the p > 1 step work in the
-        # finest level's free arrays)
-        for spec in (DomainSpec.disk(1.0), DomainSpec.ellipse(1.0, 0.5),
-                     DomainSpec.l_shape(1.0, 0.45)):
+        # Measured at p = 1, 1.5 and 2, in grid arrays: the disk 7.93-7.94,
+        # the ellipse 8.81 and the l-shape 9.15 at each p (9.32, 9.95 and
+        # 10.11-10.12 when the coarse levels kept (5, ny * nx) stencils and a
+        # dinv array each; the coarse levels borrow the finest level's
+        # temporaries, cg writes A p over the V-cycle's output, and quotient
+        # and the p > 1 step work in the finest level's free arrays)
+        for spec, bound in ((DomainSpec.disk(1.0), 8.2), (DomainSpec.ellipse(1.0, 0.5), 9.1),
+                            (DomainSpec.l_shape(1.0, 0.45), 9.4)):
             grid = build_grid(spec, 1.0 / 128)
             monkeypatch.setattr(elliptic, "_last_operators", None)
             tracemalloc.start()
@@ -1056,7 +1175,7 @@ class TestRayleighRitzSteps:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 10.5 * grid.values.nbytes, spec
+            assert peak <= bound * grid.values.nbytes, spec
 
     def test_warm_vcycle_allocates_less_than_one_array(self):
         # its temporaries live in the levels' work arrays; what is left is

@@ -38,6 +38,34 @@ class TestShoot:
         shot = shoot(2, 2.0)
         assert abs(shot.dense(shot.R0)) <= 1e-10
 
+    @pytest.mark.parametrize("n,p", [(2, 1.0), (2, 1.3), (2, 1.5), (2, 1.7), (2, 2.0), (2, 2.5),
+                                     (3, 1.5)])
+    def test_bisection_piece_matches_dense(self, monkeypatch, n, p):
+        # the bisection reads the bracketing step's quintic piece on Python
+        # floats: at every midpoint it must give the dense output's bits, so
+        # R0 is the zero that a bisection on the dense output finds
+        hermite, calls = radial._quintic_hermite, []
+
+        def recording(*nodes):
+            evaluate, last = hermite(*nodes)
+
+            def traced(x):
+                calls.append((x, last(x)))
+                return calls[-1][1]
+            return evaluate, traced
+
+        monkeypatch.setattr(radial, "_quintic_hermite", recording)
+        shot = shoot(n, p, allow_supercritical=True)
+        assert len(calls) >= 19  # 19 to 43 halvings in these cases
+        for x, y in calls:
+            assert type(x) is float and type(y) is float
+            assert y.hex() == shot.dense(np.array([x]))[0].hex()
+        lo, hi = float(shot.nodes[-2]), float(shot.nodes[-1])
+        while hi - lo > radial.ZERO_TOL:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if shot.dense(np.array([mid]))[0] > 0.0 else (lo, mid)
+        assert 0.5 * (lo + hi) == shot.R0
+
     def test_p2_zero_is_bessel_zero(self):
         # at p = 2, n = 2 the radial equation is Bessel's; the first zero
         # of the shot must match the independent root-finder oracle
